@@ -23,6 +23,7 @@ from .models import (
     QuadratureConfig,
     SumMeasure,
     TruncationSpec,
+    _atom_groups,
     jump_drift_correction,
 )
 from .repfn import (
@@ -140,19 +141,12 @@ def _map_measure(measure: JumpMeasure, f: RepFn) -> JumpMeasure:
             raise ValueError("representation is not real-valued on the atom support")
         if np.any(~np.isfinite(vals.real)):
             raise ValueError("representation is undefined at an atom of the jump measure")
-        pts = vals.real
+        pts, lam = vals.real, measure.intensities
         # Coinciding images are merged: the image measure genuinely carries
-        # their summed intensity.
-        merged_pts, merged_lam = [], []
-        for k in range(pts.shape[0]):
-            for i, q in enumerate(merged_pts):
-                if np.max(np.abs(pts[k] - q)) < 1e-12:
-                    merged_lam[i] += measure.intensities[k]
-                    break
-            else:
-                merged_pts.append(pts[k])
-                merged_lam.append(float(measure.intensities[k]))
-        return FiniteAtoms(np.asarray(merged_pts), np.asarray(merged_lam))
+        # their summed intensity, added up in atom order.
+        groups = _atom_groups(pts)
+        merged = [sum(lam[g].tolist()) for g in groups]
+        return FiniteAtoms(pts[[g[0] for g in groups]], np.asarray(merged))
     if isinstance(measure, SumMeasure):
         return SumMeasure(tuple(_map_measure(p, f) for p in measure.parts))
     if isinstance(measure, (GaussianPush, MappedMeasure)):

@@ -135,8 +135,10 @@ def _draw_jump_batch(t: LevyTriplet, T: float, rng: np.random.Generator, n: int)
     return counts, jumps
 
 
-def _gauss_factor(t: LevyTriplet) -> np.ndarray:
-    return psd_factor(t.c)
+def _draw_paths(t: LevyTriplet, T: float, rng: np.random.Generator, n: int):
+    """Diffusion normals (n, d), then jump counts and sizes: (Z, counts, jumps)."""
+    Z = rng.standard_normal((n, t.dim))
+    return (Z, *_draw_jump_batch(t, T, rng, n))
 
 
 def _segment_reduce(op, values: np.ndarray, counts: np.ndarray, empty):
@@ -163,9 +165,8 @@ def sample_increment_batch(
     if T < 0:
         raise ValueError("time horizon must be nonnegative")
     comp = _truncation_compensator(t)
-    L = _gauss_factor(t)
-    Z = rng.standard_normal((n, t.dim))
-    counts, jumps = _draw_jump_batch(t, T, rng, n)
+    L = psd_factor(t.c)
+    Z, counts, jumps = _draw_paths(t, T, rng, n)
     out = (t.b - comp) * T + math.sqrt(T) * Z @ L.T
     for i in range(t.dim):
         col = jumps[:, i].astype(np.complex128) if jumps.size else np.zeros(0, dtype=np.complex128)
@@ -183,45 +184,35 @@ def sample_increment(t: LevyTriplet, T: float, rng: np.random.Generator) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _stoch_exp_levy_block(
-    xi: RepFn,
-    t: LevyTriplet,
-    T: float,
-    comp: np.ndarray,
-    jet,
-    rng: np.random.Generator,
-    size: int,
-    antithetic: bool,
-) -> np.ndarray:
-    """Pathwise exp(continuous exponent) * prod(1 + xi(jump)) for one block."""
-    J = jet.jacobian[0]
-    H = jet.hessian[0]
-    L = _gauss_factor(t)
-    drift_term = J @ (t.b - comp).astype(np.complex128) * T
-    ito_term = 0.5 * (np.einsum("ij,ij->", H, t.c) - J @ t.c @ J) * T
+def _stoch_exp_kernel(fn: RepFn, t: LevyTriplet, T: float):
+    """The pathwise stochastic exponential of (fn o X) at T, as a function of the draws.
 
-    Z = rng.standard_normal((size, t.dim))
-    counts, jumps = _draw_jump_batch(t, T, rng, size)
-    if jumps.shape[0]:
-        factors = 1.0 + xi.eval_batch(jumps.astype(np.complex128))[:, 0]
-    else:
-        factors = np.zeros(0, dtype=np.complex128)
-    jump_prod = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j)
+    Returns ``paths(Z, counts, jumps, antithetic=False)``: per path,
+    exp(continuous exponent) * prod(1 + fn(jump)).  Antithetic pairing
+    averages the continuous factor over Z and -Z.
+    """
+    jet = fn.jet_at_zero()
+    J, H = jet.jacobian[0], jet.hessian[0]
+    drift_term = J @ (t.b - _truncation_compensator(t)).astype(np.complex128) * T
+    exponent = drift_term + 0.5 * (np.einsum("ij,ij->", H, t.c) - J @ t.c @ J) * T
+    slope = math.sqrt(T) * (J @ psd_factor(t.c))
 
-    def continuous(gauss):
-        return np.exp(drift_term + ito_term + gauss @ (math.sqrt(T) * (J @ L)))
+    def paths(Z, counts, jumps, antithetic=False):
+        factors = 1.0 + fn.eval_batch(jumps.astype(np.complex128))[:, 0]
+        jump_prod = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j)
+        if antithetic:
+            continuous = 0.5 * (np.exp(exponent + Z @ slope) + np.exp(exponent + (-Z) @ slope))
+        else:
+            continuous = np.exp(exponent + Z @ slope)
+        return continuous * jump_prod
 
-    if antithetic:
-        return 0.5 * (continuous(Z) + continuous(-Z)) * jump_prod
-    return continuous(Z) * jump_prod
+    return paths
 
 
-def _stoch_exp_discrete_block(
-    xi: RepFn, m: DiscreteModel, steps: int, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    vals = 1.0 + xi.eval_batch(m.points.astype(np.complex128))[:, 0]
+def _discrete_products(m: DiscreteModel, steps: int, rng, size: int, *factors):
+    """Per-path products of each factor vector over ``steps`` i.i.d. support draws."""
     idx = rng.choice(m.size, size=(size, steps), p=m.probabilities)
-    return np.prod(vals[idx], axis=1) if steps else np.ones(size, dtype=np.complex128)
+    return [np.prod(f[idx], axis=1) for f in factors]
 
 
 Model = Union[LevyTriplet, DiscreteModel]
@@ -238,16 +229,13 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
         raise ValueError("the stochastic exponential needs a scalar representation")
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)
+        vals = 1.0 + xi.eval_batch(model.points.astype(np.complex128))[:, 0]
         return _estimate(
-            _collect(cfg, lambda rng, n: _stoch_exp_discrete_block(xi, model, steps, rng, n))
+            _collect(cfg, lambda rng, n: _discrete_products(model, steps, rng, n, vals)[0])
         )
-    comp = _truncation_compensator(model)
-    jet = xi.jet_at_zero()
+    paths = _stoch_exp_kernel(xi, model, T)
     return _estimate(
-        _collect(
-            cfg,
-            lambda rng, n: _stoch_exp_levy_block(xi, model, T, comp, jet, rng, n, cfg.antithetic),
-        )
+        _collect(cfg, lambda rng, n: paths(*_draw_paths(model, T, rng, n), cfg.antithetic))
     )
 
 
@@ -259,11 +247,10 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
     jet = xi.jet_at_zero()
     J = jet.jacobian[0]
     H = jet.hessian[0]
-    L = _gauss_factor(t)
+    L = psd_factor(t.c)
 
     def block(rng, size):
-        Z = rng.standard_normal((size, t.dim))
-        counts, jumps = _draw_jump_batch(t, T, rng, size)
+        Z, counts, jumps = _draw_paths(t, T, rng, size)
         x_trunc = (t.b - comp) * T + math.sqrt(T) * Z @ L.T
         if jumps.shape[0]:
             hj = t.truncation.apply(jumps)
@@ -294,14 +281,13 @@ def mc_margrabe(mm: MargrabeModel, cfg: SimConfig) -> McEstimate:
     """
     t = mm.triplet()
     comp = _truncation_compensator(t)
-    L = _gauss_factor(t)
+    L = psd_factor(t.c)
     spots = np.array([mm.spot1, mm.spot2])
     T = mm.maturity
     cont_drift = (t.b - comp) * T - 0.5 * np.diag(t.c) * T
 
     def block(rng, size):
-        Z = rng.standard_normal((size, 2))
-        counts, jumps = _draw_jump_batch(t, T, rng, size)
+        Z, counts, jumps = _draw_paths(t, T, rng, size)
         prods = np.empty((size, 2))
         for i in range(2):
             if jumps.shape[0]:
@@ -339,44 +325,23 @@ def mc_reweighted(
 
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)
-        eta_vals = 1.0 + eta.eval_batch(model.points.astype(np.complex128))[:, 0]
+        pts = model.points.astype(np.complex128)
+        xi_vals, eta_vals = (1.0 + f.eval_batch(pts)[:, 0] for f in (xi, eta))
         norm = complex((model.probabilities * eta_vals).sum()) ** steps
 
         def block(rng, size):
-            xi_vals = 1.0 + xi.eval_batch(model.points.astype(np.complex128))[:, 0]
-            idx = rng.choice(model.size, size=(size, steps), p=model.probabilities)
-            v = np.prod(xi_vals[idx], axis=1) if steps else np.ones(size, dtype=np.complex128)
-            w = np.prod(eta_vals[idx], axis=1) / norm if steps else np.ones(size, dtype=np.complex128)
-            return _apply_weights(w, v)
+            v, w = _discrete_products(model, steps, rng, size, xi_vals, eta_vals)
+            return _apply_weights(w / norm, v)
 
     else:
-        comp = _truncation_compensator(model)
-        xi_jet = xi.jet_at_zero()
-        eta_jet = eta.jet_at_zero()
+        xi_paths = _stoch_exp_kernel(xi, model, T)
+        eta_paths = _stoch_exp_kernel(eta, model, T)
         norm_rate = drift(eta, model).total[0]
 
         def block(rng, size):
             # Shared draws: evaluate both exponentials on the same paths.
-            L = _gauss_factor(model)
-            Z = rng.standard_normal((size, model.dim))
-            counts, jumps = _draw_jump_batch(model, T, rng, size)
-            cj = jumps.astype(np.complex128) if jumps.shape[0] else np.zeros((0, model.dim), dtype=np.complex128)
-
-            def stoch_exp(fn, jet):
-                J, H = jet.jacobian[0], jet.hessian[0]
-                dterm = J @ (model.b - comp).astype(np.complex128) * T
-                iterm = 0.5 * (np.einsum("ij,ij->", H, model.c) - J @ model.c @ J) * T
-                if cj.shape[0]:
-                    factors = 1.0 + fn.eval_batch(cj)[:, 0]
-                else:
-                    factors = np.zeros(0, dtype=np.complex128)
-                prod = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j)
-                gauss = Z @ (math.sqrt(T) * (J @ L))
-                return np.exp(dterm + iterm + gauss) * prod
-
-            v = stoch_exp(xi, xi_jet)
-            w = stoch_exp(eta, eta_jet) / np.exp(norm_rate * T)
-            return _apply_weights(w, v)
+            draws = _draw_paths(model, T, rng, size)
+            return _apply_weights(eta_paths(*draws) / np.exp(norm_rate * T), xi_paths(*draws))
 
     return _estimate(_collect(cfg, block))
 

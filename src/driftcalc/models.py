@@ -128,6 +128,23 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _atom_groups(pts: np.ndarray) -> list:
+    """Group atoms closer than ATOM_DEDUP_TOL in sup norm, as lists of indices.
+
+    Each atom joins the first group whose leading atom is that close, or else
+    leads a new group; groups and their members come in atom order.
+    """
+    groups: list = []
+    for k in range(pts.shape[0]):
+        for g in groups:
+            if np.max(np.abs(pts[k] - pts[g[0]])) < ATOM_DEDUP_TOL:
+                g.append(k)
+                break
+        else:
+            groups.append([k])
+    return groups
+
+
 def _check_integrand_values(vals: np.ndarray, points: np.ndarray, what: str):
     bad = np.where(_isnan(vals).any(axis=1))[0]
     if bad.size:
@@ -155,13 +172,12 @@ class FiniteAtoms(JumpMeasure):
             raise ValueError("atom positions and intensities must be finite")
         if lam.size and np.any(lam <= 0):
             raise ValueError("atom intensities must be strictly positive")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.max(np.abs(pts[i] - pts[j])) < ATOM_DEDUP_TOL:
-                    raise ValueError(
-                        f"duplicate atoms at {pts[i].tolist()} and {pts[j].tolist()} "
-                        f"(closer than {ATOM_DEDUP_TOL} in sup norm)"
-                    )
+        dup = next((g for g in _atom_groups(pts) if len(g) > 1), None)
+        if dup:
+            raise ValueError(
+                f"duplicate atoms at {pts[dup[0]].tolist()} and {pts[dup[1]].tolist()} "
+                f"(closer than {ATOM_DEDUP_TOL} in sup norm)"
+            )
 
     @property
     def dim(self) -> int:
@@ -563,10 +579,9 @@ class DiscreteModel:
             raise ValueError("probabilities must lie in (0, 1]")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1 within 1e-12")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.max(np.abs(pts[i] - pts[j])) < ATOM_DEDUP_TOL:
-                    raise ValueError(f"duplicate support points at {pts[i].tolist()}")
+        dup = next((g for g in _atom_groups(pts) if len(g) > 1), None)
+        if dup:
+            raise ValueError(f"duplicate support points at {pts[dup[0]].tolist()}")
 
     @property
     def dim(self) -> int:

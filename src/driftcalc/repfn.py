@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class Node:
     def __neg__(self):
         return Neg(self)
 
-    # Subclasses implement _eval (vectorised over a batch of points) and
-    # _jet (value, gradient, Hessian at the origin).  Both are dispatched
-    # through the memoised walkers below so shared subtrees evaluate once.
+    # Evaluation, jets and serialisation of each subclass live in its row of
+    # the op table below, walked along each RepFn's tape so shared subtrees
+    # are visited once.
 
 
 @dataclass(frozen=True)
@@ -191,68 +192,32 @@ class Indicator(Node):
         return np.abs(values) > self.threshold
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
+def format_complex(z) -> str:
+    """Render a complex number as 'a', 'bi', or 'a+bi' at full precision."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return repr(z.real)
+    if z.real == 0.0:
+        return repr(z.imag) + "i"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _eval_node(node: Node, X: np.ndarray, memo: dict) -> np.ndarray:
-    """Evaluate one node over a batch X of shape (N, d); returns (N,) complex."""
-    key = id(node)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    if isinstance(node, Coord):
-        out = X[:, node.index].copy()
-    elif isinstance(node, Const):
-        out = np.full(X.shape[0], node.value, dtype=np.complex128)
-    elif isinstance(node, Add):
-        out = _eval_node(node.left, X, memo) + _eval_node(node.right, X, memo)
-    elif isinstance(node, Sub):
-        out = _eval_node(node.left, X, memo) - _eval_node(node.right, X, memo)
-    elif isinstance(node, Mul):
-        a = _eval_node(node.left, X, memo)
-        b = _eval_node(node.right, X, memo)
-        out = a * b
-        # 0 * NaN must stay NaN; numpy already guarantees this for complex.
-    elif isinstance(node, Neg):
-        out = -_eval_node(node.child, X, memo)
-    elif isinstance(node, Div):
-        num = _eval_node(node.left, X, memo)
-        den = _eval_node(node.right, X, memo)
-        bad = den == 0
-        with np.errstate(all="ignore"):
-            out = num / np.where(bad, 1.0, den)
-        out = np.where(bad, _CNAN, out)
-    elif isinstance(node, Exp):
-        with np.errstate(all="ignore"):
-            out = np.exp(_eval_node(node.child, X, memo))
-    elif isinstance(node, Log):
-        z = _eval_node(node.child, X, memo)
-        bad = (z.imag == 0.0) & (z.real <= 0.0)
-        with np.errstate(all="ignore"):
-            out = np.log(np.where(bad, 1.0, z))
-        out = np.where(bad, _CNAN, out)
-    elif isinstance(node, PowConst):
-        z = _eval_node(node.child, X, memo)
-        bad = (z.imag == 0.0) & (z.real <= 0.0)
-        with np.errstate(all="ignore"):
-            out = np.exp(node.exponent * np.log(np.where(bad, 1.0, z)))
-        out = np.where(bad, _CNAN, out)
-    elif isinstance(node, Indicator):
-        z = _eval_node(node.child, X, memo)
-        out = np.where(node.test(z), 1.0 + 0.0j, 0.0 + 0.0j)
-        out = np.where(_isnan(z), _CNAN, out)
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    memo[key] = out
-    return out
+def parse_complex(text: str) -> complex:
+    """Parse 'a', 'bi', or 'a+bi' (also accepts Python's 'j' suffix)."""
+    s = str(text).strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty complex literal")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
+    try:
+        return complex(s)
+    except ValueError as exc:
+        raise ValueError(f"malformed complex literal {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
-# second-order forward-mode jets at the origin
+# the op table: one row per node type
 # ---------------------------------------------------------------------------
 
 
@@ -269,86 +234,159 @@ class Jet2:
     hessian: np.ndarray
 
 
-def _jet_node(node: Node, dim: int, memo: dict):
-    """Propagate (value, gradient, Hessian) at x=0 through one node."""
-    key = id(node)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+class _Op(NamedTuple):
+    """Everything the engine knows about one node type.
 
-    if isinstance(node, Coord):
-        g = np.zeros(dim, dtype=np.complex128)
-        g[node.index] = 1.0
-        out = (0j, g, np.zeros((dim, dim), dtype=np.complex128))
-    elif isinstance(node, Const):
-        out = (node.value, np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
-    elif isinstance(node, Add):
-        va, ga, ha = _jet_node(node.left, dim, memo)
-        vb, gb, hb = _jet_node(node.right, dim, memo)
-        out = (va + vb, ga + gb, ha + hb)
-    elif isinstance(node, Sub):
-        va, ga, ha = _jet_node(node.left, dim, memo)
-        vb, gb, hb = _jet_node(node.right, dim, memo)
-        out = (va - vb, ga - gb, ha - hb)
-    elif isinstance(node, Neg):
-        v, g, h = _jet_node(node.child, dim, memo)
-        out = (-v, -g, -h)
-    elif isinstance(node, Mul):
-        va, ga, ha = _jet_node(node.left, dim, memo)
-        vb, gb, hb = _jet_node(node.right, dim, memo)
-        out = (va * vb, va * gb + vb * ga, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga))
-    elif isinstance(node, Div):
-        va, ga, ha = _jet_node(node.left, dim, memo)
-        vb, gb, hb = _jet_node(node.right, dim, memo)
-        if vb == 0 or _isnan(vb):
-            raise NanPointError("division by zero at the origin", point=0.0)
-        v = va / vb
-        g = (ga - v * gb) / vb
-        h = (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb
-        out = (v, g, h)
-    elif isinstance(node, Exp):
-        vc, gc, hc = _jet_node(node.child, dim, memo)
-        w = np.exp(vc)
-        out = (w, w * gc, w * (hc + np.outer(gc, gc)))
-    elif isinstance(node, Log):
-        vc, gc, hc = _jet_node(node.child, dim, memo)
-        if vc.imag == 0.0 and vc.real <= 0.0:
-            raise NanPointError("log of a nonpositive real at the origin", point=0.0)
-        out = (np.log(vc), gc / vc, hc / vc - np.outer(gc, gc) / vc**2)
-    elif isinstance(node, PowConst):
-        vc, gc, hc = _jet_node(node.child, dim, memo)
-        if vc.imag == 0.0 and vc.real <= 0.0:
-            raise NanPointError("power of a nonpositive real at the origin", point=0.0)
-        p = node.exponent
-        w = np.exp(p * np.log(vc))
-        out = (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / vc**2 * np.outer(gc, gc))
-    elif isinstance(node, Indicator):
-        # Predicates are constant near the origin by construction, so the
-        # indicator is frozen at its origin value before differentiation.
-        vc, _gc, _hc = _jet_node(node.child, dim, memo)
-        frozen = 1.0 + 0j if node.test(np.asarray([vc]))[0] else 0j
-        out = (frozen, np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
+    ``literals`` lists (field, format, parse) for the non-node fields and
+    ``children`` the node fields, both in constructor (and prefix operand)
+    order.  ``ev(node, X, *child_values)`` maps a batch X of shape (N, d) to
+    (N,) complex; ``jet(node, d, *child_jets)`` propagates (value, gradient,
+    Hessian) at x = 0 by second-order forward mode.
+    """
 
-    memo[key] = out
-    return out
+    token: str
+    literals: tuple
+    children: tuple
+    ev: Callable
+    jet: Callable
+
+
+def _guarded(bad, fn, z):
+    """fn(z) with the points flagged ``bad`` sent to NaN instead of evaluated."""
+    with np.errstate(all="ignore"):
+        out = fn(np.where(bad, 1.0, z))
+    return np.where(bad, _CNAN, out)
+
+
+def _nonpositive(z):
+    return (z.imag == 0.0) & (z.real <= 0.0)
+
+
+def _flat(dim: int, value) -> tuple:
+    return (value, np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
+
+
+def _jet_coord(n, dim):
+    g = np.zeros(dim, dtype=np.complex128)
+    g[n.index] = 1.0
+    return (0j, g, np.zeros((dim, dim), dtype=np.complex128))
+
+
+def _jet_mul(n, dim, a, b):
+    (va, ga, ha), (vb, gb, hb) = a, b
+    return (va * vb, va * gb + vb * ga, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga))
+
+
+def _jet_div(n, dim, a, b):
+    (va, ga, ha), (vb, gb, hb) = a, b
+    if vb == 0 or _isnan(vb):
+        raise NanPointError("division by zero at the origin", point=0.0)
+    v = va / vb
+    g = (ga - v * gb) / vb
+    return (v, g, (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb)
+
+
+def _jet_exp(n, dim, c):
+    vc, gc, hc = c
+    w = np.exp(vc)
+    return (w, w * gc, w * (hc + np.outer(gc, gc)))
+
+
+def _positive_at_origin(vc, what: str):
+    if vc.imag == 0.0 and vc.real <= 0.0:
+        raise NanPointError(f"{what} of a nonpositive real at the origin", point=0.0)
+
+
+def _jet_log(n, dim, c):
+    vc, gc, hc = c
+    _positive_at_origin(vc, "log")
+    return (np.log(vc), gc / vc, hc / vc - np.outer(gc, gc) / vc**2)
+
+
+def _jet_pow(n, dim, c):
+    vc, gc, hc = c
+    _positive_at_origin(vc, "power")
+    p = n.exponent
+    w = np.exp(p * np.log(vc))
+    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / vc**2 * np.outer(gc, gc))
+
+
+def _ev_pow(n, X, z):
+    # Not through _guarded: a closure would keep the masked copy of z alive
+    # through log and exp, which slows large batches.
+    bad = _nonpositive(z)
+    with np.errstate(all="ignore"):
+        out = np.exp(n.exponent * np.log(np.where(bad, 1.0, z)))
+    return np.where(bad, _CNAN, out)
+
+
+def _ev_exp(n, X, z):
+    with np.errstate(all="ignore"):
+        return np.exp(z)
+
+
+def _ev_indicator(n, X, z):
+    out = np.where(n.test(z), 1.0 + 0.0j, 0.0 + 0.0j)
+    return np.where(_isnan(z), _CNAN, out)
+
+
+def _jet_indicator(n, dim, c):
+    # Predicates are constant near the origin by construction, so the
+    # indicator is frozen at its origin value before differentiation.
+    return _flat(dim, 1.0 + 0j if n.test(np.asarray([c[0]]))[0] else 0j)
+
+
+_BINARY = ("left", "right")
+_COMPLEX = (format_complex, parse_complex)
+
+#: the node set: class -> row
+_OPS = {
+    Coord: _Op("x", (("index", repr, int),), (), lambda n, X: X[:, n.index].copy(), _jet_coord),
+    Const: _Op(
+        "const", (("value", *_COMPLEX),), (),
+        lambda n, X: np.full(X.shape[0], n.value, dtype=np.complex128),
+        lambda n, dim: _flat(dim, n.value),
+    ),
+    Add: _Op(
+        "add", (), _BINARY, lambda n, X, a, b: a + b,
+        lambda n, dim, a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+    ),
+    Sub: _Op(
+        "sub", (), _BINARY, lambda n, X, a, b: a - b,
+        lambda n, dim, a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
+    ),
+    # 0 * NaN stays NaN: numpy guarantees this for complex products.
+    Mul: _Op("mul", (), _BINARY, lambda n, X, a, b: a * b, _jet_mul),
+    Div: _Op("div", (), _BINARY, lambda n, X, a, b: _guarded(b == 0, lambda d: a / d, b), _jet_div),
+    Neg: _Op("neg", (), ("child",), lambda n, X, a: -a, lambda n, dim, a: (-a[0], -a[1], -a[2])),
+    Exp: _Op("exp", (), ("child",), _ev_exp, _jet_exp),
+    Log: _Op("log", (), ("child",), lambda n, X, z: _guarded(_nonpositive(z), np.log, z), _jet_log),
+    PowConst: _Op("pow", (("exponent", *_COMPLEX),), ("child",), _ev_pow, _jet_pow),
+    Indicator: _Op(
+        "ind", (("op", str, str), ("threshold", repr, float)), ("child",), _ev_indicator, _jet_indicator
+    ),
+}
+_BY_TOKEN = {op.token: cls for cls, op in _OPS.items()}
+
+
+def _record(node: Node, slots: dict, tape: list) -> int:
+    """Append the unseen part of node's DAG to the post-order tape; return its slot."""
+    slot = slots.get(id(node))
+    if slot is None:
+        op = _OPS.get(type(node))
+        if op is None:
+            raise TypeError(f"unknown node type {type(node).__name__}")
+        args = ()
+        for field in op.children:
+            args += (_record(getattr(node, field), slots, tape),)
+        slot = slots[id(node)] = len(tape)
+        tape.append((op, node, args))
+    return slot
 
 
 # ---------------------------------------------------------------------------
 # the public RepFn value
 # ---------------------------------------------------------------------------
-
-
-def _walk(node: Node, seen: set):
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    yield node
-    for attr in ("left", "right", "child"):
-        sub = getattr(node, attr, None)
-        if sub is not None:
-            yield from _walk(sub, seen)
 
 
 @dataclass(frozen=True)
@@ -358,7 +396,9 @@ class RepFn:
     ``outputs`` holds one scalar expression tree per output component.
     Construction validates coordinate bounds, that evaluation at the zero
     vector yields the zero vector exactly, and that no indicator predicate
-    sits on its discontinuity at the origin.
+    sits on its discontinuity at the origin.  It also records the DAG once
+    as a post-order tape of (row, node, child slots), shared subtrees
+    occupying one slot, which every later pass walks.
     """
 
     input_dim: int
@@ -371,36 +411,49 @@ class RepFn:
         object.__setattr__(self, "outputs", outputs)
         if len(outputs) < 1:
             raise ValueError("a representing function needs at least one output")
-        seen: set = set()
-        nodes = [n for root in outputs for n in _walk(root, seen)]
-        for n in nodes:
+        slots, tape = {}, []
+        roots = tuple([_record(root, slots, tape) for root in outputs])
+        object.__setattr__(self, "_tape", tape)
+        object.__setattr__(self, "_roots", roots)
+        for _op, n, _args in tape:
             if isinstance(n, Coord) and n.index >= self.input_dim:
                 raise ValueError(
                     f"coordinate index {n.index} out of range for input dimension {self.input_dim}"
                 )
-        origin = np.zeros((1, self.input_dim), dtype=np.complex128)
-        memo: dict = {}
-        for k, root in enumerate(outputs):
-            val = _eval_node(root, origin, memo)[0]
+        origin = self._run("ev", np.zeros((1, self.input_dim), dtype=np.complex128))
+        for k, s in enumerate(roots):
+            val = origin[s][0]
             if _isnan(val):
                 raise ValueError(f"output {k} is undefined at the origin")
             if val != 0:
                 raise ValueError(f"output {k} evaluates to {val} at the origin; must be exactly 0")
-        for n in nodes:
+        for _op, n, args in tape:
             if isinstance(n, Indicator):
-                z0 = memo.get(id(n.child))
-                if z0 is None:
-                    z0 = _eval_node(n.child, origin, memo)
-                z0 = z0[0]
-                if n.op in ("eq", "ne"):
-                    on_boundary = z0.imag == 0.0 and z0.real == n.threshold
-                else:
-                    on_boundary = abs(z0) == n.threshold
-                if on_boundary:
+                z0 = origin[args[0]][0]
+                if (z0 if n.op in ("eq", "ne") else abs(z0)) == n.threshold:
                     raise ValueError(
                         "indicator predicate is discontinuous at the origin "
                         f"(child value {z0}, {n.op} {n.threshold})"
                     )
+
+    def __reduce__(self):
+        # The tape holds the table's rules, which do not pickle: rebuild it.
+        return (RepFn, (self.input_dim, self.outputs))
+
+    def _run(self, rule: str, x) -> list:
+        """Apply one row rule ("ev" or "jet") along the tape; one value per slot."""
+        vals: list = []
+        for op, node, args in self._tape:
+            fn = getattr(op, rule)
+            # Spelled out per arity (at most 2): building an argument list
+            # per node measurably slows the small trees built in bulk.
+            if len(args) == 2:
+                vals.append(fn(node, x, vals[args[0]], vals[args[1]]))
+            elif args:
+                vals.append(fn(node, x, vals[args[0]]))
+            else:
+                vals.append(fn(node, x))
+        return vals
 
     @property
     def output_dim(self) -> int:
@@ -411,10 +464,8 @@ class RepFn:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of shape (N, {self.input_dim}), got {X.shape}")
-        X = X.astype(np.complex128, copy=False)
-        memo: dict = {}
-        cols = [_eval_node(root, X, memo) for root in self.outputs]
-        return np.stack(cols, axis=1)
+        vals = self._run("ev", X.astype(np.complex128, copy=False))
+        return np.stack([vals[s] for s in self._roots], axis=1)
 
     def eval(self, x) -> np.ndarray:
         """Evaluate at a single point, shape (d,) -> (n,) complex."""
@@ -429,13 +480,12 @@ class RepFn:
     def jet_at_zero(self) -> Jet2:
         """Exact value/Jacobian/Hessian at the origin by forward propagation."""
         d, n = self.input_dim, self.output_dim
-        memo: dict = {}
+        jets = self._run("jet", d)
         value = np.zeros(n, dtype=np.complex128)
         jac = np.zeros((n, d), dtype=np.complex128)
         hess = np.zeros((n, d, d), dtype=np.complex128)
-        for k, root in enumerate(self.outputs):
-            v, g, h = _jet_node(root, d, memo)
-            value[k], jac[k], hess[k] = v, g, h
+        for k, s in enumerate(self._roots):
+            value[k], jac[k], hess[k] = jets[s]
         return Jet2(value=value, jacobian=jac, hessian=hess)
 
 
@@ -451,40 +501,16 @@ def compose(psi: RepFn, xi: RepFn) -> RepFn:
             f"dimension mismatch: inner function produces {xi.output_dim} outputs, "
             f"outer expects {psi.input_dim} inputs"
         )
-    memo: dict = {}
-
-    def subst(node: Node) -> Node:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    new: list = []
+    for op, node, args in psi._tape:
         if isinstance(node, Coord):
-            out = xi.outputs[node.index]
-        elif isinstance(node, (Const,)):
-            out = node
-        elif isinstance(node, Add):
-            out = Add(subst(node.left), subst(node.right))
-        elif isinstance(node, Sub):
-            out = Sub(subst(node.left), subst(node.right))
-        elif isinstance(node, Mul):
-            out = Mul(subst(node.left), subst(node.right))
-        elif isinstance(node, Div):
-            out = Div(subst(node.left), subst(node.right))
-        elif isinstance(node, Neg):
-            out = Neg(subst(node.child))
-        elif isinstance(node, Exp):
-            out = Exp(subst(node.child))
-        elif isinstance(node, Log):
-            out = Log(subst(node.child))
-        elif isinstance(node, PowConst):
-            out = PowConst(node.exponent, subst(node.child))
-        elif isinstance(node, Indicator):
-            out = Indicator(node.op, node.threshold, subst(node.child))
+            new.append(xi.outputs[node.index])
+        elif args:
+            literals = [getattr(node, field) for field, _fmt, _parse in op.literals]
+            new.append(type(node)(*literals, *[new[i] for i in args]))
         else:
-            raise TypeError(f"unknown node type {type(node).__name__}")
-        memo[key] = out
-        return out
-
-    return RepFn(xi.input_dim, tuple(subst(root) for root in psi.outputs))
+            new.append(node)
+    return RepFn(xi.input_dim, tuple([new[s] for s in psi._roots]))
 
 
 def finite_difference_jet(f: RepFn, step: float) -> Jet2:
@@ -546,59 +572,13 @@ def finite_difference_jet(f: RepFn, step: float) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-def format_complex(z) -> str:
-    """Render a complex number as 'a', 'bi', or 'a+bi' at full precision."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    if z.real == 0.0:
-        return repr(z.imag) + "i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
-def parse_complex(text: str) -> complex:
-    """Parse 'a', 'bi', or 'a+bi' (also accepts Python's 'j' suffix)."""
-    s = str(text).strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s.endswith("i"):
-        s = s[:-1] + "j"
-    try:
-        return complex(s)
-    except ValueError as exc:
-        raise ValueError(f"malformed complex literal {text!r}") from exc
-
-
 def to_prefix(f: RepFn) -> str:
     """Serialise a RepFn to prefix notation: (repfn D EXPR...)."""
-
-    def render(node: Node) -> str:
-        if isinstance(node, Coord):
-            return f"(x {node.index})"
-        if isinstance(node, Const):
-            return f"(const {format_complex(node.value)})"
-        if isinstance(node, Add):
-            return f"(add {render(node.left)} {render(node.right)})"
-        if isinstance(node, Sub):
-            return f"(sub {render(node.left)} {render(node.right)})"
-        if isinstance(node, Mul):
-            return f"(mul {render(node.left)} {render(node.right)})"
-        if isinstance(node, Div):
-            return f"(div {render(node.left)} {render(node.right)})"
-        if isinstance(node, Neg):
-            return f"(neg {render(node.child)})"
-        if isinstance(node, Exp):
-            return f"(exp {render(node.child)})"
-        if isinstance(node, Log):
-            return f"(log {render(node.child)})"
-        if isinstance(node, PowConst):
-            return f"(pow {format_complex(node.exponent)} {render(node.child)})"
-        if isinstance(node, Indicator):
-            return f"(ind {node.op} {node.threshold!r} {render(node.child)})"
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    body = " ".join(render(root) for root in f.outputs)
+    texts: list = []
+    for op, node, args in f._tape:
+        fields = [fmt(getattr(node, field)) for field, fmt, _parse in op.literals]
+        texts.append(f"({' '.join([op.token, *fields, *[texts[i] for i in args]])})")
+    body = " ".join(texts[s] for s in f._roots)
     return f"(repfn {f.input_dim} {body})"
 
 
@@ -619,6 +599,12 @@ def _parse_sexpr(tokens, pos):
     return items, pos + 1
 
 
+def _literal(item, parse):
+    if isinstance(item, list):
+        raise ValueError(f"expected a literal, got the expression {item!r}")
+    return parse(item)
+
+
 def from_prefix(text: str) -> RepFn:
     """Parse the prefix notation produced by :func:`to_prefix`."""
     tokens = _tokenize(text)
@@ -631,32 +617,20 @@ def from_prefix(text: str) -> RepFn:
         raise ValueError("prefix expression must start with (repfn D ...)")
     if len(tree) < 3:
         raise ValueError("(repfn ...) needs a dimension and at least one expression")
-    dim = int(tree[1])
+    dim = _literal(tree[1], int)
 
     def build(item) -> Node:
         if not isinstance(item, list) or not item:
             raise ValueError(f"malformed expression {item!r}")
         head, rest = item[0], item[1:]
-        if head == "x":
-            (i,) = rest
-            return Coord(int(i))
-        if head == "const":
-            (c,) = rest
-            return Const(parse_complex(c))
-        binary = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
-        if head in binary:
-            a, b = rest
-            return binary[head](build(a), build(b))
-        unary = {"neg": Neg, "exp": Exp, "log": Log}
-        if head in unary:
-            (a,) = rest
-            return unary[head](build(a))
-        if head == "pow":
-            c, a = rest
-            return PowConst(parse_complex(c), build(a))
-        if head == "ind":
-            op, thr, a = rest
-            return Indicator(op, float(thr), build(a))
-        raise ValueError(f"unknown operator {head!r}")
+        cls = _BY_TOKEN.get(head) if isinstance(head, str) else None
+        if cls is None:
+            raise ValueError(f"unknown operator {head!r}")
+        op = _OPS[cls]
+        arity = len(op.literals) + len(op.children)
+        if len(rest) != arity:
+            raise ValueError(f"({head} ...) takes {arity} operands, got {len(rest)}")
+        lits = [_literal(t, parse) for (_field, _fmt, parse), t in zip(op.literals, rest)]
+        return cls(*lits, *[build(t) for t in rest[len(lits):]])
 
     return RepFn(dim, tuple(build(item) for item in tree[2:]))

@@ -66,7 +66,9 @@ def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
     """A random, well-conditioned composition of catalog-style scalar trees.
 
     Constants are kept moderate so finite differences at step 1e-5 remain
-    meaningful for both first and second derivatives.
+    meaningful for both first and second derivatives.  Every node type is
+    drawn; indicator levels stay at least 0.3 away from the value 1 their
+    child takes at the origin, so no stencil point crosses a discontinuity.
     """
     d = int(rng.integers(1, 4))
     k = int(rng.integers(1, 3))
@@ -75,7 +77,7 @@ def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
     for _ in range(k):
         coord = dc.Coord(int(rng.integers(0, d)))
         a = float(rng.uniform(-1.2, 1.2))
-        choice = int(rng.integers(0, 5))
+        choice = int(rng.integers(0, 7))
         if choice == 0:
             node = dc.Exp(dc.Const(a) * coord) - one
         elif choice == 1:
@@ -84,8 +86,14 @@ def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
             node = dc.PowConst(1.0 + a, one + coord) - one
         elif choice == 3:
             node = dc.Div(coord, one + dc.Const(0.3 * a) * coord)
-        else:
+        elif choice == 4:
             node = dc.Mul(coord, coord) + dc.Const(a) * coord
+        elif choice == 5:
+            node = dc.Neg(dc.Exp(dc.Const(a) * coord) - one)
+        else:
+            op = ("eq", "ne", "abs_le", "abs_gt")[int(rng.integers(0, 4))]
+            level = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.3, 0.9))
+            node = dc.Mul(dc.Exp(dc.Const(a) * coord) - one, dc.Indicator(op, level, one + coord))
         inner_roots.append(node)
     inner = dc.RepFn(d, tuple(inner_roots))
 

@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,8 @@ from hypothesis import strategies as st
 
 import driftcalc as dc
 from driftcalc.errors import NanPointError
-from driftcalc.repfn import _isnan, finite_difference_jet
+from driftcalc import cli
+from driftcalc.repfn import _OPS, _isnan, finite_difference_jet
 
 from conftest import random_composed_tree
 
@@ -74,6 +78,13 @@ class TestConstruction:
     def test_predicate_radius_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             dc.Indicator("abs_le", 0.0, dc.Coord(0))
+
+    def test_pickle_round_trip(self):
+        f = dc.rep_memm_integrand(0.5 + 1.0j, 0.7)
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f
+        X = np.linspace(-0.5, 0.5, 9)[:, None].astype(complex)
+        np.testing.assert_array_equal(back.eval_batch(X), f.eval_batch(X))
 
     def test_predicate_on_its_boundary_at_origin_rejected(self):
         # child value at the origin is exactly the comparison level
@@ -239,6 +250,11 @@ class TestPrefixSerialisation:
         X = rng.uniform(-0.6, 1.5, (25, fn.input_dim)).astype(complex)
         np.testing.assert_array_equal(back.eval_batch(X), fn.eval_batch(X))
 
+    def test_grammar_doc_lists_every_operator(self):
+        grammar = cli.__doc__.split("Expression grammar")[1]
+        documented = set(re.findall(r"\((\w+)", grammar)) - {"repfn"}
+        assert documented == {op.token for op in _OPS.values()}
+
     def test_complex_literals(self):
         assert dc.parse_complex("0.5+1.2i") == 0.5 + 1.2j
         assert dc.parse_complex("-2i") == -2j
@@ -251,3 +267,11 @@ class TestPrefixSerialisation:
             dc.from_prefix("(repfn 1 (bogus 1))")
         with pytest.raises(ValueError):
             dc.from_prefix("(repfn 1 (x 0)")
+        with pytest.raises(ValueError):
+            dc.from_prefix("(repfn 1 (x (x 0)))")
+        with pytest.raises(ValueError):
+            dc.from_prefix("(repfn (x 0) (x 0))")
+        with pytest.raises(ValueError):
+            dc.from_prefix("(repfn 1 (ind eq (x 0) (x 0)))")
+        with pytest.raises(ValueError, match="operands"):
+            dc.from_prefix("(repfn 1 (add (x 0)))")
