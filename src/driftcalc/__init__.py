@@ -59,6 +59,7 @@ from .models import (
     empty_measure,
     integrate,
     retruncate,
+    sum_measure,
     truncation_moment,
 )
 from .pricing import (

@@ -14,18 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import (
-    FiniteAtoms,
-    GaussianPush,
-    JumpMeasure,
-    LevyTriplet,
-    MappedMeasure,
-    QuadratureConfig,
-    SumMeasure,
-    TruncationSpec,
-    _atom_groups,
-    jump_drift_correction,
-)
+from .models import FiniteAtoms, LevyTriplet, QuadratureConfig, TruncationSpec, jump_drift_correction
 from .repfn import (
     Const,
     Coord,
@@ -37,6 +26,7 @@ from .repfn import (
     Neg,
     PowConst,
     RepFn,
+    _nonreal,
     parse_complex,
 )
 
@@ -132,28 +122,6 @@ def _is_identity(f: RepFn) -> bool:
     return all(isinstance(root, Coord) and root.index == k for k, root in enumerate(f.outputs))
 
 
-def _map_measure(measure: JumpMeasure, f: RepFn) -> JumpMeasure:
-    if isinstance(measure, FiniteAtoms):
-        if measure.points.shape[0] == 0:
-            return FiniteAtoms(np.zeros((0, f.output_dim)), np.zeros(0))
-        vals = f.eval_batch(measure.points.astype(np.complex128))
-        if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))):
-            raise ValueError("representation is not real-valued on the atom support")
-        if np.any(~np.isfinite(vals.real)):
-            raise ValueError("representation is undefined at an atom of the jump measure")
-        pts, lam = vals.real, measure.intensities
-        # Coinciding images are merged: the image measure genuinely carries
-        # their summed intensity, added up in atom order.
-        groups = _atom_groups(pts)
-        merged = [sum(lam[g].tolist()) for g in groups]
-        return FiniteAtoms(pts[[g[0] for g in groups]], np.asarray(merged))
-    if isinstance(measure, SumMeasure):
-        return SumMeasure(tuple(_map_measure(p, f) for p in measure.parts))
-    if isinstance(measure, (GaussianPush, MappedMeasure)):
-        return MappedMeasure(measure, f)
-    raise TypeError(f"cannot map measure of type {type(measure).__name__}")
-
-
 def pushforward_characteristics(
     xi: RepFn,
     t: LevyTriplet,
@@ -180,13 +148,13 @@ def pushforward_characteristics(
 
     def truncated_values(X):
         vals = xi.eval_batch(X)
-        if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))):
+        if _nonreal(vals):
             raise ValueError("representation is not real-valued on the jump support")
         return g.apply(vals.real).astype(np.complex128)
 
     correction, _err = jump_drift_correction(t.jumps, truncated_values, J, t.truncation, quad)
     b_y = np.real(J) @ t.b + 0.5 * np.real(np.einsum("nij,ij->n", H, t.c)) + correction.real
-    return LevyTriplet(xi.output_dim, b_y, c_y, _map_measure(t.jumps, xi), g)
+    return LevyTriplet(xi.output_dim, b_y, c_y, t.jumps._image(xi), g)
 
 
 def atom_mass_in_boxes(measure: FiniteAtoms, boxes) -> float:
@@ -236,55 +204,31 @@ def _param(params: dict, key: str, kind: str):
     raise ValueError(kind)
 
 
+#: name -> (builder, parameter (key, kind) pairs in builder order, note)
+_CATALOG = {
+    "identity": (rep_identity, (("dim", "int"),), "componentwise identity"),
+    "coord": (rep_coord, (("dim", "int"), ("index", "int")), "coordinate projection"),
+    "zero": (rep_zero, (("dim", "int"),), "null transformation"),
+    "ratio": (rep_ratio, (), "relative change of a ratio of two compounding quantities"),
+    "log_return": (rep_log_return, (), "log of the compounding factor"),
+    "exp_affine": (rep_exp_affine, (("v", "complex"),), "relative change of a scaled exponential"),
+    "power": (rep_power, (("v", "complex"),), "relative change of a power transform"),
+    "exp_utility": (
+        rep_exp_utility, (("lambda", "real"),), "relative change of exponential utility of yield"
+    ),
+    "memm_integrand": (
+        rep_memm_integrand, (("v", "complex"), ("lambda_star", "real")),
+        "measure-changed exponential kernel",
+    ),
+    "margrabe": (rep_margrabe, (("v", "complex"),), "exchange-ratio transform with default handling"),
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def build_catalog_fn(name: str, params: Optional[dict] = None) -> StdRep:
-    """Instantiate a catalog representation by string key.
-
-    Known names: identity, coord, zero, ratio, log_return, exp_affine,
-    power, exp_utility, memm_integrand, margrabe.
-    """
+    """Instantiate a catalog representation by string key (one of CATALOG_NAMES)."""
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")
     params = dict(params or {})
-    if name == "identity":
-        dim = _param(params, "dim", "int")
-        return StdRep(name, params, rep_identity(dim), "componentwise identity")
-    if name == "coord":
-        dim = _param(params, "dim", "int")
-        idx = _param(params, "index", "int")
-        return StdRep(name, params, rep_coord(dim, idx), "coordinate projection")
-    if name == "zero":
-        dim = _param(params, "dim", "int")
-        return StdRep(name, params, rep_zero(dim), "null transformation")
-    if name == "ratio":
-        return StdRep(name, params, rep_ratio(), "relative change of a ratio of two compounding quantities")
-    if name == "log_return":
-        return StdRep(name, params, rep_log_return(), "log of the compounding factor")
-    if name == "exp_affine":
-        v = _param(params, "v", "complex")
-        return StdRep(name, params, rep_exp_affine(v), "relative change of a scaled exponential")
-    if name == "power":
-        v = _param(params, "v", "complex")
-        return StdRep(name, params, rep_power(v), "relative change of a power transform")
-    if name == "exp_utility":
-        lam = _param(params, "lambda", "real")
-        return StdRep(name, params, rep_exp_utility(lam), "relative change of exponential utility of yield")
-    if name == "memm_integrand":
-        v = _param(params, "v", "complex")
-        lam = _param(params, "lambda_star", "real")
-        return StdRep(name, params, rep_memm_integrand(v, lam), "measure-changed exponential kernel")
-    if name == "margrabe":
-        v = _param(params, "v", "complex")
-        return StdRep(name, params, rep_margrabe(v), "exchange-ratio transform with default handling")
-    raise ValueError(f"unknown catalog function {name!r}")
-
-
-CATALOG_NAMES = (
-    "identity",
-    "coord",
-    "zero",
-    "ratio",
-    "log_return",
-    "exp_affine",
-    "power",
-    "exp_utility",
-    "memm_integrand",
-    "margrabe",
-)
+    builder, specs, note = _CATALOG[name]
+    return StdRep(name, params, builder(*[_param(params, key, kind) for key, kind in specs]), note)

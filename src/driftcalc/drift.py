@@ -15,15 +15,15 @@ expectation and the exponential by a product of one-period factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .calculus import girsanov_adjust
-from .errors import EngineError, NanPointError
+from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, QuadratureConfig, jump_drift_correction
-from .repfn import RepFn, _isnan
+from .repfn import RepFn, _require_defined
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +88,7 @@ def drift_q(
     j_xi = xi.jet_at_zero().jacobian
     j_eta = eta.jet_at_zero().jacobian
     cross = np.einsum("ni,j,ij->n", j_xi, j_eta[0], t.c.astype(np.complex128))
-    return DriftReport(
-        total=report.total,
-        linear_part=report.linear_part,
-        quadratic_part=report.quadratic_part,
-        jump_part=report.jump_part,
-        quadrature_error=report.quadrature_error,
-        girsanov_cross=cross,
-    )
+    return replace(report, girsanov_cross=cross)
 
 
 def expectation_pii(
@@ -120,12 +113,7 @@ def expectation_stoch_exp(
 
 def _support_values(xi: RepFn, m: DiscreteModel) -> np.ndarray:
     vals = xi.eval_batch(m.points.astype(np.complex128))
-    bad = np.where(_isnan(vals).any(axis=1))[0]
-    if bad.size:
-        raise NanPointError(
-            f"representation is undefined at support point {m.points[bad[0]].tolist()}",
-            point=m.points[bad[0]],
-        )
+    _require_defined(vals, m.points, "representation is undefined at support point")
     return vals
 
 

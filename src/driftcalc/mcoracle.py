@@ -8,8 +8,8 @@ are evaluated pathwise as exp(continuous exponent) times the product of
 
 Randomness is counter-based: block ``b`` of a run draws from
 Philox(key=(seed, b)), which makes every estimate a pure function of
-(seed, n_paths, block partition) and therefore bit-identical across worker
-counts.  Block results are reduced in block order.
+(seed, n_paths) and therefore bit-identical across worker counts.  Block
+results are reduced in block order.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .drift import drift
 from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
 from .pricing import MargrabeModel
-from .repfn import RepFn
+from .repfn import RepFn, _nonreal
 
 KURTOSIS_WARN_LEVEL = 100.0
+#: paths per random-number block; part of every estimate's definition
+BLOCK_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,12 @@ class SimConfig:
 
     n_paths: int
     seed: int
-    block_size: int = 8192
     antithetic: bool = False
     workers: int = 1
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
-        if self.block_size < 1:
-            raise ValueError("block size must be positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
 
@@ -71,14 +70,10 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_sizes(n_paths: int, block_size: int):
-    full, rem = divmod(n_paths, block_size)
-    return [block_size] * full + ([rem] if rem else [])
-
-
 def _collect(cfg: SimConfig, block_fn) -> np.ndarray:
     """Run one complex value per path, blockwise, reduced in block order."""
-    sizes = _block_sizes(cfg.n_paths, cfg.block_size)
+    full, rem = divmod(cfg.n_paths, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
 
     def run(b: int) -> np.ndarray:
         return np.asarray(block_fn(_block_rng(cfg.seed, b), sizes[b]), dtype=np.complex128)
@@ -117,11 +112,6 @@ def _estimate(values: np.ndarray) -> McEstimate:
 # ---------------------------------------------------------------------------
 # exact increment simulation
 # ---------------------------------------------------------------------------
-
-
-def _truncation_compensator(t: LevyTriplet) -> np.ndarray:
-    """int h(x) F(dx): what the truncated drift leaves out of the jump mean."""
-    return truncation_moment(t.jumps, t.truncation)
 
 
 def _draw_jump_batch(t: LevyTriplet, T: float, rng: np.random.Generator, n: int):
@@ -164,7 +154,7 @@ def sample_increment_batch(
     """
     if T < 0:
         raise ValueError("time horizon must be nonnegative")
-    comp = _truncation_compensator(t)
+    comp = truncation_moment(t.jumps, t.truncation)
     L = psd_factor(t.c)
     Z, counts, jumps = _draw_paths(t, T, rng, n)
     out = (t.b - comp) * T + math.sqrt(T) * Z @ L.T
@@ -193,7 +183,7 @@ def _stoch_exp_kernel(fn: RepFn, t: LevyTriplet, T: float):
     """
     jet = fn.jet_at_zero()
     J, H = jet.jacobian[0], jet.hessian[0]
-    drift_term = J @ (t.b - _truncation_compensator(t)).astype(np.complex128) * T
+    drift_term = J @ (t.b - truncation_moment(t.jumps, t.truncation)).astype(np.complex128) * T
     exponent = drift_term + 0.5 * (np.einsum("ij,ij->", H, t.c) - J @ t.c @ J) * T
     slope = math.sqrt(T) * (J @ psd_factor(t.c))
 
@@ -243,7 +233,7 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
     """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms)."""
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
-    comp = _truncation_compensator(t)
+    comp = truncation_moment(t.jumps, t.truncation)
     jet = xi.jet_at_zero()
     J = jet.jacobian[0]
     H = jet.hessian[0]
@@ -280,7 +270,7 @@ def mc_margrabe(mm: MargrabeModel, cfg: SimConfig) -> McEstimate:
     asset's compounding factor permanently.
     """
     t = mm.triplet()
-    comp = _truncation_compensator(t)
+    comp = truncation_moment(t.jumps, t.truncation)
     L = psd_factor(t.c)
     spots = np.array([mm.spot1, mm.spot2])
     T = mm.maturity
@@ -348,7 +338,7 @@ def mc_reweighted(
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     finite = np.isfinite(w.real) & np.isfinite(w.imag)
-    if np.any(np.abs(w.imag[finite]) > 1e-9 * (1.0 + np.abs(w.real[finite]))):
+    if _nonreal(w[finite]):
         raise EngineError("measure-change weights are not real; eta must be real-valued")
     if np.any(w.real[finite] < 0):
         raise EngineError(

@@ -34,7 +34,7 @@ from .models import (
     LevyTriplet,
     SumMeasure,
     TruncationSpec,
-    empty_measure,
+    sum_measure,
 )
 from .pricing import MargrabeModel
 
@@ -70,11 +70,7 @@ def _parse_measure(entries, dim: int) -> JumpMeasure:
             )
         else:
             raise ModelFormatError(f"unknown jump measure kind {kind!r}")
-    if not parts:
-        return empty_measure(dim)
-    if len(parts) == 1:
-        return parts[0]
-    return SumMeasure(tuple(parts))
+    return sum_measure(parts, dim)
 
 
 def parse_model(doc: dict) -> AnyModel:

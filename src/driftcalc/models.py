@@ -18,9 +18,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NanPointError
-from .repfn import RepFn, _isnan
+from .repfn import RepFn, _nonreal, _require_defined
 
 ATOM_DEDUP_TOL = 1e-12
+#: Gauss-Hermite nodes per dimension at the first level, and how often that
+#: count is doubled before a jump integral is declared non-convergent
+QUAD_BASE_NODES = 64
+QUAD_MAX_DOUBLINGS = 2
 
 
 class TruncationKind(enum.Enum):
@@ -85,8 +89,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    base_nodes: int = 64
-    max_doublings: int = 2
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -99,7 +101,11 @@ def _hermite_nodes(n: int):
 
 
 class JumpMeasure:
-    """Base class for finite-activity jump measures on R^d."""
+    """Base class for finite-activity jump measures on R^d.
+
+    A jump law enters the drift formula only through the correction integral
+    and the image measure, so each kind of measure decides both here.
+    """
 
     dim: int
 
@@ -116,6 +122,16 @@ class JumpMeasure:
     def _truncation_moment(self, trunc: "TruncationSpec") -> np.ndarray:
         """int h(x) F(dx) componentwise, shape (d,)."""
         raise NotImplementedError
+
+    def _drift_correction(self, values_fn, J: np.ndarray, trunc: "TruncationSpec", quad):
+        """int (xi(x) - J h(x)) F(dx): the smooth xi term by quadrature, the
+        truncation term in closed form."""
+        smooth, err = integrate(self, values_fn, quad)
+        return smooth - J @ self._truncation_moment(trunc).astype(np.complex128), err
+
+    def _image(self, f: RepFn) -> "JumpMeasure":
+        """The image measure F o f^-1."""
+        return MappedMeasure(self, f)
 
 
 def _as_points(points) -> np.ndarray:
@@ -145,13 +161,20 @@ def _atom_groups(pts: np.ndarray) -> list:
     return groups
 
 
-def _check_integrand_values(vals: np.ndarray, points: np.ndarray, what: str):
-    bad = np.where(_isnan(vals).any(axis=1))[0]
-    if bad.size:
-        raise NanPointError(
-            f"integrand is undefined at {what} {points[bad[0]].tolist()}",
-            point=points[bad[0]],
-        )
+def _require_psd(S: np.ndarray, what: str):
+    if not np.allclose(S, S.T, atol=1e-12):
+        raise ValueError(f"{what} must be symmetric")
+    if np.min(np.linalg.eigvalsh(S)) < -1e-12:
+        raise ValueError(f"{what} must be positive semidefinite")
+
+
+def _add_up(results):
+    """Sum (value, error) pairs in order."""
+    total, err = None, 0.0
+    for val, e in results:
+        total = val if total is None else total + val
+        err += e
+    return total, err
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +213,7 @@ class FiniteAtoms(JumpMeasure):
         vals = np.asarray(g(self.points.astype(np.complex128)))
         if self.points.shape[0] == 0:
             return np.zeros(vals.shape[1], dtype=np.complex128), 0.0
-        _check_integrand_values(vals, self.points, "atom")
+        _require_defined(vals, self.points, "integrand is undefined at atom")
         # Sequential accumulation in atom order so a plain loop reproduces
         # the result bit for bit.
         total = np.zeros(vals.shape[1], dtype=np.complex128)
@@ -213,6 +236,27 @@ class FiniteAtoms(JumpMeasure):
         for k in range(self.points.shape[0]):
             total = total + self.intensities[k] * H[k]
         return total
+
+    def _drift_correction(self, values_fn, J, trunc, quad):
+        # Exact: the atom sum takes the combined integrand in one pass.
+        return integrate(
+            self, lambda X: values_fn(X) - trunc.apply(X.real).astype(np.complex128) @ J.T, quad
+        )
+
+    def _image(self, f):
+        if self.points.shape[0] == 0:
+            return empty_measure(f.output_dim)
+        vals = f.eval_batch(self.points.astype(np.complex128))
+        if _nonreal(vals):
+            raise ValueError("representation is not real-valued on the atom support")
+        if np.any(~np.isfinite(vals.real)):
+            raise ValueError("representation is undefined at an atom of the jump measure")
+        pts, lam = vals.real, self.intensities
+        # Coinciding images are merged: the image measure genuinely carries
+        # their summed intensity, added up in atom order.
+        groups = _atom_groups(pts)
+        merged = [sum(lam[g].tolist()) for g in groups]
+        return FiniteAtoms(pts[[g[0] for g in groups]], np.asarray(merged))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +282,7 @@ class GaussianPush(JumpMeasure):
             raise ValueError("intensity must be nonnegative")
         if S.shape != (m.size, m.size):
             raise ValueError(f"covariance shape {S.shape} does not match mean length {m.size}")
-        if not np.allclose(S, S.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(S)) < -1e-12:
-            raise ValueError("covariance must be positive semidefinite")
+        _require_psd(S, "covariance")
 
     @property
     def dim(self) -> int:
@@ -269,11 +310,11 @@ class GaussianPush(JumpMeasure):
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0
         prev = None
         err = None
-        n_nodes = quad.base_nodes
-        for _level in range(quad.max_doublings + 1):
+        n_nodes = QUAD_BASE_NODES
+        for _level in range(QUAD_MAX_DOUBLINGS + 1):
             P, W = self._gh_points(n_nodes)
             vals = np.asarray(g(P.astype(np.complex128)))
-            _check_integrand_values(vals, P, "quadrature node")
+            _require_defined(vals, P, "integrand is undefined at quadrature node")
             # Overflowing integrands are allowed to reach the doubling check,
             # which then reports non-convergence instead of a numpy warning.
             with np.errstate(all="ignore"):
@@ -346,12 +387,7 @@ class SumMeasure(JumpMeasure):
         return float(sum(p.total_mass() for p in self.parts))
 
     def _integrate(self, g, quad):
-        total, err = None, 0.0
-        for p in self.parts:
-            val, e = p._integrate(g, quad)
-            total = val if total is None else total + val
-            err += e
-        return total, err
+        return _add_up(p._integrate(g, quad) for p in self.parts)
 
     def _sample(self, rng, n):
         masses = np.array([p.total_mass() for p in self.parts])
@@ -365,6 +401,12 @@ class SumMeasure(JumpMeasure):
 
     def _truncation_moment(self, trunc):
         return sum(p._truncation_moment(trunc) for p in self.parts)
+
+    def _drift_correction(self, values_fn, J, trunc, quad):
+        return _add_up(p._drift_correction(values_fn, J, trunc, quad) for p in self.parts)
+
+    def _image(self, f):
+        return SumMeasure(tuple(p._image(f) for p in self.parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,7 +436,7 @@ class MappedMeasure(JumpMeasure):
 
     def _mapped_real(self, X: np.ndarray) -> np.ndarray:
         Y = self.map_fn.eval_batch(X)
-        if np.any(np.abs(Y.imag) > 1e-9 * (1.0 + np.abs(Y.real))):
+        if _nonreal(Y):
             raise NanPointError("map is not real-valued on the support of the base measure")
         return Y
 
@@ -436,6 +478,14 @@ def empty_measure(dim: int) -> FiniteAtoms:
     return FiniteAtoms(np.zeros((0, dim)), np.zeros(0))
 
 
+def sum_measure(parts, dim: int) -> JumpMeasure:
+    """Superposition of ``parts``: the empty measure for none, the part itself for one."""
+    parts = tuple(parts)
+    if not parts:
+        return empty_measure(dim)
+    return parts[0] if len(parts) == 1 else SumMeasure(parts)
+
+
 def truncation_moment(measure: JumpMeasure, trunc: TruncationSpec) -> np.ndarray:
     """Exact componentwise jump moment int h(x) F(dx).
 
@@ -451,27 +501,12 @@ def truncation_moment(measure: JumpMeasure, trunc: TruncationSpec) -> np.ndarray
 def jump_drift_correction(measure: JumpMeasure, values_fn, jacobian, trunc, quad=None):
     """The jump part of a drift: int (xi(x) - Dxi(0) h(x)) F(dx).
 
-    ``values_fn`` evaluates xi over a batch; ``jacobian`` is Dxi(0).  Atom
-    measures integrate the combined expression exactly; measures with a
-    continuous body integrate the smooth xi term by quadrature and take the
-    truncation moment in closed form.
+    ``values_fn`` evaluates xi over a batch; ``jacobian`` is Dxi(0).  Each
+    measure decides how (``JumpMeasure._drift_correction``): atoms sum the
+    combined expression exactly, continuous bodies integrate the smooth xi
+    term by quadrature and take the truncation moment in closed form.
     """
-    quad = quad or DEFAULT_QUADRATURE
-    J = np.asarray(jacobian)
-    if isinstance(measure, FiniteAtoms):
-        def combined(X):
-            return values_fn(X) - trunc.apply(X.real).astype(np.complex128) @ J.T
-
-        return integrate(measure, combined, quad)
-    if isinstance(measure, SumMeasure):
-        total, err = None, 0.0
-        for p in measure.parts:
-            val, e = jump_drift_correction(p, values_fn, J, trunc, quad)
-            total = val if total is None else total + val
-            err += e
-        return total, err
-    smooth, err = integrate(measure, values_fn, quad)
-    return smooth - J @ measure._truncation_moment(trunc).astype(np.complex128), err
+    return measure._drift_correction(values_fn, np.asarray(jacobian), trunc, quad or DEFAULT_QUADRATURE)
 
 
 def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig] = None):
@@ -522,10 +557,7 @@ class LevyTriplet:
             raise ValueError("drift must be finite")
         if c.shape != (d, d):
             raise ValueError(f"covariance must have shape ({d}, {d}), got {c.shape}")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(c)) < -1e-12:
-            raise ValueError("covariance must be positive semidefinite")
+        _require_psd(c, "covariance")
         if self.jumps.dim != d:
             raise ValueError(f"jump measure dimension {self.jumps.dim} does not match {d}")
         if self.truncation.dim != d:

@@ -23,10 +23,17 @@ from .models import (
     GaussianPush,
     LevyTriplet,
     QuadratureConfig,
-    SumMeasure,
     TruncationSpec,
-    empty_measure,
+    _require_psd,
+    sum_measure,
 )
+from .repfn import _nonreal
+
+#: contour panel width before the oscillation cap, Gauss-Legendre nodes per
+#: panel, and how often the contour length may double before giving up
+PANEL_WIDTH = 2.0
+NODES_PER_PANEL = 24
+MAX_EXTENSIONS = 12
 
 
 def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> complex:
@@ -45,7 +52,7 @@ def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] =
     if t.dim != 1:
         raise ValueError("utility drift requires a one-dimensional model")
     value = drift(rep_exp_utility(lam), t, quad).scalar()
-    if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):
+    if _nonreal(value):
         raise EngineError(f"utility drift came out non-real: {value}")
     return float(value.real)
 
@@ -158,8 +165,7 @@ class MargrabeModel:
     Normal(jump_mean, jump_cov) through z -> e^z - 1; ``default_atoms`` are
     (point, intensity) pairs whose point has at least one coordinate equal
     to -1.  The valuation measure makes both assets martingales: the engine
-    solves for the compensating drift itself (``drift_override`` bypasses
-    the normalisation for diagnostic use).
+    solves for the compensating drift itself.
     """
 
     spot1: float
@@ -172,23 +178,19 @@ class MargrabeModel:
     jump_mean: tuple = (0.0, 0.0)
     jump_cov: tuple = ((0.0, 0.0), (0.0, 0.0))
     default_atoms: tuple = ()
-    drift_override: Optional[tuple] = None
 
     def __post_init__(self):
         if self.spot1 <= 0 or self.spot2 <= 0:
             raise ValueError("spot values must be positive")
         if self.maturity <= 0:
             raise ValueError("maturity must be positive")
-        c = self.diffusion_matrix()
-        if np.min(np.linalg.eigvalsh(c)) < -1e-12:
-            raise ValueError("diffusion matrix must be positive semidefinite")
+        _require_psd(self.diffusion_matrix(), "diffusion matrix")
         if self.jump_intensity < 0:
             raise ValueError("jump intensity must be nonnegative")
         S = np.asarray(self.jump_cov, dtype=float)
-        if S.shape != (2, 2) or not np.allclose(S, S.T, atol=1e-12):
+        if S.shape != (2, 2):
             raise ValueError("jump covariance must be a symmetric 2x2 matrix")
-        if np.min(np.linalg.eigvalsh(S)) < -1e-12:
-            raise ValueError("jump covariance must be positive semidefinite")
+        _require_psd(S, "jump covariance")
         atoms = tuple((tuple(map(float, x)), float(lam)) for x, lam in self.default_atoms)
         object.__setattr__(self, "default_atoms", atoms)
         for x, lam in atoms:
@@ -220,18 +222,15 @@ class MargrabeModel:
             pts = np.array([x for x, _ in self.default_atoms], dtype=float)
             lam = np.array([l for _, l in self.default_atoms], dtype=float)
             parts.append(FiniteAtoms(pts, lam))
-        if not parts:
-            return empty_measure(2)
-        if len(parts) == 1:
-            return parts[0]
-        return SumMeasure(tuple(parts))
+        return sum_measure(parts, 2)
 
     def triplet(self) -> LevyTriplet:
         """Martingale-normalised characteristics relative to the identity
         truncation (zero drift; the jump compensator is carried by the
         truncation choice)."""
-        b = np.zeros(2) if self.drift_override is None else np.asarray(self.drift_override, float)
-        return LevyTriplet(2, b, self.diffusion_matrix(), self.jump_measure(), TruncationSpec.identity(2))
+        return LevyTriplet(
+            2, np.zeros(2), self.diffusion_matrix(), self.jump_measure(), TruncationSpec.identity(2)
+        )
 
 
 def default_intensities(mm: MargrabeModel) -> Tuple[float, float]:
@@ -288,14 +287,11 @@ class ContourConfig:
     beta: float = -0.5
     u_max: float = 200.0
     rel_tol: float = 1e-9
-    panel_width: float = 2.0
-    nodes_per_panel: int = 24
-    max_extensions: int = 12
 
     def __post_init__(self):
         if not self.beta < 0.0:
             raise ValueError("the contour abscissa beta must be negative")
-        if self.u_max <= 0 or self.panel_width <= 0 or self.nodes_per_panel < 2:
+        if self.u_max <= 0:
             raise ValueError("contour discretisation parameters must be positive")
 
 
@@ -321,7 +317,7 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
     log_ratio = math.log(ratio)
     T = mm.maturity
     beta = cfg.beta
-    gl_x, gl_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
     def panel(a: float, b: float) -> complex:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -332,7 +328,7 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
 
     # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
     # about three periods so the fixed Gauss-Legendre rule stays spectral.
-    width = cfg.panel_width
+    width = PANEL_WIDTH
     if log_ratio != 0.0:
         width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
 
@@ -342,17 +338,17 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
     edges = np.linspace(0.0, cfg.u_max, n_panels + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         total += panel(a, b) + panel(-b, -a)
-        nodes += 2 * cfg.nodes_per_panel
+        nodes += 2 * NODES_PER_PANEL
 
     # Extend the contour until the outermost block stops contributing.
     lo, hi = cfg.u_max, 2.0 * cfg.u_max
     tail = np.inf
-    for _ in range(cfg.max_extensions):
+    for _ in range(MAX_EXTENSIONS):
         block = 0.0 + 0.0j
         sub_edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
         for a, b in zip(sub_edges[:-1], sub_edges[1:]):
             block += panel(a, b) + panel(-b, -a)
-            nodes += 2 * cfg.nodes_per_panel
+            nodes += 2 * NODES_PER_PANEL
         total += block
         tail = abs(block)
         # The integral is in units of the first spot (p / S1 is order one),

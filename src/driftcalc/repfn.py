@@ -31,10 +31,34 @@ _CNAN = complex(float("nan"), float("nan"))
 #: predicate operators accepted by Indicator nodes
 PRED_OPS = ("eq", "ne", "abs_le", "abs_gt")
 
+#: deepest parenthesis nesting from_prefix accepts, (repfn ...) included;
+#: parsing and tree building recurse once per level
+MAX_PREFIX_NESTING = 256
+
 
 def _isnan(z):
     z = np.asarray(z)
     return np.isnan(z.real) | np.isnan(z.imag)
+
+
+def _require_defined(vals: np.ndarray, points: np.ndarray, message: str):
+    """Raise NanPointError at the first point whose row of ``vals`` holds a NaN.
+
+    ``message`` reads "... is undefined at <kind>"; the point is appended.
+    """
+    bad = np.where(_isnan(vals).any(axis=1))[0]
+    if bad.size:
+        point = points[bad[0]]
+        raise NanPointError(f"{message} {point.tolist()}", point=point)
+
+
+def _nonreal(z) -> bool:
+    """True if some entry of an array, or a complex number, has an imaginary
+    part above 1e-9 (1 + |real part|)."""
+    # Plain abs serves both; a scalar stays off numpy, whose per-call cost
+    # is felt in the optimiser's hundred-odd scalar checks.
+    excess = abs(z.imag) > 1e-9 * (1.0 + abs(z.real))
+    return bool(excess.any()) if isinstance(excess, np.ndarray) else bool(excess)
 
 
 def _as_node(value) -> "Node":
@@ -538,12 +562,7 @@ def finite_difference_jet(f: RepFn, step: float) -> Jet2:
                 points.append(p)
     P = np.asarray(points)
     vals = f.eval_batch(P)
-    bad = np.where(_isnan(vals).any(axis=1))[0]
-    if bad.size:
-        raise NanPointError(
-            f"representing function is undefined at stencil point {P[bad[0]].tolist()}",
-            point=P[bad[0]],
-        )
+    _require_defined(vals, P, "representing function is undefined at stencil point")
 
     f0 = vals[0]
     jac = np.zeros((n, d), dtype=np.complex128)
@@ -586,13 +605,15 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_sexpr(tokens, pos):
+def _parse_sexpr(tokens, pos, depth=1):
     if tokens[pos] != "(":
         return tokens[pos], pos + 1
+    if depth > MAX_PREFIX_NESTING:
+        raise ValueError(f"prefix expression nests deeper than {MAX_PREFIX_NESTING} levels")
     pos += 1
     items = []
     while pos < len(tokens) and tokens[pos] != ")":
-        item, pos = _parse_sexpr(tokens, pos)
+        item, pos = _parse_sexpr(tokens, pos, depth + 1)
         items.append(item)
     if pos >= len(tokens):
         raise ValueError("unbalanced parentheses in prefix expression")

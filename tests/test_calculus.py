@@ -202,6 +202,25 @@ class TestPushforward:
         assert out.jumps.points.shape[0] == 1
         assert out.jumps.intensities[0] == pytest.approx(3.0)
 
+    def test_mixed_sum_maps_part_by_part(self):
+        # Atoms at +-0.25 and 0.1 plus a Gaussian body, pushed through x^2:
+        # the first two atoms land on one image point.
+        atoms = dc.FiniteAtoms([[0.25], [-0.25], [0.1]], [1.0, 2.0, 0.5])
+        body = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
+        t = dc.LevyTriplet(
+            1, np.array([0.03]), np.array([[0.09]]), dc.SumMeasure((atoms, body)),
+            dc.TruncationSpec.unit_clip(1),
+        )
+        square = dc.RepFn(1, (dc.Mul(dc.Coord(0), dc.Coord(0)),))
+        out = dc.pushforward_characteristics(square, t, dc.TruncationSpec.identity(1))
+        image_atoms, image_body = out.jumps.parts
+        assert isinstance(image_atoms, dc.FiniteAtoms)
+        np.testing.assert_array_equal(image_atoms.points[:, 0], [0.0625, 0.1 * 0.1])
+        np.testing.assert_array_equal(image_atoms.intensities, [3.0, 0.5])
+        assert isinstance(image_body, dc.MappedMeasure)
+        assert image_body.base is body and image_body.map_fn is square
+        assert out.b[0] == pytest.approx(dc.drift(square, t).total[0].real, abs=1e-14)
+
 
 def test_catalog_closure_under_composition():
     # Any dimension-compatible pair composes into a constructor-valid tree.

@@ -254,6 +254,11 @@ class TestExitCodes:
     def test_wrong_model_kind_is_usage_error(self, model_file, capsys):
         assert main(["price-margrabe", "--model", model_file(GBM_MODEL)]) == 2
 
+    def test_deeply_nested_tree_is_usage_error(self, model_file, capsys):
+        tree = "(repfn 2 " + "(neg " * 1100 + "(x 0)" + ")" * 1101
+        assert main(["drift", "--model", model_file(GBM_MODEL), "--xi-tree", tree]) == 2
+        assert "nests deeper than 256 levels" in capsys.readouterr().err
+
     def test_computation_diagnostic_is_exit_one(self, model_file, capsys):
         atoms = {
             "type": "levy", "dim": 1, "b": [0.0], "c": [[0.0]],

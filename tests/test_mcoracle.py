@@ -10,7 +10,6 @@ from driftcalc.mcoracle import (
     _block_rng,
     _draw_jump_batch,
     _segment_reduce,
-    _truncation_compensator,
     sample_increment_batch,
 )
 
@@ -80,7 +79,7 @@ class TestStochasticExponential:
         )
         v = 0.8
         rng = _block_rng(5, 0)
-        comp = _truncation_compensator(t)
+        comp = dc.truncation_moment(t.jumps, t.truncation)
         counts, jumps = _draw_jump_batch(t, 1.0, rng, 4_000)
         xi = dc.rep_exp_affine(v)
         factors = 1.0 + xi.eval_batch(jumps.astype(complex))[:, 0]

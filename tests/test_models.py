@@ -179,6 +179,16 @@ class TestSumAndMapped:
         with pytest.raises(ValueError, match="dimension"):
             dc.SumMeasure((dc.FiniteAtoms([[0.1]], [1.0]), dc.empty_measure(2)))
 
+    def test_sum_measure_assembly(self):
+        empty = dc.sum_measure([], 3)
+        assert isinstance(empty, dc.FiniteAtoms)
+        assert empty.points.shape == (0, 3) and empty.total_mass() == 0.0
+        part = dc.GaussianPush(0.5, np.zeros(1), np.array([[0.01]]))
+        assert dc.sum_measure([part], 1) is part
+        atoms = dc.FiniteAtoms([[0.3]], [1.0])
+        both = dc.sum_measure([part, atoms], 1)
+        assert isinstance(both, dc.SumMeasure) and both.parts == (part, atoms)
+
 
 class TestLevyTriplet:
     def test_asymmetric_covariance_rejected(self):

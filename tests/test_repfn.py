@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import driftcalc as dc
 from driftcalc.errors import NanPointError
 from driftcalc import cli
-from driftcalc.repfn import _OPS, _isnan, finite_difference_jet
+from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan, finite_difference_jet
 
 from conftest import random_composed_tree
 
@@ -275,3 +275,13 @@ class TestPrefixSerialisation:
             dc.from_prefix("(repfn 1 (ind eq (x 0) (x 0)))")
         with pytest.raises(ValueError, match="operands"):
             dc.from_prefix("(repfn 1 (add (x 0)))")
+        with pytest.raises(ValueError, match="nests deeper than 256 levels"):
+            dc.from_prefix("(repfn 1 " + "(neg " * 1100 + "(x 0)" + ")" * 1101)
+
+    def test_nesting_at_the_limit_parses(self):
+        # (repfn ...) is level 1 and (x 0) the innermost level.
+        levels = MAX_PREFIX_NESTING - 2
+        f = dc.from_prefix("(repfn 1 " + "(neg " * levels + "(x 0)" + ")" * (levels + 1))
+        assert f.eval([0.5])[0] == 0.5
+        with pytest.raises(ValueError, match="nests deeper"):
+            dc.from_prefix("(repfn 1 " + "(neg " * (levels + 1) + "(x 0)" + ")" * (levels + 2))
