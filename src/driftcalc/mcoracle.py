@@ -2,9 +2,14 @@
 
 Finite-activity increments are simulated exactly: Gaussian part in closed
 form, jump times ignored (only terminal laws are needed), jump counts Poisson
-and jump sizes drawn from the normalised jump law.  Stochastic exponentials
-are evaluated pathwise as exp(continuous exponent) times the product of
-(1 + jump transform) factors, so no time discretisation error enters.
+and jump sizes drawn from the normalised jump law.  One pathwise kernel splits
+each path into its continuous part and its jumps and returns either the
+represented sum (linear + Ito term + summed jump transforms) or its stochastic
+exponential (exp(continuous exponent) times the product of (1 + jump
+transform) factors), so no time discretisation error enters.  Sums,
+stochastic exponentials, reweighting, increments (the sum form of the
+identity) and the exchange payoff (spots times the exponential form of the
+identity) all go through it.
 
 Randomness is counter-based: block ``b`` of a run draws from
 Philox(key=(seed, b)), which makes every estimate a pure function of
@@ -22,6 +27,7 @@ from typing import Union
 
 import numpy as np
 
+from .calculus import rep_identity
 from .drift import drift
 from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
@@ -110,7 +116,7 @@ def _estimate(values: np.ndarray) -> McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# exact increment simulation
+# exact path simulation and the pathwise kernel
 # ---------------------------------------------------------------------------
 
 
@@ -132,71 +138,75 @@ def _draw_paths(t: LevyTriplet, T: float, rng: np.random.Generator, n: int):
 
 
 def _segment_reduce(op, values: np.ndarray, counts: np.ndarray, empty):
-    """Per-path reduction of jump-level values laid out path-major."""
-    n = counts.size
-    out = np.full(n, empty, dtype=values.dtype if values.size else np.complex128)
-    if values.size == 0:
-        return out
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    nz = counts > 0
-    out[nz] = op.reduceat(values, offsets[nz])
+    """Per-path reduction of jump-level rows (axis 0) laid out path-major."""
+    out = np.full((counts.size,) + values.shape[1:], empty, dtype=values.dtype)
+    if values.shape[0]:
+        offsets = np.zeros(counts.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        nz = counts > 0
+        out[nz] = op.reduceat(values, offsets[nz], axis=0)
     return out
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    # Real arithmetic is several times cheaper: np.exp costs ~6x more on
+    # complex values.  A NaN imaginary part keeps the array complex.
+    return a if a.imag.any() else a.real
+
+
+def _pathwise(fn: RepFn, t: LevyTriplet, T: float, exponential: bool):
+    """(fn o X)_T, or its stochastic exponential, per path as a function of the draws.
+
+    With X^c_T = (b - int h dF) T + sqrt(T) Z L^T the continuous part of X,
+    the sum form is Dfn(0) X^c_T + 1/2 tr(D^2fn(0) c) T + sum fn(dX) and the
+    exponential form is exp(that continuous part - 1/2 Dfn c Dfn^T T) times
+    prod (1 + fn(dX)).  Returns ``paths(Z, counts, jumps, payoff,
+    antithetic=False)``: ``payoff`` of the (n, m) values at Z, averaged with
+    its value at -Z under antithetic pairing.
+    """
+    jet = fn.jet_at_zero()
+    J, H = _real_if_exact(jet.jacobian), _real_if_exact(jet.hessian)
+    ito = np.einsum("kij,ij->k", H, t.c)
+    if exponential:
+        ito = ito - np.einsum("ki,ij,kj->k", J, t.c, J)
+    const = J @ (t.b - truncation_moment(t.jumps, t.truncation)) * T + 0.5 * ito * T
+    slope = (J @ psd_factor(t.c)).T
+    root = math.sqrt(T)
+
+    def paths(Z, counts, jumps, payoff, antithetic=False):
+        vals = _real_if_exact(fn.eval_batch(jumps))
+        if exponential:
+            jump = _segment_reduce(np.multiply, 1.0 + vals, counts, 1.0)
+        else:
+            jump = _segment_reduce(np.add, vals, counts, 0.0)
+
+        def at(sign):
+            x = const + (sign * root * Z) @ slope
+            return payoff(np.exp(x) * jump if exponential else x + jump)
+
+        return 0.5 * (at(1.0) + at(-1.0)) if antithetic else at(1.0)
+
+    return paths
+
+
+def _first(values: np.ndarray) -> np.ndarray:
+    return values[:, 0]
 
 
 def sample_increment_batch(
     t: LevyTriplet, T: float, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Draw n exact terminal increments X_T - X_0, shape (n, d).
-
-    Composition: drift of the truncated process, Gaussian part in closed
-    form, all jumps, minus the truncation compensator accumulated over [0,T].
-    """
+    """Draw n exact terminal increments X_T - X_0, shape (n, d): the sum form
+    of the identity, i.e. the continuous part plus all jumps."""
     if T < 0:
         raise ValueError("time horizon must be nonnegative")
-    comp = truncation_moment(t.jumps, t.truncation)
-    L = psd_factor(t.c)
-    Z, counts, jumps = _draw_paths(t, T, rng, n)
-    out = (t.b - comp) * T + math.sqrt(T) * Z @ L.T
-    for i in range(t.dim):
-        col = jumps[:, i].astype(np.complex128) if jumps.size else np.zeros(0, dtype=np.complex128)
-        out[:, i] += _segment_reduce(np.add, col, counts, 0.0).real
-    return out
+    paths = _pathwise(rep_identity(t.dim), t, T, exponential=False)
+    return paths(*_draw_paths(t, T, rng, n), np.real)
 
 
 def sample_increment(t: LevyTriplet, T: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one exact terminal increment, shape (d,)."""
     return sample_increment_batch(t, T, rng, 1)[0]
-
-
-# ---------------------------------------------------------------------------
-# pathwise stochastic exponentials
-# ---------------------------------------------------------------------------
-
-
-def _stoch_exp_kernel(fn: RepFn, t: LevyTriplet, T: float):
-    """The pathwise stochastic exponential of (fn o X) at T, as a function of the draws.
-
-    Returns ``paths(Z, counts, jumps, antithetic=False)``: per path,
-    exp(continuous exponent) * prod(1 + fn(jump)).  Antithetic pairing
-    averages the continuous factor over Z and -Z.
-    """
-    jet = fn.jet_at_zero()
-    J, H = jet.jacobian[0], jet.hessian[0]
-    drift_term = J @ (t.b - truncation_moment(t.jumps, t.truncation)).astype(np.complex128) * T
-    exponent = drift_term + 0.5 * (np.einsum("ij,ij->", H, t.c) - J @ t.c @ J) * T
-    slope = math.sqrt(T) * (J @ psd_factor(t.c))
-
-    def paths(Z, counts, jumps, antithetic=False):
-        factors = 1.0 + fn.eval_batch(jumps.astype(np.complex128))[:, 0]
-        jump_prod = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j)
-        if antithetic:
-            continuous = 0.5 * (np.exp(exponent + Z @ slope) + np.exp(exponent + (-Z) @ slope))
-        else:
-            continuous = np.exp(exponent + Z @ slope)
-        return continuous * jump_prod
-
-    return paths
 
 
 def _discrete_products(m: DiscreteModel, steps: int, rng, size: int, *factors):
@@ -223,9 +233,9 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
         return _estimate(
             _collect(cfg, lambda rng, n: _discrete_products(model, steps, rng, n, vals)[0])
         )
-    paths = _stoch_exp_kernel(xi, model, T)
+    paths = _pathwise(xi, model, T, exponential=True)
     return _estimate(
-        _collect(cfg, lambda rng, n: paths(*_draw_paths(model, T, rng, n), cfg.antithetic))
+        _collect(cfg, lambda rng, n: paths(*_draw_paths(model, T, rng, n), _first, cfg.antithetic))
     )
 
 
@@ -233,70 +243,29 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
     """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms)."""
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
-    comp = truncation_moment(t.jumps, t.truncation)
-    jet = xi.jet_at_zero()
-    J = jet.jacobian[0]
-    H = jet.hessian[0]
-    L = psd_factor(t.c)
-
-    def block(rng, size):
-        Z, counts, jumps = _draw_paths(t, T, rng, size)
-        x_trunc = (t.b - comp) * T + math.sqrt(T) * Z @ L.T
-        if jumps.shape[0]:
-            hj = t.truncation.apply(jumps)
-            x_trunc_jump = np.zeros((size, t.dim))
-            for i in range(t.dim):
-                x_trunc_jump[:, i] = _segment_reduce(
-                    np.add, hj[:, i].astype(np.complex128), counts, 0.0
-                ).real
-            corr = xi.eval_batch(jumps.astype(np.complex128))[:, 0] - hj.astype(
-                np.complex128
-            ) @ J
-            jump_corr = _segment_reduce(np.add, corr, counts, 0.0)
-        else:
-            x_trunc_jump = np.zeros((size, t.dim))
-            jump_corr = np.zeros(size, dtype=np.complex128)
-        linear = (x_trunc + x_trunc_jump).astype(np.complex128) @ J
-        ito = 0.5 * np.einsum("ij,ij->", H, t.c) * T
-        return linear + ito + jump_corr
-
-    return _estimate(_collect(cfg, block))
+    paths = _pathwise(xi, t, T, exponential=False)
+    return _estimate(_collect(cfg, lambda rng, n: paths(*_draw_paths(t, T, rng, n), _first)))
 
 
 def mc_margrabe(mm: MargrabeModel, cfg: SimConfig) -> McEstimate:
     """Estimate E[(S1_T - S2_T)^+] under the martingale-normalised model.
 
-    Both assets share jump times; a jump with component -1 zeroes that
-    asset's compounding factor permanently.
+    Each asset is its spot times the stochastic exponential of its own
+    coordinate.  Both assets share jump times; a jump with component -1
+    zeroes that asset's compounding factor permanently.
     """
     t = mm.triplet()
-    comp = truncation_moment(t.jumps, t.truncation)
-    L = psd_factor(t.c)
-    spots = np.array([mm.spot1, mm.spot2])
     T = mm.maturity
-    cont_drift = (t.b - comp) * T - 0.5 * np.diag(t.c) * T
+    spots = np.array([mm.spot1, mm.spot2])
+    paths = _pathwise(rep_identity(2), t, T, exponential=True)
 
-    def block(rng, size):
-        Z, counts, jumps = _draw_paths(t, T, rng, size)
-        prods = np.empty((size, 2))
-        for i in range(2):
-            if jumps.shape[0]:
-                factors = (1.0 + jumps[:, i]).astype(np.complex128)
-                prods[:, i] = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j).real
-            else:
-                prods[:, i] = 1.0
+    def payoff(growth):
+        S = spots * growth.real
+        return np.maximum(S[:, 0] - S[:, 1], 0.0)
 
-        def payoff(gauss):
-            S = spots * np.exp(cont_drift + gauss) * prods
-            return np.maximum(S[:, 0] - S[:, 1], 0.0)
-
-        G = math.sqrt(T) * Z @ L.T
-        out = payoff(G)
-        if cfg.antithetic:
-            out = 0.5 * (out + payoff(-G))
-        return out.astype(np.complex128)
-
-    return _estimate(_collect(cfg, block))
+    return _estimate(
+        _collect(cfg, lambda rng, n: paths(*_draw_paths(t, T, rng, n), payoff, cfg.antithetic))
+    )
 
 
 def mc_reweighted(
@@ -324,14 +293,15 @@ def mc_reweighted(
             return _apply_weights(w / norm, v)
 
     else:
-        xi_paths = _stoch_exp_kernel(xi, model, T)
-        eta_paths = _stoch_exp_kernel(eta, model, T)
+        xi_paths, eta_paths = (_pathwise(f, model, T, exponential=True) for f in (xi, eta))
         norm_rate = drift(eta, model).total[0]
 
         def block(rng, size):
             # Shared draws: evaluate both exponentials on the same paths.
             draws = _draw_paths(model, T, rng, size)
-            return _apply_weights(eta_paths(*draws) / np.exp(norm_rate * T), xi_paths(*draws))
+            return _apply_weights(
+                eta_paths(*draws, _first) / np.exp(norm_rate * T), xi_paths(*draws, _first)
+            )
 
     return _estimate(_collect(cfg, block))
 

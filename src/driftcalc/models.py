@@ -329,7 +329,9 @@ class GaussianPush(JumpMeasure):
         raise ConvergenceError(
             f"jump integral did not converge after doubling to {n_nodes // 2} nodes "
             f"(last change {err:.3e}); the integrand may not be integrable "
-            "against the jump law"
+            "against the jump law, or it is discontinuous inside the law's support "
+            "(an indicator level or a clipped output truncation there), which the "
+            "Gauss-Hermite rule cannot resolve"
         )
 
     def _sample(self, rng, n):

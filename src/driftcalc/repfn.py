@@ -393,19 +393,37 @@ _OPS = {
 _BY_TOKEN = {op.token: cls for cls, op in _OPS.items()}
 
 
-def _record(node: Node, slots: dict, tape: list) -> int:
-    """Append the unseen part of node's DAG to the post-order tape; return its slot."""
-    slot = slots.get(id(node))
-    if slot is None:
-        op = _OPS.get(type(node))
-        if op is None:
-            raise TypeError(f"unknown node type {type(node).__name__}")
+def _record(root: Node, slots: dict, tape: list) -> int:
+    """Append the unseen part of root's DAG to the post-order tape; return its slot.
+
+    An explicit stack visits children left to right before their parent, so
+    the tape order and the slot sharing are those of the plain recursion,
+    without its depth limit.  A (row, node) pair on the stack marks a node
+    whose children are recorded.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            op, node = node
+        elif id(node) in slots:
+            continue
+        else:
+            op = _OPS.get(type(node))
+            if op is None:
+                raise TypeError(f"unknown node type {type(node).__name__}")
+            if op.children:
+                stack.append((op, node))
+                # Plain loops: a comprehension per node costs more than the walk.
+                for field in reversed(op.children):
+                    stack.append(getattr(node, field))
+                continue
         args = ()
         for field in op.children:
-            args += (_record(getattr(node, field), slots, tape),)
-        slot = slots[id(node)] = len(tape)
+            args += (slots[id(getattr(node, field))],)
+        slots[id(node)] = len(tape)
         tape.append((op, node, args))
-    return slot
+    return slots[id(root)]
 
 
 # ---------------------------------------------------------------------------

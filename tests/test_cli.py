@@ -221,6 +221,23 @@ class TestCommands:
         assert abs(float(doc["z_score"])) < 3.0
         assert doc["seed"] == 27
 
+    @pytest.mark.parametrize("target", ["cumulant", "margrabe"])
+    def test_mc_verify_output_independent_of_threads(self, model_file, capsys, target):
+        if target == "margrabe":
+            model = dict(MARGRABE_MODEL, jump={"lambda": 0.4, "mean": [-0.1, -0.05],
+                                               "cov": [[0.0625, 0.02], [0.02, 0.0625]]},
+                         defaults=[{"x": [0.0, -1.0], "intensity": 0.02}])
+            args = ["--target", "margrabe"]
+        else:
+            model, args = MERTON_MODEL, ["--target", "cumulant", "--v", "0.5", "-T", "1"]
+        outputs = []
+        for threads in ("1", "2"):
+            code = main(["mc-verify", "--model", model_file(model), *args,
+                         "--n-paths", "20000", "--seed", "13", "--threads", threads])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_output_file(self, model_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main([
@@ -270,6 +287,16 @@ class TestExitCodes:
             "drift", "--model", model_file(atoms), "--xi", "log_return",
         ])
         assert code == 1
+
+    def test_discontinuous_integrand_diagnostic_names_the_cause(self, model_file, capsys):
+        # The indicator level sits inside the lognormal body's support: the
+        # integral exists, but the Gauss-Hermite ladder cannot resolve the step.
+        tree = "(repfn 1 (mul (x 0) (ind abs_le 0.5 (add (x 0) (const 1)))))"
+        code = main(["drift", "--model", model_file(MERTON_MODEL), "--xi-tree", tree])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "jump integral did not converge" in err
+        assert "discontinuous inside the law's support" in err
 
     def test_divergent_grid_rows_are_flagged_and_run_continues(self, model_file, capsys):
         # Large real v makes the exponential moment non-integrable against

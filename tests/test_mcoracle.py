@@ -32,6 +32,19 @@ class TestIncrementSampling:
         se = X.std() / math.sqrt(X.size)
         assert abs(X.mean() - atoms_1d.b[0]) < 3 * se
 
+    def test_mixed_2d_mean_equals_drift_for_identity_truncation(self):
+        jumps = dc.SumMeasure((
+            dc.FiniteAtoms([[0.2, -0.1], [-0.15, 0.05]], [0.7, 0.5]),
+            dc.GaussianPush(0.6, np.array([-0.05, 0.02]), np.array([[0.04, 0.01], [0.01, 0.03]])),
+        ))
+        t = dc.LevyTriplet(
+            2, np.array([0.04, -0.03]), np.array([[0.02, 0.005], [0.005, 0.01]]), jumps,
+            dc.TruncationSpec.identity(2),
+        )
+        X = sample_increment_batch(t, 1.0, _block_rng(17, 0), 400_000)
+        se = X.std(axis=0) / math.sqrt(X.shape[0])
+        assert np.all(np.abs(X.mean(axis=0) - t.b) < 4 * se)
+
     def test_small_horizon_jump_probability(self):
         gamma, T = 0.7, 1e-3
         t = dc.LevyTriplet(
@@ -108,6 +121,26 @@ class TestStochasticExponential:
         est = dc.mc_stoch_exp(dc.rep_exp_utility(lam), trinomial, 2.0,
                               dc.SimConfig(n_paths=120_000, seed=31))
         assert est.z_score(target) < 3.0
+
+
+class TestPathwiseSum:
+    def test_gaussian_body_matches_analytic(self, merton_1d):
+        # Gaussian jump body under the unit_clip truncation.
+        xi = dc.rep_log_return()
+        target = dc.expectation_pii(xi, merton_1d, 1.5)[0]
+        est = dc.mc_sum(xi, merton_1d, 1.5, dc.SimConfig(n_paths=200_000, seed=41))
+        assert est.z_score(target) < 4.0
+
+    @pytest.mark.parametrize("estimator", [dc.mc_sum, dc.mc_stoch_exp])
+    def test_truncation_invariance_path_by_path(self, merton_1d, estimator):
+        # b - int h dF is the same for every truncation, and so is every path.
+        xi = dc.rep_exp_affine(0.6)
+        cfg = dc.SimConfig(n_paths=20_000, seed=43)
+        base = estimator(xi, merton_1d, 1.2, cfg)
+        for h in (dc.TruncationSpec.identity(1), dc.TruncationSpec.zero(1)):
+            other = estimator(xi, dc.retruncate(merton_1d, h), 1.2, cfg)
+            assert other.mean == pytest.approx(base.mean, rel=1e-12)
+            assert other.std_error == pytest.approx(base.std_error, rel=1e-12)
 
 
 class TestDeterminismAndVariance:

@@ -233,6 +233,31 @@ def test_random_trees_survive_prefix_round_trip(seed):
     np.testing.assert_array_equal(back.eval_batch(X), f.eval_batch(X))
 
 
+def _recursive_tape(f):
+    """Reference post-order walk: children left to right, shared nodes once."""
+    slots, tape = {}, []
+
+    def walk(node):
+        if id(node) not in slots:
+            args = tuple(walk(getattr(node, field)) for field in _OPS[type(node)].children)
+            slots[id(node)] = len(tape)
+            tape.append((node, args))
+        return slots[id(node)]
+
+    return tape, tuple(walk(root) for root in f.outputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tape_is_the_recursive_post_order(seed):
+    f = random_composed_tree(np.random.default_rng(seed))
+    g = dc.compose(dc.rep_exp_utility(0.7), f)  # shares the inner trees
+    for h in (f, g, dc.rep_margrabe(0.75)):
+        tape, roots = _recursive_tape(h)
+        assert [(node, args) for _op, node, args in h._tape] == tape
+        assert h._roots == roots
+
+
 class TestPrefixSerialisation:
     @pytest.mark.parametrize(
         "fn",
@@ -285,3 +310,17 @@ class TestPrefixSerialisation:
         assert f.eval([0.5])[0] == 0.5
         with pytest.raises(ValueError, match="nests deeper"):
             dc.from_prefix("(repfn 1 " + "(neg " * (levels + 1) + "(x 0)" + ")" * (levels + 2))
+
+    def test_deep_tree_built_in_python(self):
+        # Construction walks the tree with an explicit stack, so depth is
+        # bounded by memory only; the prefix cap applies to parsing alone.
+        node = dc.Coord(0)
+        for _ in range(1100):
+            node = dc.Neg(node)
+        f = dc.RepFn(1, (node,))
+        assert f.eval([0.5])[0] == 0.5
+        np.testing.assert_array_equal(f.jet_at_zero().jacobian, [[1.0]])
+        text = dc.to_prefix(f)
+        assert text.count("(neg ") == 1100
+        with pytest.raises(ValueError, match="nests deeper"):
+            dc.from_prefix(text)
