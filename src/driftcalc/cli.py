@@ -31,7 +31,8 @@ name, via ``--xi-tree`` / ``--eta-tree``:
             | (ind OP C expr)          indicator factor, OP in {eq, ne, abs_le, abs_gt}
     C      := real or complex literal, e.g. 2, -0.5, 1+2i
 
-Parentheses nest at most 256 levels deep, the outer repfn included.
+Parentheses nest at most 256 levels deep, the outer repfn included, so a
+tree built in Python round-trips through this notation only up to that depth.
 Example: (repfn 1 (sub (exp (mul (const 2) (x 0))) (const 1))) is e^{2x}-1.
 """
 

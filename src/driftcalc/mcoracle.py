@@ -240,7 +240,10 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
 
 
 def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
-    """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms)."""
+    """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms).
+
+    Antithetic pairing is not applied to sum estimates.
+    """
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
     paths = _pathwise(xi, t, T, exponential=False)

@@ -9,6 +9,7 @@ closed form, and prices by contour integration along Re v = beta < 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -34,6 +35,9 @@ from .repfn import _nonreal
 PANEL_WIDTH = 2.0
 NODES_PER_PANEL = 24
 MAX_EXTENSIONS = 12
+#: panels per vectorised pass of the contour sum (times two sides and
+#: NODES_PER_PANEL nodes); bounds the working arrays on long contours
+PANELS_PER_PASS = 128
 
 
 def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> complex:
@@ -180,6 +184,11 @@ class MargrabeModel:
     default_atoms: tuple = ()
 
     def __post_init__(self):
+        for name in (
+            "spot1", "spot2", "maturity", "sigma1_sq", "sigma12", "sigma2_sq", "jump_intensity"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.spot1 <= 0 or self.spot2 <= 0:
             raise ValueError("spot values must be positive")
         if self.maturity <= 0:
@@ -187,15 +196,23 @@ class MargrabeModel:
         _require_psd(self.diffusion_matrix(), "diffusion matrix")
         if self.jump_intensity < 0:
             raise ValueError("jump intensity must be nonnegative")
+        m = np.asarray(self.jump_mean, dtype=float)
+        if m.shape != (2,):
+            raise ValueError(f"jump_mean must have 2 components, got shape {m.shape}")
         S = np.asarray(self.jump_cov, dtype=float)
         if S.shape != (2, 2):
             raise ValueError("jump covariance must be a symmetric 2x2 matrix")
+        for name, arr in (("jump_mean", m), ("jump_cov", S)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         _require_psd(S, "jump covariance")
         atoms = tuple((tuple(map(float, x)), float(lam)) for x, lam in self.default_atoms)
         object.__setattr__(self, "default_atoms", atoms)
         for x, lam in atoms:
             if len(x) != 2:
                 raise ValueError("default atoms must be two-dimensional")
+            if not all(map(math.isfinite, (*x, lam))):
+                raise ValueError(f"default atom {x} with intensity {lam} must be finite")
             if lam <= 0:
                 raise ValueError("default atom intensities must be strictly positive")
             if -1.0 not in x:
@@ -289,10 +306,14 @@ class ContourConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.beta < 0.0:
-            raise ValueError("the contour abscissa beta must be negative")
-        if self.u_max <= 0:
-            raise ValueError("contour discretisation parameters must be positive")
+        if not (math.isfinite(self.beta) and self.beta < 0.0):
+            raise ValueError(
+                f"the contour abscissa beta must be finite and negative, got {self.beta}"
+            )
+        for name in ("u_max", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"contour {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -306,6 +327,36 @@ class PriceDiagnostics:
     u_max_used: float
 
 
+@functools.cache
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+
+
+def _panel_sum(mm: MargrabeModel, beta: float, edges: np.ndarray):
+    """Gauss-Legendre sum of the payoff transform over the panels between
+    consecutive ``edges`` and over their mirrors [-b, -a].
+
+    Each numpy pass evaluates at most PANELS_PER_PASS panels on both sides
+    at once.  Panel values are added in panel order, a panel together with
+    its mirror, so the sum is the one a panel-by-panel loop gives.
+    """
+    gl_x, gl_w = _legendre_rule()
+    log_ratio = math.log(mm.spot2 / mm.spot1)
+    total = 0.0 + 0.0j
+    for k in range(0, edges.size - 1, PANELS_PER_PASS):
+        a = edges[k : k + PANELS_PER_PASS + 1]
+        lo = np.stack((a[:-1], -a[1:]))
+        hi = np.stack((a[1:], -a[:-1]))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v = beta + 1j * (mid[..., None] + half[..., None] * gl_x)
+        g = np.exp(v * log_ratio + margrabe_kappa(v, mm) * mm.maturity) / (
+            2.0 * np.pi * v * (v - 1.0)
+        )
+        sides = half * np.sum(gl_w * g, axis=-1)
+        total = np.concatenate(([total], sides[0] + sides[1])).cumsum()[-1]
+    return total
+
+
 def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
     """Two-sided contour integral of the payoff transform.
 
@@ -313,18 +364,7 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
     conjugation) so that the imaginary residual of the result is a genuine
     check of the model's conjugate symmetry.
     """
-    ratio = mm.spot2 / mm.spot1
-    log_ratio = math.log(ratio)
-    T = mm.maturity
-    beta = cfg.beta
-    gl_x, gl_w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-
-    def panel(a: float, b: float) -> complex:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        u = mid + half * gl_x
-        v = beta + 1j * u
-        g = np.exp(v * log_ratio + margrabe_kappa(v, mm) * T) / (2.0 * np.pi * v * (v - 1.0))
-        return half * np.sum(gl_w * g)
+    log_ratio = math.log(mm.spot2 / mm.spot1)
 
     # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
     # about three periods so the fixed Gauss-Legendre rule stays spectral.
@@ -332,23 +372,18 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
     if log_ratio != 0.0:
         width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
 
-    total = 0.0 + 0.0j
-    nodes = 0
     n_panels = max(1, math.ceil(cfg.u_max / width))
     edges = np.linspace(0.0, cfg.u_max, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += panel(a, b) + panel(-b, -a)
-        nodes += 2 * NODES_PER_PANEL
+    total = _panel_sum(mm, cfg.beta, edges)
+    nodes = 2 * NODES_PER_PANEL * n_panels
 
     # Extend the contour until the outermost block stops contributing.
     lo, hi = cfg.u_max, 2.0 * cfg.u_max
     tail = np.inf
     for _ in range(MAX_EXTENSIONS):
-        block = 0.0 + 0.0j
-        sub_edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
-        for a, b in zip(sub_edges[:-1], sub_edges[1:]):
-            block += panel(a, b) + panel(-b, -a)
-            nodes += 2 * NODES_PER_PANEL
+        edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
+        block = _panel_sum(mm, cfg.beta, edges)
+        nodes += 2 * NODES_PER_PANEL * (edges.size - 1)
         total += block
         tail = abs(block)
         # The integral is in units of the first spot (p / S1 is order one),

@@ -610,7 +610,12 @@ def finite_difference_jet(f: RepFn, step: float) -> Jet2:
 
 
 def to_prefix(f: RepFn) -> str:
-    """Serialise a RepFn to prefix notation: (repfn D EXPR...)."""
+    """Serialise a RepFn to prefix notation: (repfn D EXPR...).
+
+    Any tree serialises, but ``from_prefix(to_prefix(f))`` round-trips only
+    trees whose text nests at most MAX_PREFIX_NESTING (256) levels deep,
+    the outer ``(repfn ...)`` included; deeper text is rejected on reading.
+    """
     texts: list = []
     for op, node, args in f._tape:
         fields = [fmt(getattr(node, field)) for field, fmt, _parse in op.literals]

@@ -271,6 +271,24 @@ class TestExitCodes:
     def test_wrong_model_kind_is_usage_error(self, model_file, capsys):
         assert main(["price-margrabe", "--model", model_file(GBM_MODEL)]) == 2
 
+    def test_infinite_contour_length_is_usage_error(self, model_file, capsys):
+        code = main(["price-margrabe", "--model", model_file(MARGRABE_MODEL), "--u-max", "inf"])
+        assert code == 2
+        assert "u_max must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"maturity": math.inf}, "maturity"),
+            ({"jump": {"lambda": 0.4, "mean": [-0.1, -0.05, 0.3],
+                       "cov": [[0.0625, 0.02], [0.02, 0.0625]]}}, "jump_mean"),
+        ],
+    )
+    def test_unpriceable_margrabe_model_is_usage_error(self, model_file, capsys, change, field):
+        code = main(["price-margrabe", "--model", model_file(dict(MARGRABE_MODEL, **change))])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_deeply_nested_tree_is_usage_error(self, model_file, capsys):
         tree = "(repfn 2 " + "(neg " * 1100 + "(x 0)" + ")" * 1101
         assert main(["drift", "--model", model_file(GBM_MODEL), "--xi-tree", tree]) == 2

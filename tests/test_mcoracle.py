@@ -142,6 +142,15 @@ class TestPathwiseSum:
             assert other.mean == pytest.approx(base.mean, rel=1e-12)
             assert other.std_error == pytest.approx(base.std_error, rel=1e-12)
 
+    def test_antithetic_flag_is_not_applied(self, merton_1d):
+        # Sum estimates document that they ignore antithetic pairing.
+        xi = dc.rep_log_return()
+        plain = dc.mc_sum(xi, merton_1d, 1.0, dc.SimConfig(n_paths=20_000, seed=45))
+        anti = dc.mc_sum(
+            xi, merton_1d, 1.0, dc.SimConfig(n_paths=20_000, seed=45, antithetic=True)
+        )
+        assert (anti.mean, anti.std_error) == (plain.mean, plain.std_error)
+
 
 class TestDeterminismAndVariance:
     def test_bit_identical_across_worker_counts(self, merton_1d):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.stats import norm
 
 import driftcalc as dc
-from driftcalc.errors import EngineError
+from driftcalc import pricing
+from driftcalc.errors import ConvergenceError, EngineError
 
 
 def classical_exchange_price(s1, s2, sig_eff, T):
@@ -13,6 +15,51 @@ def classical_exchange_price(s1, s2, sig_eff, T):
     d1 = (math.log(s1 / s2) + 0.5 * sig_eff**2 * T) / (sig_eff * math.sqrt(T))
     d2 = d1 - sig_eff * math.sqrt(T)
     return s1 * norm.cdf(d1) - s2 * norm.cdf(d2)
+
+
+def panel_by_panel_price(mm, cfg=None):
+    """Reference price: the contour summed one 24-node panel at a time, each
+    panel followed by its mirror, with the pricer's edges and extension rule.
+    Returns (price, nodes, u_max_used)."""
+    cfg = cfg or dc.ContourConfig()
+    log_ratio = math.log(mm.spot2 / mm.spot1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(pricing.NODES_PER_PANEL)
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        v = cfg.beta + 1j * (mid + half * gl_x)
+        g = np.exp(v * log_ratio + dc.margrabe_kappa(v, mm) * mm.maturity) / (
+            2.0 * np.pi * v * (v - 1.0)
+        )
+        return half * np.sum(gl_w * g)
+
+    def block(edges):
+        return sum(panel(a, b) + panel(-b, -a) for a, b in zip(edges[:-1], edges[1:]))
+
+    width = pricing.PANEL_WIDTH
+    if log_ratio != 0.0:
+        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+    edges = np.linspace(0.0, cfg.u_max, max(1, math.ceil(cfg.u_max / width)) + 1)
+    total, panels = block(edges), edges.size - 1
+    lo, hi = cfg.u_max, 2.0 * cfg.u_max
+    for _ in range(pricing.MAX_EXTENSIONS):
+        edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
+        tail = block(edges)
+        total += tail
+        panels += edges.size - 1
+        if abs(tail) <= cfg.rel_tol * max(1.0, abs(total)):
+            raw = 1.0 - np.exp(dc.margrabe_kappa(0.0, mm) * mm.maturity) + total
+            return mm.spot1 * raw.real, 2 * pricing.NODES_PER_PANEL * panels, hi
+        lo, hi = hi, 2.0 * hi
+    raise AssertionError("reference contour did not converge")
+
+
+def defaults_only_model():
+    return dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=1.0,
+        sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
+        default_atoms=(((0.0, -1.0), 0.02),),
+    )
 
 
 class TestCumulant:
@@ -317,3 +364,83 @@ class TestExchangePrice:
             dc.ContourConfig(beta=0.0)
         with pytest.raises(ValueError, match="negative"):
             dc.ContourConfig(beta=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", -math.inf), ("beta", math.nan),
+            ("u_max", math.inf), ("u_max", math.nan), ("u_max", 0.0),
+            ("rel_tol", math.nan), ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.inf),
+        ],
+    )
+    def test_non_finite_or_non_positive_contour_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dc.ContourConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("spot1", math.nan, "spot1"), ("spot2", math.inf, "spot2"),
+            ("maturity", math.inf, "maturity"), ("sigma1_sq", math.nan, "sigma1_sq"),
+            ("sigma12", math.nan, "sigma12"), ("jump_intensity", math.nan, "jump_intensity"),
+            ("jump_mean", (math.nan, 0.0), "jump_mean"),
+            ("jump_mean", (-0.1, -0.05, 0.3), "jump_mean"),
+            ("jump_cov", ((math.nan, 0.0), (0.0, 0.04)), "jump_cov"),
+            ("default_atoms", (((math.inf, -1.0), 0.02),), "default atom"),
+            ("default_atoms", (((0.0, -1.0), math.nan),), "default atom"),
+        ],
+    )
+    def test_unpriceable_model_inputs_rejected(self, margrabe_jump_model, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(margrabe_jump_model, **{field: value})
+
+
+class TestBatchedContour:
+    """The contour is summed in vectorised passes of PANELS_PER_PASS panels;
+    it must give the panel-by-panel sum on the same nodes."""
+
+    @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only"])
+    def test_matches_panel_by_panel_sum(self, margrabe_jump_model, kind):
+        mm = {
+            "jump": margrabe_jump_model,
+            "near_degenerate": dataclasses.replace(
+                margrabe_jump_model, sigma1_sq=1e-5, sigma12=0.0, sigma2_sq=0.0
+            ),
+            "defaults_only": defaults_only_model(),
+        }[kind]
+        price, diags = dc.margrabe_price(mm)
+        ref_price, ref_nodes, ref_u = panel_by_panel_price(mm)
+        assert abs(price - ref_price) <= 1e-14 * mm.spot1
+        assert (diags.nodes, diags.u_max_used) == (ref_nodes, ref_u)
+
+    @pytest.mark.parametrize(
+        "kind, nodes, u_max_used",
+        [("jump", 7_200, 400.0), ("defaults_only", 1_231_200, 102_400.0)],
+    )
+    def test_contour_length_is_pinned(self, margrabe_jump_model, kind, nodes, u_max_used):
+        mm = margrabe_jump_model if kind == "jump" else defaults_only_model()
+        _, diags = dc.margrabe_price(mm)
+        assert (diags.nodes, diags.u_max_used) == (nodes, u_max_used)
+
+    def test_kappa_is_called_once_per_pass(self, monkeypatch):
+        calls = []
+        kappa = pricing.margrabe_kappa
+
+        def counted(v, mm):
+            calls.append(np.size(v))
+            return kappa(v, mm)
+
+        monkeypatch.setattr(pricing, "margrabe_kappa", counted)
+        cfg = dc.ContourConfig()
+        _, diags = dc.margrabe_price(defaults_only_model(), cfg)
+        # one block for [0, u_max], one per doubling; each block needs
+        # ceil(panels / PANELS_PER_PASS) passes; plus kappa(0)
+        blocks = 1 + round(math.log2(diags.u_max_used / cfg.u_max))
+        node_passes = diags.nodes / (2 * pricing.NODES_PER_PANEL * pricing.PANELS_PER_PASS)
+        assert len(calls) <= math.ceil(node_passes) + blocks + 1
+        assert sum(calls) == diags.nodes + 1
+
+    def test_unconverged_contour_message_is_unchanged(self):
+        cfg = dc.ContourConfig(rel_tol=1e-300)
+        with pytest.raises(ConvergenceError, match=r"after extending to \|Im v\| = 819200"):
+            dc.margrabe_price(defaults_only_model(), cfg)

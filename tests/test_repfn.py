@@ -311,6 +311,21 @@ class TestPrefixSerialisation:
         with pytest.raises(ValueError, match="nests deeper"):
             dc.from_prefix("(repfn 1 " + "(neg " * (levels + 1) + "(x 0)" + ")" * (levels + 2))
 
+    def test_prefix_round_trip_stops_at_the_nesting_limit(self):
+        # The outer (repfn ...) and the innermost (x 0) each take one level.
+        def chain(levels):
+            node = dc.Coord(0)
+            for _ in range(levels - 2):
+                node = dc.Neg(node)
+            return dc.RepFn(1, (node,))
+
+        text = dc.to_prefix(chain(MAX_PREFIX_NESTING))
+        assert dc.to_prefix(dc.from_prefix(text)) == text
+        deeper = dc.to_prefix(chain(MAX_PREFIX_NESTING + 1))
+        assert deeper.count("(neg ") == MAX_PREFIX_NESTING - 1
+        with pytest.raises(ValueError, match="nests deeper than 256 levels"):
+            dc.from_prefix(deeper)
+
     def test_deep_tree_built_in_python(self):
         # Construction walks the tree with an explicit stack, so depth is
         # bounded by memory only; the prefix cap applies to parsing alone.
