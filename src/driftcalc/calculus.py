@@ -78,6 +78,18 @@ def rep_exp_utility(lam: float) -> RepFn:
     return RepFn(1, (Exp(inner) - _ONE,))
 
 
+def _rep_exp_utility_slope(lam: float) -> RepFn:
+    """First and second lam-derivatives of ``rep_exp_utility(lam)``:
+    -y e^{-lam y} and y^2 e^{-lam y} with y = e^x - 1.
+
+    The drift is linear in the increment function, so the drift of these two
+    roots is the pair of lam-derivatives of the utility drift.
+    """
+    y = Exp(Coord(0)) - _ONE
+    weight = Exp(Neg(Const(lam) * y))
+    return RepFn(1, (Neg(y * weight), y * y * weight))
+
+
 def rep_memm_integrand(v, lam_star: float) -> RepFn:
     """(e^{v x} - 1) e^{-lam*(e^x - 1)}: the measure-changed exponential kernel."""
     left = Exp(Const(v) * Coord(0)) - _ONE

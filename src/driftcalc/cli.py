@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -132,6 +133,17 @@ def _quad_from_args(args) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
 
 
+def _parse_bracket(text: str):
+    """The --bracket flag: two finite numbers "lo,hi" with lo < hi."""
+    try:
+        lo, hi = (float(s) for s in text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"--bracket needs two finite numbers lo,hi with lo < hi, got {text!r}")
+    return lo, hi
+
+
 def _cmd_drift(args) -> int:
     model = _require_model(load_model(args.model), LevyTriplet, "levy")
     if args.truncation:
@@ -181,8 +193,7 @@ def _cmd_cumulant(args) -> int:
 
 def _cmd_utility(args) -> int:
     model = _require_model(load_model(args.model), LevyTriplet, "levy")
-    lo, hi = (float(s) for s in args.bracket.split(","))
-    lam, value = optimize_exp_utility(model, (lo, hi), _quad_from_args(args))
+    lam, value = optimize_exp_utility(model, _parse_bracket(args.bracket), _quad_from_args(args))
     _emit_json(args, {"lambda_star": _fmt(lam), "value": _fmt(value)})
     return 0
 
@@ -193,8 +204,7 @@ def _cmd_memm(args) -> int:
     if args.lambda_star is not None:
         lam = args.lambda_star
     else:
-        lo, hi = (float(s) for s in args.bracket.split(","))
-        lam, _ = optimize_exp_utility(model, (lo, hi), quad)
+        lam, _ = optimize_exp_utility(model, _parse_bracket(args.bracket), quad)
     grid = parse_grid(json.loads(args.v_grid))
     rows, failures = _grid_rows(grid, lambda v: memm_cumulant(v, lam, model, quad))
     _emit_grid(args, rows, "kappa_q")

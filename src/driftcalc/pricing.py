@@ -16,8 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .calculus import rep_exp_affine, rep_exp_utility
-from .drift import discrete_stoch_exp, drift, drift_q
+from .calculus import _rep_exp_utility_slope, rep_exp_affine, rep_exp_utility
+from .drift import discrete_compensator, discrete_stoch_exp, drift, drift_q
 from .errors import ConvergenceError, EngineError
 from .models import (
     FiniteAtoms,
@@ -38,6 +38,10 @@ MAX_EXTENSIONS = 12
 #: panels per vectorised pass of the contour sum (times two sides and
 #: NODES_PER_PANEL nodes); bounds the working arrays on long contours
 PANELS_PER_PASS = 128
+#: evenly spaced points of the optimiser's scan, and Newton steps allowed
+#: in its polish
+SCAN_POINTS = 65
+POLISH_STEPS = 100
 
 
 def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> complex:
@@ -61,61 +65,45 @@ def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] =
     return float(value.real)
 
 
-def _golden_minimize(fn, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+def minimize_scalar(fn, bracket: Tuple[float, float], slope) -> float:
+    """Minimiser of a convex ``fn`` on ``bracket``: a scan of SCAN_POINTS
+    values, then a Newton polish on ``slope(x) = (f'(x), f''(x))``.
 
-
-def _quadratic_refine(fn, x: float, step: float) -> float:
-    f0, fp, fm = fn(x), fn(x + step), fn(x - step)
-    denom = fp - 2.0 * f0 + fm
-    if denom <= 0:
-        return x
-    shift = 0.5 * step * (fm - fp) / denom
-    if abs(shift) > 2.0 * step:
-        return x
-    return x + shift
-
-
-def minimize_scalar(fn, bracket: Tuple[float, float], tol: float = 1e-10, grid: int = 65) -> float:
-    """Derivative-free scalar minimisation: coarse grid, golden section, then
-    quadratic polish.  Raises if no interior minimum exists.
-
-    Golden section alone stalls once objective differences fall below
-    floating-point noise, so the polish refits a parabola at steps large
-    enough for the curvature signal to dominate rounding.
+    The scan raises if a value is not finite or the best point is on the
+    bracket edge.  The polish keeps the best point's neighbours as a bracket
+    that shrinks by the sign of f', and bisects when f'' <= 0 or the Newton
+    step leaves it.  The scan stays because it is what reports a bracket that
+    reaches lambda < 0 on a Gaussian jump body, where the utility drift does
+    not exist, as failing.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, SCAN_POINTS)
     vals = np.array([fn(x) for x in xs])
     if not np.all(np.isfinite(vals)):
         raise EngineError("objective is not finite everywhere on the bracket")
     k = int(np.argmin(vals))
-    if k == 0 or k == grid - 1:
+    if k == 0 or k == SCAN_POINTS - 1:
         raise EngineError(
             f"no interior minimum in [{lo}, {hi}]; widen the bracket "
             f"(best grid point sits at the {'left' if k == 0 else 'right'} edge)"
         )
-    x = _golden_minimize(fn, xs[k - 1], xs[k + 1], tol)
-    scale = max(1.0, abs(x))
-    for step in (1e-4 * scale, 1e-5 * scale):
-        x = _quadratic_refine(fn, x, step)
-    return x
+    a, b, x = float(xs[k - 1]), float(xs[k + 1]), float(xs[k])
+    for _ in range(POLISH_STEPS):
+        d1, d2 = slope(x)
+        if d1 == 0.0:
+            return x
+        a, b = (a, x) if d1 > 0.0 else (x, b)
+        new = 0.5 * (a + b)
+        if d2 > 0.0 and a < x - d1 / d2 < b:
+            new = x - d1 / d2
+        if abs(new - x) <= 1e-15 * (1.0 + abs(x)):
+            return new
+        x = new
+    raise ConvergenceError(f"Newton polish on [{lo}, {hi}] did not settle in {POLISH_STEPS} steps")
 
 
 def optimize_exp_utility(
@@ -130,7 +118,14 @@ def optimize_exp_utility(
     interior minimiser lam* of ``utility_drift`` over the bracket, together
     with the attained drift value.
     """
-    lam_star = minimize_scalar(lambda lam: utility_drift(lam, t, quad), bracket)
+
+    def slope(lam):
+        d = drift(_rep_exp_utility_slope(lam), t, quad).total
+        if _nonreal(d):
+            raise EngineError(f"utility drift derivatives came out non-real: {d}")
+        return float(d[0].real), float(d[1].real)
+
+    lam_star = minimize_scalar(lambda lam: utility_drift(lam, t, quad), bracket, slope)
     return lam_star, utility_drift(lam_star, t, quad)
 
 
@@ -140,7 +135,11 @@ def optimize_discrete_exp_utility(model, bracket: Tuple[float, float]) -> Tuple[
     def objective(lam):
         return float(discrete_stoch_exp(rep_exp_utility(lam), model, 1.0).real)
 
-    lam_star = minimize_scalar(objective, bracket)
+    def slope(lam):
+        d = discrete_compensator(_rep_exp_utility_slope(lam), model, 1.0).real
+        return float(d[0]), float(d[1])
+
+    lam_star = minimize_scalar(objective, bracket, slope)
     return lam_star, objective(lam_star)
 
 

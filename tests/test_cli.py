@@ -294,6 +294,30 @@ class TestExitCodes:
         assert main(["drift", "--model", model_file(GBM_MODEL), "--xi-tree", tree]) == 2
         assert "nests deeper than 256 levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["utility", "memm"])
+    @pytest.mark.parametrize("bracket", ["1", "0,8,9", "0,inf", "8,0"])
+    def test_bad_bracket_is_usage_error(self, model_file, capsys, command, bracket):
+        argv = [command, "--model", model_file(MERTON_MODEL), f"--bracket={bracket}"]
+        if command == "memm":
+            argv += ["--v-grid", '{"re": 1}']
+        assert main(argv) == 2
+        assert "--bracket needs two finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["utility", "--bracket=-5,15"],
+            ["memm", "--v-grid", '{"re": 1}'],  # the default bracket -1,8
+        ],
+    )
+    def test_bracket_below_zero_on_gaussian_body_is_exit_one(self, model_file, capsys, argv):
+        # e^{-lam(e^x - 1)} is not integrable against a Gaussian body for
+        # lam < 0; perfbench/check.py counts exactly this outcome as the
+        # known defect "nonintegrable-bracket".
+        code = main([argv[0], "--model", model_file(MERTON_MODEL), *argv[1:]])
+        assert code == 1
+        assert "jump integral did not converge" in capsys.readouterr().err
+
     def test_computation_diagnostic_is_exit_one(self, model_file, capsys):
         atoms = {
             "type": "levy", "dim": 1, "b": [0.0], "c": [[0.0]],

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 import driftcalc as dc
 from driftcalc import pricing
+from driftcalc.calculus import _rep_exp_utility_slope
 from driftcalc.errors import ConvergenceError, EngineError
 
 
@@ -121,12 +122,12 @@ class TestOptimizer:
             dc.TruncationSpec.identity(1),
         )
         lam_star, _ = dc.optimize_exp_utility(t, (-4.0, 4.0))
-        assert abs(lam_star) < 1e-9
+        assert abs(lam_star) < 1e-12
 
     def test_discrete_trinomial_closed_form(self):
         m = dc.DiscreteModel([[math.log(1.1)], [0.0], [math.log(0.9)]], [0.4, 0.4, 0.2])
         lam_star, value = dc.optimize_discrete_exp_utility(m, (-2.0, 10.0))
-        assert lam_star == pytest.approx(math.log(2.0) / 0.2, abs=1e-8)
+        assert lam_star == pytest.approx(math.log(2.0) / 0.2, abs=1e-12)
         assert value == pytest.approx(
             0.4 * math.exp(-0.1 * lam_star) + 0.4 + 0.2 * math.exp(0.1 * lam_star), rel=1e-12
         )
@@ -149,6 +150,39 @@ class TestOptimizer:
     def test_no_interior_optimum_advises_wider_bracket(self, atoms_1d):
         with pytest.raises(EngineError, match="widen the bracket"):
             dc.optimize_exp_utility(atoms_1d, (10.0, 20.0))
+
+    @pytest.mark.parametrize("bracket", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket_rejected(self, bracket):
+        with pytest.raises(ValueError, match="bracket ends must be finite"):
+            pricing.minimize_scalar(abs, bracket, lambda x: (1.0, 1.0))
+
+    def test_unsettled_polish_names_the_bracket(self):
+        # Newton steps of 1e-12 stay inside the bracket and never settle.
+        with pytest.raises(ConvergenceError, match=r"polish on \[0.0, 1.0\] did not settle"):
+            pricing.minimize_scalar(lambda x: (x - 0.5) ** 2, (0.0, 1.0), lambda x: (-1.0, 1e12))
+
+
+class TestUtilitySlope:
+    """The derivative tree's drift is the pair of lam-derivatives of the
+    utility drift."""
+
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 4.0, 7.0])
+    def test_matches_central_differences(self, request, model, lam):
+        t = request.getfixturevalue(model)
+        d1, d2 = dc.drift(_rep_exp_utility_slope(lam), t).total
+        h = 1e-3
+        up, mid, down = (dc.utility_drift(lam + s, t) for s in (h, 0.0, -h))
+        assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
+        assert d2 == pytest.approx((up - 2 * mid + down) / h**2, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [-2.0, 0.0, 3.0])
+    def test_discrete_compensator_on_trinomial(self, trinomial, lam):
+        y = np.expm1(trinomial.points[:, 0])
+        weight = trinomial.probabilities * np.exp(-lam * y)
+        d1, d2 = dc.discrete_compensator(_rep_exp_utility_slope(lam), trinomial, 1.0)
+        assert d1 == pytest.approx(-np.sum(weight * y), rel=1e-13)
+        assert d2 == pytest.approx(np.sum(weight * y * y), rel=1e-13)
 
 
 class TestMemmCumulant:
