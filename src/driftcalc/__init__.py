@@ -34,7 +34,7 @@ from .drift import (
     expectation_pii,
     expectation_stoch_exp,
 )
-from .errors import ConvergenceError, EngineError, NanPointError
+from .errors import ConvergenceError, EngineError, NanPointError, NonIntegrableError
 from .mcoracle import (
     McEstimate,
     SimConfig,

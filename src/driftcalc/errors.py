@@ -20,3 +20,7 @@ class NanPointError(EngineError):
 
 class ConvergenceError(EngineError):
     """A quadrature, contour, or optimizer loop failed to converge."""
+
+
+class NonIntegrableError(ConvergenceError):
+    """A jump integral whose integrand outgrows the jump law's tail decay."""

@@ -5,6 +5,15 @@ absolutely convergent sum (atoms) or a Gaussian expectation (lognormal-style
 push-forwards) evaluated by tensorised Gauss-Hermite quadrature.  Truncation
 choices are explicit: a triplet always records the truncation its drift
 vector refers to, and ``retruncate`` moves between equivalent descriptions.
+
+A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, 31, ...,
+255 nodes per axis, and stops at the first two levels whose estimates agree
+output by output.  Each measure keeps the node sets of the levels an
+accepted integral used, so later integrals on it rebuild nothing.  The first
+level also evaluates the integrand at a far-tail probe, about 21 standard
+deviations out along each axis; an integrand that outgrows the Gaussian
+decay there raises ``NonIntegrableError`` instead of converging to a finite
+but meaningless number on the low levels.
 """
 
 from __future__ import annotations
@@ -12,19 +21,28 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NanPointError
+from .errors import ConvergenceError, NanPointError, NonIntegrableError
 from .repfn import RepFn, _nonreal, _require_defined
 
 ATOM_DEDUP_TOL = 1e-12
-#: Gauss-Hermite nodes per dimension at the first level, and how often that
-#: count is doubled before a jump integral is declared non-convergent
-QUAD_BASE_NODES = 64
-QUAD_MAX_DOUBLINGS = 2
+#: Gauss-Hermite nodes per axis at the first level, and how often the count
+#: n goes to 2n + 1 before a jump integral is declared non-convergent: 7, 15,
+#: 31, 63, 127, 255.  Odd rules keep a node at the mean, so a step just off
+#: the mean cannot sit in the same central gap of two consecutive levels (an
+#: even ladder gives exactly 0.5 twice for a step at x = 0.1 on N(0, 0.5^2)).
+#: The top is 255: the next rung, hermgauss(511), warns of a division by zero.
+QUAD_BASE_NODES = 7
+QUAD_MAX_DOUBLINGS = 5
+#: The far-tail probe sits at the outermost node of this rule, +-15.2 in
+#: Hermite units (about 21 standard deviations) on each axis, where the
+#: 1-d Gaussian weight is 7e-102: only an integrand that outgrows the
+#: Gaussian decay shows there.
+QUAD_PROBE_NODES = 127
 
 
 class TruncationKind(enum.Enum):
@@ -98,6 +116,19 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 def _hermite_nodes(n: int):
     x, w = np.polynomial.hermite.hermgauss(n)
     return x, w
+
+
+def _ladder_nodes(level: int) -> int:
+    """Nodes per axis at a ladder level: n -> 2n + 1 from QUAD_BASE_NODES."""
+    return (QUAD_BASE_NODES + 1) * 2**level - 1
+
+
+class _NodeSet(NamedTuple):
+    """One level of a Gaussian body's quadrature ladder, read-only."""
+
+    points: np.ndarray  # real jump points (N, d), named in diagnostics
+    cpoints: np.ndarray  # their complex copy, handed to integrands
+    weights: np.ndarray  # tensor-rule weights (N,), summing to 1 over the rule
 
 
 class JumpMeasure:
@@ -270,6 +301,8 @@ class GaussianPush(JumpMeasure):
     intensity: float
     mean: np.ndarray
     cov: np.ndarray
+    #: node sets by ladder level, kept once an accepted integral used them
+    _nodes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         lam = float(self.intensity)
@@ -294,45 +327,78 @@ class GaussianPush(JumpMeasure):
     def _chol(self) -> np.ndarray:
         return psd_factor(self.cov)
 
-    def _gh_points(self, n_nodes: int):
+    def _build_nodes(self, level: int) -> _NodeSet:
+        """The tensor rule of ``level``; level 0 is followed by the 2d probe
+        points +-u e_i, u the outermost node of the QUAD_PROBE_NODES rule,
+        each with its weight in that tensor rule."""
         d = self.dim
-        u, w = _hermite_nodes(n_nodes)
-        grids = np.meshgrid(*([u] * d), indexing="ij")
-        U = np.stack([g.ravel() for g in grids], axis=1)
+        u, w = _hermite_nodes(_ladder_nodes(level))
+        U = np.stack([g.ravel() for g in np.meshgrid(*([u] * d), indexing="ij")], axis=1)
         wgrids = np.meshgrid(*([w] * d), indexing="ij")
-        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1) / np.pi ** (d / 2)
-        Z = self.mean[None, :] + np.sqrt(2.0) * U @ self._chol().T
-        return np.expm1(Z), W
+        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+        if level == 0:
+            pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
+            U = np.concatenate([U, pu[-1] * np.eye(d), -pu[-1] * np.eye(d)])
+            W = np.concatenate([W, np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))])
+        P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._chol().T)
+        nodes = _NodeSet(P, P.astype(np.complex128), W / np.pi ** (d / 2))
+        for a in nodes:
+            a.setflags(write=False)
+        return nodes
 
     def _integrate(self, g, quad):
         if self.intensity == 0.0:
             probe = np.asarray(g(np.zeros((0, self.dim), dtype=np.complex128)))
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0
-        prev = None
-        err = None
-        n_nodes = QUAD_BASE_NODES
-        for _level in range(QUAD_MAX_DOUBLINGS + 1):
-            P, W = self._gh_points(n_nodes)
-            vals = np.asarray(g(P.astype(np.complex128)))
+        used, prev, err = [], None, None
+        for level in range(QUAD_MAX_DOUBLINGS + 1):
+            nodes = self._nodes.get(level) or self._build_nodes(level)
+            used.append(nodes)
+            P, W = nodes.points, nodes.weights
+            vals = np.asarray(g(nodes.cpoints))
+            if level == 0:
+                n = len(P) - 2 * self.dim
+                probe = P[n:], W[n:], vals[n:]
+                P, W, vals = P[:n], W[:n], vals[:n]
             _require_defined(vals, P, "integrand is undefined at quadrature node")
-            # Overflowing integrands are allowed to reach the doubling check,
-            # which then reports non-convergence instead of a numpy warning.
+            # Overflowing integrands are allowed to reach the checks below,
+            # which report them instead of a numpy warning.
             with np.errstate(all="ignore"):
                 cur = self.intensity * (W[:, None] * vals).sum(axis=0)
-                if prev is not None:
-                    err = float(np.max(np.abs(cur - prev)))
-                    scale = float(np.max(np.abs(cur)))
-                    if err <= max(quad.abs_tol, quad.rel_tol * scale):
+                if level == 0:
+                    self._check_tail(*probe, cur, quad)
+                else:
+                    delta = np.abs(cur - prev)
+                    err = float(np.max(delta, initial=0.0))
+                    if np.all(delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur))):
+                        for k, s in enumerate(used):
+                            self._nodes.setdefault(k, s)
                         return cur, err
             prev = cur
-            n_nodes *= 2
         raise ConvergenceError(
-            f"jump integral did not converge after doubling to {n_nodes // 2} nodes "
-            f"(last change {err:.3e}); the integrand may not be integrable "
+            f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
+            f"nodes (last change {err:.3e}); the integrand may not be integrable "
             "against the jump law, or it is discontinuous inside the law's support "
             "(an indicator level or a clipped output truncation there), which the "
             "Gauss-Hermite rule cannot resolve"
         )
+
+    def _check_tail(self, P, W, vals, first, quad):
+        """Raise NonIntegrableError if the integrand at a probe point P[k],
+        times its weight, is not finite or exceeds the tolerance of the first
+        estimate ``first`` in some output."""
+        weighted = self.intensity * W[:, None] * np.abs(vals)
+        # A non-finite first estimate sets no tolerance here; the ladder
+        # then reports it as non-convergence.
+        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(first))
+        bad = np.where((~np.isfinite(weighted) | (weighted > tol)).any(axis=1))[0]
+        if bad.size:
+            k = bad[0]
+            raise NonIntegrableError(
+                "jump integral did not converge: the integrand grows faster than the "
+                f"jump law decays near x = {P[k].tolist()} (weighted value "
+                f"{np.max(weighted[k]):.3e} there); it is not integrable against the jump law"
+            )
 
     def _sample(self, rng, n):
         U = rng.standard_normal((n, self.dim))

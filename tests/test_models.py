@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftcalc as dc
-from driftcalc.errors import ConvergenceError, NanPointError
+from driftcalc import models
+from driftcalc.errors import ConvergenceError, NanPointError, NonIntegrableError
 from driftcalc.mcoracle import _block_rng
 
 
@@ -96,6 +98,65 @@ class TestGaussianPush:
         val, err = dc.integrate(gp, lambda X: np.exp(X))
         assert np.array_equal(val, np.zeros(1, dtype=complex))
         assert err == 0.0
+
+
+class TestGaussHermiteLadder:
+    def test_smooth_integrand_stops_at_the_second_level(self):
+        # 7 nodes plus the two far-tail probe points, then 15 nodes agree.
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        sizes = []
+
+        def g(X):
+            sizes.append(len(X))
+            return X
+
+        val, _ = dc.integrate(gp, g)
+        assert sizes == [9, 15]
+        assert val[0].real == pytest.approx(math.expm1(0.045), rel=1e-12)
+
+    def test_node_sets_are_cached_per_measure_after_success(self, monkeypatch):
+        built = []
+        build = dc.GaussianPush._build_nodes
+
+        def counted(self, level):
+            built.append(level)
+            return build(self, level)
+
+        monkeypatch.setattr(dc.GaussianPush, "_build_nodes", counted)
+        gp = dc.GaussianPush(0.8, np.array([-0.05, 0.02]), np.array([[0.04, 0.01], [0.01, 0.02]]))
+        first, _ = dc.integrate(gp, dc.rep_ratio().eval_batch)
+        assert built == [0, 1]
+        again, _ = dc.integrate(gp, dc.rep_ratio().eval_batch)
+        assert built == [0, 1]
+        assert np.array_equal(first, again)
+
+    def test_failed_integral_caches_nothing(self):
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.25]]))
+        with pytest.raises(ConvergenceError):
+            dc.integrate(gp, lambda X: np.where(X.real > 0.1, 1.0 + 0j, 0.0 + 0j))
+        assert gp._nodes == {}
+
+    def test_non_integrable_integrand_is_named(self):
+        # e^{0.5 x} with x = e^z - 1 outgrows every Gaussian tail: the true
+        # value is +inf, although 15 and 31 nodes agree on -0.0802.
+        gp = dc.GaussianPush(1.0, np.array([-0.3]), np.array([[0.16]]))
+        with pytest.raises(
+            NonIntegrableError,
+            match=r"^jump integral did not converge: the integrand grows faster than "
+            r"the jump law decays near x = \[",
+        ):
+            dc.integrate(gp, dc.rep_exp_affine(0.5).eval_batch)
+
+    def test_every_rule_of_the_ladder_is_warning_free(self):
+        levels = [models._ladder_nodes(k) for k in range(models.QUAD_MAX_DOUBLINGS + 1)]
+        assert levels == [7, 15, 31, 63, 127, 255]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in levels + [models.QUAD_PROBE_NODES]:
+                np.polynomial.hermite.hermgauss(n)
+        # the next rung would warn, which is why the ladder stops at 255
+        with pytest.warns(RuntimeWarning):
+            np.polynomial.hermite.hermgauss(models._ladder_nodes(models.QUAD_MAX_DOUBLINGS + 1))
 
 
 class TestTruncationMoment:
@@ -253,3 +314,31 @@ def test_quadrature_nonconvergence_is_diagnosed():
     step = lambda X: np.where(X.real > 0.1, 1.0 + 0j, 0.0 + 0j)
     with pytest.raises(ConvergenceError, match="did not converge"):
         dc.integrate(gp, step)
+
+
+def test_each_output_meets_its_own_tolerance():
+    # A large smooth output must not carry a small discontinuous one past
+    # the stop rule: the step output alone cannot converge.
+    gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.25]]))
+
+    def both(X):
+        return np.stack([1e9 * (1.0 + X[:, 0]), np.where(X[:, 0].real > 0.1, 1.0, 0.0)], axis=1)
+
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        dc.integrate(gp, both)
+
+
+def test_step_integrals_never_converge_to_a_wrong_value():
+    # P(e^Z - 1 > level) over narrow and wide bodies and levels across the
+    # support: the ladder either diagnoses the step or returns the exact value.
+    for s in (0.05, 0.1, 0.2, 0.3):
+        for m in (-0.1, 0.0, 0.05):
+            gp = dc.GaussianPush(1.0, np.array([m]), np.array([[s * s]]))
+            for level in np.linspace(-0.4, 0.6, 41):
+                exact = 0.5 * math.erfc((math.log1p(level) - m) / (s * math.sqrt(2.0)))
+                step = lambda X: np.where(X.real > level, 1.0 + 0j, 0.0 + 0j)
+                try:
+                    val, _ = dc.integrate(gp, step)
+                except ConvergenceError:
+                    continue
+                assert abs(val[0] - exact) <= 1e-8, (s, m, level)
