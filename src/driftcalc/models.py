@@ -126,8 +126,7 @@ def _ladder_nodes(level: int) -> int:
 class _NodeSet(NamedTuple):
     """One level of a Gaussian body's quadrature ladder, read-only."""
 
-    points: np.ndarray  # real jump points (N, d), named in diagnostics
-    cpoints: np.ndarray  # their complex copy, handed to integrands
+    points: np.ndarray  # jump points (N, d) as complex, handed to integrands
     weights: np.ndarray  # tensor-rule weights (N,), summing to 1 over the rule
 
 
@@ -341,7 +340,7 @@ class GaussianPush(JumpMeasure):
             U = np.concatenate([U, pu[-1] * np.eye(d), -pu[-1] * np.eye(d)])
             W = np.concatenate([W, np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))])
         P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._chol().T)
-        nodes = _NodeSet(P, P.astype(np.complex128), W / np.pi ** (d / 2))
+        nodes = _NodeSet(P.astype(np.complex128), W / np.pi ** (d / 2))
         for a in nodes:
             a.setflags(write=False)
         return nodes
@@ -355,12 +354,12 @@ class GaussianPush(JumpMeasure):
             nodes = self._nodes.get(level) or self._build_nodes(level)
             used.append(nodes)
             P, W = nodes.points, nodes.weights
-            vals = np.asarray(g(nodes.cpoints))
+            vals = np.asarray(g(P))
             if level == 0:
                 n = len(P) - 2 * self.dim
                 probe = P[n:], W[n:], vals[n:]
                 P, W, vals = P[:n], W[:n], vals[:n]
-            _require_defined(vals, P, "integrand is undefined at quadrature node")
+            _require_defined(vals, P.real, "integrand is undefined at quadrature node")
             # Overflowing integrands are allowed to reach the checks below,
             # which report them instead of a numpy warning.
             with np.errstate(all="ignore"):
@@ -396,7 +395,7 @@ class GaussianPush(JumpMeasure):
             k = bad[0]
             raise NonIntegrableError(
                 "jump integral did not converge: the integrand grows faster than the "
-                f"jump law decays near x = {P[k].tolist()} (weighted value "
+                f"jump law decays near x = {P[k].real.tolist()} (weighted value "
                 f"{np.max(weighted[k]):.3e} there); it is not integrable against the jump law"
             )
 

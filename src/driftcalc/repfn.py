@@ -5,9 +5,10 @@ the origin.  Trees are built from a closed node set (coordinates, complex
 constants, field operations, exp/log, constant powers, and indicator factors)
 so that first and second derivatives at the origin are exact: they are
 obtained by second-order forward-mode Taylor propagation, never by symbolic
-rewriting or numerical differencing.
+rewriting or numerical differencing.  That propagation runs once, when a
+RepFn is built; it validates the tree at the origin and its jet is kept.
 
-Evaluation follows an explicit NaN convention: any point where a
+Evaluation and the jet follow an explicit NaN convention: any point where a
 subexpression is undefined (division by zero, log or constant power of a
 nonpositive real) yields complex NaN, and NaN propagates through every node,
 indicators included.  Powers use the principal branch via exp(v*log(base)).
@@ -277,9 +278,7 @@ class _Op(NamedTuple):
 
 def _guarded(bad, fn, z):
     """fn(z) with the points flagged ``bad`` sent to NaN instead of evaluated."""
-    with np.errstate(all="ignore"):
-        out = fn(np.where(bad, 1.0, z))
-    return np.where(bad, _CNAN, out)
+    return np.where(bad, _CNAN, fn(np.where(bad, 1.0, z)))
 
 
 def _nonpositive(z):
@@ -291,21 +290,29 @@ def _flat(dim: int, value) -> tuple:
 
 
 def _jet_coord(n, dim):
+    if n.index >= dim:
+        raise ValueError(f"coordinate index {n.index} out of range for input dimension {dim}")
     g = np.zeros(dim, dtype=np.complex128)
     g[n.index] = 1.0
     return (0j, g, np.zeros((dim, dim), dtype=np.complex128))
 
 
+# Origin values are scalars.  Their products and quotients go through numpy's
+# ufuncs, which round as an evaluation at the origin does; Python's complex
+# * and / round differently, and its ** raises on overflow.
+
+
 def _jet_mul(n, dim, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
-    return (va * vb, va * gb + vb * ga, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga))
+    v = np.multiply(va, vb)
+    return (v, va * gb + vb * ga, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga))
 
 
 def _jet_div(n, dim, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
-    if vb == 0 or _isnan(vb):
-        raise NanPointError("division by zero at the origin", point=0.0)
-    v = va / vb
+    if vb == 0:
+        return _flat(dim, _CNAN)
+    v = np.divide(va, vb)
     g = (ga - v * gb) / vb
     return (v, g, (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb)
 
@@ -316,37 +323,28 @@ def _jet_exp(n, dim, c):
     return (w, w * gc, w * (hc + np.outer(gc, gc)))
 
 
-def _positive_at_origin(vc, what: str):
-    if vc.imag == 0.0 and vc.real <= 0.0:
-        raise NanPointError(f"{what} of a nonpositive real at the origin", point=0.0)
-
-
 def _jet_log(n, dim, c):
     vc, gc, hc = c
-    _positive_at_origin(vc, "log")
-    return (np.log(vc), gc / vc, hc / vc - np.outer(gc, gc) / vc**2)
+    if _nonpositive(vc):
+        return _flat(dim, _CNAN)
+    return (np.log(vc), gc / vc, hc / vc - np.outer(gc, gc) / (vc * vc))
 
 
 def _jet_pow(n, dim, c):
     vc, gc, hc = c
-    _positive_at_origin(vc, "power")
+    if _nonpositive(vc):
+        return _flat(dim, _CNAN)
     p = n.exponent
-    w = np.exp(p * np.log(vc))
-    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / vc**2 * np.outer(gc, gc))
+    w = np.exp(np.multiply(p, np.log(vc)))
+    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / (vc * vc) * np.outer(gc, gc))
 
 
 def _ev_pow(n, X, z):
     # Not through _guarded: a closure would keep the masked copy of z alive
     # through log and exp, which slows large batches.
     bad = _nonpositive(z)
-    with np.errstate(all="ignore"):
-        out = np.exp(n.exponent * np.log(np.where(bad, 1.0, z)))
+    out = np.exp(n.exponent * np.log(np.where(bad, 1.0, z)))
     return np.where(bad, _CNAN, out)
-
-
-def _ev_exp(n, X, z):
-    with np.errstate(all="ignore"):
-        return np.exp(z)
 
 
 def _ev_indicator(n, X, z):
@@ -355,9 +353,16 @@ def _ev_indicator(n, X, z):
 
 
 def _jet_indicator(n, dim, c):
-    # Predicates are constant near the origin by construction, so the
-    # indicator is frozen at its origin value before differentiation.
-    return _flat(dim, 1.0 + 0j if n.test(np.asarray([c[0]]))[0] else 0j)
+    # A predicate off its level is constant near the origin, so the indicator
+    # is frozen at its origin value before differentiation; on its level it
+    # is not, and the tree is rejected.
+    z0 = c[0]
+    if (z0 if n.op in ("eq", "ne") else np.abs(z0)) == n.threshold:
+        raise ValueError(
+            "indicator predicate is discontinuous at the origin "
+            f"(child value {np.complex128(z0)}, {n.op} {n.threshold})"
+        )
+    return _flat(dim, _ev_indicator(n, None, np.asarray([z0]))[0])
 
 
 _BINARY = ("left", "right")
@@ -383,7 +388,7 @@ _OPS = {
     Mul: _Op("mul", (), _BINARY, lambda n, X, a, b: a * b, _jet_mul),
     Div: _Op("div", (), _BINARY, lambda n, X, a, b: _guarded(b == 0, lambda d: a / d, b), _jet_div),
     Neg: _Op("neg", (), ("child",), lambda n, X, a: -a, lambda n, dim, a: (-a[0], -a[1], -a[2])),
-    Exp: _Op("exp", (), ("child",), _ev_exp, _jet_exp),
+    Exp: _Op("exp", (), ("child",), lambda n, X, z: np.exp(z), _jet_exp),
     Log: _Op("log", (), ("child",), lambda n, X, z: _guarded(_nonpositive(z), np.log, z), _jet_log),
     PowConst: _Op("pow", (("exponent", *_COMPLEX),), ("child",), _ev_pow, _jet_pow),
     Indicator: _Op(
@@ -436,11 +441,12 @@ class RepFn:
     """A deterministic representing function C^d -> C^n with f(0) = 0.
 
     ``outputs`` holds one scalar expression tree per output component.
-    Construction validates coordinate bounds, that evaluation at the zero
-    vector yields the zero vector exactly, and that no indicator predicate
-    sits on its discontinuity at the origin.  It also records the DAG once
-    as a post-order tape of (row, node, child slots), shared subtrees
-    occupying one slot, which every later pass walks.
+    Construction records the DAG once as a post-order tape of (row, node,
+    child slots), shared subtrees occupying one slot, which every later pass
+    walks.  One jet pass along it then validates coordinate bounds, that no
+    indicator predicate sits on its discontinuity at the origin, and that
+    every output is exactly 0 there (a NaN value is reported as undefined);
+    the resulting jet is kept for :meth:`jet_at_zero`.
     """
 
     input_dim: int
@@ -457,26 +463,20 @@ class RepFn:
         roots = tuple([_record(root, slots, tape) for root in outputs])
         object.__setattr__(self, "_tape", tape)
         object.__setattr__(self, "_roots", roots)
-        for _op, n, _args in tape:
-            if isinstance(n, Coord) and n.index >= self.input_dim:
-                raise ValueError(
-                    f"coordinate index {n.index} out of range for input dimension {self.input_dim}"
-                )
-        origin = self._run("ev", np.zeros((1, self.input_dim), dtype=np.complex128))
+        d, n = self.input_dim, len(outputs)
+        jets = self._run("jet", d)
+        value = np.zeros(n, dtype=np.complex128)
+        jac = np.zeros((n, d), dtype=np.complex128)
+        hess = np.zeros((n, d, d), dtype=np.complex128)
         for k, s in enumerate(roots):
-            val = origin[s][0]
-            if _isnan(val):
+            value[k], jac[k], hess[k] = jets[s]
+            if _isnan(value[k]):
                 raise ValueError(f"output {k} is undefined at the origin")
-            if val != 0:
-                raise ValueError(f"output {k} evaluates to {val} at the origin; must be exactly 0")
-        for _op, n, args in tape:
-            if isinstance(n, Indicator):
-                z0 = origin[args[0]][0]
-                if (z0 if n.op in ("eq", "ne") else abs(z0)) == n.threshold:
-                    raise ValueError(
-                        "indicator predicate is discontinuous at the origin "
-                        f"(child value {z0}, {n.op} {n.threshold})"
-                    )
+            if value[k] != 0:
+                raise ValueError(f"output {k} evaluates to {value[k]} at the origin; must be exactly 0")
+        for a in (value, jac, hess):
+            a.setflags(write=False)
+        object.__setattr__(self, "_jet", Jet2(value=value, jacobian=jac, hessian=hess))
 
     def __reduce__(self):
         # The tape holds the table's rules, which do not pickle: rebuild it.
@@ -485,16 +485,19 @@ class RepFn:
     def _run(self, rule: str, x) -> list:
         """Apply one row rule ("ev" or "jet") along the tape; one value per slot."""
         vals: list = []
-        for op, node, args in self._tape:
-            fn = getattr(op, rule)
-            # Spelled out per arity (at most 2): building an argument list
-            # per node measurably slows the small trees built in bulk.
-            if len(args) == 2:
-                vals.append(fn(node, x, vals[args[0]], vals[args[1]]))
-            elif args:
-                vals.append(fn(node, x, vals[args[0]]))
-            else:
-                vals.append(fn(node, x))
+        # NaN is the result wherever a row is undefined, so no floating-point
+        # event along the walk is an error.
+        with np.errstate(all="ignore"):
+            for op, node, args in self._tape:
+                fn = getattr(op, rule)
+                # Spelled out per arity (at most 2): building an argument list
+                # per node measurably slows the small trees built in bulk.
+                if len(args) == 2:
+                    vals.append(fn(node, x, vals[args[0]], vals[args[1]]))
+                elif args:
+                    vals.append(fn(node, x, vals[args[0]]))
+                else:
+                    vals.append(fn(node, x))
         return vals
 
     @property
@@ -520,15 +523,9 @@ class RepFn:
         return self.eval(x)
 
     def jet_at_zero(self) -> Jet2:
-        """Exact value/Jacobian/Hessian at the origin by forward propagation."""
-        d, n = self.input_dim, self.output_dim
-        jets = self._run("jet", d)
-        value = np.zeros(n, dtype=np.complex128)
-        jac = np.zeros((n, d), dtype=np.complex128)
-        hess = np.zeros((n, d, d), dtype=np.complex128)
-        for k, s in enumerate(self._roots):
-            value[k], jac[k], hess[k] = jets[s]
-        return Jet2(value=value, jacobian=jac, hessian=hess)
+        """Exact value/Jacobian/Hessian at the origin, read-only, computed
+        once at construction by forward propagation."""
+        return self._jet
 
 
 def compose(psi: RepFn, xi: RepFn) -> RepFn:

@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import driftcalc as dc
+from driftcalc.repfn import _OPS, PRED_OPS
 
 
 @pytest.fixture
@@ -118,3 +122,82 @@ def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
         else:
             outer = dc.RepFn(k, (dc.Coord(0) + dc.Mul(dc.Coord(0), dc.Coord(k - 1)),))
     return dc.compose(outer, inner)
+
+
+#: constants for raw trees: zero, units, the float extremes and complex values
+RAW_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 1e200, np.inf, -np.inf, 1j, complex(np.inf, 1.0)]),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def origin_value(node: dc.Node, dim: int):
+    """The node's value at the origin of R^dim by a recursion over the ``ev``
+    rows of the op table, or None if a coordinate index is out of range."""
+    X = np.zeros((1, dim), dtype=np.complex128)
+
+    def ev(node):
+        op = _OPS[type(node)]
+        kids = [ev(getattr(node, field)) for field in op.children]
+        if any(k is None for k in kids) or (type(node) is dc.Coord and node.index >= dim):
+            return None
+        return op.ev(node, X, *kids)
+
+    with np.errstate(all="ignore"):
+        out = ev(node)
+    return None if out is None else out[0]
+
+
+def on_level(node: dc.Indicator, z) -> bool:
+    """True if the child value z sits on the indicator's discontinuity."""
+    # |z| as Indicator.test takes it, on an array: abs() of a numpy complex
+    # scalar can differ from it in the last bit.
+    return (z if node.op in ("eq", "ne") else np.abs([z])[0]) == node.threshold
+
+
+def _indicator(op, level, at_origin, child, dim):
+    # Half the time the level is moved onto the child's origin value, where
+    # that value can be a level at all.
+    z = origin_value(child, dim) if at_origin else None
+    if z is not None and np.isfinite(z.real) and np.isfinite(z.imag):
+        if op in ("eq", "ne") and z.imag == 0.0 and z.real != 0.0:
+            level = float(z.real)
+        elif op in ("abs_le", "abs_gt") and 0.0 < np.abs([z])[0] < np.inf:
+            level = float(np.abs([z])[0])
+    return dc.Indicator(op, level, child)
+
+
+@functools.lru_cache(maxsize=None)
+def raw_trees(dim: int):
+    """Unvalidated scalar node trees over every node type, on R^dim: extreme
+    and complex constants, coordinates one past the range, and indicator
+    levels on their child's origin value."""
+    leaves = st.one_of(st.integers(0, dim).map(dc.Coord), RAW_CONSTANTS.map(dc.Const))
+
+    binary = st.sampled_from([dc.Add, dc.Sub, dc.Mul, dc.Div])
+    unary = st.sampled_from([dc.Neg, dc.Exp, dc.Log])
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(lambda cls, a, b: cls(a, b), binary, kids, kids),
+            st.builds(lambda cls, a: cls(a), unary, kids),
+            st.builds(dc.PowConst, RAW_CONSTANTS, kids),
+            st.builds(
+                _indicator, st.sampled_from(PRED_OPS), st.sampled_from([0.5, 1.0, 2.0]),
+                st.booleans(), kids, st.just(dim),
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def raw_prefix(dim: int, roots) -> str:
+    """Prefix text of raw roots, written as ``to_prefix`` writes a RepFn."""
+
+    def text(node):
+        op = _OPS[type(node)]
+        fields = [fmt(getattr(node, field)) for field, fmt, _parse in op.literals]
+        kids = [text(getattr(node, field)) for field in op.children]
+        return f"({' '.join([op.token, *fields, *kids])})"
+
+    return f"(repfn {dim} {' '.join(text(r) for r in roots)})"

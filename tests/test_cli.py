@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftcalc as dc
 from driftcalc.cli import main
@@ -13,6 +15,8 @@ from driftcalc.modelio import (
     parse_model,
     serialize_model,
 )
+
+from conftest import raw_prefix, raw_trees
 
 GBM_MODEL = {
     "type": "levy",
@@ -353,6 +357,30 @@ class TestExitCodes:
         assert statuses[0] == "ok"
         assert any(s.startswith("error:") for s in statuses)
 
+    def test_finite_jet_of_a_huge_constant_is_computed(self, model_file, capsys):
+        tree = "(repfn 1 (mul (x 0) (log (add (const 1e200) (x 0)))))"
+        assert main(["drift", "--model", model_file(MERTON_MODEL), "--xi-tree", tree]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_non_integrable_memm_rows_print_no_numpy_warning(self, model_file, capsys):
+        # the one-dimensional marginal of the levy example in docs/model-schema.md
+        marginal = {
+            "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
+            "jumps": [
+                {"kind": "atoms", "atoms": [{"x": [0.1], "intensity": 0.25}]},
+                {"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1], "cov": [[0.0625]]},
+            ],
+        }
+        code = main([
+            "memm", "--model", model_file(marginal), "--lambda-star", "0.7",
+            "--v-grid", '{"re": {"start": -4, "stop": 30, "count": 18}}',
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert any(line.endswith(",ok") for line in captured.out.splitlines())
+        assert any(",error: " in line for line in captured.out.splitlines())
+        assert captured.err == ""
+
     def test_grid_json_format(self, model_file, capsys):
         code = main([
             "cumulant", "--model", model_file(MERTON_MODEL),
@@ -363,3 +391,24 @@ class TestExitCodes:
         assert code == 0
         assert out[0]["status"] == "ok"
         assert dc.parse_complex(out[0]["kappa"]) == 0.0
+
+
+ATOMS_MODEL = {
+    "type": "levy", "dim": 1, "b": [0.03], "c": [[0.0]], "truncation": ["identity"],
+    "jumps": [
+        {"kind": "atoms", "atoms": [{"x": [0.08], "intensity": 1.2}, {"x": [-1.0], "intensity": 1.0}]},
+    ],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_drift_of_any_tree_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    # Exit codes 0, 1 and 2 are the contract in the cli docstring; no
+    # tree may end in a traceback instead.
+    path = tmp_path_factory.getbasetemp() / "atoms_model.json"
+    path.write_text(json.dumps(ATOMS_MODEL))
+    dim = data.draw(st.integers(1, 2))
+    roots = data.draw(st.lists(raw_trees(dim), min_size=1, max_size=2))
+    code = main(["drift", "--model", str(path), "--xi-tree", raw_prefix(dim, roots)])
+    assert code in (0, 1, 2)

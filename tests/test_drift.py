@@ -65,6 +65,24 @@ class TestDriftExamples:
             dc.drift(dc.rep_log_return(), t)
 
 
+class TestJetReuse:
+    def test_drift_on_a_built_tree_runs_no_jet_pass(self, merton_1d, monkeypatch):
+        xi, eta = dc.rep_exp_affine(0.5), dc.rep_exp_affine(-0.3)
+        rules = []
+        run = dc.RepFn._run
+
+        def counted(self, rule, x):
+            rules.append(rule)
+            return run(self, rule, x)
+
+        monkeypatch.setattr(dc.RepFn, "_run", counted)
+        dc.drift(xi, merton_1d)
+        assert rules.count("jet") == 0
+        dc.drift_q(xi, eta, merton_1d)
+        # one pass: the construction of the adjusted tree (1 + eta) xi
+        assert rules.count("jet") == 1
+
+
 class TestMeasureChangedDrift:
     def test_zero_change_reduces_bit_for_bit(self, merton_1d):
         xi = dc.rep_exp_affine(0.9)

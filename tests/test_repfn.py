@@ -11,7 +11,7 @@ from driftcalc.errors import NanPointError
 from driftcalc import cli
 from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan, finite_difference_jet
 
-from conftest import random_composed_tree
+from conftest import on_level, origin_value, random_composed_tree, raw_prefix, raw_trees
 
 ONE = dc.Const(1.0)
 
@@ -93,6 +93,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="discontinuous"):
             dc.RepFn(1, (tree,))
 
+    def test_radius_level_is_read_as_evaluation_reads_it(self):
+        # The level is |z| from numpy's array loop, which Indicator.test
+        # uses; abs() of the complex scalar is one ulp lower here.
+        z = 1.6820906403466411 + 1.4375j
+        child = dc.Coord(0) + dc.Const(z)
+        tree = dc.Mul(dc.Coord(0), dc.Indicator("abs_gt", float(np.abs([z])[0]), child))
+        with pytest.raises(ValueError, match="discontinuous"):
+            dc.RepFn(1, (tree,))
+
 
 class TestJets:
     def test_exp_affine_jet(self):
@@ -119,6 +128,19 @@ class TestJets:
     def test_hessian_symmetry(self):
         jet = dc.rep_ratio().jet_at_zero()
         np.testing.assert_array_equal(jet.hessian[0], jet.hessian[0].T)
+
+    def test_jet_is_kept_read_only(self):
+        f = dc.rep_margrabe(0.75)
+        jet = f.jet_at_zero()
+        assert jet is f.jet_at_zero()
+        for a in (jet.value, jet.jacobian, jet.hessian):
+            assert not a.flags.writeable
+
+    def test_square_of_a_huge_origin_value(self):
+        # d2/dx2 of x log(1e200 + x) is 2e-200; the log's own Hessian term
+        # -1/1e400 underflows to 0 and must not overflow on the way.
+        f = dc.from_prefix("(repfn 1 (mul (x 0) (log (add (const 1e200) (x 0)))))")
+        assert f.jet_at_zero().hessian[0, 0, 0] == pytest.approx(2e-200, rel=1e-15, abs=0.0)
 
 
 class TestFiniteDifferences:
@@ -231,6 +253,39 @@ def test_random_trees_survive_prefix_round_trip(seed):
     back = dc.from_prefix(dc.to_prefix(f))
     X = np.random.default_rng(seed + 1).uniform(-0.4, 0.4, (8, f.input_dim)).astype(complex)
     np.testing.assert_array_equal(back.eval_batch(X), f.eval_batch(X))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_raw_trees_construct_exactly_when_valid_at_the_origin(data):
+    dim = data.draw(st.integers(1, 2))
+    roots = data.draw(st.lists(raw_trees(dim), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        # Subtracting a root's own origin value leaves exactly 0 only if the
+        # check rounds as evaluation does.
+        values = [origin_value(r, dim) for r in roots]
+        roots = [
+            r - dc.Const(v) if v is not None and np.isfinite(v) else r for r, v in zip(roots, values)
+        ]
+    values = [origin_value(r, dim) for r in roots]
+    indicators, stack = [], list(roots)
+    while stack:
+        node = stack.pop()
+        if type(node) is dc.Indicator:
+            indicators.append(node)
+        stack.extend(getattr(node, field) for field in _OPS[type(node)].children)
+    valid = all(v is not None and v == 0 for v in values) and not any(
+        on_level(n, origin_value(n.child, dim)) for n in indicators
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            dc.RepFn(dim, tuple(roots))
+        return
+    f = dc.RepFn(dim, tuple(roots))
+    jet = f.jet_at_zero()
+    assert np.array_equal(jet.value, np.zeros(len(roots)))
+    assert np.array_equal(f.eval_batch(np.zeros((1, dim))), np.zeros((1, len(roots))))
+    assert raw_prefix(dim, roots) == dc.to_prefix(f)
 
 
 def _recursive_tape(f):
