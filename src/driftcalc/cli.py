@@ -39,6 +39,7 @@ Example: (repfn 1 (sub (exp (mul (const 2) (x 0))) (const 1))) is e^{2x}-1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -250,10 +251,20 @@ def _cmd_discrete(args) -> int:
     return 0
 
 
+def _threads(args) -> int:
+    """--threads, else DRIFTCALC_THREADS, else 1; read when the command runs."""
+    if args.threads is not None:
+        return args.threads
+    try:
+        return int(os.environ.get("DRIFTCALC_THREADS", "1"))
+    except ValueError as exc:
+        raise ValueError(f"DRIFTCALC_THREADS must be an integer: {exc}") from None
+
+
 def _cmd_mc_verify(args) -> int:
     model = load_model(args.model)
     cfg = SimConfig(
-        n_paths=args.n_paths, seed=args.seed, workers=args.threads, antithetic=args.antithetic
+        n_paths=args.n_paths, seed=args.seed, workers=_threads(args), antithetic=args.antithetic
     )
     quad = _quad_from_args(args)
     T = args.T
@@ -313,6 +324,7 @@ def _cmd_roundtrip(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftcalc",
@@ -325,10 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
         if mc:
-            default_threads = int(os.environ.get("DRIFTCALC_THREADS", "1"))
             p.add_argument("--seed", type=int, default=20240801)
             p.add_argument("--n-paths", type=int, default=100_000)
-            p.add_argument("--threads", type=int, default=default_threads)
+            p.add_argument("--threads", type=int, default=None)
             p.add_argument("--antithetic", action="store_true")
 
     def repfn_args(p, what):

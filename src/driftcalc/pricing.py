@@ -38,9 +38,7 @@ MAX_EXTENSIONS = 12
 #: panels per vectorised pass of the contour sum (times two sides and
 #: NODES_PER_PANEL nodes); bounds the working arrays on long contours
 PANELS_PER_PASS = 128
-#: evenly spaced points of the optimiser's scan, and Newton steps allowed
-#: in its polish
-SCAN_POINTS = 65
+#: bracketed Newton steps the optimiser may take before giving up
 POLISH_STEPS = 100
 
 
@@ -66,41 +64,39 @@ def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] =
 
 
 def minimize_scalar(fn, bracket: Tuple[float, float], slope) -> float:
-    """Minimiser of a convex ``fn`` on ``bracket``: a scan of SCAN_POINTS
-    values, then a Newton polish on ``slope(x) = (f'(x), f''(x))``.
+    """Minimiser of a convex ``fn`` on ``bracket``: bracketed Newton on
+    ``slope(x) = (f'(x), f''(x))``, started at the bracket's midpoint.
 
-    The scan raises if a value is not finite or the best point is on the
-    bracket edge.  The polish keeps the best point's neighbours as a bracket
-    that shrinks by the sign of f', and bisects when f'' <= 0 or the Newton
-    step leaves it.  The scan stays because it is what reports a bracket that
-    reaches lambda < 0 on a Gaussian jump body, where the utility drift does
-    not exist, as failing.
+    ``fn`` is evaluated at the two ends only.  A convex function that is
+    finite there is finite on the whole bracket, so a bracket reaching where
+    ``fn`` does not exist (lambda < 0 on a Gaussian jump body) fails at
+    ``fn(lo)``.  Each step shrinks the bracket by the sign of f', takes the
+    Newton step when f'' > 0 and the step stays inside, and bisects otherwise.
+    A point that settles on a bracket end means there is no interior minimum.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    xs = np.linspace(lo, hi, SCAN_POINTS)
-    vals = np.array([fn(x) for x in xs])
-    if not np.all(np.isfinite(vals)):
+    if not (math.isfinite(fn(lo)) and math.isfinite(fn(hi))):
         raise EngineError("objective is not finite everywhere on the bracket")
-    k = int(np.argmin(vals))
-    if k == 0 or k == SCAN_POINTS - 1:
-        raise EngineError(
-            f"no interior minimum in [{lo}, {hi}]; widen the bracket "
-            f"(best grid point sits at the {'left' if k == 0 else 'right'} edge)"
-        )
-    a, b, x = float(xs[k - 1]), float(xs[k + 1]), float(xs[k])
+    a, b, x = lo, hi, 0.5 * (lo + hi)
     for _ in range(POLISH_STEPS):
         d1, d2 = slope(x)
-        if d1 == 0.0:
-            return x
         a, b = (a, x) if d1 > 0.0 else (x, b)
         new = 0.5 * (a + b)
-        if d2 > 0.0 and a < x - d1 / d2 < b:
+        # inclusive: a step that rounds to x, now a bracket end, settles
+        if d2 > 0.0 and a <= x - d1 / d2 <= b:
             new = x - d1 / d2
-        if abs(new - x) <= 1e-15 * (1.0 + abs(x)):
+        tol = 1e-15 * (1.0 + abs(x))
+        if abs(new - x) <= tol:
+            # a midpoint settling next to an end may round one ulp past tol
+            if min(new - lo, hi - new) <= 2.0 * tol:
+                raise EngineError(
+                    f"no interior minimum in [{lo}, {hi}]; widen the bracket "
+                    f"(the minimum sits at the {'left' if new - lo < hi - new else 'right'} edge)"
+                )
             return new
         x = new
     raise ConvergenceError(f"Newton polish on [{lo}, {hi}] did not settle in {POLISH_STEPS} steps")

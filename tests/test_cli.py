@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftcalc as dc
-from driftcalc.cli import main
+from driftcalc import cli
+from driftcalc.cli import build_parser, main
 from driftcalc.modelio import (
     ModelFormatError,
     load_model,
@@ -242,6 +243,25 @@ class TestCommands:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_threads_variable_is_read_when_mc_verify_runs(self, model_file, capsys, monkeypatch):
+        workers, original = [], cli.SimConfig
+
+        def spy(**kwargs):
+            workers.append(kwargs["workers"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(cli, "SimConfig", spy)
+        argv = ["mc-verify", "--model", model_file(MERTON_MODEL), "--target", "cumulant",
+                "--v", "0.5", "--n-paths", "2000"]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DRIFTCALC_THREADS", threads)
+            assert main(argv) == 0
+        assert main([*argv, "--threads", "1"]) == 0
+        assert workers == [1, 2, 1]
+
     def test_output_file(self, model_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main([
@@ -321,6 +341,15 @@ class TestExitCodes:
         code = main([argv[0], "--model", model_file(MERTON_MODEL), *argv[1:]])
         assert code == 1
         assert "jump integral did not converge" in capsys.readouterr().err
+
+    def test_malformed_threads_variable_fails_only_mc_verify(self, model_file, capsys, monkeypatch):
+        monkeypatch.setenv("DRIFTCALC_THREADS", "two")
+        path = model_file(MERTON_MODEL)
+        assert main(["roundtrip", "--model", path]) == 0
+        capsys.readouterr()
+        code = main(["mc-verify", "--model", path, "--target", "cumulant", "--n-paths", "2000"])
+        assert code == 2
+        assert "DRIFTCALC_THREADS" in capsys.readouterr().err
 
     def test_computation_diagnostic_is_exit_one(self, model_file, capsys):
         atoms = {

@@ -8,7 +8,7 @@ from scipy.stats import norm
 import driftcalc as dc
 from driftcalc import pricing
 from driftcalc.calculus import _rep_exp_utility_slope
-from driftcalc.errors import ConvergenceError, EngineError
+from driftcalc.errors import ConvergenceError, EngineError, NonIntegrableError
 
 
 def classical_exchange_price(s1, s2, sig_eff, T):
@@ -53,6 +53,31 @@ def panel_by_panel_price(mm, cfg=None):
             return mm.spot1 * raw.real, 2 * pricing.NODES_PER_PANEL * panels, hi
         lo, hi = hi, 2.0 * hi
     raise AssertionError("reference contour did not converge")
+
+
+def count_calls(monkeypatch, module, name):
+    """List that records one entry per call of ``module.name`` from now on."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def scan_then_polish(fn, slope, lo, hi):
+    """Reference minimiser: the best of 65 evenly spaced values of ``fn``,
+    then plain Newton steps on ``slope`` from that point."""
+    xs = np.linspace(lo, hi, 65)
+    k = int(np.argmin([fn(x) for x in xs]))
+    assert 0 < k < 64, "reference scan found no interior minimum"
+    x = float(xs[k])
+    for _ in range(12):
+        d1, d2 = slope(x)
+        x -= d1 / d2
+    return x
 
 
 def defaults_only_model():
@@ -160,6 +185,81 @@ class TestOptimizer:
         # Newton steps of 1e-12 stay inside the bracket and never settle.
         with pytest.raises(ConvergenceError, match=r"polish on \[0.0, 1.0\] did not settle"):
             pricing.minimize_scalar(lambda x: (x - 0.5) ** 2, (0.0, 1.0), lambda x: (-1.0, 1e12))
+
+    def test_interior_optimum_near_either_end_is_found(self, atoms_1d):
+        lam_star, _ = dc.optimize_exp_utility(atoms_1d, (-5.0, 15.0))
+        for bracket in ((lam_star - 0.05, lam_star + 19.95), (lam_star - 19.95, lam_star + 0.05)):
+            lam, _ = dc.optimize_exp_utility(atoms_1d, bracket)
+            assert lam == pytest.approx(lam_star, abs=1e-12)
+
+    @pytest.mark.parametrize("offsets, side", [((1e-3, 5.0), "left"), ((-5.0, -1e-3), "right")])
+    def test_optimum_just_outside_names_the_edge(self, atoms_1d, offsets, side):
+        lam_star, _ = dc.optimize_exp_utility(atoms_1d, (-5.0, 15.0))
+        bracket = (lam_star + offsets[0], lam_star + offsets[1])
+        with pytest.raises(EngineError, match=f"widen the bracket .*at the {side} edge"):
+            dc.optimize_exp_utility(atoms_1d, bracket)
+
+    def test_every_bracket_beside_the_minimum_names_its_edge(self):
+        # f(x) = e^x - x has its minimum at 0.  The last bisection toward a
+        # bracket end can round its midpoint one ulp past the settling
+        # tolerance; that point must still count as the end.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            gap, width = 10 ** rng.uniform(-6, 1), 10 ** rng.uniform(-3, 1.5)
+            bracket, side = ((gap, gap + width), "left") if rng.random() < 0.5 else (
+                (-gap - width, -gap), "right")
+            with pytest.raises(EngineError, match=f"at the {side} edge"):
+                pricing.minimize_scalar(lambda x: math.exp(x) - x, bracket,
+                                        lambda x: (math.expm1(x), math.exp(x)))
+
+    def test_bracket_below_zero_on_gaussian_body_fails_at_first_drift(self, merton_1d, monkeypatch):
+        # The objective is convex, so only the bracket ends need to exist; the
+        # left end lam = -1 is where the Gaussian body makes it non-integrable.
+        calls = count_calls(monkeypatch, pricing, "drift")
+        with pytest.raises(NonIntegrableError, match="jump integral did not converge"):
+            dc.optimize_exp_utility(merton_1d, (-1.0, 8.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "model, bracket",
+        [("merton_1d", (0.0, 8.0)), ("atoms_1d", (-5.0, 15.0)), ("trinomial", (-2.0, 10.0))],
+    )
+    def test_agrees_with_scan_then_polish(self, request, monkeypatch, model, bracket):
+        t = request.getfixturevalue(model)
+        seen = {}
+        original = pricing.minimize_scalar
+
+        def spy(fn, bracket, slope):
+            seen.update(fn=fn, slope=slope)
+            return original(fn, bracket, slope)
+
+        monkeypatch.setattr(pricing, "minimize_scalar", spy)
+        if isinstance(t, dc.DiscreteModel):
+            lam_star, _ = dc.optimize_discrete_exp_utility(t, bracket)
+        else:
+            lam_star, _ = dc.optimize_exp_utility(t, bracket)
+        reference = scan_then_polish(seen["fn"], seen["slope"], *bracket)
+        assert lam_star == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
+        calls = count_calls(monkeypatch, pricing, "drift")
+        dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
+        assert len(calls) <= 12
+
+    def test_newton_step_below_one_ulp_settles(self, monkeypatch):
+        # Newton reaches lam* from one side here: its last step rounds to the
+        # current point, which is then a bracket end.  Taking that step
+        # settles at once; bisecting instead walks the whole bracket back.
+        t = dc.LevyTriplet(
+            1, np.array([0.03126035949952959]), np.array([[0.0380347282894468]]),
+            dc.GaussianPush(0.7000763732837336, np.array([0.023554208155132095]),
+                            np.array([[0.016851080604062502]])),
+            dc.TruncationSpec.unit_clip(1),
+        )
+        calls = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
+        lam_star, _ = dc.optimize_exp_utility(t, (0.0, 8.0))
+        assert lam_star == pytest.approx(1.097256332595609, rel=1e-13)
+        assert len(calls) <= 6
 
 
 class TestUtilitySlope:
