@@ -63,8 +63,16 @@ def rep_log_return() -> RepFn:
 
 
 def rep_exp_affine(v) -> RepFn:
-    """Relative change of e^{v X}: e^{v x} - 1."""
-    return RepFn(1, (Exp(Const(v) * Coord(0)) - _ONE,))
+    """Relative change of e^{v X}: e^{v x} - 1.
+
+    ``v`` is a number, or a 1-d array of v (a grid) for one root
+    e^{v_k x} - 1 per point; the roots share one coordinate node, so a grid
+    point costs four tape slots.
+    """
+    if np.ndim(v) > 1:
+        raise ValueError(f"v must be a number or a 1-d array, got shape {np.shape(v)}")
+    x = Coord(0)
+    return RepFn(1, tuple([Exp(Const(vk) * x) - _ONE for vk in (v if np.ndim(v) else (v,))]))
 
 
 def rep_power(v) -> RepFn:

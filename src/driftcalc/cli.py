@@ -69,6 +69,10 @@ from .pricing import (
 )
 from .repfn import RepFn, format_complex, from_prefix, parse_complex
 
+#: grid points per batched cumulant or memm call: one tree with a root per
+#: point; bounds the working arrays and what a failing chunk reruns
+GRID_CHUNK = 128
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -156,16 +160,29 @@ def _cmd_drift(args) -> int:
 
 
 def _grid_rows(grid, fn):
+    """(v, value, status) rows of a grid and the number of failed points.
+
+    ``fn`` maps up to GRID_CHUNK points at once to their values.  A chunk
+    that raises reruns one point at a time, so each failed point carries
+    its own diagnostic and every other point its value.
+    """
     rows, failures = [], 0
-    for v in grid:
+    for start in range(0, len(grid), GRID_CHUNK):
+        chunk = grid[start:start + GRID_CHUNK]
         try:
-            k = fn(v)
-            rows.append((v, k, "ok"))
-        except EngineError as exc:
-            failures += 1
-            # the status column must stay CSV-safe
-            message = str(exc).replace(",", ";").replace("\n", " ")
-            rows.append((v, complex(float("nan"), float("nan")), f"error: {message}"))
+            rows.extend((v, k, "ok") for v, k in zip(chunk, fn(chunk)))
+            continue
+        except EngineError:
+            pass
+        for v in chunk:
+            try:
+                k = fn(v)
+                rows.append((v, k, "ok"))
+            except EngineError as exc:
+                failures += 1
+                # the status column must stay CSV-safe
+                message = str(exc).replace(",", ";").replace("\n", " ")
+                rows.append((v, complex(float("nan"), float("nan")), f"error: {message}"))
     return rows, failures
 
 

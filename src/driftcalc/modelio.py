@@ -22,6 +22,7 @@ round trips are exact.
 from __future__ import annotations
 
 import json
+import math
 from typing import Union
 
 import numpy as np
@@ -202,29 +203,50 @@ def load_model(path: str) -> AnyModel:
     return parse_model(doc)
 
 
+#: most points a --v-grid may hold (re count times im count), checked
+#: before anything is allocated
+MAX_GRID_POINTS = 1_000_000
+
+
+def _grid_number(value, where: str) -> float:
+    """A finite JSON number that is not a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ModelFormatError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_grid(doc: dict) -> np.ndarray:
     """Build a complex grid from {"re": {...}, "im": {...}} axis specs.
 
     Each axis is {"start": a, "stop": b, "count": n} or a bare number for a
     constant axis; the grid is the cross product, flattened row-major.
+    Numbers must be finite and not booleans, counts integers >= 1, and the
+    grid at most MAX_GRID_POINTS points.
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("grid must be a JSON object with 're' and/or 'im' axes")
 
     def axis(spec, name):
+        """(start, stop, count) of one axis, validated."""
         if spec is None:
-            return np.array([0.0])
-        if isinstance(spec, (int, float)):
-            return np.array([float(spec)])
+            return 0.0, 0.0, 1
         if isinstance(spec, dict):
-            start = float(_require(spec, "start", f"{name} axis"))
-            stop = float(_require(spec, "stop", f"{name} axis"))
-            count = int(_require(spec, "count", f"{name} axis"))
-            if count < 1:
-                raise ModelFormatError("axis count must be at least 1")
-            return np.linspace(start, stop, count)
-        raise ModelFormatError(f"malformed {name} axis {spec!r}")
+            where = f"{name} axis"
+            start = _grid_number(_require(spec, "start", where), f"{where} 'start'")
+            stop = _grid_number(_require(spec, "stop", where), f"{where} 'stop'")
+            count = _require(spec, "count", where)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ModelFormatError(f"{where} 'count' must be an integer >= 1, got {count!r}")
+            if not math.isfinite(stop - start):
+                raise ModelFormatError(f"{where} is wider than the float range ('stop' - 'start' overflows)")
+            return start, stop, count
+        value = _grid_number(spec, f"{name} axis")
+        return value, value, 1
 
-    re = axis(doc.get("re"), "re")
-    im = axis(doc.get("im"), "im")
+    re_axis, im_axis = axis(doc.get("re"), "re"), axis(doc.get("im"), "im")
+    if re_axis[2] * im_axis[2] > MAX_GRID_POINTS:
+        raise ModelFormatError(
+            f"grid has {re_axis[2]} x {im_axis[2]} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    re, im = np.linspace(*re_axis), np.linspace(*im_axis)
     return (re[:, None] + 1j * im[None, :]).ravel()

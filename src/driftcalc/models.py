@@ -247,8 +247,11 @@ class FiniteAtoms(JumpMeasure):
         # Sequential accumulation in atom order so a plain loop reproduces
         # the result bit for bit.
         total = np.zeros(vals.shape[1], dtype=np.complex128)
-        for k in range(self.points.shape[0]):
-            total = total + self.intensities[k] * vals[k]
+        # An overflowed value (inf times a zero part) sums to NaN without a
+        # numpy warning, as on every walk along a tree.
+        with np.errstate(all="ignore"):
+            for k in range(self.points.shape[0]):
+                total = total + self.intensities[k] * vals[k]
         return total, 0.0
 
     def _sample(self, rng, n):

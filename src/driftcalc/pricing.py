@@ -42,11 +42,23 @@ PANELS_PER_PASS = 128
 POLISH_STEPS = 100
 
 
-def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> complex:
-    """Exponent rate kappa(v) with E[e^{v(X_T - X_0)}] = exp(kappa(v) T)."""
+def _per_point(v, report):
+    """A drift report of ``rep_exp_affine(v)`` (or its measure change) read
+    as kappa: a ``complex`` for a number v, one value per point for an array."""
+    return report.total if np.ndim(v) else report.scalar()
+
+
+def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None):
+    """Exponent rate kappa(v) with E[e^{v(X_T - X_0)}] = exp(kappa(v) T).
+
+    ``v`` is a number, or a 1-d array of v whose kappa values are one drift
+    of one tree with a root per point (the drift is linear in the increment
+    function).  The ladder's stop rule is per output, so each point keeps its
+    own tolerance; any point that fails fails the whole call.
+    """
     if t.dim != 1:
         raise ValueError("cumulant requires a one-dimensional model")
-    return drift(rep_exp_affine(v), t, quad).scalar()
+    return _per_point(v, drift(rep_exp_affine(v), t, quad))
 
 
 def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> float:
@@ -144,11 +156,14 @@ def memm_cumulant(
     lam_star: float,
     t: LevyTriplet,
     quad: Optional[QuadratureConfig] = None,
-) -> complex:
-    """Exponent rate of e^{vX} under the entropy-minimal pricing measure."""
+):
+    """Exponent rate of e^{vX} under the entropy-minimal pricing measure.
+
+    ``v`` is a number or a 1-d array, as in :func:`cumulant`.
+    """
     if t.dim != 1:
         raise ValueError("measure-changed cumulant requires a one-dimensional model")
-    return drift_q(rep_exp_affine(v), rep_exp_utility(lam_star), t, quad).scalar()
+    return _per_point(v, drift_q(rep_exp_affine(v), rep_exp_utility(lam_star), t, quad))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -285,8 +286,23 @@ def _nonpositive(z):
     return (z.imag == 0.0) & (z.real <= 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_jet(dim: int) -> tuple:
+    """Read-only zero gradient and Hessian, shared by every flat jet of ``dim``."""
+    out = (np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _flat(dim: int, value) -> tuple:
-    return (value, np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
+    return (value, *_zero_jet(dim))
+
+
+def _outer(a, b):
+    # np.outer's own multiply, without its argument handling, which costs
+    # more than the product on these length-d vectors
+    return a[:, None] * b[None, :]
 
 
 def _jet_coord(n, dim):
@@ -305,7 +321,7 @@ def _jet_coord(n, dim):
 def _jet_mul(n, dim, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
     v = np.multiply(va, vb)
-    return (v, va * gb + vb * ga, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga))
+    return (v, va * gb + vb * ga, va * hb + vb * ha + _outer(ga, gb) + _outer(gb, ga))
 
 
 def _jet_div(n, dim, a, b):
@@ -314,20 +330,20 @@ def _jet_div(n, dim, a, b):
         return _flat(dim, _CNAN)
     v = np.divide(va, vb)
     g = (ga - v * gb) / vb
-    return (v, g, (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb)
+    return (v, g, (ha - v * hb - _outer(g, gb) - _outer(gb, g)) / vb)
 
 
 def _jet_exp(n, dim, c):
     vc, gc, hc = c
     w = np.exp(vc)
-    return (w, w * gc, w * (hc + np.outer(gc, gc)))
+    return (w, w * gc, w * (hc + _outer(gc, gc)))
 
 
 def _jet_log(n, dim, c):
     vc, gc, hc = c
     if _nonpositive(vc):
         return _flat(dim, _CNAN)
-    return (np.log(vc), gc / vc, hc / vc - np.outer(gc, gc) / (vc * vc))
+    return (np.log(vc), gc / vc, hc / vc - _outer(gc, gc) / (vc * vc))
 
 
 def _jet_pow(n, dim, c):
@@ -336,7 +352,7 @@ def _jet_pow(n, dim, c):
         return _flat(dim, _CNAN)
     p = n.exponent
     w = np.exp(np.multiply(p, np.log(vc)))
-    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / (vc * vc) * np.outer(gc, gc))
+    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / (vc * vc) * _outer(gc, gc))
 
 
 def _ev_pow(n, X, z):

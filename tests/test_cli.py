@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftcalc as dc
-from driftcalc import cli
+from driftcalc import cli, pricing
 from driftcalc.cli import build_parser, main
+from driftcalc.errors import EngineError
 from driftcalc.modelio import (
+    MAX_GRID_POINTS,
     ModelFormatError,
     load_model,
     parse_grid,
@@ -55,6 +57,16 @@ MARGRABE_MODEL = {
     "spot2": 100.0,
     "maturity": 1.0,
     "diffusion": {"sigma1_sq": 0.04, "sigma12": 0.03, "sigma2_sq": 0.09},
+}
+
+
+# the one-dimensional marginal of the levy example in docs/model-schema.md
+DOC_MARGINAL_MODEL = {
+    "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
+    "jumps": [
+        {"kind": "atoms", "atoms": [{"x": [0.1], "intensity": 0.25}]},
+        {"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1], "cov": [[0.0625]]},
+    ],
 }
 
 
@@ -107,6 +119,46 @@ class TestGrids:
     def test_constant_axis(self):
         grid = parse_grid({"re": -0.5, "im": {"start": 0, "stop": 10, "count": 5}})
         assert np.all(grid.real == -0.5)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"re": {"start": 0, "stop": 1, "count": 2.7}}', "re axis 'count' must be an integer >= 1, got 2.7"),
+        ('{"re": {"start": 0, "stop": 1, "count": true}}', "re axis 'count' must be an integer >= 1, got True"),
+        ('{"re": {"start": 0, "stop": 1, "count": "3"}}', "re axis 'count' must be an integer >= 1, got '3'"),
+        ('{"re": {"start": 0, "stop": 1, "count": 0}}', "re axis 'count' must be an integer >= 1, got 0"),
+        ('{"re": {"start": 0, "stop": 1, "count": 1e12}}', "re axis 'count' must be an integer >= 1"),
+        ('{"re": true}', "re axis must be a finite number, got True"),
+        ('{"re": [0, 1]}', "re axis must be a finite number, got [0, 1]"),
+        ('{"im": {"start": false, "stop": 1, "count": 2}}', "im axis 'start' must be a finite number, got False"),
+        ('{"re": {"start": 0, "stop": Infinity, "count": 3}}', "re axis 'stop' must be a finite number, got inf"),
+        ('{"re": NaN}', "re axis must be a finite number, got nan"),
+        ('{"re": {"start": -1e308, "stop": 1e308, "count": 3}}', "re axis is wider than the float range"),
+        ('{"re": {"start": 0, "stop": 1, "count": 1000000000000}}',
+         "grid has 1000000000000 x 1 points; at most 1000000 are allowed"),
+        ('{"re": {"start": 0, "stop": 1, "count": 1001}, "im": {"start": 0, "stop": 1, "count": 1000}}',
+         "grid has 1001 x 1000 points"),
+    ])
+    def test_malformed_axes_are_rejected(self, text, message):
+        with pytest.raises(ModelFormatError) as info:
+            parse_grid(json.loads(text))
+        assert str(info.value).startswith(message)
+
+    def test_largest_grid_is_accepted(self):
+        side = math.isqrt(MAX_GRID_POINTS)
+        grid = parse_grid({"re": {"start": 0, "stop": 1, "count": side},
+                           "im": {"start": 0, "stop": 1, "count": MAX_GRID_POINTS // side}})
+        assert grid.size == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("axis", [
+        '{"start": 0, "stop": Infinity, "count": 3}', '{"start": 0, "stop": 1, "count": 1e12}',
+        '{"start": 0, "stop": 1, "count": 2.7}', "true",
+    ])
+    def test_malformed_axis_is_exit_two_without_numpy_output(self, model_file, capsys, axis):
+        code = main(["cumulant", "--model", model_file(MERTON_MODEL), "--v-grid", f'{{"re": {axis}}}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "re axis" in captured.err
+        assert "Warning" not in captured.err
 
 
 class TestCommands:
@@ -391,17 +443,16 @@ class TestExitCodes:
         assert main(["drift", "--model", model_file(MERTON_MODEL), "--xi-tree", tree]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_overflow_at_an_atom_prints_no_numpy_warning(self, model_file, capsys):
+        # (-1 + 0.5i)^1e200 overflows at the default atom; the atom sum then
+        # multiplies inf by a zero imaginary part
+        tree = "(repfn 1 (pow 1e200 (add (x 0) (const 0.5i))))"
+        assert main(["drift", "--model", model_file(ATOMS_MODEL), "--xi-tree", tree]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_non_integrable_memm_rows_print_no_numpy_warning(self, model_file, capsys):
-        # the one-dimensional marginal of the levy example in docs/model-schema.md
-        marginal = {
-            "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
-            "jumps": [
-                {"kind": "atoms", "atoms": [{"x": [0.1], "intensity": 0.25}]},
-                {"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1], "cov": [[0.0625]]},
-            ],
-        }
         code = main([
-            "memm", "--model", model_file(marginal), "--lambda-star", "0.7",
+            "memm", "--model", model_file(DOC_MARGINAL_MODEL), "--lambda-star", "0.7",
             "--v-grid", '{"re": {"start": -4, "stop": 30, "count": 18}}',
         ])
         captured = capsys.readouterr()
@@ -420,6 +471,123 @@ class TestExitCodes:
         assert code == 0
         assert out[0]["status"] == "ok"
         assert dc.parse_complex(out[0]["kappa"]) == 0.0
+
+
+def csv_rows(text):
+    """(v, value, status) of each row of a grid command's CSV output."""
+    rows = []
+    for line in text.strip().splitlines()[1:]:
+        re_v, im_v, re_k, im_k, status = line.split(",", 4)
+        rows.append((complex(float(re_v), float(im_v)), complex(float(re_k), float(im_k)), status))
+    return rows
+
+
+def per_point_rows(fn, grid):
+    """The rows of one scalar call per point, status text as the CLI writes it."""
+    rows = []
+    for v in grid:
+        try:
+            rows.append((v, fn(v), "ok"))
+        except EngineError as exc:
+            message = str(exc).replace(",", ";").replace("\n", " ")
+            rows.append((v, complex("nan+nanj"), f"error: {message}"))
+    return rows
+
+
+def grid_call(command, doc):
+    """The scalar library call behind one CLI grid command."""
+    model = parse_model(doc)
+    if command == "cumulant":
+        return lambda v: dc.cumulant(v, model)
+    return lambda v: dc.memm_cumulant(v, 0.7, model)
+
+
+def run_grid(model_file, capsys, command, doc, grid):
+    argv = [command, "--model", model_file(doc), "--v-grid", json.dumps(grid)]
+    if command == "memm":
+        argv += ["--lambda-star", "0.7"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, csv_rows(captured.out)
+
+
+def spy_outputs(monkeypatch, name):
+    """Output count of the tree of each call of ``pricing.<name>`` from now on."""
+    calls, original = [], getattr(pricing, name)
+
+    def counted(xi, *args, **kwargs):
+        calls.append(xi.output_dim)
+        return original(xi, *args, **kwargs)
+
+    monkeypatch.setattr(pricing, name, counted)
+    return calls
+
+
+class TestBatchedGrids:
+    @pytest.fixture
+    def grid_models(self, merton_1d, atoms_1d):
+        return {"merton": serialize_model(merton_1d), "atoms": serialize_model(atoms_1d),
+                "sum": MERTON_MODEL, "docs": DOC_MARGINAL_MODEL}
+
+    @pytest.mark.parametrize("command", ["cumulant", "memm"])
+    @pytest.mark.parametrize("grid", [
+        {"re": {"start": -1, "stop": 2, "count": 31}},
+        {"re": 0.5, "im": {"start": -5, "stop": 5, "count": 11}},
+        # three chunks: 128, 128 and 4 points
+        {"re": {"start": -0.5, "stop": 1.5, "count": 2}, "im": {"start": -3, "stop": 3, "count": 130}},
+    ], ids=["real", "complex", "three_chunks"])
+    @pytest.mark.parametrize("name", ["merton", "atoms", "sum", "docs"])
+    def test_batched_grid_matches_per_point_calls(self, grid_models, model_file, capsys,
+                                                   command, grid, name):
+        code, rows = run_grid(model_file, capsys, command, grid_models[name], grid)
+        ref = per_point_rows(grid_call(command, grid_models[name]), parse_grid(grid))
+        assert [r[2] for r in rows] == [r[2] for r in ref]
+        assert code == (0 if all(r[2] == "ok" for r in ref) else 1)
+        for (v, k, status), (v_ref, k_ref, _) in zip(rows, ref):
+            assert v == v_ref
+            if status == "ok":
+                assert abs(k - k_ref) <= 1e-14 * (1.0 + abs(k_ref))
+
+    @pytest.mark.parametrize("command, doc, grid", [
+        ("cumulant", MERTON_MODEL, {"re": {"start": 0, "stop": 10, "count": 3}}),
+        ("memm", DOC_MARGINAL_MODEL, {"re": {"start": -4, "stop": 30, "count": 18}}),
+    ], ids=["divergent_cumulant", "non_integrable_memm"])
+    def test_failing_grid_rows_carry_the_per_point_messages(self, model_file, capsys, command, doc, grid):
+        code, rows = run_grid(model_file, capsys, command, doc, grid)
+        ref = per_point_rows(grid_call(command, doc), parse_grid(grid))
+        assert code == 1
+        assert [r[2] for r in rows] == [r[2] for r in ref]
+        assert any(r[2].startswith("error: ") for r in rows)
+        for (_, k, status), (_, k_ref, _) in zip(rows, ref):
+            if status == "ok":
+                assert abs(k - k_ref) <= 1e-14 * (1.0 + abs(k_ref))
+            else:
+                assert np.isnan(k.real) and np.isnan(k.imag)
+
+    @pytest.mark.parametrize("command, spied", [("cumulant", "drift"), ("memm", "drift_q")])
+    @pytest.mark.parametrize("count, outputs", [(101, [101]), (300, [128, 128, 44])])
+    def test_a_grid_is_one_drift_per_chunk(self, model_file, capsys, monkeypatch,
+                                           command, spied, count, outputs):
+        calls = spy_outputs(monkeypatch, spied)
+        code, rows = run_grid(model_file, capsys, command, MERTON_MODEL,
+                              {"re": {"start": 0, "stop": 2, "count": count}})
+        assert code == 0 and len(rows) == count
+        assert calls == outputs
+
+    def test_a_failing_row_reruns_only_its_chunk(self, monkeypatch):
+        model = parse_model(MERTON_MODEL)
+        grid = np.linspace(0.0, 1.0, 300) + 0j
+        grid[150] = 10.0  # not integrable against the jump body
+        calls = spy_outputs(monkeypatch, "drift")
+        rows, failures = cli._grid_rows(grid, lambda v: dc.cumulant(v, model))
+        assert calls == [128, 128] + [1] * 128 + [44]
+        assert failures == 1
+        assert [status for _, _, status in rows].count("ok") == 299
+        with pytest.raises(EngineError) as info:
+            dc.cumulant(10.0, model)
+        message = str(info.value).replace(",", ";")
+        assert rows[150][2] == f"error: {message}"
 
 
 ATOMS_MODEL = {

@@ -305,6 +305,40 @@ class TestMemmCumulant:
         assert est.z_score(np.exp(kq)) < 3.0
 
 
+class TestGridCumulants:
+    def test_scalar_cumulant_is_the_one_root_drift(self, merton_1d):
+        k = dc.cumulant(0.5, merton_1d)
+        assert type(k) is complex
+        assert k == dc.drift(dc.rep_exp_affine(0.5), merton_1d).scalar()
+        kq = dc.memm_cumulant(0.5, 0.7, merton_1d)
+        assert type(kq) is complex
+        assert kq == dc.drift_q(
+            dc.rep_exp_affine(0.5), dc.rep_exp_utility(0.7), merton_1d
+        ).scalar()
+
+    def test_a_grid_value_that_moves_is_the_more_accurate(self):
+        # The one-dimensional marginal of the levy example in
+        # docs/model-schema.md at lambda = 2: alone, v = 0.5 stops at 31
+        # nodes, within its tolerance but a few 1e-14 off.  In the grid the
+        # ladder climbs to 63 nodes for the other points, so the batched
+        # value is the closer one.
+        t = dc.LevyTriplet(
+            1, np.array([0.05]), np.array([[0.04]]),
+            dc.sum_measure([
+                dc.FiniteAtoms([[0.1]], [0.25]),
+                dc.GaussianPush(0.4, np.array([-0.1]), np.array([[0.0625]])),
+            ], 1),
+            dc.TruncationSpec.unit_clip(1),
+        )
+        grid = np.linspace(0.0, 2.0, 9)
+        tight = dc.QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16)
+        ref = np.array([dc.memm_cumulant(v, 2.0, t, tight) for v in grid])
+        per_point = np.array([dc.memm_cumulant(v, 2.0, t) for v in grid])
+        scale = 1.0 + np.abs(ref)
+        assert np.all(np.abs(dc.memm_cumulant(grid, 2.0, t) - ref) <= 1e-15 * scale)
+        assert np.all(np.abs(per_point - ref) <= 1e-10 * scale)
+
+
 class TestDefaultIntensities:
     def test_no_defaults(self):
         mm = dc.MargrabeModel(
