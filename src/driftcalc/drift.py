@@ -51,8 +51,9 @@ class DriftReport:
 def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) -> DriftReport:
     """Drift rate of the process with increments xi(dX).
 
-    Raises NanPointError if xi is undefined at an atom or quadrature node and
-    ConvergenceError if the jump integral does not settle.
+    Raises NanPointError if xi is undefined at an atom or quadrature node,
+    ConvergenceError if the jump integral does not settle, and EngineError
+    if a part of the drift is not finite.
     """
     if xi.input_dim != t.dim:
         raise ValueError(f"representation expects dimension {xi.input_dim}, triplet has {t.dim}")
@@ -62,6 +63,8 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     quadratic = 0.5 * np.einsum("nij,ij->n", H, t.c.astype(np.complex128))
     jump, qerr = jump_drift_correction(t.jumps, xi.eval_batch, J, t.truncation, quad)
     total = linear + quadratic + jump
+    if not np.isfinite(total).all():
+        _raise_non_finite(linear=linear, quadratic=quadratic, jump=jump)
     return DriftReport(
         total=total,
         linear_part=linear,
@@ -69,6 +72,17 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
         jump_part=jump,
         quadrature_error=qerr,
     )
+
+
+def _raise_non_finite(**parts):
+    """Name the first drift part that is not finite, or the total."""
+    for name, value in parts.items():
+        if not np.isfinite(value).all():
+            source = "jump integral" if name == "jump" else "representation's jet at the origin"
+            raise EngineError(
+                f"{name} part of the drift is not finite ({value.tolist()}); the {source} overflows"
+            )
+    raise EngineError("the drift overflows: its parts are finite but their sum is not")
 
 
 def drift_q(

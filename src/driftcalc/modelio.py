@@ -215,16 +215,25 @@ def _grid_number(value, where: str) -> float:
     return float(value)
 
 
+def _reject_unknown_keys(doc: dict, known: tuple, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            allowed = ", ".join(repr(k) for k in known)
+            raise ModelFormatError(f"{where} has unknown key {key!r}; allowed keys are {allowed}")
+
+
 def parse_grid(doc: dict) -> np.ndarray:
     """Build a complex grid from {"re": {...}, "im": {...}} axis specs.
 
     Each axis is {"start": a, "stop": b, "count": n} or a bare number for a
     constant axis; the grid is the cross product, flattened row-major.
     Numbers must be finite and not booleans, counts integers >= 1, and the
-    grid at most MAX_GRID_POINTS points.
+    grid at most MAX_GRID_POINTS points.  Any other key, in the grid or in
+    an axis, is rejected, so a misspelt axis does not become the constant 0.
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("grid must be a JSON object with 're' and/or 'im' axes")
+    _reject_unknown_keys(doc, ("re", "im"), "grid")
 
     def axis(spec, name):
         """(start, stop, count) of one axis, validated."""
@@ -232,6 +241,7 @@ def parse_grid(doc: dict) -> np.ndarray:
             return 0.0, 0.0, 1
         if isinstance(spec, dict):
             where = f"{name} axis"
+            _reject_unknown_keys(spec, ("start", "stop", "count"), where)
             start = _grid_number(_require(spec, "start", where), f"{where} 'start'")
             stop = _grid_number(_require(spec, "stop", where), f"{where} 'stop'")
             count = _require(spec, "count", where)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NanPointError, NonIntegrableError
+from .errors import ConvergenceError, EngineError, NanPointError, NonIntegrableError
 from .repfn import RepFn, _nonreal, _require_defined
 
 ATOM_DEDUP_TOL = 1e-12
@@ -252,6 +252,14 @@ class FiniteAtoms(JumpMeasure):
         with np.errstate(all="ignore"):
             for k in range(self.points.shape[0]):
                 total = total + self.intensities[k] * vals[k]
+            if not np.isfinite(total).all():
+                # name the first atom whose running sum is not finite
+                partial = np.cumsum(self.intensities[:, None] * vals, axis=0)
+                k = int(np.argmin(np.isfinite(partial).all(axis=1)))
+                raise EngineError(
+                    f"integrand overflows at atom {self.points[k].tolist()}: "
+                    f"the atom sum is not finite ({partial[k].tolist()})"
+                )
         return total, 0.0
 
     def _sample(self, rng, n):

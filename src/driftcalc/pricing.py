@@ -3,8 +3,9 @@
 The exchange-option model is a bivariate jump-diffusion whose jump measure is
 a Gaussian push-forward (lognormal-style body) plus optional default atoms at
 relative jump -1.  The engine normalises the model to a martingale instead of
-asking the caller for a drift, evaluates the exponent function kappa(v) in
-closed form, and prices by contour integration along Re v = beta < 0.
+asking the caller for a drift and evaluates the exponent function kappa(v) in
+closed form.  It prices the affine-plus-Gaussian part of kappa in closed form
+and the jump-body remainder by contour integration along Re v = beta < 0.
 """
 
 from __future__ import annotations
@@ -273,6 +274,53 @@ def default_intensities(mm: MargrabeModel) -> Tuple[float, float]:
     return lam2_q1, lam1_q2
 
 
+@dataclass(frozen=True)
+class _ExponentSplit:
+    """kappa(v) = kappa_aff(v) + lam e^{Q(v)}, split into an affine-plus-Gaussian
+    part kappa_aff(v) = sig2 v (v - 1) / 2 + a v + c (diffusion, compensator,
+    default intensities) and the jump body.
+
+    The body exponent Q(v) = (1 - v) m1 + v m2 + (1 - v)^2 s11 / 2
+    + v (1 - v) s12 + v^2 s22 / 2 is q0 + q1 v + s2 v^2 / 2, so on
+    Re v = beta its real part is Q(beta) - s2 u^2 / 2 exactly.
+    """
+
+    sig2: float  # sigma_eff^2 of the diffusion
+    a: float
+    c: float
+    lam: float
+    q0: float
+    q1: float
+    s2: float  # s_eff^2 of the jump body
+
+    @classmethod
+    def of(cls, mm: MargrabeModel) -> "_ExponentSplit":
+        lam2_q1, lam1_q2 = default_intensities(mm)
+        lam = mm.jump_intensity
+        m1, m2 = float(mm.jump_mean[0]), float(mm.jump_mean[1])
+        (s11, s12), (_, s22) = np.asarray(mm.jump_cov, dtype=float).tolist()
+        e1 = math.exp(m1 + 0.5 * s11)
+        e2 = math.exp(m2 + 0.5 * s22)
+        # both are quadratic forms of PSD matrices; clip rounding below zero
+        sig2 = max(0.0, mm.sigma1_sq - 2.0 * mm.sigma12 + mm.sigma2_sq)
+        s2 = max(0.0, s11 - 2.0 * s12 + s22)
+        return cls(
+            sig2=sig2,
+            a=lam * (e1 - e2) + lam2_q1 - lam1_q2,
+            c=-lam2_q1 - lam * e1,
+            lam=lam,
+            q0=m1 + 0.5 * s11,
+            q1=m2 - m1 - s11 + s12,
+            s2=s2,
+        )
+
+    def affine(self, v):
+        return 0.5 * self.sig2 * v * (v - 1.0) + self.a * v + self.c
+
+    def body_exponent(self, v):
+        return self.q0 + v * (self.q1 + 0.5 * self.s2 * v)
+
+
 def margrabe_kappa(v, mm: MargrabeModel):
     """Closed-form exponent kappa(v) of the exchange ratio under the
     first-asset measure; vectorised over ``v``.
@@ -281,29 +329,8 @@ def margrabe_kappa(v, mm: MargrabeModel):
     measure, because the lognormal-body terms cancel at v = 0.
     """
     v = np.asarray(v, dtype=np.complex128)
-    lam2_q1, lam1_q2 = default_intensities(mm)
-    lam = mm.jump_intensity
-    m1, m2 = float(mm.jump_mean[0]), float(mm.jump_mean[1])
-    S = np.asarray(mm.jump_cov, dtype=float)
-    s11, s12, s22 = S[0, 0], S[0, 1], S[1, 1]
-    sigma_eff_sq = mm.sigma1_sq - 2.0 * mm.sigma12 + mm.sigma2_sq
-
-    e1 = math.exp(m1 + 0.5 * s11)
-    e2 = math.exp(m2 + 0.5 * s22)
-    body = lam * np.exp(
-        (1.0 - v) * m1
-        + v * m2
-        + 0.5 * (1.0 - v) ** 2 * s11
-        + v * (1.0 - v) * s12
-        + 0.5 * v**2 * s22
-    )
-    out = (
-        0.5 * sigma_eff_sq * v * (v - 1.0)
-        - lam2_q1
-        + v * (lam * (e1 - e2) + lam2_q1 - lam1_q2)
-        + body
-        - lam * e1
-    )
+    x = _ExponentSplit.of(mm)
+    out = x.affine(v) + x.lam * np.exp(x.body_exponent(v))
     return out if out.shape else complex(out)
 
 
@@ -342,57 +369,116 @@ def _legendre_rule():
     return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
-def _panel_sum(mm: MargrabeModel, beta: float, edges: np.ndarray):
-    """Gauss-Legendre sum of the payoff transform over the panels between
-    consecutive ``edges`` and over their mirrors [-b, -a].
+def _panel_sum(integrand, beta: float, edges: np.ndarray):
+    """Gauss-Legendre sum of ``integrand`` on Re v = beta over the panels
+    between consecutive ``edges`` and over their mirrors [-b, -a].
 
     Each numpy pass evaluates at most PANELS_PER_PASS panels on both sides
     at once.  Panel values are added in panel order, a panel together with
     its mirror, so the sum is the one a panel-by-panel loop gives.
     """
     gl_x, gl_w = _legendre_rule()
-    log_ratio = math.log(mm.spot2 / mm.spot1)
     total = 0.0 + 0.0j
     for k in range(0, edges.size - 1, PANELS_PER_PASS):
         a = edges[k : k + PANELS_PER_PASS + 1]
         lo = np.stack((a[:-1], -a[1:]))
         hi = np.stack((a[1:], -a[:-1]))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v = beta + 1j * (mid[..., None] + half[..., None] * gl_x)
-        g = np.exp(v * log_ratio + margrabe_kappa(v, mm) * mm.maturity) / (
-            2.0 * np.pi * v * (v - 1.0)
-        )
+        g = integrand(beta + 1j * (mid[..., None] + half[..., None] * gl_x))
         sides = half * np.sum(gl_w * g, axis=-1)
         total = np.concatenate(([total], sides[0] + sides[1])).cumsum()[-1]
     return total
 
 
-def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
-    """Two-sided contour integral of the payoff transform.
+def _unconverged(tail: float, u: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"contour tail still contributes {tail:.3e} after extending to |Im v| = {u}"
+    )
+
+
+def _contour_integral(mm: MargrabeModel, cfg: ContourConfig, x: _ExponentSplit):
+    """Two-sided contour integral of the jump-body remainder
+    e^{v l + kappa_aff(v) T} (e^{lam T e^{Q(v)}} - 1) / (2 pi v (v - 1)),
+    l = log(spot2 / spot1).  Returns (integral, tail_mass, nodes, u_max_used).
 
     Both half-lines are evaluated (the mirror side is not folded by
     conjugation) so that the imaginary residual of the result is a genuine
-    check of the model's conjugate symmetry.
+    check of the model's conjugate symmetry.  With no jump body the
+    remainder is 0 and no contour runs.
     """
+    if x.lam == 0.0:
+        return 0.0j, 0.0, 0, 0.0
     log_ratio = math.log(mm.spot2 / mm.spot1)
+    T = mm.maturity
+
+    def remainder(v):
+        return (
+            np.exp(v * log_ratio + x.affine(v) * T)
+            * np.expm1(x.lam * T * np.exp(x.body_exponent(v)))
+            / (2.0 * np.pi * v * (v - 1.0))
+        )
 
     # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
     # about three periods so the fixed Gauss-Legendre rule stays spectral.
     width = PANEL_WIDTH
     if log_ratio != 0.0:
         width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+    limit = cfg.u_max * 2.0**MAX_EXTENSIONS
 
+    w = x.sig2 * T + x.s2
+    if w > 0.0:
+        # |remainder(beta + iu)| <= scale e^{-w u^2 / 2}: Re kappa_aff falls by
+        # sig2 u^2 / 2, |lam T e^Q| = z0 e^{-s2 u^2 / 2} with |e^z - 1| <= |z| e^{|z|},
+        # and |v (v - 1)| >= beta (beta - 1).  The two tails beyond U then hold
+        # at most scale sqrt(2 pi / w) erfc(U sqrt(w / 2)).
+        beta = cfg.beta
+        try:
+            z0 = x.lam * T * math.exp(x.body_exponent(beta))
+            scale = math.exp(beta * log_ratio + x.affine(beta) * T + z0) * z0 / (
+                2.0 * math.pi * beta * (beta - 1.0)
+            )
+        except OverflowError:
+            raise _unconverged(math.inf, limit) from None
+
+        mass = scale * math.sqrt(2.0 * math.pi / w)
+
+        def tail(k):
+            return mass * math.erfc(k * width * math.sqrt(0.5 * w))
+
+        # Cut at the first multiple of the width whose tail is within tol.
+        # erfc(x) <= e^{-x^2}, so the multiple where mass e^{-w u^2 / 2}
+        # reaches tol is at most a few panels past it (or past the extension
+        # limit); step from there to the first multiple that meets tol.
+        tol = min(cfg.rel_tol, 1e-16)
+        k_max = math.floor(limit / width)
+        n_panels = 1
+        if mass > tol:
+            u_bound = math.sqrt(2.0 * (math.log(mass) - math.log(tol)) / w)
+            n_panels = min(math.ceil(u_bound / width), k_max + 1)
+        while n_panels <= k_max and tail(n_panels) > tol:
+            n_panels += 1
+        while n_panels > 1 and tail(n_panels - 1) <= tol:
+            n_panels -= 1
+        if n_panels <= k_max:
+            u_cut = n_panels * width
+            total = _panel_sum(remainder, beta, np.linspace(0.0, u_cut, n_panels + 1))
+            return total, tail(n_panels), 2 * NODES_PER_PANEL * n_panels, u_cut
+        # An envelope too flat to reach tol within the extension limit (say
+        # sigma_eff^2 T = 1e-20) leaves the remainder decaying like 1/u^2 on
+        # the reachable contour, as with no envelope at all.
+
+    # No Gaussian envelope (no diffusion, a degenerate jump body): the
+    # remainder decays only like 1/u^2, so extend the contour until the
+    # outermost block stops contributing.
     n_panels = max(1, math.ceil(cfg.u_max / width))
     edges = np.linspace(0.0, cfg.u_max, n_panels + 1)
-    total = _panel_sum(mm, cfg.beta, edges)
+    total = _panel_sum(remainder, cfg.beta, edges)
     nodes = 2 * NODES_PER_PANEL * n_panels
-
-    # Extend the contour until the outermost block stops contributing.
     lo, hi = cfg.u_max, 2.0 * cfg.u_max
     tail = np.inf
     for _ in range(MAX_EXTENSIONS):
         edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
-        block = _panel_sum(mm, cfg.beta, edges)
+        block = _panel_sum(remainder, cfg.beta, edges)
         nodes += 2 * NODES_PER_PANEL * (edges.size - 1)
         total += block
         tail = abs(block)
@@ -402,24 +488,42 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig):
         if tail <= cfg.rel_tol * max(1.0, abs(total)):
             return total, tail, nodes, hi
         lo, hi = hi, 2.0 * hi
-    raise ConvergenceError(
-        f"contour tail still contributes {tail:.3e} after extending to |Im v| = {lo}"
-    )
+    raise _unconverged(tail, lo)
+
+
+def _black_put(log_forward: float, var: float) -> float:
+    """E[(1 - e^Y)^+] for a normal Y with Var Y = var and E[e^Y] = e^{log_forward};
+    the intrinsic value (1 - e^{log_forward})^+ when var = 0."""
+    if var == 0.0:
+        return max(0.0, -math.expm1(log_forward))
+    s = math.sqrt(var)
+    d1 = (log_forward + 0.5 * var) / s
+    # N(-d2) - F N(-d1) with N(-d) = erfc(d / sqrt 2) / 2
+    r = math.sqrt(0.5)
+    return 0.5 * (math.erfc((d1 - s) * r) - math.exp(log_forward) * math.erfc(d1 * r))
 
 
 def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
     """Value of the option to exchange asset 2 for asset 1 at maturity.
 
     Returns (price, PriceDiagnostics).  The price is the first spot times
-    the sum of the asset-2 default-state mass 1 - e^{kappa(0) T} (the payoff
-    transform covers only the survival states) and the contour integral of
-    the transformed payoff; the imaginary residual is asserted small and
-    discarded.
+    the sum of three parts.  The asset-2 default-state mass
+    1 - e^{kappa(0) T} (the payoff transform covers only the survival
+    states).  The affine part kappa_aff of kappa in closed form: its
+    transform e^{v l + kappa_aff(v) T} is that of a killed lognormal ratio,
+    so it prices as e^{cT} times a Black put on e^{l + aT} with variance
+    sigma_eff^2 T.  And the contour integral of the jump-body remainder.
+    The imaginary residual of the contour is asserted small and discarded.
     """
     cfg = cfg or ContourConfig()
-    kappa0 = margrabe_kappa(0.0, mm)
-    integral, tail, nodes, u_used = _contour_integral(mm, cfg)
-    raw = (1.0 - np.exp(kappa0 * mm.maturity)) + integral
+    T = mm.maturity
+    lam2_q1, lam1_q2 = default_intensities(mm)
+    x = _ExponentSplit.of(mm)
+    integral, tail, nodes, u_used = _contour_integral(mm, cfg, x)
+    closed = -math.expm1(-lam2_q1 * T) + math.exp(x.c * T) * _black_put(
+        math.log(mm.spot2 / mm.spot1) + x.a * T, x.sig2 * T
+    )
+    raw = closed + integral
     imag_residual = abs(raw.imag) * mm.spot1
     if imag_residual > 1e-9 * mm.spot1:
         raise EngineError(
@@ -431,9 +535,9 @@ def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
         if price < -1e-12 * mm.spot1:
             raise EngineError(f"price came out negative ({price}); model inputs are inconsistent")
         price = 0.0
-    lam2_q1, lam1_q2 = default_intensities(mm)
     diags = PriceDiagnostics(
-        kappa0=complex(kappa0),
+        # kappa(0) = -lambda2_Q1 exactly (0.0 - keeps a zero positive)
+        kappa0=complex(0.0 - lam2_q1),
         lambda2_q1=lam2_q1,
         lambda1_q2=lam1_q2,
         tail_mass=tail,

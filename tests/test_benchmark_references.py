@@ -1,10 +1,11 @@
 """The engine against the benchmark's own references, on benchmark inputs.
 
-``perfbench/reference.py`` computes drifts and cumulants without the package
-(closed forms, composite Gauss-Legendre in the jump log-size), and
-``perfbench/workloads.py`` draws the models the benchmark runs.  They are
-loaded read-only, so a quadrature that converges to a wrong value fails here
-rather than only in a benchmark run.
+``perfbench/reference.py`` computes drifts, cumulants and exchange-option
+prices without the package (closed forms, composite Gauss-Legendre in the
+jump log-size, a Poisson series), and ``perfbench/workloads.py`` draws the
+models the benchmark runs.  They are loaded read-only, so a quadrature or a
+contour that converges to a wrong value fails here rather than only in a
+benchmark run.
 """
 
 import importlib.util
@@ -65,3 +66,19 @@ def test_grid_1d_readme_grid_cumulants_match_the_reference():
             assert _close(got, expect), (check["model"], v, got, expect)
             checked += 1
     assert checked == 12 * 9  # six Gaussian-body models in each half of the pass
+
+
+def test_price_margrabe_prices_match_the_poisson_series():
+    # the reference conditions on the jump counts (a Poisson mixture of
+    # Margrabe formulas), not on the engine's transform
+    worst = 0.0
+    for seed in range(1, 11):
+        plan = WORKLOADS.generate("price_margrabe", seed)
+        assert len(plan["ops"]) == 101
+        for op in plan["ops"]:
+            doc = plan["models"][op["model"]]
+            price, _ = dc.margrabe_price(parse_model(doc))
+            err = abs(price - REFERENCE.margrabe_price(doc))
+            assert err <= 1e-12 * doc["spot1"], (seed, op, price, err)
+            worst = max(worst, err / doc["spot1"])
+    print(f"\nworst price error over 1 010 models: {worst:.1e} spot1")

@@ -136,6 +136,10 @@ class TestGrids:
          "grid has 1000000000000 x 1 points; at most 1000000 are allowed"),
         ('{"re": {"start": 0, "stop": 1, "count": 1001}, "im": {"start": 0, "stop": 1, "count": 1000}}',
          "grid has 1001 x 1000 points"),
+        ('{"Re": {"start": 0, "stop": 2, "count": 3}}', "grid has unknown key 'Re'; allowed keys are 're', 'im'"),
+        ('{"re": 1, "imag": 2}', "grid has unknown key 'imag'"),
+        ('{"re": {"start": 0, "stop": 1, "count": 3, "num": 50}}',
+         "re axis has unknown key 'num'; allowed keys are 'start', 'stop', 'count'"),
     ])
     def test_malformed_axes_are_rejected(self, text, message):
         with pytest.raises(ModelFormatError) as info:
@@ -445,10 +449,47 @@ class TestExitCodes:
 
     def test_overflow_at_an_atom_prints_no_numpy_warning(self, model_file, capsys):
         # (-1 + 0.5i)^1e200 overflows at the default atom; the atom sum then
-        # multiplies inf by a zero imaginary part
+        # multiplies inf by a zero imaginary part, which is a diagnostic, not
+        # a NaN drift
         tree = "(repfn 1 (pow 1e200 (add (x 0) (const 0.5i))))"
-        assert main(["drift", "--model", model_file(ATOMS_MODEL), "--xi-tree", tree]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["drift", "--model", model_file(ATOMS_MODEL), "--xi-tree", tree]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed: integrand overflows at atom [-1.0]")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_non_finite_jet_part_is_exit_one_naming_the_part(self, model_file, capsys):
+        # Without the default atom the atom sum is finite, but the second
+        # derivative 1e200 (1e200 - 1) (0.5i)^(1e200 - 2) overflows to NaN.
+        doc = dict(ATOMS_MODEL, jumps=[{"kind": "atoms", "atoms": [{"x": [0.08], "intensity": 1.2}]}])
+        tree = "(repfn 1 (pow 1e200 (add (x 0) (const 0.5i))))"
+        assert main(["drift", "--model", model_file(doc), "--xi-tree", tree]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed: quadratic part of the drift is not finite")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_misspelt_grid_axis_is_exit_two(self, model_file, capsys):
+        code = main(["cumulant", "--model", model_file(MERTON_MODEL),
+                     "--v-grid", '{"Re": {"start": 0, "stop": 2, "count": 3}}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid has unknown key 'Re'")
+
+    def test_defaults_only_price_converges_at_tight_tolerance(self, model_file, capsys):
+        # the margrabe example of docs/model-schema.md without diffusion or
+        # jump body: the closed-form part is the whole price
+        for spot2 in (100.0, 80.0):
+            doc = {"type": "margrabe", "spot1": 100.0, "spot2": spot2, "maturity": 1.0,
+                   "diffusion": {"sigma1_sq": 0.0, "sigma12": 0.0, "sigma2_sq": 0.0},
+                   "defaults": [{"x": [0.0, -1.0], "intensity": 0.02}]}
+            code, out = run_json(capsys, ["price-margrabe", "--model", model_file(doc), "--tol", "1e-12"])
+            assert code == 0
+            expected = 100.0 * -math.expm1(-0.02) + math.exp(-0.02) * max(
+                0.0, 100.0 - spot2 * math.exp(0.02))
+            assert abs(float(out["price"]) - expected) <= 1e-14 * 100.0
+            assert (out["nodes"], out["tail_mass"]) == (0, "0")
 
     def test_non_integrable_memm_rows_print_no_numpy_warning(self, model_file, capsys):
         code = main([

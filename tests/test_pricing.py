@@ -18,41 +18,117 @@ def classical_exchange_price(s1, s2, sig_eff, T):
     return s1 * norm.cdf(d1) - s2 * norm.cdf(d2)
 
 
-def panel_by_panel_price(mm, cfg=None):
-    """Reference price: the contour summed one 24-node panel at a time, each
-    panel followed by its mirror, with the pricer's edges and extension rule.
-    Returns (price, nodes, u_max_used)."""
-    cfg = cfg or dc.ContourConfig()
-    log_ratio = math.log(mm.spot2 / mm.spot1)
+def contour_width(log_ratio):
+    width = pricing.PANEL_WIDTH
+    if log_ratio != 0.0:
+        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+    return width
+
+
+def panel_by_panel(transform, beta, edges):
+    """Sum of the 24-node Gauss-Legendre rule over the panels between
+    ``edges``, one panel at a time, each panel followed by its mirror."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(pricing.NODES_PER_PANEL)
 
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v = cfg.beta + 1j * (mid + half * gl_x)
-        g = np.exp(v * log_ratio + dc.margrabe_kappa(v, mm) * mm.maturity) / (
-            2.0 * np.pi * v * (v - 1.0)
-        )
-        return half * np.sum(gl_w * g)
+        return half * np.sum(gl_w * transform(beta + 1j * (mid + half * gl_x)))
 
-    def block(edges):
-        return sum(panel(a, b) + panel(-b, -a) for a, b in zip(edges[:-1], edges[1:]))
+    return sum(panel(a, b) + panel(-b, -a) for a, b in zip(edges[:-1], edges[1:]))
 
-    width = pricing.PANEL_WIDTH
-    if log_ratio != 0.0:
-        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+
+def extended_contour(transform, cfg, width):
+    """The u_max extension rule: [0, u_max], then doubling blocks until a
+    block adds at most rel_tol max(1, |total|).  Returns (integral, panels,
+    u_max_used)."""
     edges = np.linspace(0.0, cfg.u_max, max(1, math.ceil(cfg.u_max / width)) + 1)
-    total, panels = block(edges), edges.size - 1
+    total, panels = panel_by_panel(transform, cfg.beta, edges), edges.size - 1
     lo, hi = cfg.u_max, 2.0 * cfg.u_max
     for _ in range(pricing.MAX_EXTENSIONS):
         edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
-        tail = block(edges)
+        tail = panel_by_panel(transform, cfg.beta, edges)
         total += tail
         panels += edges.size - 1
         if abs(tail) <= cfg.rel_tol * max(1.0, abs(total)):
-            raw = 1.0 - np.exp(dc.margrabe_kappa(0.0, mm) * mm.maturity) + total
-            return mm.spot1 * raw.real, 2 * pricing.NODES_PER_PANEL * panels, hi
+            return total, panels, hi
         lo, hi = hi, 2.0 * hi
     raise AssertionError("reference contour did not converge")
+
+
+def full_kappa_price(mm, cfg=None):
+    """Reference price: the whole payoff transform e^{v l + kappa(v) T}
+    integrated with the extension rule, plus the default mass.  Returns
+    (price, nodes, u_max_used)."""
+    cfg = cfg or dc.ContourConfig()
+    log_ratio = math.log(mm.spot2 / mm.spot1)
+
+    def transform(v):
+        return np.exp(v * log_ratio + dc.margrabe_kappa(v, mm) * mm.maturity) / (
+            2.0 * np.pi * v * (v - 1.0)
+        )
+
+    total, panels, u_used = extended_contour(transform, cfg, contour_width(log_ratio))
+    raw = 1.0 - np.exp(dc.margrabe_kappa(0.0, mm) * mm.maturity) + total
+    return mm.spot1 * raw.real, 2 * pricing.NODES_PER_PANEL * panels, u_used
+
+
+def body_exponent(v, mm):
+    """Q(v) of the jump body lam e^{Q(v)} in kappa, term by term."""
+    (m1, m2), ((s11, s12), (_, s22)) = mm.jump_mean, mm.jump_cov
+    return (1.0 - v) * m1 + v * m2 + 0.5 * (1.0 - v) ** 2 * s11 + v * (1.0 - v) * s12 + 0.5 * v**2 * s22
+
+
+def split_price(mm, cfg=None):
+    """Reference price of the split pricer, summed panel by panel: default
+    mass, the affine part as a Black put (scipy), and the remainder
+    transform, cut where the Gaussian envelope's tail bound first reaches
+    min(rel_tol, 1e-16) by a scan over the multiples of the panel width, or
+    extended like the full transform when there is no envelope.  Returns
+    (price, nodes, u_max_used)."""
+    cfg = cfg or dc.ContourConfig()
+    T, beta, lam = mm.maturity, cfg.beta, mm.jump_intensity
+    log_ratio = math.log(mm.spot2 / mm.spot1)
+    lam2 = dc.default_intensities(mm)[0]
+
+    def affine(v):
+        return dc.margrabe_kappa(v, mm) - lam * np.exp(body_exponent(v, mm))
+
+    c = affine(0.0).real
+    a = affine(1.0).real - c
+    sig2 = mm.sigma1_sq - 2.0 * mm.sigma12 + mm.sigma2_sq
+    forward, s = math.exp(log_ratio + a * T), math.sqrt(sig2 * T)
+    if s > 0.0:
+        d1 = math.log(forward) / s + 0.5 * s
+        put = norm.cdf(s - d1) - forward * norm.cdf(-d1)
+    else:
+        put = max(0.0, 1.0 - forward)
+    closed = 1.0 - math.exp(-lam2 * T) + math.exp(c * T) * put
+    if lam == 0.0:
+        return mm.spot1 * closed, 0, 0.0
+
+    def remainder(v):
+        return np.exp(v * log_ratio + affine(v) * T) * np.expm1(
+            lam * T * np.exp(body_exponent(v, mm))
+        ) / (2.0 * np.pi * v * (v - 1.0))
+
+    width = contour_width(log_ratio)
+    (s11, s12), (_, s22) = mm.jump_cov
+    w = sig2 * T + s11 - 2.0 * s12 + s22
+    if w > 0.0:
+        z0 = lam * T * math.exp(body_exponent(beta, mm))
+        scale = math.exp(beta * log_ratio + affine(beta).real * T + z0) * z0 / (
+            2.0 * math.pi * beta * (beta - 1.0)
+        )
+        panels = 1
+        while scale * math.sqrt(2.0 * math.pi / w) * math.erfc(
+            panels * width * math.sqrt(0.5 * w)
+        ) > min(cfg.rel_tol, 1e-16):
+            panels += 1
+        u_used = panels * width
+        total = panel_by_panel(remainder, beta, np.linspace(0.0, u_used, panels + 1))
+    else:
+        total, panels, u_used = extended_contour(remainder, cfg, width)
+    return mm.spot1 * (closed + total.real), 2 * pricing.NODES_PER_PANEL * panels, u_used
 
 
 def count_calls(monkeypatch, module, name):
@@ -86,6 +162,28 @@ def defaults_only_model():
         sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
         default_atoms=(((0.0, -1.0), 0.02),),
     )
+
+
+def algebraic_model():
+    """A jump body with no Gaussian envelope: no diffusion and fixed jump
+    sizes (sigma_eff = s_eff = 0), so the remainder decays like 1/u^2."""
+    return dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=1.0,
+        sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
+        jump_intensity=0.4, jump_mean=(-0.1, -0.05),
+        default_atoms=(((0.0, -1.0), 0.02),),
+    )
+
+
+def contour_model(kind, jump_model):
+    return {
+        "jump": jump_model,
+        "near_degenerate": dataclasses.replace(
+            jump_model, sigma1_sq=1e-5, sigma12=0.0, sigma2_sq=0.0
+        ),
+        "defaults_only": defaults_only_model(),
+        "algebraic": algebraic_model(),
+    }[kind]
 
 
 class TestCumulant:
@@ -492,18 +590,13 @@ class TestExchangePrice:
 
     def test_defaults_only_model_prices_the_default_mass(self):
         # No diffusion and no jump body: the ratio is deterministic except
-        # for defaults, the payoff transform decays only algebraically on
-        # the contour, and the extension loop must still get there.
-        mm = dc.MargrabeModel(
-            spot1=100.0, spot2=100.0, maturity=1.0,
-            sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
-            default_atoms=(((0.0, -1.0), 0.02),),
-        )
-        price, diags = dc.margrabe_price(mm)
+        # for defaults, so the closed-form part is the whole price and no
+        # contour runs.
+        price, diags = dc.margrabe_price(defaults_only_model())
         expected = 100.0 * (1.0 - math.exp(-0.02))
-        assert abs(price - expected) <= 1e-6 * expected
-        assert diags.u_max_used > 200.0
-        est = dc.mc_margrabe(mm, dc.SimConfig(n_paths=200_000, seed=44))
+        assert abs(price - expected) <= 1e-14 * 100.0
+        assert (diags.nodes, diags.tail_mass, diags.u_max_used) == (0, 0.0, 0.0)
+        est = dc.mc_margrabe(defaults_only_model(), dc.SimConfig(n_paths=200_000, seed=44))
         assert est.z_score(price) < 3.0
 
     def test_defaults_only_in_the_money_branch(self):
@@ -564,51 +657,94 @@ class TestExchangePrice:
 
 
 class TestBatchedContour:
-    """The contour is summed in vectorised passes of PANELS_PER_PASS panels;
-    it must give the panel-by-panel sum on the same nodes."""
+    """The closed-form part plus the remainder contour, summed in vectorised
+    passes of PANELS_PER_PASS panels, must give the panel-by-panel sum on the
+    same nodes, and the whole price the full-transform contour's."""
 
-    @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only"])
+    @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only", "algebraic"])
     def test_matches_panel_by_panel_sum(self, margrabe_jump_model, kind):
-        mm = {
-            "jump": margrabe_jump_model,
-            "near_degenerate": dataclasses.replace(
-                margrabe_jump_model, sigma1_sq=1e-5, sigma12=0.0, sigma2_sq=0.0
-            ),
-            "defaults_only": defaults_only_model(),
-        }[kind]
+        mm = contour_model(kind, margrabe_jump_model)
         price, diags = dc.margrabe_price(mm)
-        ref_price, ref_nodes, ref_u = panel_by_panel_price(mm)
+        ref_price, ref_nodes, ref_u = split_price(mm)
         assert abs(price - ref_price) <= 1e-14 * mm.spot1
         assert (diags.nodes, diags.u_max_used) == (ref_nodes, ref_u)
 
+    @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only"])
+    def test_matches_the_full_transform_contour(self, margrabe_jump_model, kind):
+        mm = contour_model(kind, margrabe_jump_model)
+        price, _ = dc.margrabe_price(mm)
+        ref_price, _, _ = full_kappa_price(mm)
+        assert abs(price - ref_price) <= 5e-10 * mm.spot1
+
     @pytest.mark.parametrize(
         "kind, nodes, u_max_used",
-        [("jump", 7_200, 400.0), ("defaults_only", 1_231_200, 102_400.0)],
+        [
+            ("jump", 576, 24.0),
+            ("near_degenerate", 720, 30.0),
+            ("defaults_only", 0, 0.0),
+            ("algebraic", 1_231_200, 102_400.0),
+        ],
     )
     def test_contour_length_is_pinned(self, margrabe_jump_model, kind, nodes, u_max_used):
-        mm = margrabe_jump_model if kind == "jump" else defaults_only_model()
-        _, diags = dc.margrabe_price(mm)
+        _, diags = dc.margrabe_price(contour_model(kind, margrabe_jump_model))
         assert (diags.nodes, diags.u_max_used) == (nodes, u_max_used)
 
-    def test_kappa_is_called_once_per_pass(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["jump", "algebraic"])
+    def test_integrand_is_evaluated_once_per_pass(self, monkeypatch, margrabe_jump_model, kind):
         calls = []
-        kappa = pricing.margrabe_kappa
+        panel_sum = pricing._panel_sum
 
-        def counted(v, mm):
-            calls.append(np.size(v))
-            return kappa(v, mm)
+        def counted(integrand, beta, edges):
+            def spied(v):
+                calls.append(np.size(v))
+                return integrand(v)
 
-        monkeypatch.setattr(pricing, "margrabe_kappa", counted)
+            return panel_sum(spied, beta, edges)
+
+        monkeypatch.setattr(pricing, "_panel_sum", counted)
+        kappa_calls = count_calls(monkeypatch, pricing, "margrabe_kappa")
         cfg = dc.ContourConfig()
-        _, diags = dc.margrabe_price(defaults_only_model(), cfg)
-        # one block for [0, u_max], one per doubling; each block needs
-        # ceil(panels / PANELS_PER_PASS) passes; plus kappa(0)
-        blocks = 1 + round(math.log2(diags.u_max_used / cfg.u_max))
+        _, diags = dc.margrabe_price(contour_model(kind, margrabe_jump_model), cfg)
+        # one block for [0, u_max_used] on the envelope path; on the
+        # extension path one for [0, u_max] and one per doubling; each block
+        # needs ceil(panels / PANELS_PER_PASS) passes
+        blocks = 1 if kind == "jump" else 1 + round(math.log2(diags.u_max_used / cfg.u_max))
         node_passes = diags.nodes / (2 * pricing.NODES_PER_PANEL * pricing.PANELS_PER_PASS)
-        assert len(calls) <= math.ceil(node_passes) + blocks + 1
-        assert sum(calls) == diags.nodes + 1
+        assert len(calls) <= math.ceil(node_passes) + blocks
+        assert sum(calls) == diags.nodes
+        assert kappa_calls == []
 
     def test_unconverged_contour_message_is_unchanged(self):
         cfg = dc.ContourConfig(rel_tol=1e-300)
         with pytest.raises(ConvergenceError, match=r"after extending to \|Im v\| = 819200"):
-            dc.margrabe_price(defaults_only_model(), cfg)
+            dc.margrabe_price(algebraic_model(), cfg)
+
+    def test_envelope_cut_past_the_extension_limit_runs_the_extension_loop(self):
+        # w = 1e-20: the Gaussian envelope reaches 1e-16 only far beyond
+        # u_max 2^MAX_EXTENSIONS, so the remainder is extended as with w = 0.
+        price, diags = dc.margrabe_price(dataclasses.replace(algebraic_model(), sigma1_sq=1e-20))
+        ref_price, ref_diags = dc.margrabe_price(algebraic_model())
+        assert abs(price - ref_price) <= 1e-14 * 100.0
+        assert (diags.nodes, diags.u_max_used) == (ref_diags.nodes, ref_diags.u_max_used)
+        with pytest.raises(ConvergenceError, match=r"after extending to \|Im v\| = 819200"):
+            dc.margrabe_price(
+                dataclasses.replace(algebraic_model(), sigma1_sq=1e-20), dc.ContourConfig(rel_tol=1e-300)
+            )
+
+    def test_non_finite_envelope_is_unconverged(self, margrabe_jump_model):
+        # Q(beta) = beta^2 + ... overflows e^{Q(beta)} at beta = -30.
+        mm = dataclasses.replace(margrabe_jump_model, jump_cov=((1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(ConvergenceError, match="contour tail still contributes inf"):
+            dc.margrabe_price(mm, dc.ContourConfig(beta=-30.0))
+
+    @pytest.mark.parametrize("kind", ["jump", "near_degenerate"])
+    def test_tail_mass_bounds_the_cut_contour(self, margrabe_jump_model, kind):
+        # The remainder summed four times as far out moves the price by no
+        # more than the reported bound (plus rounding).
+        mm = contour_model(kind, margrabe_jump_model)
+        price, diags = dc.margrabe_price(mm)
+        cfg = dc.ContourConfig(rel_tol=1e-300)
+        longer, more = dc.margrabe_price(mm, cfg)
+        assert more.u_max_used > diags.u_max_used
+        assert diags.tail_mass <= 1e-16
+        assert abs(price - longer) <= (diags.tail_mass + 1e-15) * mm.spot1
