@@ -9,7 +9,13 @@ exponential (exp(continuous exponent) times the product of (1 + jump
 transform) factors), so no time discretisation error enters.  Sums,
 stochastic exponentials, reweighting, increments (the sum form of the
 identity) and the exchange payoff (spots times the exponential form of the
-identity) all go through it.
+identity) all go through it.  A reweighted estimate walks one two-output tree
+per block, so the payoff and the weight share a single evaluation of the
+jumps.
+
+Paths are simulated in real arithmetic from the draws to the estimate: the
+draws are real, a tree with real literals evaluates real draws in float64,
+and only a tree with a non-real literal carries complex values.
 
 Randomness is counter-based: block ``b`` of a run draws from
 Philox(key=(seed, b)), which makes every estimate a pure function of
@@ -77,12 +83,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _collect(cfg: SimConfig, block_fn) -> np.ndarray:
-    """Run one complex value per path, blockwise, reduced in block order."""
+    """Run one value per path, blockwise, reduced in block order."""
     full, rem = divmod(cfg.n_paths, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
 
     def run(b: int) -> np.ndarray:
-        return np.asarray(block_fn(_block_rng(cfg.seed, b), sizes[b]), dtype=np.complex128)
+        return np.asarray(block_fn(_block_rng(cfg.seed, b), sizes[b]))
 
     if cfg.workers == 1:
         chunks = [run(b) for b in range(len(sizes))]
@@ -93,7 +99,8 @@ def _collect(cfg: SimConfig, block_fn) -> np.ndarray:
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
-    finite = np.isfinite(values.real) & np.isfinite(values.imag)
+    """Mean and standard error of real or complex per-path values."""
+    finite = np.isfinite(values)
     n_bad = int((~finite).sum())
     if n_bad > 0.001 * values.size:
         raise EngineError(
@@ -101,8 +108,9 @@ def _estimate(values: np.ndarray) -> McEstimate:
         )
     good = values[finite]
     n = good.size
-    mean = complex(good.mean())
-    dev2 = np.abs(good - mean) ** 2
+    mean = good.mean()
+    dev = good - mean
+    dev2 = dev.real**2 + dev.imag**2 if np.iscomplexobj(dev) else dev * dev
     var = float(dev2.sum() / (n - 1)) if n > 1 else 0.0
     se = math.sqrt(var / n) if n else float("inf")
     m2 = float(dev2.mean())
@@ -112,7 +120,9 @@ def _estimate(values: np.ndarray) -> McEstimate:
             f"heavy-tailed sample (kurtosis {kurt:.1f}); the standard error may be optimistic",
             stacklevel=3,
         )
-    return McEstimate(mean=mean, std_error=se, n_effective=n, n_nonfinite=n_bad, kurtosis=kurt)
+    return McEstimate(
+        mean=complex(mean), std_error=se, n_effective=n, n_nonfinite=n_bad, kurtosis=kurt
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +159,8 @@ def _segment_reduce(op, values: np.ndarray, counts: np.ndarray, empty):
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    # Real arithmetic is several times cheaper: np.exp costs ~6x more on
-    # complex values.  A NaN imaginary part keeps the array complex.
+    # Jets and drifts are complex by construction; where one is real, the
+    # paths stay real.  A NaN imaginary part keeps the value complex.
     return a if a.imag.any() else a.real
 
 
@@ -174,7 +184,7 @@ def _pathwise(fn: RepFn, t: LevyTriplet, T: float, exponential: bool):
     root = math.sqrt(T)
 
     def paths(Z, counts, jumps, payoff, antithetic=False):
-        vals = _real_if_exact(fn.eval_batch(jumps))
+        vals = fn.eval_batch(jumps)
         if exponential:
             jump = _segment_reduce(np.multiply, 1.0 + vals, counts, 1.0)
         else:
@@ -229,7 +239,7 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
         raise ValueError("the stochastic exponential needs a scalar representation")
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)
-        vals = 1.0 + xi.eval_batch(model.points.astype(np.complex128))[:, 0]
+        vals = 1.0 + xi.eval_batch(model.points)[:, 0]
         return _estimate(
             _collect(cfg, lambda rng, n: _discrete_products(model, steps, rng, n, vals)[0])
         )
@@ -287,30 +297,28 @@ def mc_reweighted(
 
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)
-        pts = model.points.astype(np.complex128)
-        xi_vals, eta_vals = (1.0 + f.eval_batch(pts)[:, 0] for f in (xi, eta))
-        norm = complex((model.probabilities * eta_vals).sum()) ** steps
+        xi_vals, eta_vals = (1.0 + f.eval_batch(model.points)[:, 0] for f in (xi, eta))
+        norm = (model.probabilities * eta_vals).sum().item() ** steps
 
         def block(rng, size):
             v, w = _discrete_products(model, steps, rng, size, xi_vals, eta_vals)
             return _apply_weights(w / norm, v)
 
     else:
-        xi_paths, eta_paths = (_pathwise(f, model, T, exponential=True) for f in (xi, eta))
-        norm_rate = drift(eta, model).total[0]
+        # One tree with xi and eta as its two outputs: both exponentials on
+        # the same paths from one walk over the jumps.
+        paths = _pathwise(RepFn(xi.input_dim, xi.outputs + eta.outputs), model, T, exponential=True)
+        scale = 1.0 / _real_if_exact(np.exp(drift(eta, model).total[0] * T))
 
         def block(rng, size):
-            # Shared draws: evaluate both exponentials on the same paths.
-            draws = _draw_paths(model, T, rng, size)
-            return _apply_weights(
-                eta_paths(*draws, _first) / np.exp(norm_rate * T), xi_paths(*draws, _first)
-            )
+            vals = paths(*_draw_paths(model, T, rng, size), np.asarray)
+            return _apply_weights(vals[:, 1] * scale, vals[:, 0])
 
     return _estimate(_collect(cfg, block))
 
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(w.real) & np.isfinite(w.imag)
+    finite = np.isfinite(w)
     if _nonreal(w[finite]):
         raise EngineError("measure-change weights are not real; eta must be real-valued")
     if np.any(w.real[finite] < 0):

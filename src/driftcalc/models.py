@@ -326,6 +326,8 @@ class GaussianPush(JumpMeasure):
         if S.shape != (m.size, m.size):
             raise ValueError(f"covariance shape {S.shape} does not match mean length {m.size}")
         _require_psd(S, "covariance")
+        # the covariance factor, shared by every node set and every draw
+        object.__setattr__(self, "_factor", psd_factor(S))
 
     @property
     def dim(self) -> int:
@@ -333,9 +335,6 @@ class GaussianPush(JumpMeasure):
 
     def total_mass(self) -> float:
         return self.intensity
-
-    def _chol(self) -> np.ndarray:
-        return psd_factor(self.cov)
 
     def _build_nodes(self, level: int) -> _NodeSet:
         """The tensor rule of ``level``; level 0 is followed by the 2d probe
@@ -350,7 +349,7 @@ class GaussianPush(JumpMeasure):
             pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
             U = np.concatenate([U, pu[-1] * np.eye(d), -pu[-1] * np.eye(d)])
             W = np.concatenate([W, np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))])
-        P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._chol().T)
+        P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._factor.T)
         nodes = _NodeSet(P.astype(np.complex128), W / np.pi ** (d / 2))
         for a in nodes:
             a.setflags(write=False)
@@ -412,7 +411,7 @@ class GaussianPush(JumpMeasure):
 
     def _sample(self, rng, n):
         U = rng.standard_normal((n, self.dim))
-        return np.expm1(self.mean[None, :] + U @ self._chol().T)
+        return np.expm1(self.mean[None, :] + U @ self._factor.T)
 
     def _truncation_moment(self, trunc):
         """Closed-form marginal moments of the componentwise lognormal map.

@@ -10,8 +10,13 @@ RepFn is built; it validates the tree at the origin and its jet is kept.
 
 Evaluation and the jet follow an explicit NaN convention: any point where a
 subexpression is undefined (division by zero, log or constant power of a
-nonpositive real) yields complex NaN, and NaN propagates through every node,
-indicators included.  Powers use the principal branch via exp(v*log(base)).
+nonpositive real) yields complex NaN, or real NaN when a real tree is
+evaluated at real points, and NaN propagates through every node, indicators
+included.  Powers use the principal branch via exp(v*log(base)).
+
+Evaluation takes its arithmetic from its input: a tree whose literals are all
+real (a real tree) is evaluated at real points in float64, every other input
+in complex128.
 
 All values are immutable after construction; evaluation and differentiation
 are pure and safe to call concurrently.
@@ -266,8 +271,8 @@ class _Op(NamedTuple):
     ``literals`` lists (field, format, parse) for the non-node fields and
     ``children`` the node fields, both in constructor (and prefix operand)
     order.  ``ev(node, X, *child_values)`` maps a batch X of shape (N, d) to
-    (N,) complex; ``jet(node, d, *child_jets)`` propagates (value, gradient,
-    Hessian) at x = 0 by second-order forward mode.
+    (N,) values of X's dtype; ``jet(node, d, *child_jets)`` propagates
+    (value, gradient, Hessian) at x = 0 by second-order forward mode.
     """
 
     token: str
@@ -277,9 +282,15 @@ class _Op(NamedTuple):
     jet: Callable
 
 
+def _like(value: complex, z: np.ndarray):
+    """A complex literal in the arithmetic of z: its real part when z is real."""
+    return value if z.dtype.kind == "c" else value.real
+
+
 def _guarded(bad, fn, z):
     """fn(z) with the points flagged ``bad`` sent to NaN instead of evaluated."""
-    return np.where(bad, _CNAN, fn(np.where(bad, 1.0, z)))
+    out = fn(np.where(bad, 1.0, z))
+    return np.where(bad, _like(_CNAN, out), out)
 
 
 def _nonpositive(z):
@@ -359,13 +370,12 @@ def _ev_pow(n, X, z):
     # Not through _guarded: a closure would keep the masked copy of z alive
     # through log and exp, which slows large batches.
     bad = _nonpositive(z)
-    out = np.exp(n.exponent * np.log(np.where(bad, 1.0, z)))
-    return np.where(bad, _CNAN, out)
+    out = np.exp(_like(n.exponent, z) * np.log(np.where(bad, 1.0, z)))
+    return np.where(bad, _like(_CNAN, z), out)
 
 
 def _ev_indicator(n, X, z):
-    out = np.where(n.test(z), 1.0 + 0.0j, 0.0 + 0.0j)
-    return np.where(_isnan(z), _CNAN, out)
+    return np.where(_isnan(z), _like(_CNAN, z), n.test(z).astype(z.dtype))
 
 
 def _jet_indicator(n, dim, c):
@@ -389,7 +399,7 @@ _OPS = {
     Coord: _Op("x", (("index", repr, int),), (), lambda n, X: X[:, n.index].copy(), _jet_coord),
     Const: _Op(
         "const", (("value", *_COMPLEX),), (),
-        lambda n, X: np.full(X.shape[0], n.value, dtype=np.complex128),
+        lambda n, X: np.full(X.shape[0], _like(n.value, X), dtype=X.dtype),
         lambda n, dim: _flat(dim, n.value),
     ),
     Add: _Op(
@@ -520,16 +530,30 @@ class RepFn:
     def output_dim(self) -> int:
         return len(self.outputs)
 
+    def _is_real(self) -> bool:
+        """True if every literal of the tree is real, decided on first use."""
+        real = self.__dict__.get("_real")
+        if real is None:
+            real = not any(
+                isinstance(value, complex) and value.imag != 0.0
+                for op, node, _args in self._tape
+                for value in [getattr(node, field) for field, _fmt, _parse in op.literals]
+            )
+            object.__setattr__(self, "_real", real)
+        return real
+
     def eval_batch(self, X) -> np.ndarray:
-        """Evaluate at a batch of points, shape (N, d) -> (N, n) complex."""
+        """Evaluate at a batch of points, shape (N, d) -> (N, n), float64 for a
+        real tree at real points, else complex."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of shape (N, {self.input_dim}), got {X.shape}")
-        vals = self._run("ev", X.astype(np.complex128, copy=False))
+        real = X.dtype.kind in "biuf" and self._is_real()
+        vals = self._run("ev", X.astype(np.float64 if real else np.complex128, copy=False))
         return np.stack([vals[s] for s in self._roots], axis=1)
 
     def eval(self, x) -> np.ndarray:
-        """Evaluate at a single point, shape (d,) -> (n,) complex."""
+        """Evaluate at a single point, shape (d,) -> (n,), typed as eval_batch."""
         x = np.asarray(x)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected a point of shape ({self.input_dim},), got {x.shape}")

@@ -83,6 +83,41 @@ class TestJetReuse:
         assert rules.count("jet") == 1
 
 
+class TestComplexQuadrature:
+    """Quadrature hands complex nodes to every tree, so a drift never meets
+    the float64 evaluation of real trees: it equals, bit for bit, the drift
+    of trees that cast every input to complex."""
+
+    @staticmethod
+    def _reports(xi, eta, model):
+        return dc.drift(xi, model), dc.drift_q(xi, eta, model)
+
+    @pytest.mark.parametrize(
+        "xi, eta, model",
+        [
+            (dc.rep_exp_affine(0.8), dc.rep_exp_utility(1.3), "merton_1d"),
+            (dc.rep_power(0.5), dc.rep_exp_utility(0.4), "merton_1d"),
+            (dc.rep_log_return(), dc.rep_exp_affine(-0.3), "merton_1d"),
+            (dc.rep_memm_integrand(0.7, 0.4), dc.rep_exp_utility(0.7), "atoms_1d"),
+            (dc.rep_exp_affine(np.linspace(-1.0, 2.0, 7)), dc.rep_exp_utility(0.9), "atoms_1d"),
+            (dc.rep_ratio(), dc.rep_zero(2), "gbm_ratio_triplet"),
+            (dc.rep_margrabe(0.75), dc.rep_zero(2), "margrabe_jump_model"),
+        ],
+    )
+    def test_catalog_drifts_match_the_complex_path(self, xi, eta, model, request, monkeypatch):
+        model = request.getfixturevalue(model)
+        t = model.triplet() if isinstance(model, dc.MargrabeModel) else model
+        got = self._reports(xi, eta, t)
+        ev = dc.RepFn.eval_batch
+        monkeypatch.setattr(
+            dc.RepFn, "eval_batch", lambda self, X: ev(self, np.asarray(X).astype(np.complex128))
+        )
+        want = self._reports(xi, eta, t)
+        for a, b in zip(got, want):
+            for part in ("total", "linear_part", "quadratic_part", "jump_part"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
 class TestMeasureChangedDrift:
     def test_zero_change_reduces_bit_for_bit(self, merton_1d):
         xi = dc.rep_exp_affine(0.9)

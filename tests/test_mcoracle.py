@@ -6,9 +6,17 @@ from scipy import stats
 
 import driftcalc as dc
 from driftcalc.errors import EngineError
+from driftcalc import mcoracle
 from driftcalc.mcoracle import (
+    BLOCK_SIZE,
+    _apply_weights,
     _block_rng,
+    _collect,
     _draw_jump_batch,
+    _draw_paths,
+    _estimate,
+    _first,
+    _pathwise,
     _segment_reduce,
     sample_increment_batch,
 )
@@ -245,6 +253,57 @@ class TestReweighted:
         )
         assert est.z_score(target) < 3.0
 
+    def test_one_tree_walk_per_block(self, merton_1d, monkeypatch):
+        walks, reductions = [], []
+        run, reduce = dc.RepFn._run, mcoracle._segment_reduce
+
+        def counted_run(self, rule, x):
+            # quadrature for the compensator hands complex nodes; blocks hand real draws
+            if rule == "ev" and x.dtype == np.float64:
+                walks.append(x.shape[0])
+            return run(self, rule, x)
+
+        def counted_reduce(*args):
+            reductions.append(args[1].shape)
+            return reduce(*args)
+
+        monkeypatch.setattr(dc.RepFn, "_run", counted_run)
+        monkeypatch.setattr(mcoracle, "_segment_reduce", counted_reduce)
+        cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE, seed=14)
+        dc.mc_reweighted(dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), merton_1d, 1.0, cfg)
+        assert len(walks) == len(reductions) == 3
+        assert all(shape[1] == 2 for shape in reductions)
+
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])
+    def test_one_tree_equals_two_trees_on_shared_draws(self, model, request):
+        model = request.getfixturevalue(model)
+        xi, eta, T = dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), 1.3
+        cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=15)
+        xi_paths, eta_paths = (_pathwise(f, model, T, exponential=True) for f in (xi, eta))
+        scale = 1.0 / np.exp(dc.drift(eta, model).total[0] * T).real
+
+        def block(rng, size):
+            draws = _draw_paths(model, T, rng, size)
+            return _apply_weights(eta_paths(*draws, _first) * scale, xi_paths(*draws, _first))
+
+        two = _estimate(_collect(cfg, block))
+        one = dc.mc_reweighted(xi, eta, model, T, cfg)
+        assert (one.mean, one.std_error, one.kurtosis) == (two.mean, two.std_error, two.kurtosis)
+
+    def test_discrete_weights_are_real(self, trinomial, monkeypatch):
+        seen = []
+        products = mcoracle._discrete_products
+
+        def spy(m, steps, rng, size, *factors):
+            seen.extend(f.dtype for f in factors)
+            return products(m, steps, rng, size, *factors)
+
+        monkeypatch.setattr(mcoracle, "_discrete_products", spy)
+        cfg = dc.SimConfig(n_paths=5_000, seed=16)
+        dc.mc_stoch_exp(dc.rep_exp_affine(0.4), trinomial, 3.0, cfg)
+        dc.mc_reweighted(dc.rep_exp_affine(0.4), dc.rep_exp_utility(1.1), trinomial, 3.0, cfg)
+        assert seen == [np.float64] * 3
+
     def test_negative_weight_is_rejected(self, trinomial):
         # eta far below -1 on part of the support produces negative weights
         eta = dc.RepFn(1, (dc.Const(-30.0) * dc.Coord(0),))
@@ -318,6 +377,16 @@ def test_randomised_model_sweep_is_consistent():
         assert est.z_score(target) < 4.0
         checked += 1
     assert checked == 12
+
+
+@pytest.mark.parametrize("kind", ["lognormal", "signed"])
+def test_real_and_complex_samples_estimate_alike(kind):
+    rng = np.random.default_rng(3)
+    vals = rng.lognormal(0.0, 0.4, 65_536) if kind == "lognormal" else rng.normal(0.2, 1.0, 65_536)
+    real, cplx = _estimate(vals), _estimate(vals.astype(complex))
+    assert real.mean == pytest.approx(cplx.mean, rel=1e-15, abs=0.0)
+    assert real.std_error == pytest.approx(cplx.std_error, rel=1e-15, abs=0.0)
+    assert (real.n_effective, real.n_nonfinite) == (cplx.n_effective, cplx.n_nonfinite)
 
 
 def test_heavy_tailed_sample_warns():

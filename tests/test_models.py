@@ -130,6 +130,24 @@ class TestGaussHermiteLadder:
         assert built == [0, 1]
         assert np.array_equal(first, again)
 
+    @pytest.mark.parametrize("cov", [[[0.04, 0.01], [0.01, 0.02]], [[0.04, 0.04], [0.04, 0.04]]])
+    def test_covariance_is_factored_once_per_measure(self, cov, monkeypatch):
+        factored = []
+        factor = models.psd_factor
+
+        def counted(S):
+            factored.append(S)
+            return factor(S)
+
+        monkeypatch.setattr(models, "psd_factor", counted)
+        gp = dc.GaussianPush(0.8, np.array([-0.05, 0.02]), np.array(cov))
+        dc.integrate(gp, dc.rep_ratio().eval_batch)
+        draws = gp._sample(np.random.default_rng(5), 1_000)
+        assert len(factored) == 1
+        # the node sets and the draws use the factor they always used
+        U = np.random.default_rng(5).standard_normal((1_000, 2))
+        assert np.array_equal(draws, np.expm1(gp.mean + U @ factor(gp.cov).T))
+
     def test_failed_integral_caches_nothing(self):
         gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.25]]))
         with pytest.raises(ConvergenceError):

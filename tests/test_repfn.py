@@ -288,6 +288,102 @@ def test_raw_trees_construct_exactly_when_valid_at_the_origin(data):
     assert raw_prefix(dim, roots) == dc.to_prefix(f)
 
 
+#: real evaluation points: moderate values, the poles at 0 and -1, and
+#: values whose exponentials and products overflow
+REAL_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0, 700.0, -700.0, 1e-300, 1e300]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+#: agreement of the float64 and complex128 evaluations of a real tree, in
+#: ulps of max(1, |value|): each row may round differently by an ulp (complex
+#: division multiplies by the reciprocal, complex exp and log are other libm
+#: routines), and a tree made to vanish at the origin by subtracting 1 keeps
+#: the rounding of its O(1) terms
+REAL_EVAL_ULPS = 8
+
+
+def _assert_real_evaluation_agrees(f, X, ulps=REAL_EVAL_ULPS):
+    """float64 at real X: the finite/NaN pattern of the complex evaluation's
+    real part, and its values within ``ulps`` (None: the pattern only)."""
+    real = f.eval_batch(X)
+    ref = f.eval_batch(X.astype(complex))
+    assert real.dtype == np.float64 and ref.dtype == np.complex128
+    assert np.array_equal(np.isnan(real), np.isnan(ref.real))
+    assert np.array_equal(np.isfinite(real), np.isfinite(ref.real))
+    if ulps is not None:
+        fin = np.isfinite(real)
+        bound = ulps * np.finfo(float).eps * np.maximum(1.0, np.abs(ref.real[fin]))
+        assert np.all(np.abs(real[fin] - ref.real[fin]) <= bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_real_trees_evaluate_real_points_in_float64(data):
+    dim = data.draw(st.integers(1, 2))
+    roots = data.draw(st.lists(raw_trees(dim), min_size=1, max_size=2))
+    try:
+        f = dc.RepFn(dim, tuple(roots))
+    except ValueError:
+        return
+    point = st.lists(REAL_POINTS, min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+    if f._is_real():
+        _assert_real_evaluation_agrees(f, X)
+    else:
+        assert f.eval_batch(X).dtype == np.complex128
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_random_composed_trees_evaluate_real_points_in_float64(seed):
+    # Composition amplifies a row's rounding by the tree's condition number
+    # (an exponential by its argument, a quotient near its pole), so the ulp
+    # bound holds where these trees are well conditioned, as the finite
+    # difference tests use them; towards the poles only the pattern is held.
+    f = random_composed_tree(np.random.default_rng(seed))
+    assert f._is_real()
+    rng = np.random.default_rng(seed + 1)
+    _assert_real_evaluation_agrees(f, rng.uniform(-0.4, 0.4, (64, f.input_dim)))
+    _assert_real_evaluation_agrees(f, rng.uniform(-1.5, 3.0, (64, f.input_dim)), ulps=None)
+
+
+class TestEvalDtype:
+    def test_integer_points_are_real_points(self):
+        f = dc.rep_exp_affine(0.5)
+        out = f.eval_batch(np.array([[0], [2]]))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, f.eval_batch(np.array([[0.0], [2.0]])))
+
+    @pytest.mark.parametrize("fn", [dc.rep_exp_affine(0.5 + 1.25j), dc.rep_power(0.5 - 0.5j)])
+    def test_a_non_real_literal_keeps_real_points_complex(self, fn):
+        X = np.array([[0.3], [-0.2]])
+        out = fn.eval_batch(X)
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(out, fn.eval_batch(X.astype(complex)))
+
+    def test_complex_points_stay_complex(self):
+        out = dc.rep_margrabe(0.75).eval_batch(np.zeros((2, 2), dtype=complex))
+        assert out.dtype == np.complex128
+
+    @pytest.mark.parametrize("x", [[-1.0, 0.3], [0.2, -1.0], [-1.5, 0.2], [0.4, 0.1]])
+    def test_real_nan_fills_and_indicators(self, x):
+        # indicators at the default atoms, a pole and a negative power base
+        f = dc.rep_margrabe(0.75)
+        X = np.array([x])
+        real, ref = f.eval_batch(X), f.eval_batch(X.astype(complex))
+        assert real.dtype == np.float64
+        np.testing.assert_array_equal(np.isnan(real), _isnan(ref))
+        np.testing.assert_allclose(real, ref.real, rtol=1e-15)
+
+    def test_the_real_decision_is_taken_once(self):
+        f = dc.rep_exp_utility(0.7)
+        assert "_real" not in f.__dict__
+        f.eval_batch(np.zeros((1, 1), dtype=complex))
+        assert "_real" not in f.__dict__
+        f.eval_batch(np.zeros((1, 1)))
+        assert f.__dict__["_real"] is True
+
+
 def _recursive_tape(f):
     """Reference post-order walk: children left to right, shared nodes once."""
     slots, tape = {}, []
