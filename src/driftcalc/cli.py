@@ -7,6 +7,7 @@ Commands
   utility         optimal exponential-utility exposure on a bracket
   memm            measure-changed cumulant on a grid of complex v (CSV)
   price-margrabe  exchange-option price: closed form plus a contour integral
+                  or Poisson series
   discrete        discrete-time compensators and one-period products
   mc-verify       analytic value vs Monte Carlo estimate with a z-score
 
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--beta", type=float, default=-0.5, help="contour abscissa (negative)")
     p.add_argument("--u-max", type=float, default=200.0,
-                   help="start of the contour extension when the remainder has no Gaussian envelope")
+                   help="longest contour run before the Poisson series takes over")
     p.set_defaults(fn=_cmd_price_margrabe)
 
     p = sub.add_parser("discrete", help="discrete-time compensators and products")

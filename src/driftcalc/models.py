@@ -521,7 +521,8 @@ class MappedMeasure(JumpMeasure):
         return self.base._integrate(lambda X: np.asarray(g(self._mapped_real(X))), quad)
 
     def _sample(self, rng, n):
-        return self._mapped_real(self.base._sample(rng, n).astype(np.complex128)).real
+        # real draws take the map's float64 path when its literals are real
+        return self._mapped_real(self.base._sample(rng, n)).real
 
     def _truncation_moment(self, trunc):
         # No closed form through an arbitrary map; clipped moments of a

@@ -5,7 +5,8 @@ a Gaussian push-forward (lognormal-style body) plus optional default atoms at
 relative jump -1.  The engine normalises the model to a martingale instead of
 asking the caller for a drift and evaluates the exponent function kappa(v) in
 closed form.  It prices the affine-plus-Gaussian part of kappa in closed form
-and the jump-body remainder by contour integration along Re v = beta < 0.
+and the jump-body remainder by a contour integral along Re v = beta < 0 or
+its Poisson series over the number of body jumps.
 """
 
 from __future__ import annotations
@@ -31,11 +32,17 @@ from .models import (
 )
 from .repfn import _nonreal
 
-#: contour panel width before the oscillation cap, Gauss-Legendre nodes per
-#: panel, and how often the contour length may double before giving up
+#: contour panel width before the oscillation cap, and Gauss-Legendre nodes
+#: per panel
 PANEL_WIDTH = 2.0
 NODES_PER_PANEL = 24
-MAX_EXTENSIONS = 12
+#: e^z overflows a float past this z (log of the largest float, 709.7827...)
+LOG_FLOAT_MAX = 709.78
+#: largest envelope mass (the integral of the bound on |remainder|) that the
+#: contour integrates; larger ones go to the Poisson series
+MAX_ENVELOPE_MASS = 10.0
+#: largest mean jump count lam T e^{q0} whose series is summed (about 1 s)
+MAX_SERIES_MEAN = 1e6
 #: panels per vectorised pass of the contour sum (times two sides and
 #: NODES_PER_PANEL nodes); bounds the working arrays on long contours
 PANELS_PER_PASS = 128
@@ -390,26 +397,60 @@ def _panel_sum(integrand, beta: float, edges: np.ndarray):
     return total
 
 
-def _unconverged(tail: float, u: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"contour tail still contributes {tail:.3e} after extending to |Im v| = {u}"
-    )
-
-
 def _contour_integral(mm: MargrabeModel, cfg: ContourConfig, x: _ExponentSplit):
     """Two-sided contour integral of the jump-body remainder
     e^{v l + kappa_aff(v) T} (e^{lam T e^{Q(v)}} - 1) / (2 pi v (v - 1)),
-    l = log(spot2 / spot1).  Returns (integral, tail_mass, nodes, u_max_used).
-
-    Both half-lines are evaluated (the mirror side is not folded by
-    conjugation) so that the imaginary residual of the result is a genuine
-    check of the model's conjugate symmetry.  With no jump body the
-    remainder is 0 and no contour runs.
-    """
-    if x.lam == 0.0:
-        return 0.0j, 0.0, 0, 0.0
+    l = log(spot2 / spot1), cut where its Gaussian envelope's tail is within
+    tol.  Returns (integral, tail_mass, nodes, u_max_used), or None where the
+    fixed panels would not price it (see the checks below).  Both half-lines
+    are evaluated, so the imaginary residual checks conjugate symmetry."""
     log_ratio = math.log(mm.spot2 / mm.spot1)
-    T = mm.maturity
+    T, beta = mm.maturity, cfg.beta
+    w = x.sig2 * T + x.s2
+    q = x.body_exponent(beta)
+    z0 = x.lam * T * math.exp(q) if q < LOG_FLOAT_MAX else math.inf
+    # |remainder(beta + iu)| <= scale e^{-w u^2 / 2}: Re kappa_aff falls by
+    # sig2 u^2 / 2, |lam T e^Q| = z0 e^{-s2 u^2 / 2} with |e^z - 1| <= |z| e^{|z|},
+    # and |v (v - 1)| >= beta (beta - 1).  The two tails beyond U then hold
+    # at most mass erfc(U sqrt(w / 2)), mass = scale sqrt(2 pi / w).
+    e = beta * log_ratio + x.affine(beta) * T + z0
+    mass = math.inf
+    if w > 0.0 and e < LOG_FLOAT_MAX:
+        mass = math.exp(e) * z0 / (2.0 * math.pi * beta * (beta - 1.0)) * math.sqrt(2.0 * math.pi / w)
+
+    # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
+    # about three periods so the fixed Gauss-Legendre rule stays spectral.
+    width = PANEL_WIDTH
+    if log_ratio != 0.0:
+        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+    # The contour needs a jump body and an envelope (with w = 0 the remainder
+    # decays like 1/u^2).  |lam T e^{Q(beta + iu)}| <= z0 on the whole line,
+    # so z0 < LOG_FLOAT_MAX keeps expm1 finite there.  The body factor
+    # e^{lam T e^Q} turns its phase by up to z0 |q1 + s2 beta| per unit u and
+    # grows like e^{z0}: past one turn per panel, or past MAX_ENVELOPE_MASS
+    # (which bounds the sum of |terms| that rounding acts on), the fixed
+    # panels miss the exact series by 1e-12 spot1 and more.
+    turns = width * z0 * abs(x.q1 + x.s2 * beta) / (2.0 * math.pi)
+    if not (0.0 < z0 < LOG_FLOAT_MAX and mass <= MAX_ENVELOPE_MASS and turns <= 1.0):
+        return None
+
+    def tail(k):
+        return mass * math.erfc(k * width * math.sqrt(0.5 * w))
+
+    # Cut at the first multiple of the width whose tail is within tol.
+    # erfc(x) <= e^{-x^2}, so the tail is within tol at the multiple where
+    # mass e^{-w u^2 / 2} reaches tol; step down from there (or from just
+    # past u_max) to the first multiple that meets tol.  A cut past u_max
+    # leaves the remainder to the series.
+    tol = min(cfg.rel_tol, 1e-16)
+    k_max = math.floor(cfg.u_max / width)
+    n_panels = 1
+    if mass > tol:
+        n_panels = min(math.ceil(math.sqrt(2.0 * (math.log(mass) - math.log(tol)) / w) / width), k_max + 1)
+    while n_panels > 1 and tail(n_panels - 1) <= tol:
+        n_panels -= 1
+    if n_panels > k_max:
+        return None
 
     def remainder(v):
         return (
@@ -418,88 +459,55 @@ def _contour_integral(mm: MargrabeModel, cfg: ContourConfig, x: _ExponentSplit):
             / (2.0 * np.pi * v * (v - 1.0))
         )
 
-    # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
-    # about three periods so the fixed Gauss-Legendre rule stays spectral.
-    width = PANEL_WIDTH
-    if log_ratio != 0.0:
-        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
-    limit = cfg.u_max * 2.0**MAX_EXTENSIONS
+    u_cut = n_panels * width
+    total = _panel_sum(remainder, beta, np.linspace(0.0, u_cut, n_panels + 1))
+    return total, tail(n_panels), 2 * NODES_PER_PANEL * n_panels, u_cut
 
-    w = x.sig2 * T + x.s2
-    if w > 0.0:
-        # |remainder(beta + iu)| <= scale e^{-w u^2 / 2}: Re kappa_aff falls by
-        # sig2 u^2 / 2, |lam T e^Q| = z0 e^{-s2 u^2 / 2} with |e^z - 1| <= |z| e^{|z|},
-        # and |v (v - 1)| >= beta (beta - 1).  The two tails beyond U then hold
-        # at most scale sqrt(2 pi / w) erfc(U sqrt(w / 2)).
-        beta = cfg.beta
-        try:
-            z0 = x.lam * T * math.exp(x.body_exponent(beta))
-            scale = math.exp(beta * log_ratio + x.affine(beta) * T + z0) * z0 / (
-                2.0 * math.pi * beta * (beta - 1.0)
-            )
-        except OverflowError:
-            raise _unconverged(math.inf, limit) from None
 
-        mass = scale * math.sqrt(2.0 * math.pi / w)
-
-        def tail(k):
-            return mass * math.erfc(k * width * math.sqrt(0.5 * w))
-
-        # Cut at the first multiple of the width whose tail is within tol.
-        # erfc(x) <= e^{-x^2}, so the multiple where mass e^{-w u^2 / 2}
-        # reaches tol is at most a few panels past it (or past the extension
-        # limit); step from there to the first multiple that meets tol.
-        tol = min(cfg.rel_tol, 1e-16)
-        k_max = math.floor(limit / width)
-        n_panels = 1
-        if mass > tol:
-            u_bound = math.sqrt(2.0 * (math.log(mass) - math.log(tol)) / w)
-            n_panels = min(math.ceil(u_bound / width), k_max + 1)
-        while n_panels <= k_max and tail(n_panels) > tol:
-            n_panels += 1
-        while n_panels > 1 and tail(n_panels - 1) <= tol:
-            n_panels -= 1
-        if n_panels <= k_max:
-            u_cut = n_panels * width
-            total = _panel_sum(remainder, beta, np.linspace(0.0, u_cut, n_panels + 1))
-            return total, tail(n_panels), 2 * NODES_PER_PANEL * n_panels, u_cut
-        # An envelope too flat to reach tol within the extension limit (say
-        # sigma_eff^2 T = 1e-20) leaves the remainder decaying like 1/u^2 on
-        # the reachable contour, as with no envelope at all.
-
-    # No Gaussian envelope (no diffusion, a degenerate jump body): the
-    # remainder decays only like 1/u^2, so extend the contour until the
-    # outermost block stops contributing.
-    n_panels = max(1, math.ceil(cfg.u_max / width))
-    edges = np.linspace(0.0, cfg.u_max, n_panels + 1)
-    total = _panel_sum(remainder, cfg.beta, edges)
-    nodes = 2 * NODES_PER_PANEL * n_panels
-    lo, hi = cfg.u_max, 2.0 * cfg.u_max
-    tail = np.inf
-    for _ in range(MAX_EXTENSIONS):
-        edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
-        block = _panel_sum(remainder, cfg.beta, edges)
-        nodes += 2 * NODES_PER_PANEL * (edges.size - 1)
-        total += block
-        tail = abs(block)
-        # The integral is in units of the first spot (p / S1 is order one),
-        # so the tolerance is anchored at that scale even when the integral
-        # itself is tiny.
-        if tail <= cfg.rel_tol * max(1.0, abs(total)):
-            return total, tail, nodes, hi
-        lo, hi = hi, 2.0 * hi
-    raise _unconverged(tail, lo)
+def _poisson_series(log_forward: float, T: float, x: _ExponentSplit, tol: float):
+    """The remainder as its series over the number n >= 1 of body jumps
+    (Merton 1976), returned like the contour with no nodes.  Term n of
+    e^{lam T e^Q} - 1 prices as a killed lognormal ratio: w_n P(log_forward
+    + n (q1 + s2 / 2), sig2 T + n s2), w_n = e^{cT} mu^n / n!, mu = lam T e^{q0}."""
+    mu = x.lam * T * math.exp(x.q0)
+    if not mu <= MAX_SERIES_MEAN:  # O(mu) terms; also an overflowed or NaN mu
+        raise ConvergenceError(f"the jump-body series would need about {mu:.3g} terms")
+    # w_n is e^{-lambda2_Q1 T} Poisson(n; mu).  Its factor e^{cT} underflows
+    # for mu > 745, so it is multiplied into the powers mu^n / n! in factors
+    # of at most e^{-700} as they grow; w e^{-rest} is w_n.  (Weights formed
+    # in logs, as cT + n log mu - log n!, lose about 1e-13 of themselves at
+    # mu = 700 to the cancellation of terms of size 1e3.)
+    w, rest = math.exp(-min(-x.c * T, 700.0)), max(-x.c * T - 700.0, 0.0)
+    total, n = 0.0, 0
+    while True:
+        n += 1
+        w *= mu / n
+        while rest > 0.0 and w > 1.0:
+            w, rest = w * math.exp(-min(rest, 700.0)), max(rest - 700.0, 0.0)
+        weight = w * math.exp(-rest)
+        total += weight * _black_put(log_forward + n * (x.q1 + 0.5 * x.s2), x.sig2 * T + n * x.s2)
+        # each put is at most 1, so once n + 2 > mu the terms after n hold
+        # at most w_n mu / (n + 1) / (1 - mu / (n + 2))
+        bound = weight * mu / (n + 1) / (1.0 - mu / (n + 2)) if n + 2 > mu else math.inf
+        if bound <= tol:
+            return total, bound, 0, 0.0
 
 
 def _black_put(log_forward: float, var: float) -> float:
     """E[(1 - e^Y)^+] for a normal Y with Var Y = var and E[e^Y] = e^{log_forward};
     the intrinsic value (1 - e^{log_forward})^+ when var = 0."""
     if var == 0.0:
-        return max(0.0, -math.expm1(log_forward))
+        return -math.expm1(log_forward) if log_forward < 0.0 else 0.0
     s = math.sqrt(var)
     d1 = (log_forward + 0.5 * var) / s
     # N(-d2) - F N(-d1) with N(-d) = erfc(d / sqrt 2) / 2
     r = math.sqrt(0.5)
+    if log_forward >= LOG_FLOAT_MAX:
+        # F overflows, and d1 >= sqrt(2 log F) > 37: F N(-d1) is phi(d2) / d1
+        # times the Mills series 1 - 1/d1^2 + 3/d1^4 - ..., whose seventh
+        # term is below 1e-17
+        mills = sum(math.prod(range(1, 2 * k, 2)) * (-1.0 / (d1 * d1)) ** k for k in range(7))
+        return 0.5 * math.erfc((d1 - s) * r) - math.exp(-0.5 * (d1 - s) ** 2) / d1 / math.sqrt(2.0 * math.pi) * mills
     return 0.5 * (math.erfc((d1 - s) * r) - math.exp(log_forward) * math.erfc(d1 * r))
 
 
@@ -512,17 +520,18 @@ def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
     states).  The affine part kappa_aff of kappa in closed form: its
     transform e^{v l + kappa_aff(v) T} is that of a killed lognormal ratio,
     so it prices as e^{cT} times a Black put on e^{l + aT} with variance
-    sigma_eff^2 T.  And the contour integral of the jump-body remainder.
-    The imaginary residual of the contour is asserted small and discarded.
+    sigma_eff^2 T.  And the jump-body remainder, by contour or series.  The
+    imaginary residual of the contour is asserted small and discarded.
     """
     cfg = cfg or ContourConfig()
     T = mm.maturity
     lam2_q1, lam1_q2 = default_intensities(mm)
     x = _ExponentSplit.of(mm)
-    integral, tail, nodes, u_used = _contour_integral(mm, cfg, x)
-    closed = -math.expm1(-lam2_q1 * T) + math.exp(x.c * T) * _black_put(
-        math.log(mm.spot2 / mm.spot1) + x.a * T, x.sig2 * T
+    log_forward = math.log(mm.spot2 / mm.spot1) + x.a * T
+    integral, tail, nodes, u_used = _contour_integral(mm, cfg, x) or _poisson_series(
+        log_forward, T, x, min(cfg.rel_tol, 1e-16)
     )
+    closed = -math.expm1(-lam2_q1 * T) + math.exp(x.c * T) * _black_put(log_forward, x.sig2 * T)
     raw = closed + integral
     imag_residual = abs(raw.imag) * mm.spot1
     if imag_residual > 1e-9 * mm.spot1:

@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,18 @@ from driftcalc.repfn import _OPS, PRED_OPS
 # checkout; each test keeps its own max_examples.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def load_perfbench(name):
+    """A module of the benchmark (``perfbench/<name>.py``), loaded read-only;
+    ``reference`` prices exchange options without the package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

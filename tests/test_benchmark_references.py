@@ -8,27 +8,17 @@ contour that converges to a wrong value fails here rather than only in a
 benchmark run.
 """
 
-import importlib.util
-from pathlib import Path
-
 import driftcalc as dc
 from driftcalc.modelio import parse_grid, parse_model
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import load_perfbench
+
 SEED = 7
 TOL = 1e-8  # the benchmark's tolerance for quadrature results, relative to 1 + |reference|
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load("workloads")
-REFERENCE = _load("reference")
-WORKER = _load("worker")  # for the prefix trees the benchmark runs
+WORKLOADS = load_perfbench("workloads")
+REFERENCE = load_perfbench("reference")
+WORKER = load_perfbench("worker")  # for the prefix trees the benchmark runs
 
 
 def _close(got, expect):
@@ -70,15 +60,24 @@ def test_grid_1d_readme_grid_cumulants_match_the_reference():
 
 def test_price_margrabe_prices_match_the_poisson_series():
     # the reference conditions on the jump counts (a Poisson mixture of
-    # Margrabe formulas), not on the engine's transform
+    # Margrabe formulas), not on the engine's transform; every model takes
+    # the contour, and the engine's own series (forced by a u_max shorter
+    # than one panel) must agree with both
     worst = 0.0
+    series_only = dc.ContourConfig(u_max=1e-3)
     for seed in range(1, 11):
         plan = WORKLOADS.generate("price_margrabe", seed)
         assert len(plan["ops"]) == 101
         for op in plan["ops"]:
             doc = plan["models"][op["model"]]
-            price, _ = dc.margrabe_price(parse_model(doc))
-            err = abs(price - REFERENCE.margrabe_price(doc))
-            assert err <= 1e-12 * doc["spot1"], (seed, op, price, err)
-            worst = max(worst, err / doc["spot1"])
+            mm = parse_model(doc)
+            price, diags = dc.margrabe_price(mm)
+            series, series_diags = dc.margrabe_price(mm, series_only)
+            reference = REFERENCE.margrabe_price(doc)
+            assert diags.nodes > 0 or mm.jump_intensity == 0.0, (seed, op)
+            assert series_diags.nodes == 0
+            for got in (price, series):
+                assert abs(got - reference) <= 1.3e-15 * mm.spot1, (seed, op, got, reference)
+            assert abs(price - series) <= 1e-13 * mm.spot1, (seed, op, price, series)
+            worst = max(worst, abs(price - reference) / mm.spot1)
     print(f"\nworst price error over 1 010 models: {worst:.1e} spot1")

@@ -491,6 +491,43 @@ class TestExitCodes:
             assert abs(float(out["price"]) - expected) <= 1e-14 * 100.0
             assert (out["nodes"], out["tail_mass"]) == (0, "0")
 
+    def test_flat_envelope_price_converges_at_tight_tolerance(self, model_file, capsys):
+        # the margrabe example of docs/model-schema.md with fixed jump sizes
+        # and no diffusion: the remainder is a Poisson series, no contour
+        doc = {"type": "margrabe", "spot1": 100.0, "spot2": 100.0, "maturity": 1.0,
+               "diffusion": {"sigma1_sq": 0.0, "sigma12": 0.0, "sigma2_sq": 0.0},
+               "jump": {"lambda": 0.4, "mean": [-0.1, -0.05]},
+               "defaults": [{"x": [0.0, -1.0], "intensity": 0.02}]}
+        code, out = run_json(capsys, ["price-margrabe", "--model", model_file(doc), "--tol", "1e-12"])
+        assert code == 0
+        assert out["nodes"] == 0 and 0.0 < float(out["tail_mass"]) <= 1e-16
+        price, _ = dc.margrabe_price(parse_model(doc))
+        assert float(out["price"]) == price
+
+    def test_large_jump_mass_prints_a_finite_price(self, model_file, capsys):
+        # the docs example at T = 5 and lambda = 200 (lambda T = 1 000), with
+        # fixed jump sizes and only the first asset diffusing: z0 = 882
+        # overflowed e^{z0} on the contour, and the price came out NaN
+        path = model_file({
+            "type": "margrabe", "spot1": 100.0, "spot2": 100.0, "maturity": 5.0,
+            "diffusion": {"sigma1_sq": 0.04, "sigma12": 0.0, "sigma2_sq": 0.0},
+            "jump": {"lambda": 200.0, "mean": [-0.1, -0.05], "cov": [[0.0, 0.0], [0.0, 0.0]]},
+            "defaults": [{"x": [0.0, -1.0], "intensity": 0.02}],
+        })
+        code = main(["price-margrabe", "--model", path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        out = json.loads(captured.out)
+        assert math.isfinite(float(out["price"])) and out["nodes"] == 0
+        # log S1_T has a standard deviation near 3.2 here, so the oracle warns
+        # that its standard error may be optimistic; |z| <= 4 is a weak check
+        with pytest.warns(UserWarning, match="heavy-tailed"):
+            code, out = run_json(capsys, ["mc-verify", "--target", "margrabe", "--model", path,
+                                          "--n-paths", "2000", "--seed", "5"])
+        assert code == 0
+        assert float(out["analytic"]) == float(json.loads(captured.out)["price"])
+        assert abs(float(out["z_score"])) <= 4.0
+
     def test_non_integrable_memm_rows_print_no_numpy_warning(self, model_file, capsys):
         code = main([
             "memm", "--model", model_file(DOC_MARGINAL_MODEL), "--lambda-star", "0.7",

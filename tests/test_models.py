@@ -254,6 +254,17 @@ class TestSumAndMapped:
         np.testing.assert_allclose(via_map, direct, rtol=1e-12)
         assert mapped.total_mass() == pytest.approx(0.7)
 
+    def test_mapped_draws_evaluate_the_map_on_real_points(self):
+        # the map runs in float64 on the base draws and gives the complex
+        # evaluation's values; a map that leaves the reals is still refused
+        base = dc.GaussianPush(1.0, np.array([-0.05]), np.array([[0.04]]))
+        draws = dc.MappedMeasure(base, dc.rep_exp_affine(0.7))._sample(np.random.default_rng(3), 1_000)
+        x = base._sample(np.random.default_rng(3), 1_000)
+        assert draws.dtype == np.float64
+        np.testing.assert_allclose(draws, np.expm1(0.7 * x), rtol=0, atol=1e-15)
+        with pytest.raises(dc.NanPointError, match="not real-valued"):
+            dc.MappedMeasure(base, dc.rep_exp_affine(0.7j))._sample(np.random.default_rng(3), 10)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             dc.SumMeasure((dc.FiniteAtoms([[0.1]], [1.0]), dc.empty_measure(2)))

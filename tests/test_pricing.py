@@ -1,14 +1,26 @@
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm, poisson
 
 import driftcalc as dc
 from driftcalc import pricing
 from driftcalc.calculus import _rep_exp_utility_slope
 from driftcalc.errors import ConvergenceError, EngineError, NonIntegrableError
+from driftcalc.modelio import serialize_model
+
+from conftest import load_perfbench
+
+#: doublings of the reference contour's extension rule
+MAX_EXTENSIONS = 12
+#: a u_max shorter than any panel: the remainder goes to the Poisson series
+SERIES_ONLY = dc.ContourConfig(u_max=1e-3)
 
 
 def classical_exchange_price(s1, s2, sig_eff, T):
@@ -27,14 +39,15 @@ def contour_width(log_ratio):
 
 def panel_by_panel(transform, beta, edges):
     """Sum of the 24-node Gauss-Legendre rule over the panels between
-    ``edges``, one panel at a time, each panel followed by its mirror."""
+    ``edges``, added one panel at a time, each panel followed by its mirror."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(pricing.NODES_PER_PANEL)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
 
-    def panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * np.sum(gl_w * transform(beta + 1j * (mid + half * gl_x)))
+    def panels(mid):
+        nodes = beta + 1j * (mid[:, None] + half[:, None] * gl_x)
+        return half * np.sum(gl_w * transform(nodes), axis=-1)
 
-    return sum(panel(a, b) + panel(-b, -a) for a, b in zip(edges[:-1], edges[1:]))
+    return sum(p + m for p, m in zip(panels(mid), panels(-mid)))
 
 
 def extended_contour(transform, cfg, width):
@@ -44,7 +57,7 @@ def extended_contour(transform, cfg, width):
     edges = np.linspace(0.0, cfg.u_max, max(1, math.ceil(cfg.u_max / width)) + 1)
     total, panels = panel_by_panel(transform, cfg.beta, edges), edges.size - 1
     lo, hi = cfg.u_max, 2.0 * cfg.u_max
-    for _ in range(pricing.MAX_EXTENSIONS):
+    for _ in range(MAX_EXTENSIONS):
         edges = np.linspace(lo, hi, max(2, int((hi - lo) / (2 * width)) + 1))
         tail = panel_by_panel(transform, cfg.beta, edges)
         total += tail
@@ -53,6 +66,12 @@ def extended_contour(transform, cfg, width):
             return total, panels, hi
         lo, hi = hi, 2.0 * hi
     raise AssertionError("reference contour did not converge")
+
+
+def reference_price(mm):
+    """The benchmark's price: a Poisson mixture over the number of body
+    jumps of Margrabe formulas, computed without the package."""
+    return load_perfbench("reference").margrabe_price(serialize_model(mm))
 
 
 def full_kappa_price(mm, cfg=None):
@@ -82,8 +101,9 @@ def split_price(mm, cfg=None):
     """Reference price of the split pricer, summed panel by panel: default
     mass, the affine part as a Black put (scipy), and the remainder
     transform, cut where the Gaussian envelope's tail bound first reaches
-    min(rel_tol, 1e-16) by a scan over the multiples of the panel width, or
-    extended like the full transform when there is no envelope.  Returns
+    min(rel_tol, 1e-16) by a scan over the multiples of the panel width.
+    With no envelope (w = 0) the remainder is the Poisson series and no
+    contour runs: the reference price is then ``reference_price``.  Returns
     (price, nodes, u_max_used)."""
     cfg = cfg or dc.ContourConfig()
     T, beta, lam = mm.maturity, cfg.beta, mm.jump_intensity
@@ -114,21 +134,46 @@ def split_price(mm, cfg=None):
     width = contour_width(log_ratio)
     (s11, s12), (_, s22) = mm.jump_cov
     w = sig2 * T + s11 - 2.0 * s12 + s22
-    if w > 0.0:
-        z0 = lam * T * math.exp(body_exponent(beta, mm))
-        scale = math.exp(beta * log_ratio + affine(beta).real * T + z0) * z0 / (
-            2.0 * math.pi * beta * (beta - 1.0)
-        )
-        panels = 1
-        while scale * math.sqrt(2.0 * math.pi / w) * math.erfc(
-            panels * width * math.sqrt(0.5 * w)
-        ) > min(cfg.rel_tol, 1e-16):
-            panels += 1
-        u_used = panels * width
-        total = panel_by_panel(remainder, beta, np.linspace(0.0, u_used, panels + 1))
-    else:
-        total, panels, u_used = extended_contour(remainder, cfg, width)
+    if w == 0.0:
+        return reference_price(mm), 0, 0.0
+    z0 = lam * T * math.exp(body_exponent(beta, mm))
+    scale = math.exp(beta * log_ratio + affine(beta).real * T + z0) * z0 / (
+        2.0 * math.pi * beta * (beta - 1.0)
+    )
+    panels = 1
+    while scale * math.sqrt(2.0 * math.pi / w) * math.erfc(
+        panels * width * math.sqrt(0.5 * w)
+    ) > min(cfg.rel_tol, 1e-16):
+        panels += 1
+    u_used = panels * width
+    total = panel_by_panel(remainder, beta, np.linspace(0.0, u_used, panels + 1))
     return mm.spot1 * (closed + total.real), 2 * pricing.NODES_PER_PANEL * panels, u_used
+
+
+def series_terms(mm, first, last):
+    """Terms first..last of the remainder's Poisson series over the number k
+    of body jumps, from scipy's Poisson law and normal cdf:
+    e^{-lambda2_Q1 T} Poisson(k; mu) E[(1 - e^{Y_k})^+], with Y_k normal of
+    variance sigma_eff^2 T + k s_eff^2 and E[e^{Y_k}] = e^{l + aT + k g}."""
+    T, lam = mm.maturity, mm.jump_intensity
+    (s11, s12), (_, s22) = mm.jump_cov
+    s2 = s11 - 2.0 * s12 + s22
+    q0 = mm.jump_mean[0] + 0.5 * s11
+    g = mm.jump_mean[1] + 0.5 * s22 - q0  # log E[e^{jump in log ratio}]
+    lam2 = dc.default_intensities(mm)[0]
+    kappa_affine_1 = dc.margrabe_kappa(1.0, mm).real - lam * math.exp(body_exponent(1.0, mm))
+    a = kappa_affine_1 + lam2 + lam * math.exp(q0)  # kappa_aff(1) - c
+    k = np.arange(first, last + 1)
+    var = (mm.sigma1_sq - 2.0 * mm.sigma12 + mm.sigma2_sq) * T + k * s2
+    log_forward = math.log(mm.spot2 / mm.spot1) + a * T + k * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (log_forward + 0.5 * var) / np.sqrt(var)
+        put = np.where(
+            var > 0.0,
+            norm.cdf(np.sqrt(var) - d1) - np.exp(log_forward + norm.logcdf(-d1)),
+            np.maximum(0.0, -np.expm1(np.minimum(log_forward, 0.0))),
+        )
+    return math.exp(-lam2 * T) * poisson.pmf(k, lam * T * math.exp(q0)) * put
 
 
 def count_calls(monkeypatch, module, name):
@@ -166,7 +211,8 @@ def defaults_only_model():
 
 def algebraic_model():
     """A jump body with no Gaussian envelope: no diffusion and fixed jump
-    sizes (sigma_eff = s_eff = 0), so the remainder decays like 1/u^2."""
+    sizes (sigma_eff = s_eff = 0), so the remainder decays like 1/u^2 on the
+    contour and is priced by its Poisson series."""
     return dc.MargrabeModel(
         spot1=100.0, spot2=100.0, maturity=1.0,
         sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
@@ -682,7 +728,7 @@ class TestBatchedContour:
             ("jump", 576, 24.0),
             ("near_degenerate", 720, 30.0),
             ("defaults_only", 0, 0.0),
-            ("algebraic", 1_231_200, 102_400.0),
+            ("algebraic", 0, 0.0),
         ],
     )
     def test_contour_length_is_pinned(self, margrabe_jump_model, kind, nodes, u_max_used):
@@ -705,37 +751,78 @@ class TestBatchedContour:
         kappa_calls = count_calls(monkeypatch, pricing, "margrabe_kappa")
         cfg = dc.ContourConfig()
         _, diags = dc.margrabe_price(contour_model(kind, margrabe_jump_model), cfg)
-        # one block for [0, u_max_used] on the envelope path; on the
-        # extension path one for [0, u_max] and one per doubling; each block
-        # needs ceil(panels / PANELS_PER_PASS) passes
-        blocks = 1 if kind == "jump" else 1 + round(math.log2(diags.u_max_used / cfg.u_max))
+        # one block for [0, u_max_used] on the contour, which needs
+        # ceil(panels / PANELS_PER_PASS) passes; the series evaluates nothing
+        blocks = 1 if kind == "jump" else 0
         node_passes = diags.nodes / (2 * pricing.NODES_PER_PANEL * pricing.PANELS_PER_PASS)
         assert len(calls) <= math.ceil(node_passes) + blocks
         assert sum(calls) == diags.nodes
         assert kappa_calls == []
 
-    def test_unconverged_contour_message_is_unchanged(self):
-        cfg = dc.ContourConfig(rel_tol=1e-300)
-        with pytest.raises(ConvergenceError, match=r"after extending to \|Im v\| = 819200"):
-            dc.margrabe_price(algebraic_model(), cfg)
+    def test_flat_envelope_prices_by_the_series(self):
+        # w = 0: given the number of jumps the ratio is deterministic, so
+        # the remainder is a Poisson sum of intrinsic values
+        price, diags = dc.margrabe_price(algebraic_model())
+        assert abs(price - reference_price(algebraic_model())) <= 1e-15 * 100.0
+        assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+        assert 0.0 < diags.tail_mass <= 1e-16
 
-    def test_envelope_cut_past_the_extension_limit_runs_the_extension_loop(self):
+    def test_series_converges_at_the_smallest_tolerance(self):
+        price, diags = dc.margrabe_price(algebraic_model(), dc.ContourConfig(rel_tol=1e-300))
+        assert diags.tail_mass <= 1e-300
+        assert abs(price - reference_price(algebraic_model())) <= 1e-15 * 100.0
+
+    def test_envelope_cut_past_u_max_takes_the_series(self):
         # w = 1e-20: the Gaussian envelope reaches 1e-16 only far beyond
-        # u_max 2^MAX_EXTENSIONS, so the remainder is extended as with w = 0.
-        price, diags = dc.margrabe_price(dataclasses.replace(algebraic_model(), sigma1_sq=1e-20))
-        ref_price, ref_diags = dc.margrabe_price(algebraic_model())
-        assert abs(price - ref_price) <= 1e-14 * 100.0
-        assert (diags.nodes, diags.u_max_used) == (ref_diags.nodes, ref_diags.u_max_used)
-        with pytest.raises(ConvergenceError, match=r"after extending to \|Im v\| = 819200"):
-            dc.margrabe_price(
-                dataclasses.replace(algebraic_model(), sigma1_sq=1e-20), dc.ContourConfig(rel_tol=1e-300)
-            )
+        # u_max, so the remainder is summed as with w = 0.
+        flat = dataclasses.replace(algebraic_model(), sigma1_sq=1e-20)
+        price, diags = dc.margrabe_price(flat)
+        assert abs(price - reference_price(algebraic_model())) <= 1e-15 * 100.0
+        assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+        _, tight = dc.margrabe_price(flat, dc.ContourConfig(rel_tol=1e-300))
+        assert tight.tail_mass <= 1e-300
 
-    def test_non_finite_envelope_is_unconverged(self, margrabe_jump_model):
-        # Q(beta) = beta^2 + ... overflows e^{Q(beta)} at beta = -30.
+    def test_overflowing_envelope_takes_the_series(self, margrabe_jump_model):
+        # Q(beta) = beta^2 + ... overflows e^{Q(beta)} at beta = -30; the
+        # series does not depend on beta, so it gives the beta = -0.5 price.
         mm = dataclasses.replace(margrabe_jump_model, jump_cov=((1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(ConvergenceError, match="contour tail still contributes inf"):
-            dc.margrabe_price(mm, dc.ContourConfig(beta=-30.0))
+        price, diags = dc.margrabe_price(mm, dc.ContourConfig(beta=-30.0))
+        contour, contour_diags = dc.margrabe_price(mm)
+        assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+        assert contour_diags.nodes > 0
+        assert abs(price - contour) <= 1e-13 * mm.spot1
+
+    def test_fast_turning_body_takes_the_series(self):
+        # lam T e^{Q(beta + iu)} turns its phase by z0 |q1 + s2 beta| = 17
+        # per unit u, about five turns per panel: the contour missed the
+        # reference by 1.1e-2 spot1 here, the series does not.
+        mm = dc.MargrabeModel(
+            spot1=100.0, spot2=100.0, maturity=1.0,
+            sigma1_sq=0.04, sigma12=0.0, sigma2_sq=0.04,
+            jump_intensity=4.0, jump_mean=(0.0, -1.5), jump_cov=((0.5, 0.0), (0.0, 0.5)),
+            default_atoms=(((0.0, -1.0), 0.02),),
+        )
+        price, diags = dc.margrabe_price(mm)
+        assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+        assert abs(price - reference_price(mm)) <= 1e-15 * mm.spot1
+
+    def test_large_jump_mass_prices_finitely(self):
+        # lam T = 1000: z0 = 882 overflows e^{z0} on the contour (the price
+        # came out NaN), and e^{-mu} underflows unless the series multiplies
+        # it into the powers of mu.
+        mm = dc.MargrabeModel(
+            spot1=100.0, spot2=100.0, maturity=5.0,
+            sigma1_sq=0.04, sigma12=0.0, sigma2_sq=0.0,
+            jump_intensity=200.0, jump_mean=(-0.1, -0.05),
+            default_atoms=(((0.0, -1.0), 0.02),),
+        )
+        price, diags = dc.margrabe_price(mm)
+        assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+        assert 0.0 < diags.tail_mass <= 1e-16
+        lam2 = dc.default_intensities(mm)[0]
+        closed = -math.expm1(-lam2 * 5.0) + series_terms(mm, 0, 0)[0]
+        expected = mm.spot1 * (closed + series_terms(mm, 1, 2_000).sum())
+        assert abs(price - expected) <= 1e-12 * mm.spot1
 
     @pytest.mark.parametrize("kind", ["jump", "near_degenerate"])
     def test_tail_mass_bounds_the_cut_contour(self, margrabe_jump_model, kind):
@@ -748,3 +835,86 @@ class TestBatchedContour:
         assert more.u_max_used > diags.u_max_used
         assert diags.tail_mass <= 1e-16
         assert abs(price - longer) <= (diags.tail_mass + 1e-15) * mm.spot1
+
+
+@pytest.mark.parametrize("lam", [3e5, 1e308])
+def test_series_past_a_million_jumps_is_refused(lam):
+    # O(lam T) terms: lam T = 1.5e6 would take seconds, and lam T = inf never ends
+    mm = dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=5.0, sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
+        jump_intensity=lam, jump_mean=(0.0, 0.0),
+    )
+    with pytest.raises(ConvergenceError, match="jump-body series would need about"):
+        dc.margrabe_price(mm)
+
+
+@pytest.mark.parametrize(
+    "log_forward, var",
+    [(709.0, 1400.0), (710.0, 1420.0), (710.0, 1000.0), (800.0, 1600.0), (1000.0, 1500.0), (5000.0, 1e4)],
+)
+def test_black_put_past_the_float_range(log_forward, var):
+    # e^{log_forward} overflows past 709.78; the put stays a number in [0, 1]
+    s = math.sqrt(var)
+    d1 = (log_forward + 0.5 * var) / s
+    expected = norm.cdf(s - d1) - math.exp(log_forward + norm.logcdf(-d1))
+    assert pricing._black_put(log_forward, var) == pytest.approx(expected, rel=1e-13)
+    assert pricing._black_put(log_forward, 0.0) == 0.0
+
+
+def test_default_mass_past_the_float_range():
+    # lambda2_Q1 T = 1 000 puts l + aT at 1 000: the survival part is
+    # e^{-1000} times a put whose forward overflows on its own
+    mm = dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=5.0, sigma1_sq=0.04, sigma12=0.0, sigma2_sq=0.0,
+        default_atoms=(((0.0, -1.0), 200.0),),
+    )
+    assert dc.margrabe_price(mm)[0] == 100.0
+
+
+@st.composite
+def margrabe_models(draw):
+    """Exchange models from defaults only to lam T = 1 250 (z0 past the float
+    range of e^{z0}), with w = 0, w = 1e-20, sigma_eff = 0 and full diffusion,
+    fixed, perfectly correlated or random jump sizes, and defaults or none."""
+    T = draw(st.floats(0.05, 5.0))
+    lam = draw(st.sampled_from([0.0, 3.0, 250.0])) * draw(st.floats(0.01, 1.0))
+    v1, v2, rho = draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 0.2)), draw(st.floats(-1.0, 1.0))
+    sigma = {
+        "none": (0.0, 0.0, 0.0),
+        "flat": (1e-20, 0.0, 0.0),
+        "sigma_eff_zero": (v1, v1, v1),
+        "full": (v1, rho * math.sqrt(v1 * v2), v2),
+    }[draw(st.sampled_from(["none", "flat", "sigma_eff_zero", "full"]))]
+    s1, s2, r = draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 0.3)), draw(st.floats(-1.0, 1.0))
+    cov = {
+        "fixed": ((0.0, 0.0), (0.0, 0.0)),
+        "comonotone": ((s1, s1), (s1, s1)),
+        "random": ((s1, r * math.sqrt(s1 * s2)), (r * math.sqrt(s1 * s2), s2)),
+    }[draw(st.sampled_from(["fixed", "comonotone", "random"]))]
+    defaults = draw(st.sampled_from([(), (((0.0, -1.0), 0.02),), (((-1.0, 0.3), 0.1), ((0.2, -1.0), 0.05))]))
+    spot1 = draw(st.floats(1.0, 200.0))
+    return dc.MargrabeModel(
+        spot1=spot1, spot2=spot1 * math.exp(draw(st.floats(-2.0, 2.0))), maturity=T,
+        sigma1_sq=sigma[0], sigma12=sigma[1], sigma2_sq=sigma[2],
+        jump_intensity=lam, jump_mean=(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),
+        jump_cov=cov, default_atoms=defaults,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(margrabe_models())
+def test_contour_and_series_are_each_others_oracle(mm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        price, diags = dc.margrabe_price(mm)
+        with mock.patch.object(pricing, "_black_put", wraps=pricing._black_put) as put:
+            series, series_diags = dc.margrabe_price(mm, SERIES_ONLY)
+    assert math.isfinite(price) and price >= 0.0
+    if diags.nodes:
+        assert abs(price - series) <= 1e-13 * mm.spot1
+    else:
+        assert (price, diags) == (series, series_diags)
+    # the closed-form part takes one put, the series one per term; the next
+    # 50 terms add no more than the reported tail bound
+    n = put.call_count - 1
+    assert series_terms(mm, n + 1, n + 50).sum() <= series_diags.tail_mass + 1e-15
