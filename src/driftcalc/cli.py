@@ -150,6 +150,17 @@ def _parse_bracket(text: str):
     return lo, hi
 
 
+def _parse_horizon(text: str) -> float:
+    """The -T flag: a finite number T >= 0."""
+    try:
+        T = float(text)
+    except ValueError:
+        T = math.nan
+    if not 0 <= T < math.inf:
+        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}")
+    return T
+
+
 def _cmd_drift(args) -> int:
     model = _require_model(load_model(args.model), LevyTriplet, "levy")
     if args.truncation:
@@ -350,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mc=False):
+    def common(p, mc=False, tol=True):
         p.add_argument("--model", required=True, help="path to a JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
         if mc:
             p.add_argument("--seed", type=int, default=20240801)
             p.add_argument("--n-paths", type=int, default=100_000)
@@ -399,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_price_margrabe)
 
     p = sub.add_parser("discrete", help="discrete-time compensators and products")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--op", required=True, choices=["compensator", "stoch-exp", "q-stoch-exp"])
     repfn_args(p, "xi")
     repfn_args(p, "eta")
-    p.add_argument("-T", type=float, required=True, help="time horizon")
+    p.add_argument("-T", type=_parse_horizon, required=True, help="time horizon")
     p.set_defaults(fn=_cmd_discrete)
 
     p = sub.add_parser("mc-verify", help="analytic vs Monte Carlo with z-score")
@@ -412,11 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default="1", help='complex argument, e.g. "0.5+2i"')
     p.add_argument("--lambda-star", type=float, default=None)
     repfn_args(p, "xi")
-    p.add_argument("-T", type=float, default=1.0)
+    p.add_argument("-T", type=_parse_horizon, default=1.0, help="time horizon")
     p.set_defaults(fn=_cmd_mc_verify)
 
     p = sub.add_parser("roundtrip", help="parse a model file and re-serialise it")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=_cmd_roundtrip)
 
     return parser

@@ -8,22 +8,25 @@ covariance, and a jump correction integral:
 
 For processes with independent increments the drift converts directly into
 terminal expectations, both for the represented sum and for its stochastic
-exponential.  Discrete-time analogues replace the integral by a per-period
-expectation and the exponential by a product of one-period factors.
+exponential.  A discrete-time increment law is an atom measure of mass 1, so
+its per-period expectation is that measure's atom integral; over a horizon T
+it is taken floor(T) times, or compounds as floor(T) one-period factors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from . import models
 from .calculus import girsanov_adjust
 from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, QuadratureConfig, jump_drift_correction
-from .repfn import RepFn, _require_defined
+from .repfn import RepFn
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +128,26 @@ def expectation_stoch_exp(
     return complex(np.exp(drift(xi, t, quad).total[0] * T))
 
 
-def _support_values(xi: RepFn, m: DiscreteModel) -> np.ndarray:
-    vals = xi.eval_batch(m.points.astype(np.complex128))
-    _require_defined(vals, m.points, "representation is undefined at support point")
-    return vals
+def _over_periods(T: float, one_period, op):
+    """op(one_period, floor(T)) for a horizon T >= 0, op being ``mul`` or
+    ``pow``; a result that overflows raises EngineError."""
+    if not 0 <= T < math.inf:
+        raise ValueError(f"time horizon must be nonnegative and finite, got {T}")
+    steps = math.floor(T)
+    try:
+        with np.errstate(over="ignore"):
+            value = op(one_period, steps)
+    except OverflowError:
+        value = math.inf
+    if not np.isfinite(value).all():
+        raise EngineError(f"the result overflows: floor(T) = {steps:g} periods of {one_period}")
+    return value
 
 
 def discrete_compensator(xi: RepFn, m: DiscreteModel, T: float) -> np.ndarray:
     """Compensator at time T for i.i.d. discrete-time increments:
     floor(T) * E[xi(increment)]."""
-    if xi.input_dim != m.dim:
-        raise ValueError(f"representation expects dimension {xi.input_dim}, model has {m.dim}")
-    steps = math.floor(T)
-    vals = _support_values(xi, m)
-    per_period = (m.probabilities[:, None] * vals).sum(axis=0)
-    return steps * per_period
+    return _over_periods(T, models.integrate(m, xi.eval_batch)[0], operator.mul)
 
 
 def discrete_stoch_exp(xi: RepFn, m: DiscreteModel, T: float) -> complex:
@@ -147,12 +155,8 @@ def discrete_stoch_exp(xi: RepFn, m: DiscreteModel, T: float) -> complex:
     (E[1 + xi(increment)])^floor(T)."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
-    if xi.input_dim != m.dim:
-        raise ValueError(f"representation expects dimension {xi.input_dim}, model has {m.dim}")
-    steps = math.floor(T)
-    vals = _support_values(xi, m)[:, 0]
-    factor = complex((m.probabilities * (1.0 + vals)).sum())
-    return factor**steps
+    factor = models.integrate(m, lambda X: 1.0 + xi.eval_batch(X))[0]
+    return _over_periods(T, complex(factor[0]), operator.pow)
 
 
 def discrete_q_stoch_exp(xi: RepFn, eta: RepFn, m: DiscreteModel, T: float) -> complex:
@@ -164,15 +168,14 @@ def discrete_q_stoch_exp(xi: RepFn, eta: RepFn, m: DiscreteModel, T: float) -> c
     """
     if xi.output_dim != 1 or eta.output_dim != 1:
         raise ValueError("both representations must be scalar-valued")
-    if xi.input_dim != m.dim or eta.input_dim != m.dim:
-        raise ValueError("representation dimensions must match the model")
-    steps = math.floor(T)
-    xi_vals = _support_values(xi, m)[:, 0]
-    eta_vals = _support_values(eta, m)[:, 0]
-    normaliser = complex((m.probabilities * (1.0 + eta_vals)).sum())
+
+    def weighted(X):
+        w = 1.0 + eta.eval_batch(X)
+        return np.hstack([w, w * (1.0 + xi.eval_batch(X))])
+
+    normaliser, numerator = (complex(z) for z in models.integrate(m, weighted)[0])
     if abs(normaliser.imag) > 1e-12 * (1.0 + abs(normaliser.real)) or normaliser.real <= 0.0:
         raise EngineError(
             f"degenerate measure change: E[1 + eta] = {normaliser} must be real and positive"
         )
-    numerator = complex((m.probabilities * (1.0 + eta_vals) * (1.0 + xi_vals)).sum())
-    return (numerator / normaliser) ** steps
+    return _over_periods(T, numerator / normaliser, operator.pow)

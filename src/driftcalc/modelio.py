@@ -92,9 +92,7 @@ def parse_model(doc: dict) -> AnyModel:
             )
         if kind == "discrete":
             support = _require(doc, "support", "discrete model")
-            pts = np.array([s["x"] for s in support], dtype=float)
-            p = np.array([s["p"] for s in support], dtype=float)
-            return DiscreteModel(pts, p)
+            return DiscreteModel([s["x"] for s in support], [s["p"] for s in support])
         if kind == "margrabe":
             diff = _require(doc, "diffusion", "margrabe model")
             jump = doc.get("jump") or {}
@@ -120,19 +118,15 @@ def parse_model(doc: dict) -> AnyModel:
     raise ModelFormatError(f"unknown model type {kind!r}")
 
 
+def _atom_list(atoms: FiniteAtoms, weight: str) -> list:
+    """One {"x": point, weight: intensity} entry per atom, in atom order."""
+    return [{"x": x.tolist(), weight: float(w)} for x, w in zip(atoms.points, atoms.intensities)]
+
+
 def _serialise_measure(measure: JumpMeasure) -> list:
     if isinstance(measure, FiniteAtoms):
-        if measure.points.shape[0] == 0:
-            return []
-        return [
-            {
-                "kind": "atoms",
-                "atoms": [
-                    {"x": measure.points[k].tolist(), "intensity": float(measure.intensities[k])}
-                    for k in range(measure.points.shape[0])
-                ],
-            }
-        ]
+        atoms = _atom_list(measure, "intensity")
+        return [{"kind": "atoms", "atoms": atoms}] if atoms else []
     if isinstance(measure, GaussianPush):
         return [
             {
@@ -162,13 +156,7 @@ def serialize_model(model: AnyModel) -> dict:
             "jumps": _serialise_measure(model.jumps),
         }
     if isinstance(model, DiscreteModel):
-        return {
-            "type": "discrete",
-            "support": [
-                {"x": model.points[k].tolist(), "p": float(model.probabilities[k])}
-                for k in range(model.size)
-            ],
-        }
+        return {"type": "discrete", "support": _atom_list(model, "p")}
     if isinstance(model, MargrabeModel):
         return {
             "type": "margrabe",

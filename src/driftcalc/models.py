@@ -668,34 +668,22 @@ def retruncate(t: LevyTriplet, h_new: TruncationSpec) -> LevyTriplet:
     return LevyTriplet(t.dim, t.b + delta, t.c, t.jumps, h_new)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteModel:
+class DiscreteModel(FiniteAtoms):
     """I.i.d. finite-support law for the per-period increments of a
-    discrete-time process."""
-
-    points: np.ndarray
-    probabilities: np.ndarray
+    discrete-time process: an atom measure of total mass 1, whose
+    intensities are the probabilities, so E[g(increment)] is its atom
+    integral.  Built as ``DiscreteModel(points, probabilities)``."""
 
     def __post_init__(self):
-        pts = _as_points(self.points)
-        p = np.asarray(self.probabilities, dtype=float).reshape(-1)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probabilities", p)
-        if pts.shape[0] != p.shape[0]:
-            raise ValueError("points and probabilities must have matching lengths")
-        if pts.shape[0] == 0:
+        super().__post_init__()
+        if self.size == 0:
             raise ValueError("support must be nonempty")
-        if np.any(p <= 0) or np.any(p > 1):
-            raise ValueError("probabilities must lie in (0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1 within 1e-12")
-        dup = next((g for g in _atom_groups(pts) if len(g) > 1), None)
-        if dup:
-            raise ValueError(f"duplicate support points at {pts[dup[0]].tolist()}")
+        if abs(self.total_mass() - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {self.total_mass()!r}, expected 1 within 1e-12")
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+    def probabilities(self) -> np.ndarray:
+        return self.intensities
 
     @property
     def size(self) -> int:

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .calculus import _rep_exp_utility_slope, rep_exp_affine, rep_exp_utility
-from .drift import discrete_compensator, discrete_stoch_exp, drift, drift_q
+from .drift import drift, drift_q
 from .errors import ConvergenceError, EngineError
 from .models import (
     FiniteAtoms,
@@ -146,17 +146,13 @@ def optimize_exp_utility(
 
 
 def optimize_discrete_exp_utility(model, bracket: Tuple[float, float]) -> Tuple[float, float]:
-    """Discrete-time counterpart: minimise the one-period factor E[1 + eta]."""
-
-    def objective(lam):
-        return float(discrete_stoch_exp(rep_exp_utility(lam), model, 1.0).real)
-
-    def slope(lam):
-        d = discrete_compensator(_rep_exp_utility_slope(lam), model, 1.0).real
-        return float(d[0]), float(d[1])
-
-    lam_star = minimize_scalar(objective, bracket, slope)
-    return lam_star, objective(lam_star)
+    """Discrete-time counterpart: minimise the one-period factor
+    E[1 + eta] = 1 + int eta dP, the utility drift of a pure-jump triplet
+    whose jump measure is the increment law P."""
+    d = model.dim
+    t = LevyTriplet(d, np.zeros(d), np.zeros((d, d)), model, TruncationSpec.zero(d))
+    lam_star, value = optimize_exp_utility(t, bracket)
+    return lam_star, 1.0 + value
 
 
 def memm_cumulant(

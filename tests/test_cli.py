@@ -551,6 +551,90 @@ class TestExitCodes:
         assert dc.parse_complex(out[0]["kappa"]) == 0.0
 
 
+def exit_code(argv) -> int:
+    """main's exit code, argparse's usage exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestDiscreteInputs:
+    """Bad horizons, options and support points end in exit 2 (or 1 for an
+    overflow) with a one-line diagnostic, never a traceback."""
+
+    def discrete(self, path, *extra):
+        return ["discrete", "--model", path, "--op", "stoch-exp", "--xi", "exp_affine",
+                "--xi-params", '{"v": "2"}', *extra]
+
+    @pytest.mark.parametrize("T", ["inf", "-2", "nan", "1e400", "abc"])
+    @pytest.mark.parametrize("command", ["discrete", "mc-verify"])
+    def test_horizon_must_be_finite_and_nonnegative(self, model_file, capsys, command, T):
+        path = model_file(TRINOMIAL_MODEL)
+        if command == "discrete":
+            argv = self.discrete(path, f"-T={T}")
+        else:
+            argv = ["mc-verify", "--model", path, "--target", "stoch-exp", "--xi", "exp_affine",
+                    "--n-paths", "100", f"-T={T}"]
+        code = exit_code(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument -T: needs a finite number >= 0, got '{T}'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_overflowing_product_is_exit_one(self, model_file, capsys):
+        code = exit_code(self.discrete(model_file(TRINOMIAL_MODEL), "-T", "1e300"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "computation failed: the result overflows: floor(T) = 1e+300 periods")
+        assert "Traceback" not in captured.err
+
+    def test_mc_verify_on_a_discrete_model_keeps_its_horizon(self, model_file, capsys):
+        code, doc = run_json(capsys, [
+            "mc-verify", "--model", model_file(TRINOMIAL_MODEL), "--target", "stoch-exp",
+            "--xi", "exp_affine", "--xi-params", '{"v": "0.5"}', "-T", "3",
+            "--n-paths", "2000", "--seed", "3",
+        ])
+        assert code == 0
+        ref = dc.discrete_stoch_exp(dc.rep_exp_affine(0.5), parse_model(TRINOMIAL_MODEL), 3.0)
+        assert dc.parse_complex(doc["analytic"]) == ref
+        assert abs(float(doc["z_score"])) < 4.0
+
+    @pytest.mark.parametrize("command", ["discrete", "roundtrip"])
+    def test_tol_is_not_an_option(self, model_file, capsys, command):
+        path = model_file(TRINOMIAL_MODEL)
+        if command == "discrete":
+            argv = self.discrete(path, "-T", "1")
+        else:
+            argv = ["roundtrip", "--model", path]
+        assert exit_code(argv) == 0
+        capsys.readouterr()
+        assert exit_code([*argv, "--tol", "1e-8"]) == 2
+        assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+
+    def test_non_finite_support_point_is_exit_two(self, model_file, capsys):
+        # the same atom is refused in a levy file and a discrete one
+        discrete = {"type": "discrete",
+                    "support": [{"x": [math.inf], "p": 0.5}, {"x": [0.0], "p": 0.5}]}
+        levy = dict(ATOMS_MODEL, jumps=[{"kind": "atoms", "atoms": [
+            {"x": [math.inf], "intensity": 0.5}, {"x": [0.0], "intensity": 0.5}]}])
+        assert "Infinity" in json.dumps(discrete)
+        messages = []
+        drift = ["drift", "--model", model_file(levy, "levy.json"), "--xi", "exp_affine",
+                 "--xi-params", '{"v": "2"}']
+        for argv in (self.discrete(model_file(discrete, "discrete.json"), "-T", "2"), drift):
+            code = exit_code(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            messages.append(captured.err)
+        assert messages == [f"error: malformed {kind} model: atom positions and intensities must be finite\n"
+                            for kind in ("discrete", "levy")]
+
+
 def csv_rows(text):
     """(v, value, status) of each row of a grid command's CSV output."""
     rows = []

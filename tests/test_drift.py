@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as si
 
 import driftcalc as dc
 from driftcalc.errors import EngineError, NanPointError
+
+from conftest import random_composed_tree
 
 
 class TestDriftExamples:
@@ -269,6 +273,34 @@ class TestDiscrete:
             expected += p * w * math.prod(1 + xv[i] for i in path)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("T", [-2.0, -1e-300, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_nonnegative(self, trinomial, T):
+        xi, eta = dc.rep_exp_affine(0.5), dc.rep_exp_utility(1.0)
+        for call in (lambda: dc.discrete_compensator(xi, trinomial, T),
+                     lambda: dc.discrete_stoch_exp(xi, trinomial, T),
+                     lambda: dc.discrete_q_stoch_exp(xi, eta, trinomial, T)):
+            with pytest.raises(ValueError, match="time horizon must be nonnegative and finite"):
+                call()
+
+    def test_overflow_is_an_engine_error(self, trinomial):
+        # the factor is 1.006; (1.006)^150000 is past the float range
+        with pytest.raises(EngineError, match=r"overflows: floor\(T\) = 150000 periods"):
+            dc.discrete_stoch_exp(dc.rep_exp_affine(2.0), trinomial, 150000.5)
+        with pytest.raises(EngineError, match=r"overflows: floor\(T\) = 1e\+300 periods"):
+            dc.discrete_compensator(dc.rep_exp_affine(300.0), trinomial, 1e300)
+        eta = dc.rep_exp_utility(-1.0)
+        with pytest.raises(EngineError, match="overflows"):
+            dc.discrete_q_stoch_exp(dc.rep_exp_affine(2.0), eta, trinomial, 1e300)
+        # a factor below one underflows to zero, which is no overflow
+        xi = dc.RepFn(1, (dc.Neg(dc.Mul(dc.Coord(0), dc.Coord(0))),))
+        assert dc.discrete_stoch_exp(xi, trinomial, 1e300) == 0.0
+
+    def test_undefined_support_point_is_named(self, trinomial):
+        # log(1 - 20 x) is undefined at the up move x = log 1.1
+        xi = dc.RepFn(1, (dc.Log(dc.Const(1.0) - dc.Const(20.0) * dc.Coord(0)),))
+        with pytest.raises(NanPointError, match=r"undefined at atom \[0.0953"):
+            dc.discrete_stoch_exp(xi, trinomial, 1.0)
+
     def test_degenerate_normaliser_is_diagnosed(self):
         m = dc.DiscreteModel([[0.5], [-0.5]], [0.9, 0.1])
         # eta dips far below -1 on the likely branch, so E[1 + eta] < 0
@@ -327,3 +359,77 @@ class TestDriftProperties:
         base = dc.drift(xi, t).total[0]
         moved = dc.drift(xi, dc.retruncate(t, dc.TruncationSpec.from_names(names))).total[0]
         assert abs(moved - base) <= 1e-9 * abs(base)
+
+
+def _discrete_tree(rng, d):
+    """A scalar tree on R^d: a catalog representation or a composed tree."""
+    if rng.random() < 0.5:
+        while True:
+            tree = random_composed_tree(rng)
+            if tree.input_dim == d:
+                return tree
+    v = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+    if d == 1:
+        choices = (dc.rep_exp_affine(v), dc.rep_power(v), dc.rep_log_return(),
+                   dc.rep_exp_utility(rng.uniform(-2.0, 3.0)))
+    else:
+        choices = (dc.rep_ratio(), dc.rep_margrabe(v), dc.rep_coord(2, int(rng.integers(0, 2))))
+    return choices[int(rng.integers(0, len(choices)))]
+
+
+def _reference_minimiser(y, p, lo, hi):
+    """argmin of sum p e^{-lam y} on [lo, hi] by bisection on its slope, or
+    None when the slope does not change sign inside."""
+    def slope(lam):
+        return -np.sum(p * y * np.exp(-lam * y))
+
+    if not slope(lo) < 0.0 < slope(hi):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2]),
+    k=st.integers(1, 12),
+    T=st.floats(0.0, 12.0),
+)
+def test_discrete_products_match_a_numpy_reference(seed, d, k, T):
+    # The discrete functions take one atom integral of the law; the
+    # reference sums the support with numpy, pairwise past 8 atoms.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.5, 0.5, (k, d))
+    p = rng.dirichlet(np.full(k, 2.0))
+    p = p / p.sum()
+    m = dc.DiscreteModel(points, p)
+    xi, lam = _discrete_tree(rng, d), rng.uniform(-2.0, 3.0)
+    # the density 1 + eta is e^{-lam y}: y = e^x - 1 in d = 1, y = x_1 in d = 2
+    if d == 1:
+        eta, y = dc.rep_exp_utility(lam), np.expm1(points[:, 0])
+    else:
+        eta, y = dc.RepFn(2, (dc.Exp(dc.Const(-lam) * dc.Coord(1)) - dc.Const(1.0),)), points[:, 1]
+    fx = xi.eval_batch(points.astype(complex))[:, 0]
+    w = np.exp(-lam * y)
+    steps = math.floor(T)
+
+    def close(got, ref):
+        return np.all(np.abs(np.asarray(got) - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    assert close(dc.discrete_compensator(xi, m, T), steps * np.sum(p * fx))
+    assert close(dc.discrete_stoch_exp(xi, m, T), complex(np.sum(p * (1.0 + fx))) ** steps)
+    ref = (complex(np.sum(p * w * (1.0 + fx))) / np.sum(p * w)) ** steps
+    assert close(dc.discrete_q_stoch_exp(xi, eta, m, T), ref)
+    if d == 1:
+        lam_ref = _reference_minimiser(y, p, -20.0, 20.0)
+        if lam_ref is None:
+            with pytest.raises(EngineError, match="widen the bracket"):
+                dc.optimize_discrete_exp_utility(m, (-20.0, 20.0))
+        elif min(lam_ref + 20.0, 20.0 - lam_ref) > 1e-6:
+            lam, value = dc.optimize_discrete_exp_utility(m, (-20.0, 20.0))
+            assert close(lam, lam_ref)
+            assert close(value, np.sum(p * np.exp(-lam_ref * y)))

@@ -310,6 +310,23 @@ class TestDiscreteModel:
         assert trinomial.size == 3
         assert trinomial.dim == 1
 
+    def test_is_an_atom_measure_of_mass_one(self, trinomial):
+        assert isinstance(trinomial, dc.FiniteAtoms)
+        assert trinomial.probabilities is trinomial.intensities
+        assert trinomial.total_mass() == 1.0
+
+    @pytest.mark.parametrize("points, probabilities, match", [
+        ([[math.inf], [0.0]], [0.5, 0.5], "atom positions and intensities must be finite"),
+        ([[math.nan], [0.0]], [0.5, 0.5], "atom positions and intensities must be finite"),
+        ([[0.1], [0.2], [0.3]], [0.6, 0.6, -0.2], "strictly positive"),
+        ([[0.1], [0.1 + 1e-13]], [0.5, 0.5], "duplicate atoms"),
+        ([[0.1], [0.2]], [1.0], "matching lengths"),
+        (np.zeros((0, 1)), [], "support must be nonempty"),
+    ])
+    def test_atom_checks_apply(self, points, probabilities, match):
+        with pytest.raises(ValueError, match=match):
+            dc.DiscreteModel(points, probabilities)
+
 
 @settings(max_examples=50, deadline=None)
 @given(
