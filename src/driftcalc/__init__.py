@@ -86,6 +86,7 @@ from .repfn import (
     Mul,
     Neg,
     Node,
+    Param,
     PowConst,
     RepFn,
     Sub,

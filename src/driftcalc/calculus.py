@@ -24,8 +24,10 @@ from .repfn import (
     Log,
     Mul,
     Neg,
+    Param,
     PowConst,
     RepFn,
+    _OPS,
     _nonreal,
     parse_complex,
 )
@@ -65,14 +67,13 @@ def rep_log_return() -> RepFn:
 def rep_exp_affine(v) -> RepFn:
     """Relative change of e^{v X}: e^{v x} - 1.
 
-    ``v`` is a number, or a 1-d array of v (a grid) for one root
-    e^{v_k x} - 1 per point; the roots share one coordinate node, so a grid
-    point costs four tape slots.
+    ``v`` is a number, or a 1-d array of v (a grid) held by one parameter
+    leaf: one column e^{v_k x} - 1 per point from a tree of six tape slots,
+    whatever the number of points.
     """
     if np.ndim(v) > 1:
         raise ValueError(f"v must be a number or a 1-d array, got shape {np.shape(v)}")
-    x = Coord(0)
-    return RepFn(1, tuple([Exp(Const(vk) * x) - _ONE for vk in (v if np.ndim(v) else (v,))]))
+    return RepFn(1, (Exp((Param(v) if np.ndim(v) else Const(v)) * Coord(0)) - _ONE,))
 
 
 def rep_power(v) -> RepFn:
@@ -139,7 +140,9 @@ def girsanov_adjust(xi: RepFn, eta: RepFn) -> RepFn:
 
 
 def _is_identity(f: RepFn) -> bool:
-    return all(isinstance(root, Coord) and root.index == k for k, root in enumerate(f.outputs))
+    """True if output k is the coordinate x_k, read from the tape."""
+    coord = _OPS[Coord]
+    return all(f._tape[s][0] is coord and f._tape[s][1].index == k for k, s in enumerate(f._roots))
 
 
 def pushforward_characteristics(

@@ -30,7 +30,11 @@ name, via ``--xi-tree`` / ``--eta-tree``:
             | (neg expr) | (exp expr) | (log expr)
             | (pow C expr)             principal-branch power with constant exponent
             | (ind OP C expr)          indicator factor, OP in {eq, ne, abs_le, abs_gt}
+            | (param C C ...)          parameter axis: K values, a column each
     C      := real or complex literal, e.g. 2, -0.5, 1+2i
+
+A tree with param leaves, all of one K, has K columns per output: column
+k K + j is output k at the j-th values.
 
 Parentheses nest at most 256 levels deep, the outer repfn included, so a
 tree built in Python round-trips through this notation only up to that depth.
@@ -70,7 +74,7 @@ from .pricing import (
 )
 from .repfn import RepFn, format_complex, from_prefix, parse_complex
 
-#: grid points per batched cumulant or memm call: one tree with a root per
+#: grid points per batched cumulant or memm call: one tree with a column per
 #: point; bounds the working arrays and what a failing chunk reruns
 GRID_CHUNK = 128
 

@@ -112,8 +112,7 @@ def expectation_pii(
     xi: RepFn, t: LevyTriplet, T: float, quad: Optional[QuadratureConfig] = None
 ) -> np.ndarray:
     """E[(xi o X)_T] for an independent-increment process: drift times T."""
-    if T < 0:
-        raise ValueError("time horizon must be nonnegative")
+    _check_horizon(T)
     return drift(xi, t, quad).total * T
 
 
@@ -123,16 +122,19 @@ def expectation_stoch_exp(
     """E[stochastic exponential of (xi o X) at T] = exp(drift * T)."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
-    if T < 0:
-        raise ValueError("time horizon must be nonnegative")
+    _check_horizon(T)
     return complex(np.exp(drift(xi, t, quad).total[0] * T))
+
+
+def _check_horizon(T: float):
+    if not 0 <= T < math.inf:
+        raise ValueError(f"time horizon must be nonnegative and finite, got {T}")
 
 
 def _over_periods(T: float, one_period, op):
     """op(one_period, floor(T)) for a horizon T >= 0, op being ``mul`` or
     ``pow``; a result that overflows raises EngineError."""
-    if not 0 <= T < math.inf:
-        raise ValueError(f"time horizon must be nonnegative and finite, got {T}")
+    _check_horizon(T)
     steps = math.floor(T)
     try:
         with np.errstate(over="ignore"):

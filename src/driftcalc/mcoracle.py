@@ -43,6 +43,8 @@ from .repfn import RepFn, _nonreal
 KURTOSIS_WARN_LEVEL = 100.0
 #: paths per random-number block; part of every estimate's definition
 BLOCK_SIZE = 8192
+#: most support indices the discrete sampler draws at once (8 MB of indices)
+DISCRETE_DRAW_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -220,9 +222,18 @@ def sample_increment(t: LevyTriplet, T: float, rng: np.random.Generator) -> np.n
 
 
 def _discrete_products(m: DiscreteModel, steps: int, rng, size: int, *factors):
-    """Per-path products of each factor vector over ``steps`` i.i.d. support draws."""
-    idx = rng.choice(m.size, size=(size, steps), p=m.probabilities)
-    return [np.prod(f[idx], axis=1) for f in factors]
+    """Per-path products of each factor vector over ``steps`` i.i.d. support draws.
+
+    The support indices are drawn in row chunks of at most DISCRETE_DRAW_CHUNK
+    indices.  ``choice`` fills its uniforms in C order, so the chunks draw
+    the indices of one (size, steps) draw.
+    """
+    rows = max(1, DISCRETE_DRAW_CHUNK // max(steps, 1))
+    parts = []
+    for start in range(0, size, rows):
+        idx = rng.choice(m.size, size=(min(rows, size - start), steps), p=m.probabilities)
+        parts.append([np.prod(f[idx], axis=1) for f in factors])
+    return [np.concatenate(products) for products in zip(*parts)]
 
 
 Model = Union[LevyTriplet, DiscreteModel]

@@ -60,8 +60,8 @@ def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None):
     """Exponent rate kappa(v) with E[e^{v(X_T - X_0)}] = exp(kappa(v) T).
 
     ``v`` is a number, or a 1-d array of v whose kappa values are one drift
-    of one tree with a root per point (the drift is linear in the increment
-    function).  The ladder's stop rule is per output, so each point keeps its
+    of one tree with a column per point (the drift is linear in the
+    increment function).  The ladder's stop rule is per output, so each point keeps its
     own tolerance; any point that fails fails the whole call.
     """
     if t.dim != 1:

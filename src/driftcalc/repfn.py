@@ -2,8 +2,8 @@
 
 A representing function maps increment vectors in C^d to C^n and vanishes at
 the origin.  Trees are built from a closed node set (coordinates, complex
-constants, field operations, exp/log, constant powers, and indicator factors)
-so that first and second derivatives at the origin are exact: they are
+constants, parameter lists, field operations, exp/log, constant powers, and
+indicator factors) so that first and second derivatives at the origin are exact: they are
 obtained by second-order forward-mode Taylor propagation, never by symbolic
 rewriting or numerical differencing.  That propagation runs once, when a
 RepFn is built; it validates the tree at the origin and its jet is kept.
@@ -13,6 +13,9 @@ subexpression is undefined (division by zero, log or constant power of a
 nonpositive real) yields complex NaN, or real NaN when a real tree is
 evaluated at real points, and NaN propagates through every node, indicators
 included.  Powers use the principal branch via exp(v*log(base)).
+
+A parameter list (a Param leaf) holds K values of one literal; a tree holding
+one computes each output at each value, as K columns, in one pass.
 
 Evaluation takes its arithmetic from its input: a tree whose literals are all
 real (a real tree) is evaluated at real points in float64, every other input
@@ -69,10 +72,13 @@ def _nonreal(z) -> bool:
 
 
 def _as_node(value) -> "Node":
-    if isinstance(value, Node):
+    """A node as it is, or a Python value wrapped by the leaf whose row
+    wraps its type (a number becomes a constant)."""
+    if type(value) in _OPS:
         return value
-    if isinstance(value, numbers.Number):
-        return Const(complex(value))
+    for cls, op in _OPS.items():
+        if isinstance(value, op.wraps):
+            return cls(value)
     raise TypeError(f"cannot convert {type(value).__name__} to an expression node")
 
 
@@ -132,6 +138,30 @@ class Const(Node):
         object.__setattr__(self, "value", complex(self.value))
         if _isnan(self.value):
             raise ValueError("NaN constants are not allowed")
+
+
+@dataclass(frozen=True)
+class Param(Node):
+    """A literal spanning the parameter axis: K values, one per column.
+
+    A tree holding Params has K columns per output, one per value, and every
+    Param in one tree holds the same K.  ``values`` is kept as a tuple of
+    complex numbers; the rows read it as a read-only complex array.
+    """
+
+    values: tuple
+
+    def __post_init__(self):
+        array = np.array(self.values, dtype=np.complex128)
+        if array.ndim != 1 or not array.size:
+            raise ValueError(f"parameter values must be a nonempty 1-d array, got shape {array.shape}")
+        if _isnan(array).any():
+            raise ValueError("NaN parameter values are not allowed")
+        array.setflags(write=False)
+        object.__setattr__(self, "values", tuple(array.tolist()))
+        object.__setattr__(self, "_array", array)
+        # the jet's shape for a value: K along the leading axis
+        object.__setattr__(self, "_column", array.reshape(-1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -265,6 +295,14 @@ class Jet2:
     hessian: np.ndarray
 
 
+def _rebuild(node, inner, *children):
+    """The node over new children, or the node itself for a leaf."""
+    if not children:
+        return node
+    literals = [getattr(node, field) for field, _fmt, _parse in _OPS[type(node)].literals]
+    return type(node)(*literals, *children)
+
+
 class _Op(NamedTuple):
     """Everything the engine knows about one node type.
 
@@ -273,6 +311,16 @@ class _Op(NamedTuple):
     order.  ``ev(node, X, *child_values)`` maps a batch X of shape (N, d) to
     (N,) values of X's dtype; ``jet(node, d, *child_jets)`` propagates
     (value, gradient, Hessian) at x = 0 by second-order forward mode.
+    ``subst(node, inner, *new_children)`` rebuilds the node for
+    :func:`compose`, ``inner`` being the trees its coordinates stand for.
+    ``wraps`` names the Python types the operator sugar turns into this
+    leaf.  An ``axis`` row spans the parameter axis: its one literal is a
+    list of K values, one prefix operand each.
+
+    On a tree with a parameter axis every value carries it: ``ev`` values
+    broadcast to (N, K), X being passed as (N, d, 1), and a jet is a value of
+    shape (K, 1, 1), a gradient (K, 1, d) and a Hessian (K, d, d), each
+    broadcasting from the plain shapes of a part off the axis.
     """
 
     token: str
@@ -280,6 +328,9 @@ class _Op(NamedTuple):
     children: tuple
     ev: Callable
     jet: Callable
+    subst: Callable = _rebuild
+    wraps: tuple = ()
+    axis: bool = False
 
 
 def _like(value: complex, z: np.ndarray):
@@ -311,9 +362,35 @@ def _flat(dim: int, value) -> tuple:
 
 
 def _outer(a, b):
-    # np.outer's own multiply, without its argument handling, which costs
-    # more than the product on these length-d vectors
-    return a[:, None] * b[None, :]
+    # a as a column times b as a row, for gradients of shape (d,) or
+    # (K, 1, d): np.outer's own multiply, without its argument handling,
+    # which costs more than the product on these length-d vectors
+    if a.ndim == b.ndim == 1:
+        return a[:, None] * b[None, :]
+    return (a[:, None] if a.ndim == 1 else a.mT) * b
+
+
+def _column(jet, k):
+    """Column k of a jet on the parameter axis; a part off the axis as is."""
+    v, g, h = jet
+    return (
+        v[k, 0, 0] if type(v) is np.ndarray else v,
+        g[k, 0] if g.ndim == 3 else g,
+        h[k] if h.ndim == 3 else h,
+    )
+
+
+def _columnwise(rule, n, dim, *jets):
+    """A jet rule that branches on an origin value, applied one column at a
+    time where that value spans the parameter axis: each column takes the
+    branch and the arithmetic of a tree holding that column's constants."""
+    K = next(len(v) for v, _g, _h in jets if type(v) is np.ndarray)
+    v, g, h = zip(*[rule(n, dim, *[_column(jet, k) for jet in jets]) for k in range(K)])
+    return (
+        np.array(v, dtype=np.complex128).reshape(K, 1, 1),
+        np.array(g, dtype=np.complex128).reshape(K, 1, dim),
+        np.array(h, dtype=np.complex128),
+    )
 
 
 def _jet_coord(n, dim):
@@ -337,6 +414,8 @@ def _jet_mul(n, dim, a, b):
 
 def _jet_div(n, dim, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
+    if type(vb) is np.ndarray:
+        return _columnwise(_jet_div, n, dim, a, b)
     if vb == 0:
         return _flat(dim, _CNAN)
     v = np.divide(va, vb)
@@ -352,6 +431,8 @@ def _jet_exp(n, dim, c):
 
 def _jet_log(n, dim, c):
     vc, gc, hc = c
+    if type(vc) is np.ndarray:
+        return _columnwise(_jet_log, n, dim, c)
     if _nonpositive(vc):
         return _flat(dim, _CNAN)
     return (np.log(vc), gc / vc, hc / vc - _outer(gc, gc) / (vc * vc))
@@ -359,6 +440,8 @@ def _jet_log(n, dim, c):
 
 def _jet_pow(n, dim, c):
     vc, gc, hc = c
+    if type(vc) is np.ndarray:
+        return _columnwise(_jet_pow, n, dim, c)
     if _nonpositive(vc):
         return _flat(dim, _CNAN)
     p = n.exponent
@@ -383,6 +466,8 @@ def _jet_indicator(n, dim, c):
     # is frozen at its origin value before differentiation; on its level it
     # is not, and the tree is rejected.
     z0 = c[0]
+    if type(z0) is np.ndarray:
+        return _columnwise(_jet_indicator, n, dim, c)
     if (z0 if n.op in ("eq", "ne") else np.abs(z0)) == n.threshold:
         raise ValueError(
             "indicator predicate is discontinuous at the origin "
@@ -394,13 +479,29 @@ def _jet_indicator(n, dim, c):
 _BINARY = ("left", "right")
 _COMPLEX = (format_complex, parse_complex)
 
+
+def _format_values(values) -> str:
+    return " ".join([format_complex(z) for z in values])
+
+
 #: the node set: class -> row
 _OPS = {
-    Coord: _Op("x", (("index", repr, int),), (), lambda n, X: X[:, n.index].copy(), _jet_coord),
+    Coord: _Op(
+        "x", (("index", repr, int),), (), lambda n, X: X[:, n.index].copy(), _jet_coord,
+        subst=lambda n, inner: inner[n.index],
+    ),
     Const: _Op(
         "const", (("value", *_COMPLEX),), (),
-        lambda n, X: np.full(X.shape[0], _like(n.value, X), dtype=X.dtype),
+        # X.shape[0::2] is (N,), or (N, 1) on the parameter axis
+        lambda n, X: np.full(X.shape[0::2], _like(n.value, X), dtype=X.dtype),
         lambda n, dim: _flat(dim, n.value),
+        wraps=(numbers.Number,),
+    ),
+    Param: _Op(
+        "param", (("values", _format_values, parse_complex),), (),
+        lambda n, X: _like(n._array, X),
+        lambda n, dim: _flat(dim, n._column),
+        axis=True,
     ),
     Add: _Op(
         "add", (), _BINARY, lambda n, X, a, b: a + b,
@@ -473,6 +574,10 @@ class RepFn:
     indicator predicate sits on its discontinuity at the origin, and that
     every output is exactly 0 there (a NaN value is reported as undefined);
     the resulting jet is kept for :meth:`jet_at_zero`.
+
+    A tree whose leaves include :class:`Param` literals of K values has a
+    parameter axis: its m output trees give n = m K columns, in (output,
+    parameter) order, column k K + j being output k at the j-th values.
     """
 
     input_dim: int
@@ -487,19 +592,31 @@ class RepFn:
             raise ValueError("a representing function needs at least one output")
         slots, tape = {}, []
         roots = tuple([_record(root, slots, tape) for root in outputs])
+        widths = {len(node.values) for op, node, _args in tape if op.axis}
+        if len(widths) > 1:
+            raise ValueError(f"the parameter leaves of one tree must share K, got K in {sorted(widths)}")
         object.__setattr__(self, "_tape", tape)
         object.__setattr__(self, "_roots", roots)
-        d, n = self.input_dim, len(outputs)
+        # K, or 0 without a parameter axis
+        object.__setattr__(self, "_width", widths.pop() if widths else 0)
+        d, K = self.input_dim, self._width or 1
         jets = self._run("jet", d)
+        n = len(roots) * K
         value = np.zeros(n, dtype=np.complex128)
         jac = np.zeros((n, d), dtype=np.complex128)
         hess = np.zeros((n, d, d), dtype=np.complex128)
+        blocks = (value, jac, hess)
+        if self._width:
+            # output k's K columns, in the jet's shapes; a root off the axis
+            # broadcasts over them
+            blocks = (value.reshape(-1, K, 1, 1), jac.reshape(-1, K, 1, d), hess.reshape(-1, K, d, d))
         for k, s in enumerate(roots):
-            value[k], jac[k], hess[k] = jets[s]
+            blocks[0][k], blocks[1][k], blocks[2][k] = jets[s]
+        if np.count_nonzero(value):
+            k = np.flatnonzero(value)[0]
             if _isnan(value[k]):
                 raise ValueError(f"output {k} is undefined at the origin")
-            if value[k] != 0:
-                raise ValueError(f"output {k} evaluates to {value[k]} at the origin; must be exactly 0")
+            raise ValueError(f"output {k} evaluates to {value[k]} at the origin; must be exactly 0")
         for a in (value, jac, hess):
             a.setflags(write=False)
         object.__setattr__(self, "_jet", Jet2(value=value, jacobian=jac, hessian=hess))
@@ -528,16 +645,17 @@ class RepFn:
 
     @property
     def output_dim(self) -> int:
-        return len(self.outputs)
+        return len(self.outputs) * (self._width or 1)
 
     def _is_real(self) -> bool:
         """True if every literal of the tree is real, decided on first use."""
         real = self.__dict__.get("_real")
         if real is None:
             real = not any(
-                isinstance(value, complex) and value.imag != 0.0
+                isinstance(z, complex) and z.imag != 0.0
                 for op, node, _args in self._tape
-                for value in [getattr(node, field) for field, _fmt, _parse in op.literals]
+                for field, _fmt, _parse in op.literals
+                for z in (getattr(node, field) if op.axis else (getattr(node, field),))
             )
             object.__setattr__(self, "_real", real)
         return real
@@ -549,8 +667,14 @@ class RepFn:
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of shape (N, {self.input_dim}), got {X.shape}")
         real = X.dtype.kind in "biuf" and self._is_real()
-        vals = self._run("ev", X.astype(np.float64 if real else np.complex128, copy=False))
-        return np.stack([vals[s] for s in self._roots], axis=1)
+        X = X.astype(np.float64 if real else np.complex128, copy=False)
+        if not self._width:
+            vals = self._run("ev", X)
+            return np.stack([vals[s] for s in self._roots], axis=1)
+        shape = (X.shape[0], self._width)
+        vals = self._run("ev", X[:, :, None])
+        columns = np.stack([np.broadcast_to(vals[s], shape) for s in self._roots], axis=1)
+        return columns.reshape(X.shape[0], self.output_dim)
 
     def eval(self, x) -> np.ndarray:
         """Evaluate at a single point, shape (d,) -> (n,), typed as eval_batch."""
@@ -575,6 +699,8 @@ def compose(psi: RepFn, xi: RepFn) -> RepFn:
     shared subtrees are preserved so the result evaluates each inner output
     once per point.
     """
+    if xi._width > 1:
+        raise ValueError("cannot substitute a function with a parameter axis for coordinates")
     if xi.output_dim != psi.input_dim:
         raise ValueError(
             f"dimension mismatch: inner function produces {xi.output_dim} outputs, "
@@ -582,13 +708,7 @@ def compose(psi: RepFn, xi: RepFn) -> RepFn:
         )
     new: list = []
     for op, node, args in psi._tape:
-        if isinstance(node, Coord):
-            new.append(xi.outputs[node.index])
-        elif args:
-            literals = [getattr(node, field) for field, _fmt, _parse in op.literals]
-            new.append(type(node)(*literals, *[new[i] for i in args]))
-        else:
-            new.append(node)
+        new.append(op.subst(node, xi.outputs, *[new[i] for i in args]))
     return RepFn(xi.input_dim, tuple([new[s] for s in psi._roots]))
 
 
@@ -708,6 +828,11 @@ def from_prefix(text: str) -> RepFn:
         if cls is None:
             raise ValueError(f"unknown operator {head!r}")
         op = _OPS[cls]
+        if op.axis:  # one literal of one or more values, no children
+            if not rest:
+                raise ValueError(f"({head} ...) takes at least one operand")
+            (_field, _fmt, parse), = op.literals
+            return cls(tuple([_literal(t, parse) for t in rest]))
         arity = len(op.literals) + len(op.children)
         if len(rest) != arity:
             raise ValueError(f"({head} ...) takes {arity} operands, got {len(rest)}")

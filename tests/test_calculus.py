@@ -29,11 +29,13 @@ class TestCatalogExamples:
         assert (jet.jacobian[0, 0], jet.hessian[0, 0, 0]) == (2.0, 4.0)
         assert dc.rep_exp_affine(1.0).eval([np.log(2.0)])[0] == pytest.approx(1.0, abs=1e-15)
 
-    def test_exp_affine_grid_is_one_root_per_point(self):
+    def test_exp_affine_grid_is_one_small_tree(self):
         v = np.array([-1.0, 0.0, 0.5 + 2.0j, 3.0])
         grid = dc.rep_exp_affine(v)
-        # the roots share one coordinate node and one constant 1
-        assert grid.output_dim == 4 and len(grid._tape) == 4 * 4 + 2
+        # one parameter leaf holds the grid: the tape does not grow with it
+        assert grid.output_dim == 4
+        for K in (1, 4, 128):
+            assert len(dc.rep_exp_affine(np.linspace(-1.0, 2.0, K))._tape) == len(grid._tape)
         X = np.linspace(-0.9, 2.0, 7)[:, None].astype(complex)
         columns = [dc.rep_exp_affine(vk) for vk in v]
         np.testing.assert_array_equal(grid.eval_batch(X), np.hstack([f.eval_batch(X) for f in columns]))

@@ -179,6 +179,14 @@ class TestExpectations:
         )
         assert dc.expectation_stoch_exp(dc.rep_exp_affine(1.0), atoms_1d, 0.0) == 1.0
 
+    @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_nonnegative(self, atoms_1d, T):
+        xi = dc.rep_exp_affine(1.0)
+        for call in (lambda: dc.expectation_pii(xi, atoms_1d, T),
+                     lambda: dc.expectation_stoch_exp(xi, atoms_1d, T)):
+            with pytest.raises(ValueError, match="time horizon must be nonnegative and finite, got"):
+                call()
+
     def test_linear_case(self):
         t = dc.LevyTriplet(
             1, np.array([0.3]), np.zeros((1, 1)), dc.empty_measure(1),

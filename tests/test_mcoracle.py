@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,37 @@ class TestReweighted:
         dc.mc_stoch_exp(dc.rep_exp_affine(0.4), trinomial, 3.0, cfg)
         dc.mc_reweighted(dc.rep_exp_affine(0.4), dc.rep_exp_utility(1.1), trinomial, 3.0, cfg)
         assert seen == [np.float64] * 3
+
+    # estimates of one draw of (paths, floor(T)) indices, as sampled before
+    # the draw was split into row chunks
+    DISCRETE_PINS = {
+        3.0: ((0.9983343066809736 + 0j), 0.00040156912838026026,
+              (0.9936400586206121 - 0.0030590373394046018j), 0.0005931149743186543),
+        250.0: ((0.8548700891038695 + 0j), 0.003263487127941599,
+                (0.581226279333703 - 0.16202294227433225j), 0.003618141634426206),
+    }
+
+    @pytest.mark.parametrize("chunk", [mcoracle.DISCRETE_DRAW_CHUNK, 1000, 7])
+    @pytest.mark.parametrize("T", [3.0, 250.0])
+    def test_discrete_draws_in_row_chunks_are_one_draw(self, trinomial, monkeypatch, T, chunk):
+        monkeypatch.setattr(mcoracle, "DISCRETE_DRAW_CHUNK", chunk)
+        cfg = dc.SimConfig(n_paths=10_000, seed=11)
+        plain = dc.mc_stoch_exp(dc.rep_exp_affine(0.3), trinomial, T, cfg)
+        weighted = dc.mc_reweighted(
+            dc.rep_exp_affine(0.3 + 0.2j), dc.rep_exp_utility(0.7), trinomial, T, cfg
+        )
+        got = (plain.mean, plain.std_error, weighted.mean, weighted.std_error)
+        assert got == self.DISCRETE_PINS[T]
+
+    def test_discrete_draw_memory_is_bounded(self, trinomial):
+        # one (8192, 2000) draw of indices and gathered factors took 250 MB
+        tracemalloc.start()
+        try:
+            dc.mc_stoch_exp(dc.rep_exp_affine(0.3), trinomial, 2000.0, dc.SimConfig(n_paths=8192, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_negative_weight_is_rejected(self, trinomial):
         # eta far below -1 on part of the support produces negative weights

@@ -460,6 +460,50 @@ class TestGridCumulants:
             dc.rep_exp_affine(0.5), dc.rep_exp_utility(0.7), merton_1d
         ).scalar()
 
+    @staticmethod
+    def _sum_body():
+        return dc.LevyTriplet(
+            1, np.array([0.05]), np.array([[0.04]]),
+            dc.sum_measure([
+                dc.FiniteAtoms([[0.1]], [0.25]),
+                dc.GaussianPush(0.4, np.array([-0.1]), np.array([[0.0625]])),
+            ], 1),
+            dc.TruncationSpec.unit_clip(1),
+        )
+
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d", "sum_body"])
+    @pytest.mark.parametrize("imag", [0.0, 0.75])
+    def test_a_grid_is_its_points_bit_for_bit(self, model, imag, request):
+        t = self._sum_body() if model == "sum_body" else request.getfixturevalue(model)
+        v = np.linspace(-1.0, 1.0, 9) + 1j * imag
+        grid = dc.rep_exp_affine(v)
+        points = [dc.rep_exp_affine(vk) for vk in v]
+        X = np.linspace(-0.9, 2.0, 7)[:, None].astype(complex)
+        np.testing.assert_array_equal(grid.eval_batch(X), np.hstack([f.eval_batch(X) for f in points]))
+        for name in ("value", "jacobian", "hessian"):
+            np.testing.assert_array_equal(
+                getattr(grid.jet_at_zero(), name),
+                np.concatenate([getattr(f.jet_at_zero(), name) for f in points]),
+            )
+        # The tree of one root per point is the grid's former form: the
+        # drifts are those of the same integrals on the same ladder.
+        x = dc.Coord(0)
+        roots = dc.RepFn(1, tuple(dc.Exp(dc.Const(vk) * x) - dc.Const(1.0) for vk in v))
+        eta = dc.rep_exp_utility(0.7)
+        kappa, kappa_q = dc.cumulant(v, t), dc.memm_cumulant(v, 0.7, t)
+        np.testing.assert_array_equal(kappa, dc.drift(roots, t).total)
+        np.testing.assert_array_equal(kappa_q, dc.drift_q(roots, eta, t).total)
+        if model == "atoms_1d":  # atom sums are exact: each point alone agrees
+            np.testing.assert_array_equal(kappa, [dc.cumulant(vk, t) for vk in v])
+            np.testing.assert_array_equal(kappa_q, [dc.memm_cumulant(vk, 0.7, t) for vk in v])
+
+    def test_a_grid_is_one_small_tree_for_memm_too(self):
+        sizes = {
+            len(dc.girsanov_adjust(dc.rep_exp_affine(np.linspace(0.0, 1.0, K)), dc.rep_exp_utility(0.7))._tape)
+            for K in (1, 4, 128)
+        }
+        assert len(sizes) == 1
+
     def test_a_grid_value_that_moves_is_the_more_accurate(self):
         # The one-dimensional marginal of the levy example in
         # docs/model-schema.md at lambda = 2: alone, v = 0.5 stops at 31

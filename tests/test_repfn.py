@@ -11,7 +11,14 @@ from driftcalc.errors import NanPointError
 from driftcalc import cli
 from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan, finite_difference_jet
 
-from conftest import on_level, origin_value, random_composed_tree, raw_prefix, raw_trees
+from conftest import (
+    RAW_CONSTANTS,
+    on_level,
+    origin_value,
+    random_composed_tree,
+    raw_prefix,
+    raw_trees,
+)
 
 ONE = dc.Const(1.0)
 
@@ -490,3 +497,152 @@ class TestPrefixSerialisation:
         assert text.count("(neg ") == 1100
         with pytest.raises(ValueError, match="nests deeper"):
             dc.from_prefix(text)
+
+
+class TestParam:
+    V = (-1.0, 0.0, 0.5 + 2.0j, 3.0)
+
+    def test_columns_are_in_output_parameter_order(self):
+        x = dc.Coord(0)
+        f = dc.RepFn(1, (x, dc.Exp(dc.Param(self.V) * x) - ONE))
+        assert f.output_dim == 8
+        X = np.linspace(-0.9, 2.0, 5)[:, None].astype(complex)
+        out = f.eval_batch(X)
+        np.testing.assert_array_equal(out[:, :4], np.repeat(X, 4, axis=1))
+        for j, v in enumerate(self.V):
+            np.testing.assert_array_equal(out[:, 4 + j], dc.rep_exp_affine(v).eval_batch(X)[:, 0])
+        jet = f.jet_at_zero()
+        assert jet.value.shape == (8,) and jet.jacobian.shape == (8, 1) and jet.hessian.shape == (8, 1, 1)
+        np.testing.assert_array_equal(jet.jacobian[:, 0], [1, 1, 1, 1, *self.V])
+        assert f.eval_batch(np.zeros((0, 1))).shape == (0, 8)
+
+    def test_prefix_round_trip(self):
+        text = "(repfn 1 (sub (exp (mul (param -1.0 0.0 0.5+2.0i 3.0) (x 0))) (const 1.0)))"
+        f = dc.from_prefix(text)
+        assert dc.to_prefix(f) == text
+        assert f.outputs == dc.rep_exp_affine(np.array(self.V)).outputs
+        assert dc.from_prefix(dc.to_prefix(f)).outputs == f.outputs
+        with pytest.raises(ValueError, match="at least one operand"):
+            dc.from_prefix("(repfn 1 (mul (param) (x 0)))")
+
+    def test_parameter_leaves_share_their_length(self):
+        x = dc.Coord(0)
+        with pytest.raises(ValueError, match="share K"):
+            dc.RepFn(1, (dc.Param([1.0, 2.0]) * x, dc.Param([1.0, 2.0, 3.0]) * x))
+        with pytest.raises(ValueError, match="share K"):
+            dc.RepFn(1, (dc.Param([1.0]) * x + dc.Param([1.0, 2.0]) * x,))
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]], [1.0, np.nan]])
+    def test_bad_values_are_rejected(self, values):
+        with pytest.raises(ValueError):
+            dc.Param(values)
+
+    def test_origin_checks_name_the_column(self):
+        with pytest.raises(ValueError, match="output 2 evaluates to"):
+            dc.RepFn(1, (dc.Param([0.0, 0.0, 1.0]) + dc.Coord(0),))
+        with pytest.raises(ValueError, match="output 1 is undefined"):
+            dc.RepFn(1, (dc.Coord(0) / dc.Param([1.0, 0.0]),))
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (dc.Log(dc.Param([2.0, -1.0])), "output 1 is undefined"),
+            (dc.PowConst(0.5, dc.Param([4.0, -4.0])), "output 1 is undefined"),
+            (dc.Indicator("abs_le", 1.0, dc.Param([0.5, 1.0])), "discontinuous"),
+        ],
+    )
+    def test_origin_branches_are_taken_per_column(self, node, message):
+        with pytest.raises(ValueError, match=message):
+            dc.RepFn(1, (dc.Coord(0) * node,))
+
+    def test_a_function_with_a_parameter_axis_is_not_substituted(self):
+        with pytest.raises(ValueError, match="parameter axis"):
+            dc.compose(dc.rep_identity(1), dc.rep_exp_affine(np.array([0.5, 1.0])))
+        inner = dc.compose(dc.rep_exp_affine(np.array([0.5, 1.0])), dc.rep_log_return())
+        X = np.array([[0.3]])
+        np.testing.assert_allclose(inner.eval_batch(X), [[1.3**0.5 - 1.0, 0.3]], rtol=1e-15)
+
+    def test_real_values_evaluate_real_points_in_float64(self):
+        real = dc.rep_exp_affine(np.array([-1.0, 0.5]))
+        assert real.eval_batch(np.array([[0.2]])).dtype == np.float64
+        cplx = dc.rep_exp_affine(np.array([-1.0, 0.5j]))
+        assert cplx.eval_batch(np.array([[0.2]])).dtype == np.complex128
+
+    def test_pickles(self):
+        f = dc.rep_exp_affine(np.array(self.V))
+        back = pickle.loads(pickle.dumps(f))
+        assert back.outputs == f.outputs and back.output_dim == 4
+
+
+def _with_params(node, params):
+    """The raw tree with Const leaves replaced, in walk order, by the
+    Params of ``params`` (None keeps the constant)."""
+    op = _OPS[type(node)]
+    if type(node) is dc.Const:
+        p = params.pop(0) if params else None
+        return node if p is None else p
+    if not op.children:
+        return node
+    lits = [getattr(node, field) for field, _fmt, _parse in op.literals]
+    return type(node)(*lits, *[_with_params(getattr(node, f), params) for f in op.children])
+
+
+def _at(node, j):
+    """The tree with each Param replaced by a constant of its j-th value."""
+    if type(node) is dc.Param:
+        return dc.Const(node.values[j])
+    op = _OPS[type(node)]
+    if not op.children:
+        return node
+    lits = [getattr(node, field) for field, _fmt, _parse in op.literals]
+    return type(node)(*lits, *[_at(getattr(node, f), j) for f in op.children])
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(
+        a.view(np.float64), b.view(np.float64), equal_nan=True
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_param_trees_equal_their_per_value_constant_trees(data):
+    dim = data.draw(st.integers(1, 2))
+    K = data.draw(st.integers(1, 3))
+    roots = data.draw(st.lists(raw_trees(dim), min_size=1, max_size=2))
+    values = st.lists(RAW_CONSTANTS, min_size=K, max_size=K).map(dc.Param)
+    params = data.draw(st.lists(st.one_of(st.none(), values, values), min_size=1, max_size=4))
+    roots = [_with_params(r, params) for r in roots]
+    if data.draw(st.booleans()):
+        # a Param of each column's origin value makes every column vanish
+        for i, r in enumerate(roots):
+            values = [origin_value(_at(r, j), dim) for j in range(K)]
+            if all(v is not None and not _isnan(v) for v in values):
+                roots[i] = r - dc.Param(values)
+    columns = []
+    for j in range(K):
+        try:
+            columns.append(dc.RepFn(dim, tuple(_at(r, j) for r in roots)))
+        except ValueError:
+            columns.append(None)
+    if any(c is None for c in columns):
+        with pytest.raises(ValueError):
+            dc.RepFn(dim, tuple(roots))
+        return
+    f = dc.RepFn(dim, tuple(roots))
+    width = K if f._width else 1
+    assert f.output_dim == len(roots) * width
+    pick = [(k, j if f._width else 0) for k in range(len(roots)) for j in range(width)]
+    jet = f.jet_at_zero()
+    for name in ("value", "jacobian", "hessian"):
+        want = [getattr(columns[j].jet_at_zero(), name)[k] for k, j in pick]
+        assert _same_bits(getattr(jet, name), np.array(want)), name
+    point = st.lists(REAL_POINTS, min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
+    for Y in (X.astype(complex), X + 0.5j, X):
+        if Y.dtype.kind == "f" and not f._is_real():
+            continue
+        out = f.eval_batch(Y)
+        assert _same_bits(out, np.stack([columns[j].eval_batch(Y)[:, k] for k, j in pick], axis=1))
+    assert dc.from_prefix(dc.to_prefix(f)).outputs == f.outputs
