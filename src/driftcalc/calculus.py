@@ -87,15 +87,16 @@ def rep_exp_utility(lam: float) -> RepFn:
     return RepFn(1, (Exp(inner) - _ONE,))
 
 
-def _rep_exp_utility_slope(lam: float) -> RepFn:
+def _rep_exp_utility_slope(lam) -> RepFn:
     """First and second lam-derivatives of ``rep_exp_utility(lam)``:
     -y e^{-lam y} and y^2 e^{-lam y} with y = e^x - 1.
 
     The drift is linear in the increment function, so the drift of these two
-    roots is the pair of lam-derivatives of the utility drift.
+    roots is the pair of lam-derivatives of the utility drift.  An array
+    ``lam`` is one parameter leaf: columns in (output, parameter) order.
     """
     y = Exp(Coord(0)) - _ONE
-    weight = Exp(Neg(Const(lam) * y))
+    weight = Exp(Neg((Param(lam) if np.ndim(lam) else Const(lam)) * y))
     return RepFn(1, (Neg(y * weight), y * y * weight))
 
 

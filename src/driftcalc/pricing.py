@@ -56,6 +56,11 @@ def _per_point(v, report):
     return report.total if np.ndim(v) else report.scalar()
 
 
+def _require_1d(t: LevyTriplet, what: str):
+    if t.dim != 1:
+        raise ValueError(f"{what} requires a one-dimensional model")
+
+
 def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None):
     """Exponent rate kappa(v) with E[e^{v(X_T - X_0)}] = exp(kappa(v) T).
 
@@ -64,8 +69,7 @@ def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None):
     increment function).  The ladder's stop rule is per output, so each point keeps its
     own tolerance; any point that fails fails the whole call.
     """
-    if t.dim != 1:
-        raise ValueError("cumulant requires a one-dimensional model")
+    _require_1d(t, "cumulant")
     return _per_point(v, drift(rep_exp_affine(v), t, quad))
 
 
@@ -75,48 +79,43 @@ def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] =
     Real by construction for a real model; the imaginary residual is checked
     and discarded.
     """
-    if t.dim != 1:
-        raise ValueError("utility drift requires a one-dimensional model")
+    _require_1d(t, "utility drift")
     value = drift(rep_exp_utility(lam), t, quad).scalar()
     if _nonreal(value):
         raise EngineError(f"utility drift came out non-real: {value}")
     return float(value.real)
 
 
-def minimize_scalar(fn, bracket: Tuple[float, float], slope) -> float:
-    """Minimiser of a convex ``fn`` on ``bracket``: bracketed Newton on
-    ``slope(x) = (f'(x), f''(x))``, started at the bracket's midpoint.
-
-    ``fn`` is evaluated at the two ends only.  A convex function that is
-    finite there is finite on the whole bracket, so a bracket reaching where
-    ``fn`` does not exist (lambda < 0 on a Gaussian jump body) fails at
-    ``fn(lo)``.  Each step shrinks the bracket by the sign of f', takes the
-    Newton step when f'' > 0 and the step stays inside, and bisects otherwise.
-    A point that settles on a bracket end means there is no interior minimum.
+def minimize_scalar(fn, bracket: Tuple[float, float]) -> float:
+    """Minimiser of a convex f on ``bracket`` from ``fn(x) = (f'(x), f''(x))``
+    at a number or a 1-d array x.  One call at both ends decides the edge
+    verdicts: f not finite on the bracket, or f'(hi) <= 0 (f'(lo) >= 0) for a
+    minimum at the right (left) edge.  Otherwise Newton runs from the midpoint;
+    each step shrinks the bracket by the sign of f' and bisects unless f'' > 0
+    and the Newton step stays inside and is at most half the previous step.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if not (math.isfinite(fn(lo)) and math.isfinite(fn(hi))):
+    ends = np.asarray(fn(np.array([lo, hi])), dtype=float)
+    if not np.all(np.isfinite(ends)):
         raise EngineError("objective is not finite everywhere on the bracket")
-    a, b, x = lo, hi, 0.5 * (lo + hi)
+    if ends[0, 1] <= 0.0 or ends[0, 0] >= 0.0:
+        side = "right" if ends[0, 1] <= 0.0 else "left"
+        raise EngineError(f"no interior minimum in [{lo}, {hi}]; widen the bracket "
+                          f"(the minimum sits at the {side} edge)")
+    a, b, x, step = lo, hi, 0.5 * (lo + hi), hi - lo
     for _ in range(POLISH_STEPS):
-        d1, d2 = slope(x)
+        d1, d2 = fn(x)
         a, b = (a, x) if d1 > 0.0 else (x, b)
         new = 0.5 * (a + b)
         # inclusive: a step that rounds to x, now a bracket end, settles
-        if d2 > 0.0 and a <= x - d1 / d2 <= b:
+        if d2 > 0.0 and a <= x - d1 / d2 <= b and abs(d1 / d2) <= 0.5 * abs(step):
             new = x - d1 / d2
-        tol = 1e-15 * (1.0 + abs(x))
-        if abs(new - x) <= tol:
-            # a midpoint settling next to an end may round one ulp past tol
-            if min(new - lo, hi - new) <= 2.0 * tol:
-                raise EngineError(
-                    f"no interior minimum in [{lo}, {hi}]; widen the bracket "
-                    f"(the minimum sits at the {'left' if new - lo < hi - new else 'right'} edge)"
-                )
+        step = new - x
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
             return new
         x = new
     raise ConvergenceError(f"Newton polish on [{lo}, {hi}] did not settle in {POLISH_STEPS} steps")
@@ -132,16 +131,18 @@ def optimize_exp_utility(
     Expected utility -E[e^{-lam R_T}] is largest where the drift rate of the
     relative change of e^{-lam R} is smallest, so the optimiser returns the
     interior minimiser lam* of ``utility_drift`` over the bracket, together
-    with the attained drift value.
+    with the attained drift value (the search itself sees only u' and u'').
     """
+    _require_1d(t, "utility drift")
 
     def slope(lam):
         d = drift(_rep_exp_utility_slope(lam), t, quad).total
         if _nonreal(d):
             raise EngineError(f"utility drift derivatives came out non-real: {d}")
-        return float(d[0].real), float(d[1].real)
+        # columns in (output, parameter) order
+        return d.real.reshape(2, -1) if np.ndim(lam) else (float(d[0].real), float(d[1].real))
 
-    lam_star = minimize_scalar(lambda lam: utility_drift(lam, t, quad), bracket, slope)
+    lam_star = minimize_scalar(slope, bracket)
     return lam_star, utility_drift(lam_star, t, quad)
 
 
@@ -165,8 +166,7 @@ def memm_cumulant(
 
     ``v`` is a number or a 1-d array, as in :func:`cumulant`.
     """
-    if t.dim != 1:
-        raise ValueError("measure-changed cumulant requires a one-dimensional model")
+    _require_1d(t, "measure-changed cumulant")
     return _per_point(v, drift_q(rep_exp_affine(v), rep_exp_utility(lam_star), t, quad))
 
 

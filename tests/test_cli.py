@@ -60,6 +60,18 @@ MARGRABE_MODEL = {
 }
 
 
+# the levy example of docs/model-schema.md
+DOC_LEVY_MODEL = {
+    "type": "levy", "dim": 2, "b": [0.05, 0.02], "c": [[0.04, 0.006], [0.006, 0.01]],
+    "truncation": ["unit_clip", "unit_clip"],
+    "jumps": [
+        {"kind": "atoms", "atoms": [{"x": [0.1, -0.05], "intensity": 0.25}]},
+        {"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1, -0.05],
+         "cov": [[0.0625, 0.02], [0.02, 0.0625]]},
+    ],
+}
+
+
 # the one-dimensional marginal of the levy example in docs/model-schema.md
 DOC_MARGINAL_MODEL = {
     "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
@@ -382,6 +394,13 @@ class TestExitCodes:
             argv += ["--v-grid", '{"re": 1}']
         assert main(argv) == 2
         assert "--bracket needs two finite numbers" in capsys.readouterr().err
+
+    def test_utility_on_a_two_dimensional_model_is_usage_error(self, model_file, capsys, monkeypatch):
+        drifts = []
+        monkeypatch.setattr(pricing, "drift", lambda *a, **k: drifts.append(a))
+        assert main(["utility", "--model", model_file(DOC_LEVY_MODEL), "--bracket=0,8"]) == 2
+        assert "utility drift requires a one-dimensional model" in capsys.readouterr().err
+        assert drifts == []
 
     @pytest.mark.parametrize(
         "argv",

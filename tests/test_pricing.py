@@ -190,7 +190,7 @@ def count_calls(monkeypatch, module, name):
 
 def scan_then_polish(fn, slope, lo, hi):
     """Reference minimiser: the best of 65 evenly spaced values of ``fn``,
-    then plain Newton steps on ``slope`` from that point."""
+    then plain Newton steps on ``slope(x) = (f'(x), f''(x))`` from that point."""
     xs = np.linspace(lo, hi, 65)
     k = int(np.argmin([fn(x) for x in xs]))
     assert 0 < k < 64, "reference scan found no interior minimum"
@@ -316,19 +316,67 @@ class TestOptimizer:
         lam_star, _ = dc.optimize_exp_utility(atoms_1d, (-5.0, 15.0))
         assert abs(dc.memm_cumulant(1.0, lam_star, atoms_1d)) < 1e-9
 
-    def test_no_interior_optimum_advises_wider_bracket(self, atoms_1d):
-        with pytest.raises(EngineError, match="widen the bracket"):
+    def test_no_interior_optimum_advises_wider_bracket(self, atoms_1d, monkeypatch):
+        # u' > 0 at both ends: the one drift of the end slopes decides it.
+        calls = count_calls(monkeypatch, pricing, "drift")
+        with pytest.raises(EngineError, match=r"in \[10.0, 20.0\]; widen the bracket .*at the left edge"):
             dc.optimize_exp_utility(atoms_1d, (10.0, 20.0))
+        assert len(calls) == 1
+
+    def test_two_dimensional_model_is_refused_before_any_drift(self, monkeypatch):
+        t = dc.LevyTriplet(
+            2, np.array([0.05, 0.02]), np.array([[0.04, 0.006], [0.006, 0.01]]),
+            dc.empty_measure(2), dc.TruncationSpec.unit_clip(2),
+        )
+        calls = count_calls(monkeypatch, pricing, "drift")
+        with pytest.raises(ValueError, match="utility drift requires a one-dimensional model"):
+            dc.optimize_exp_utility(t, (0.0, 8.0))
+        assert calls == []
 
     @pytest.mark.parametrize("bracket", [(0.0, math.inf), (math.nan, 1.0)])
     def test_non_finite_bracket_rejected(self, bracket):
+        calls = []
         with pytest.raises(ValueError, match="bracket ends must be finite"):
-            pricing.minimize_scalar(abs, bracket, lambda x: (1.0, 1.0))
+            pricing.minimize_scalar(lambda x: calls.append(x) or (1.0, 1.0), bracket)
+        assert calls == []
 
     def test_unsettled_polish_names_the_bracket(self):
-        # Newton steps of 1e-12 stay inside the bracket and never settle.
-        with pytest.raises(ConvergenceError, match=r"polish on \[0.0, 1.0\] did not settle"):
-            pricing.minimize_scalar(lambda x: (x - 0.5) ** 2, (0.0, 1.0), lambda x: (-1.0, 1e12))
+        # f = |x| has a kink at its minimum and f'' = 0, so every step
+        # bisects; a bracket 3e30 wide needs about 150 halvings to reach the
+        # settling tolerance near 0, more than the polish may take.
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return np.sign(x), np.zeros_like(x)
+
+        with pytest.raises(ConvergenceError, match=r"polish on \[-1e\+30, 2e\+30\] did not settle in 100 steps"):
+            pricing.minimize_scalar(fn, (-1e30, 2e30))
+        assert len(calls) == 1 + pricing.POLISH_STEPS
+
+    def test_unsafe_newton_steps_are_replaced_by_bisection(self):
+        # Newton steps of 1e-12 stay inside the bracket; taking each one
+        # would crawl.  A step longer than half the previous one bisects
+        # instead, so the search still reaches the kink at 0.
+        def fn(x):
+            return np.sign(x), np.full_like(x, 1e12)
+
+        assert abs(pricing.minimize_scalar(fn, (-1.0, 2.0))) <= 1e-14
+
+    def test_wide_bracket_settles_in_few_drifts(self, monkeypatch):
+        # u grows like e^{c lam} on a Gaussian body: the Newton step from the
+        # middle of (0, 800) is about 2 long.  Taking every such step did
+        # not settle in 100 steps.
+        t = dc.LevyTriplet(
+            1, np.array([0.05]), np.array([[0.04]]),
+            dc.GaussianPush(0.4, np.array([-0.1]), np.array([[0.04]])), dc.TruncationSpec.identity(1),
+        )
+        near, _ = dc.optimize_exp_utility(t, (0.0, 8.0))
+        calls = count_calls(monkeypatch, pricing, "drift")
+        lam_star, _ = dc.optimize_exp_utility(t, (0.0, 800.0))
+        assert len(calls) <= 20
+        assert lam_star == pytest.approx(near, abs=1e-12)
+        assert near == pytest.approx(1.404, abs=1e-3)
 
     def test_interior_optimum_near_either_end_is_found(self, atoms_1d):
         lam_star, _ = dc.optimize_exp_utility(atoms_1d, (-5.0, 15.0))
@@ -344,17 +392,36 @@ class TestOptimizer:
             dc.optimize_exp_utility(atoms_1d, bracket)
 
     def test_every_bracket_beside_the_minimum_names_its_edge(self):
-        # f(x) = e^x - x has its minimum at 0.  The last bisection toward a
-        # bracket end can round its midpoint one ulp past the settling
-        # tolerance; that point must still count as the end.
+        # f(x) = e^x - x has its minimum at 0.  The slopes at the two ends
+        # name the edge, in the one call that evaluates both ends.
         rng = np.random.default_rng(3)
         for _ in range(300):
             gap, width = 10 ** rng.uniform(-6, 1), 10 ** rng.uniform(-3, 1.5)
             bracket, side = ((gap, gap + width), "left") if rng.random() < 0.5 else (
                 (-gap - width, -gap), "right")
+            calls = []
+
+            def fn(x):
+                calls.append(x)
+                return np.expm1(x), np.exp(x)
+
             with pytest.raises(EngineError, match=f"at the {side} edge"):
-                pricing.minimize_scalar(lambda x: math.exp(x) - x, bracket,
-                                        lambda x: (math.expm1(x), math.exp(x)))
+                pricing.minimize_scalar(fn, bracket)
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], bracket)
+
+    @pytest.mark.parametrize("ends", [(np.nan, 1.0), (-1.0, np.inf)])
+    def test_non_finite_end_slope_is_refused(self, ends):
+        def fn(x):
+            return np.array(ends), np.ones(2)
+
+        with pytest.raises(EngineError, match="objective is not finite everywhere on the bracket"):
+            pricing.minimize_scalar(fn, (0.0, 1.0))
+
+    def test_flat_objective_names_the_right_edge(self):
+        # u' = 0 at both ends: the right edge is checked first.
+        with pytest.raises(EngineError, match="at the right edge"):
+            pricing.minimize_scalar(lambda x: (np.zeros_like(x), np.zeros_like(x)), (0.0, 1.0))
 
     def test_bracket_below_zero_on_gaussian_body_fails_at_first_drift(self, merton_1d, monkeypatch):
         # The objective is convex, so only the bracket ends need to exist; the
@@ -373,16 +440,22 @@ class TestOptimizer:
         seen = {}
         original = pricing.minimize_scalar
 
-        def spy(fn, bracket, slope):
-            seen.update(fn=fn, slope=slope)
-            return original(fn, bracket, slope)
+        def spy(fn, bracket):
+            seen.update(fn=fn)
+            return original(fn, bracket)
 
         monkeypatch.setattr(pricing, "minimize_scalar", spy)
         if isinstance(t, dc.DiscreteModel):
             lam_star, _ = dc.optimize_discrete_exp_utility(t, bracket)
+
+            def utility(lam):
+                return dc.discrete_compensator(dc.rep_exp_utility(lam), t, 1.0)[0].real
         else:
             lam_star, _ = dc.optimize_exp_utility(t, bracket)
-        reference = scan_then_polish(seen["fn"], seen["slope"], *bracket)
+
+            def utility(lam):
+                return dc.utility_drift(lam, t)
+        reference = scan_then_polish(utility, seen["fn"], *bracket)
         assert lam_star == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
@@ -419,6 +492,19 @@ class TestUtilitySlope:
         up, mid, down = (dc.utility_drift(lam + s, t) for s in (h, 0.0, -h))
         assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
         assert d2 == pytest.approx((up - 2 * mid + down) / h**2, rel=1e-6)
+
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d", "trinomial"])
+    def test_a_lam_array_is_its_points(self, request, model):
+        t = request.getfixturevalue(model)
+        if isinstance(t, dc.DiscreteModel):
+            t = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), t, dc.TruncationSpec.zero(1))
+        lams = np.array([0.0, 0.5, 1.25, 7.0])
+        got = dc.drift(_rep_exp_utility_slope(lams), t).total
+        one = np.array([dc.drift(_rep_exp_utility_slope(lam), t).total for lam in lams])
+        # columns in (output, parameter) order; a batched Gaussian-body sum
+        # may differ from a one-point one in its last bit
+        want = one.T.ravel()
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
 
     @pytest.mark.parametrize("lam", [-2.0, 0.0, 3.0])
     def test_discrete_compensator_on_trinomial(self, trinomial, lam):
