@@ -63,7 +63,6 @@ from .models import (
     truncation_moment,
 )
 from .pricing import (
-    ContourConfig,
     MargrabeModel,
     cumulant,
     default_intensities,

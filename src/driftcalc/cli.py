@@ -65,7 +65,6 @@ from .mcoracle import SimConfig, mc_margrabe, mc_reweighted, mc_stoch_exp
 from .models import DiscreteModel, LevyTriplet, QuadratureConfig, TruncationSpec, retruncate
 from .modelio import ModelFormatError, load_model, parse_grid, serialize_model
 from .pricing import (
-    ContourConfig,
     MargrabeModel,
     cumulant,
     margrabe_price,
@@ -247,12 +246,7 @@ def _cmd_memm(args) -> int:
 
 def _cmd_price_margrabe(args) -> int:
     model = _require_model(load_model(args.model), MargrabeModel, "margrabe")
-    cfg = ContourConfig(
-        beta=args.beta,
-        u_max=args.u_max,
-        rel_tol=args.tol if args.tol is not None else 1e-9,
-    )
-    price, diags = margrabe_price(model, cfg)
+    price, diags = margrabe_price(model, 1e-9 if args.tol is None else args.tol)
     _emit_json(
         args,
         {
@@ -365,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mc=False, tol=True):
+    def common(p, mc=False, tol="quadrature relative tolerance"):
         p.add_argument("--model", required=True, help="path to a JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if tol:
-            p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+            p.add_argument("--tol", type=float, default=None, help=tol)
         if mc:
             p.add_argument("--seed", type=int, default=20240801)
             p.add_argument("--n-paths", type=int, default=100_000)
@@ -408,14 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_memm)
 
     p = sub.add_parser("price-margrabe", help="exchange-option price")
-    common(p)
-    p.add_argument("--beta", type=float, default=-0.5, help="contour abscissa (negative)")
-    p.add_argument("--u-max", type=float, default=200.0,
-                   help="longest contour run before the Poisson series takes over")
+    common(p, tol="tail tolerance of the jump-body series: it stops where its tail "
+                  "bound is at most min(tol, 1e-16), so only values below 1e-16 tighten it")
     p.set_defaults(fn=_cmd_price_margrabe)
 
     p = sub.add_parser("discrete", help="discrete-time compensators and products")
-    common(p, tol=False)
+    common(p, tol=None)
     p.add_argument("--op", required=True, choices=["compensator", "stoch-exp", "q-stoch-exp"])
     repfn_args(p, "xi")
     repfn_args(p, "eta")
@@ -432,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mc_verify)
 
     p = sub.add_parser("roundtrip", help="parse a model file and re-serialise it")
-    common(p, tol=False)
+    common(p, tol=None)
     p.set_defaults(fn=_cmd_roundtrip)
 
     return parser

@@ -5,13 +5,12 @@ a Gaussian push-forward (lognormal-style body) plus optional default atoms at
 relative jump -1.  The engine normalises the model to a martingale instead of
 asking the caller for a drift and evaluates the exponent function kappa(v) in
 closed form.  It prices the affine-plus-Gaussian part of kappa in closed form
-and the jump-body remainder by a contour integral along Re v = beta < 0 or
-its Poisson series over the number of body jumps.
+and the jump-body remainder by its Poisson series over the number of body
+jumps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -32,20 +31,10 @@ from .models import (
 )
 from .repfn import _nonreal
 
-#: contour panel width before the oscillation cap, and Gauss-Legendre nodes
-#: per panel
-PANEL_WIDTH = 2.0
-NODES_PER_PANEL = 24
 #: e^z overflows a float past this z (log of the largest float, 709.7827...)
 LOG_FLOAT_MAX = 709.78
-#: largest envelope mass (the integral of the bound on |remainder|) that the
-#: contour integrates; larger ones go to the Poisson series
-MAX_ENVELOPE_MASS = 10.0
 #: largest mean jump count lam T e^{q0} whose series is summed (about 1 s)
 MAX_SERIES_MEAN = 1e6
-#: panels per vectorised pass of the contour sum (times two sides and
-#: NODES_PER_PANEL nodes); bounds the working arrays on long contours
-PANELS_PER_PASS = 128
 #: bracketed Newton steps the optimiser may take before giving up
 POLISH_STEPS = 100
 
@@ -220,6 +209,12 @@ class MargrabeModel:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         _require_psd(S, "jump covariance")
+        log_factor = m + 0.5 * np.diag(S)  # log E[1 + jump] of each asset
+        if np.any(log_factor > LOG_FLOAT_MAX):
+            raise ValueError(
+                f"jump_mean + diag(jump_cov) / 2 = {log_factor.tolist()} must be at most "
+                f"{LOG_FLOAT_MAX}: the mean jump factor e^(m_i + S_ii / 2) overflows a float"
+            )
         atoms = tuple((tuple(map(float, x)), float(lam)) for x, lam in self.default_atoms)
         object.__setattr__(self, "default_atoms", atoms)
         for x, lam in atoms:
@@ -284,8 +279,7 @@ class _ExponentSplit:
     default intensities) and the jump body.
 
     The body exponent Q(v) = (1 - v) m1 + v m2 + (1 - v)^2 s11 / 2
-    + v (1 - v) s12 + v^2 s22 / 2 is q0 + q1 v + s2 v^2 / 2, so on
-    Re v = beta its real part is Q(beta) - s2 u^2 / 2 exactly.
+    + v (1 - v) s12 + v^2 s22 / 2 is q0 + q1 v + s2 v^2 / 2.
     """
 
     sig2: float  # sigma_eff^2 of the diffusion
@@ -338,131 +332,25 @@ def margrabe_kappa(v, mm: MargrabeModel):
 
 
 @dataclass(frozen=True)
-class ContourConfig:
-    """Contour placement and tolerances for the pricing integral."""
-
-    beta: float = -0.5
-    u_max: float = 200.0
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta < 0.0):
-            raise ValueError(
-                f"the contour abscissa beta must be finite and negative, got {self.beta}"
-            )
-        for name in ("u_max", "rel_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"contour {name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
 class PriceDiagnostics:
+    """What a price took.  ``tail_mass`` bounds what the series' last term
+    leaves out.  ``nodes``, ``u_max_used`` and ``imag_residual`` are always
+    0: they described a contour integral that the series replaced, and stay
+    so that readers of these fields (the CLI output, ``perfbench``) keep
+    working."""
+
     kappa0: complex
     lambda2_q1: float
     lambda1_q2: float
     tail_mass: float
-    nodes: int
-    imag_residual: float
-    u_max_used: float
-
-
-@functools.cache
-def _legendre_rule():
-    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-
-
-def _panel_sum(integrand, beta: float, edges: np.ndarray):
-    """Gauss-Legendre sum of ``integrand`` on Re v = beta over the panels
-    between consecutive ``edges`` and over their mirrors [-b, -a].
-
-    Each numpy pass evaluates at most PANELS_PER_PASS panels on both sides
-    at once.  Panel values are added in panel order, a panel together with
-    its mirror, so the sum is the one a panel-by-panel loop gives.
-    """
-    gl_x, gl_w = _legendre_rule()
-    total = 0.0 + 0.0j
-    for k in range(0, edges.size - 1, PANELS_PER_PASS):
-        a = edges[k : k + PANELS_PER_PASS + 1]
-        lo = np.stack((a[:-1], -a[1:]))
-        hi = np.stack((a[1:], -a[:-1]))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        g = integrand(beta + 1j * (mid[..., None] + half[..., None] * gl_x))
-        sides = half * np.sum(gl_w * g, axis=-1)
-        total = np.concatenate(([total], sides[0] + sides[1])).cumsum()[-1]
-    return total
-
-
-def _contour_integral(mm: MargrabeModel, cfg: ContourConfig, x: _ExponentSplit):
-    """Two-sided contour integral of the jump-body remainder
-    e^{v l + kappa_aff(v) T} (e^{lam T e^{Q(v)}} - 1) / (2 pi v (v - 1)),
-    l = log(spot2 / spot1), cut where its Gaussian envelope's tail is within
-    tol.  Returns (integral, tail_mass, nodes, u_max_used), or None where the
-    fixed panels would not price it (see the checks below).  Both half-lines
-    are evaluated, so the imaginary residual checks conjugate symmetry."""
-    log_ratio = math.log(mm.spot2 / mm.spot1)
-    T, beta = mm.maturity, cfg.beta
-    w = x.sig2 * T + x.s2
-    q = x.body_exponent(beta)
-    z0 = x.lam * T * math.exp(q) if q < LOG_FLOAT_MAX else math.inf
-    # |remainder(beta + iu)| <= scale e^{-w u^2 / 2}: Re kappa_aff falls by
-    # sig2 u^2 / 2, |lam T e^Q| = z0 e^{-s2 u^2 / 2} with |e^z - 1| <= |z| e^{|z|},
-    # and |v (v - 1)| >= beta (beta - 1).  The two tails beyond U then hold
-    # at most mass erfc(U sqrt(w / 2)), mass = scale sqrt(2 pi / w).
-    e = beta * log_ratio + x.affine(beta) * T + z0
-    mass = math.inf
-    if w > 0.0 and e < LOG_FLOAT_MAX:
-        mass = math.exp(e) * z0 / (2.0 * math.pi * beta * (beta - 1.0)) * math.sqrt(2.0 * math.pi / w)
-
-    # Panels must resolve the oscillation e^{iu log(ratio)}: cap the width at
-    # about three periods so the fixed Gauss-Legendre rule stays spectral.
-    width = PANEL_WIDTH
-    if log_ratio != 0.0:
-        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
-    # The contour needs a jump body and an envelope (with w = 0 the remainder
-    # decays like 1/u^2).  |lam T e^{Q(beta + iu)}| <= z0 on the whole line,
-    # so z0 < LOG_FLOAT_MAX keeps expm1 finite there.  The body factor
-    # e^{lam T e^Q} turns its phase by up to z0 |q1 + s2 beta| per unit u and
-    # grows like e^{z0}: past one turn per panel, or past MAX_ENVELOPE_MASS
-    # (which bounds the sum of |terms| that rounding acts on), the fixed
-    # panels miss the exact series by 1e-12 spot1 and more.
-    turns = width * z0 * abs(x.q1 + x.s2 * beta) / (2.0 * math.pi)
-    if not (0.0 < z0 < LOG_FLOAT_MAX and mass <= MAX_ENVELOPE_MASS and turns <= 1.0):
-        return None
-
-    def tail(k):
-        return mass * math.erfc(k * width * math.sqrt(0.5 * w))
-
-    # Cut at the first multiple of the width whose tail is within tol.
-    # erfc(x) <= e^{-x^2}, so the tail is within tol at the multiple where
-    # mass e^{-w u^2 / 2} reaches tol; step down from there (or from just
-    # past u_max) to the first multiple that meets tol.  A cut past u_max
-    # leaves the remainder to the series.
-    tol = min(cfg.rel_tol, 1e-16)
-    k_max = math.floor(cfg.u_max / width)
-    n_panels = 1
-    if mass > tol:
-        n_panels = min(math.ceil(math.sqrt(2.0 * (math.log(mass) - math.log(tol)) / w) / width), k_max + 1)
-    while n_panels > 1 and tail(n_panels - 1) <= tol:
-        n_panels -= 1
-    if n_panels > k_max:
-        return None
-
-    def remainder(v):
-        return (
-            np.exp(v * log_ratio + x.affine(v) * T)
-            * np.expm1(x.lam * T * np.exp(x.body_exponent(v)))
-            / (2.0 * np.pi * v * (v - 1.0))
-        )
-
-    u_cut = n_panels * width
-    total = _panel_sum(remainder, beta, np.linspace(0.0, u_cut, n_panels + 1))
-    return total, tail(n_panels), 2 * NODES_PER_PANEL * n_panels, u_cut
+    nodes: int = 0
+    imag_residual: float = 0.0
+    u_max_used: float = 0.0
 
 
 def _poisson_series(log_forward: float, T: float, x: _ExponentSplit, tol: float):
     """The remainder as its series over the number n >= 1 of body jumps
-    (Merton 1976), returned like the contour with no nodes.  Term n of
+    (Merton 1976), returned with its tail bound.  Term n of
     e^{lam T e^Q} - 1 prices as a killed lognormal ratio: w_n P(log_forward
     + n (q1 + s2 / 2), sig2 T + n s2), w_n = e^{cT} mu^n / n!, mu = lam T e^{q0}."""
     mu = x.lam * T * math.exp(x.q0)
@@ -486,7 +374,7 @@ def _poisson_series(log_forward: float, T: float, x: _ExponentSplit, tol: float)
         # at most w_n mu / (n + 1) / (1 - mu / (n + 2))
         bound = weight * mu / (n + 1) / (1.0 - mu / (n + 2)) if n + 2 > mu else math.inf
         if bound <= tol:
-            return total, bound, 0, 0.0
+            return total, bound
 
 
 def _black_put(log_forward: float, var: float) -> float:
@@ -507,7 +395,7 @@ def _black_put(log_forward: float, var: float) -> float:
     return 0.5 * (math.erfc((d1 - s) * r) - math.exp(log_forward) * math.erfc(d1 * r))
 
 
-def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
+def margrabe_price(mm: MargrabeModel, rel_tol: float = 1e-9):
     """Value of the option to exchange asset 2 for asset 1 at maturity.
 
     Returns (price, PriceDiagnostics).  The price is the first spot times
@@ -516,26 +404,18 @@ def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
     states).  The affine part kappa_aff of kappa in closed form: its
     transform e^{v l + kappa_aff(v) T} is that of a killed lognormal ratio,
     so it prices as e^{cT} times a Black put on e^{l + aT} with variance
-    sigma_eff^2 T.  And the jump-body remainder, by contour or series.  The
-    imaginary residual of the contour is asserted small and discarded.
+    sigma_eff^2 T.  And the jump-body remainder by its Poisson series,
+    summed until its tail bound is at most min(rel_tol, 1e-16).
     """
-    cfg = cfg or ContourConfig()
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     T = mm.maturity
     lam2_q1, lam1_q2 = default_intensities(mm)
     x = _ExponentSplit.of(mm)
     log_forward = math.log(mm.spot2 / mm.spot1) + x.a * T
-    integral, tail, nodes, u_used = _contour_integral(mm, cfg, x) or _poisson_series(
-        log_forward, T, x, min(cfg.rel_tol, 1e-16)
-    )
+    remainder, tail = _poisson_series(log_forward, T, x, min(rel_tol, 1e-16))
     closed = -math.expm1(-lam2_q1 * T) + math.exp(x.c * T) * _black_put(log_forward, x.sig2 * T)
-    raw = closed + integral
-    imag_residual = abs(raw.imag) * mm.spot1
-    if imag_residual > 1e-9 * mm.spot1:
-        raise EngineError(
-            f"price has a non-negligible imaginary residual {imag_residual:.3e}; "
-            "the model is not conjugate-symmetric"
-        )
-    price = mm.spot1 * raw.real
+    price = mm.spot1 * (closed + remainder)
     if price < 0.0:
         if price < -1e-12 * mm.spot1:
             raise EngineError(f"price came out negative ({price}); model inputs are inconsistent")
@@ -546,8 +426,5 @@ def margrabe_price(mm: MargrabeModel, cfg: Optional[ContourConfig] = None):
         lambda2_q1=lam2_q1,
         lambda1_q2=lam1_q2,
         tail_mass=tail,
-        nodes=nodes,
-        imag_residual=imag_residual,
-        u_max_used=u_used,
     )
     return price, diags

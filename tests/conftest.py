@@ -1,13 +1,16 @@
 import functools
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 import driftcalc as dc
+from driftcalc.modelio import serialize_model
 from driftcalc.repfn import _OPS, PRED_OPS
 
 # Every run draws the same examples and replays nothing from a local
@@ -27,6 +30,104 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# An exchange-option price along the contour Re v = CONTOUR_BETA, summed in
+# panels of CONTOUR_NODES Gauss-Legendre nodes: the tests' oracle for the
+# engine's Poisson series, written without it.
+CONTOUR_BETA = -0.5
+CONTOUR_U_MAX = 200.0
+CONTOUR_REL_TOL = 1e-9
+CONTOUR_PANEL_WIDTH = 2.0
+CONTOUR_NODES = 24
+
+
+def contour_width(log_ratio):
+    """The panel width, capped at three periods of e^{iu log_ratio}."""
+    width = CONTOUR_PANEL_WIDTH
+    if log_ratio != 0.0:
+        width = min(width, 3.0 * 2.0 * math.pi / abs(log_ratio))
+    return width
+
+
+def panel_by_panel(transform, beta, edges):
+    """Sum of the 24-node Gauss-Legendre rule over the panels between
+    ``edges``, added one panel at a time, each panel followed by its mirror."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(CONTOUR_NODES)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+
+    def panels(mid):
+        nodes = beta + 1j * (mid[:, None] + half[:, None] * gl_x)
+        return half * np.sum(gl_w * transform(nodes), axis=-1)
+
+    return sum(p + m for p, m in zip(panels(mid), panels(-mid)))
+
+
+def reference_price(mm):
+    """The benchmark's price: a Poisson mixture over the number of body
+    jumps of Margrabe formulas, computed without the package."""
+    return load_perfbench("reference").margrabe_price(serialize_model(mm))
+
+
+def body_exponent(v, mm):
+    """Q(v) of the jump body lam e^{Q(v)} in kappa, term by term."""
+    (m1, m2), ((s11, s12), (_, s22)) = mm.jump_mean, mm.jump_cov
+    return (1.0 - v) * m1 + v * m2 + 0.5 * (1.0 - v) ** 2 * s11 + v * (1.0 - v) * s12 + 0.5 * v**2 * s22
+
+
+def split_price(mm, rel_tol=CONTOUR_REL_TOL):
+    """Reference price, summed panel by panel: default mass, the affine part
+    of kappa as a Black put (scipy), and the jump-body remainder transform
+    e^{v l + kappa_aff(v) T} (e^{lam T e^{Q(v)}} - 1) / (2 pi v (v - 1)) on
+    the contour, cut where the tail bound of its Gaussian envelope first
+    reaches min(rel_tol, 1e-16) by a scan over the multiples of the panel
+    width.  With no envelope (w = 0) the remainder decays like 1/u^2 and no
+    contour runs: the reference price is then ``reference_price``.  Returns
+    (price, nodes, u_max_used) of this contour."""
+    T, beta, lam = mm.maturity, CONTOUR_BETA, mm.jump_intensity
+    log_ratio = math.log(mm.spot2 / mm.spot1)
+    lam2 = dc.default_intensities(mm)[0]
+
+    def affine(v):
+        return dc.margrabe_kappa(v, mm) - lam * np.exp(body_exponent(v, mm))
+
+    c = affine(0.0).real
+    a = affine(1.0).real - c
+    sig2 = mm.sigma1_sq - 2.0 * mm.sigma12 + mm.sigma2_sq
+    forward, s = math.exp(log_ratio + a * T), math.sqrt(sig2 * T)
+    if s > 0.0:
+        d1 = math.log(forward) / s + 0.5 * s
+        put = norm.cdf(s - d1) - forward * norm.cdf(-d1)
+    else:
+        put = max(0.0, 1.0 - forward)
+    closed = 1.0 - math.exp(-lam2 * T) + math.exp(c * T) * put
+    if lam == 0.0:
+        return mm.spot1 * closed, 0, 0.0
+
+    def remainder(v):
+        return np.exp(v * log_ratio + affine(v) * T) * np.expm1(
+            lam * T * np.exp(body_exponent(v, mm))
+        ) / (2.0 * np.pi * v * (v - 1.0))
+
+    width = contour_width(log_ratio)
+    (s11, s12), (_, s22) = mm.jump_cov
+    w = sig2 * T + s11 - 2.0 * s12 + s22
+    if w == 0.0:
+        return reference_price(mm), 0, 0.0
+    # |remainder(beta + iu)| <= scale e^{-w u^2 / 2}, so the two tails past U
+    # hold at most scale sqrt(2 pi / w) erfc(U sqrt(w / 2))
+    z0 = lam * T * math.exp(body_exponent(beta, mm))
+    scale = math.exp(beta * log_ratio + affine(beta).real * T + z0) * z0 / (
+        2.0 * math.pi * beta * (beta - 1.0)
+    )
+    panels = 1
+    while scale * math.sqrt(2.0 * math.pi / w) * math.erfc(
+        panels * width * math.sqrt(0.5 * w)
+    ) > min(rel_tol, 1e-16):
+        panels += 1
+    u_used = panels * width
+    total = panel_by_panel(remainder, beta, np.linspace(0.0, u_used, panels + 1))
+    return mm.spot1 * (closed + total.real), 2 * CONTOUR_NODES * panels, u_used
 
 
 @pytest.fixture

@@ -4,14 +4,14 @@
 prices without the package (closed forms, composite Gauss-Legendre in the
 jump log-size, a Poisson series), and ``perfbench/workloads.py`` draws the
 models the benchmark runs.  They are loaded read-only, so a quadrature or a
-contour that converges to a wrong value fails here rather than only in a
+series that converges to a wrong value fails here rather than only in a
 benchmark run.
 """
 
 import driftcalc as dc
 from driftcalc.modelio import parse_grid, parse_model
 
-from conftest import load_perfbench
+from conftest import load_perfbench, split_price
 
 SEED = 7
 TOL = 1e-8  # the benchmark's tolerance for quadrature results, relative to 1 + |reference|
@@ -60,11 +60,9 @@ def test_grid_1d_readme_grid_cumulants_match_the_reference():
 
 def test_price_margrabe_prices_match_the_poisson_series():
     # the reference conditions on the jump counts (a Poisson mixture of
-    # Margrabe formulas), not on the engine's transform; every model takes
-    # the contour, and the engine's own series (forced by a u_max shorter
-    # than one panel) must agree with both
+    # Margrabe formulas), not on the engine's transform; the engine's series
+    # must also agree with the tests' own contour, summed panel by panel
     worst = 0.0
-    series_only = dc.ContourConfig(u_max=1e-3)
     for seed in range(1, 11):
         plan = WORKLOADS.generate("price_margrabe", seed)
         assert len(plan["ops"]) == 101
@@ -72,12 +70,10 @@ def test_price_margrabe_prices_match_the_poisson_series():
             doc = plan["models"][op["model"]]
             mm = parse_model(doc)
             price, diags = dc.margrabe_price(mm)
-            series, series_diags = dc.margrabe_price(mm, series_only)
             reference = REFERENCE.margrabe_price(doc)
-            assert diags.nodes > 0 or mm.jump_intensity == 0.0, (seed, op)
-            assert series_diags.nodes == 0
-            for got in (price, series):
-                assert abs(got - reference) <= 1.3e-15 * mm.spot1, (seed, op, got, reference)
-            assert abs(price - series) <= 1e-13 * mm.spot1, (seed, op, price, series)
+            contour, _, _ = split_price(mm)
+            assert (diags.nodes, diags.u_max_used) == (0, 0.0)
+            assert abs(price - reference) <= 1.3e-15 * mm.spot1, (seed, op, price, reference)
+            assert abs(price - contour) <= 1e-14 * mm.spot1, (seed, op, price, contour)
             worst = max(worst, abs(price - reference) / mm.spot1)
     print(f"\nworst price error over 1 010 models: {worst:.1e} spot1")

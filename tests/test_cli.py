@@ -363,16 +363,27 @@ class TestExitCodes:
     def test_wrong_model_kind_is_usage_error(self, model_file, capsys):
         assert main(["price-margrabe", "--model", model_file(GBM_MODEL)]) == 2
 
-    def test_infinite_contour_length_is_usage_error(self, model_file, capsys):
-        code = main(["price-margrabe", "--model", model_file(MARGRABE_MODEL), "--u-max", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_non_positive_or_infinite_tol_is_usage_error(self, model_file, capsys, tol):
+        code = main(["price-margrabe", "--model", model_file(MARGRABE_MODEL), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "rel_tol must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("option", [["--u-max", "50"], ["--beta=-0.3"]])
+    def test_contour_options_are_gone(self, model_file, capsys, option):
+        code = exit_code(["price-margrabe", "--model", model_file(MARGRABE_MODEL), *option])
         assert code == 2
-        assert "u_max must be finite" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change, field",
         [
             ({"maturity": math.inf}, "maturity"),
             ({"jump": {"lambda": 0.4, "mean": [-0.1, -0.05, 0.3],
+                       "cov": [[0.0625, 0.02], [0.02, 0.0625]]}}, "jump_mean"),
+            # the mean jump factor e^{m_2 + S_22 / 2} overflows a float
+            ({"jump": {"lambda": 0.4, "mean": [0.0, 800.0],
                        "cov": [[0.0625, 0.02], [0.02, 0.0625]]}}, "jump_mean"),
         ],
     )
