@@ -9,11 +9,12 @@ vector refers to, and ``retruncate`` moves between equivalent descriptions.
 A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, 31, ...,
 255 nodes per axis, and stops at the first two levels whose estimates agree
 output by output.  Each measure keeps the node sets of the levels an
-accepted integral used, so later integrals on it rebuild nothing.  The first
-level also evaluates the integrand at a far-tail probe, about 21 standard
-deviations out along each axis; an integrand that outgrows the Gaussian
-decay there raises ``NonIntegrableError`` instead of converging to a finite
-but meaningless number on the low levels.
+accepted integral used, so later integrals on it rebuild nothing.  One call
+of the integrand covers the first two levels and a far-tail probe, about 21
+standard deviations out along each axis; an integrand that outgrows the
+Gaussian decay there raises ``NonIntegrableError`` instead of converging to
+a finite but meaningless number on the low levels.  Jump points are real,
+so a real tree is integrated in float64, a complex one in complex128.
 """
 
 from __future__ import annotations
@@ -118,15 +119,23 @@ def _hermite_nodes(n: int):
     return x, w
 
 
+def _tensor_rule(n: int, d: int):
+    """The n-node Gauss-Hermite rule on d axes: points (n^d, d), weights (n^d,)."""
+    u, w = _hermite_nodes(n)
+    U = np.stack([g.ravel() for g in np.meshgrid(*([u] * d), indexing="ij")], axis=1)
+    return U, np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0).ravel()
+
+
 def _ladder_nodes(level: int) -> int:
     """Nodes per axis at a ladder level: n -> 2n + 1 from QUAD_BASE_NODES."""
     return (QUAD_BASE_NODES + 1) * 2**level - 1
 
 
 class _NodeSet(NamedTuple):
-    """One level of a Gaussian body's quadrature ladder, read-only."""
+    """One level of a Gaussian body's quadrature ladder (level 0 also holds the
+    probe and level 1), read-only."""
 
-    points: np.ndarray  # jump points (N, d) as complex, handed to integrands
+    points: np.ndarray  # real jump points (N, d), handed to integrands
     weights: np.ndarray  # tensor-rule weights (N,), summing to 1 over the rule
 
 
@@ -240,7 +249,7 @@ class FiniteAtoms(JumpMeasure):
         return float(self.intensities.sum())
 
     def _integrate(self, g, quad):
-        vals = np.asarray(g(self.points.astype(np.complex128)))
+        vals = np.asarray(g(self.points))
         if self.points.shape[0] == 0:
             return np.zeros(vals.shape[1], dtype=np.complex128), 0.0
         _require_defined(vals, self.points, "integrand is undefined at atom")
@@ -280,14 +289,12 @@ class FiniteAtoms(JumpMeasure):
 
     def _drift_correction(self, values_fn, J, trunc, quad):
         # Exact: the atom sum takes the combined integrand in one pass.
-        return integrate(
-            self, lambda X: values_fn(X) - trunc.apply(X.real).astype(np.complex128) @ J.T, quad
-        )
+        return integrate(self, lambda X: values_fn(X) - trunc.apply(X) @ J.T, quad)
 
     def _image(self, f):
         if self.points.shape[0] == 0:
             return empty_measure(f.output_dim)
-        vals = f.eval_batch(self.points.astype(np.complex128))
+        vals = f.eval_batch(self.points)
         if _nonreal(vals):
             raise ValueError("representation is not real-valued on the atom support")
         if np.any(~np.isfinite(vals.real)):
@@ -337,39 +344,40 @@ class GaussianPush(JumpMeasure):
         return self.intensity
 
     def _build_nodes(self, level: int) -> _NodeSet:
-        """The tensor rule of ``level``; level 0 is followed by the 2d probe
-        points +-u e_i, u the outermost node of the QUAD_PROBE_NODES rule,
-        each with its weight in that tensor rule."""
+        """The tensor rule of ``level``; level 0 is the 7-node rule, the 2d
+        probe points +-u e_i (u the outermost node of the QUAD_PROBE_NODES
+        rule, each with its weight in that tensor rule), then the 15-node rule."""
         d = self.dim
-        u, w = _hermite_nodes(_ladder_nodes(level))
-        U = np.stack([g.ravel() for g in np.meshgrid(*([u] * d), indexing="ij")], axis=1)
-        wgrids = np.meshgrid(*([w] * d), indexing="ij")
-        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+        parts = [_tensor_rule(_ladder_nodes(level), d)]
         if level == 0:
             pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
-            U = np.concatenate([U, pu[-1] * np.eye(d), -pu[-1] * np.eye(d)])
-            W = np.concatenate([W, np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))])
+            probe_w = np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))
+            parts += [(pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), probe_w), _tensor_rule(_ladder_nodes(1), d)]
+        U, W = (np.concatenate(a) for a in zip(*parts))
         P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._factor.T)
-        nodes = _NodeSet(P.astype(np.complex128), W / np.pi ** (d / 2))
+        nodes = _NodeSet(P, W / np.pi ** (d / 2))
         for a in nodes:
             a.setflags(write=False)
         return nodes
 
     def _integrate(self, g, quad):
         if self.intensity == 0.0:
-            probe = np.asarray(g(np.zeros((0, self.dim), dtype=np.complex128)))
+            probe = np.asarray(g(np.zeros((0, self.dim))))
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0
-        used, prev, err = [], None, None
+        used, prev, err = {}, None, None
         for level in range(QUAD_MAX_DOUBLINGS + 1):
-            nodes = self._nodes.get(level) or self._build_nodes(level)
-            used.append(nodes)
-            P, W = nodes.points, nodes.weights
-            vals = np.asarray(g(P))
+            if level == 1:
+                P, W, vals = rung1
+            else:
+                used[level] = nodes = self._nodes.get(level) or self._build_nodes(level)
+                P, W, vals = nodes.points, nodes.weights, np.asarray(g(nodes.points))
             if level == 0:
-                n = len(P) - 2 * self.dim
-                probe = P[n:], W[n:], vals[n:]
+                # one walk: rung 0, then the probe, then rung 1
+                n = _ladder_nodes(0) ** self.dim
+                m = n + 2 * self.dim
+                probe, rung1 = (P[n:m], W[n:m], vals[n:m]), (P[m:], W[m:], vals[m:])
                 P, W, vals = P[:n], W[:n], vals[:n]
-            _require_defined(vals, P.real, "integrand is undefined at quadrature node")
+            _require_defined(vals, P, "integrand is undefined at quadrature node")
             # Overflowing integrands are allowed to reach the checks below,
             # which report them instead of a numpy warning.
             with np.errstate(all="ignore"):
@@ -380,7 +388,7 @@ class GaussianPush(JumpMeasure):
                     delta = np.abs(cur - prev)
                     err = float(np.max(delta, initial=0.0))
                     if np.all(delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur))):
-                        for k, s in enumerate(used):
+                        for k, s in used.items():
                             self._nodes.setdefault(k, s)
                         return cur, err
             prev = cur
@@ -405,7 +413,7 @@ class GaussianPush(JumpMeasure):
             k = bad[0]
             raise NonIntegrableError(
                 "jump integral did not converge: the integrand grows faster than the "
-                f"jump law decays near x = {P[k].real.tolist()} (weighted value "
+                f"jump law decays near x = {P[k].tolist()} (weighted value "
                 f"{np.max(weighted[k]):.3e} there); it is not integrable against the jump law"
             )
 
@@ -590,11 +598,12 @@ def jump_drift_correction(measure: JumpMeasure, values_fn, jacobian, trunc, quad
 def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig] = None):
     """Integrate a C^n-valued function against a jump measure.
 
-    ``g`` takes a batch of points (N, d) and returns values of shape (N, n)
-    or (N,); atoms are summed exactly, Gaussian push-forwards use tensorised
-    Gauss-Hermite quadrature with node-count doubling for the error estimate.
+    ``g`` takes a batch of real points (N, d) and returns values of shape
+    (N, n) or (N,); atoms are summed exactly, Gaussian push-forwards use
+    tensorised Gauss-Hermite quadrature with node-count doubling for the
+    error estimate, its first two rules and tail probe in one call of ``g``.
 
-    Returns (value, error_estimate) with ``value`` of shape (n,).
+    Returns (value, error_estimate) with complex ``value`` of shape (n,).
     """
 
     def g2(X):

@@ -18,8 +18,8 @@ A parameter list (a Param leaf) holds K values of one literal; a tree holding
 one computes each output at each value, as K columns, in one pass.
 
 Evaluation takes its arithmetic from its input: a tree whose literals are all
-real (a real tree) is evaluated at real points in float64, every other input
-in complex128.
+real (a real tree) is evaluated at real points, such as the nodes of jump
+integrals and Monte Carlo draws, in float64; every other input in complex128.
 
 All values are immutable after construction; evaluation and differentiation
 are pure and safe to call concurrently.

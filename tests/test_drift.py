@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate as si
 
 import driftcalc as dc
-from driftcalc.errors import EngineError, NanPointError
+from driftcalc.errors import EngineError, NanPointError, NonIntegrableError
 
 from conftest import random_composed_tree
 
@@ -88,13 +88,21 @@ class TestJetReuse:
 
 
 class TestComplexQuadrature:
-    """Quadrature hands complex nodes to every tree, so a drift never meets
-    the float64 evaluation of real trees: it equals, bit for bit, the drift
-    of trees that cast every input to complex."""
+    """Quadrature hands real points, so each tree is integrated in its own
+    arithmetic: a real tree in float64, a tree with a complex literal in
+    complex128.  Both mirror the evaluation that casts every input to
+    complex: a complex tree bit for bit, a real tree within an ulp."""
+
+    PARTS = ("total", "linear_part", "quadratic_part", "jump_part")
 
     @staticmethod
     def _reports(xi, eta, model):
         return dc.drift(xi, model), dc.drift_q(xi, eta, model)
+
+    @staticmethod
+    def _cast_points(monkeypatch, dtype):
+        ev = dc.RepFn.eval_batch
+        monkeypatch.setattr(dc.RepFn, "eval_batch", lambda self, X: ev(self, np.asarray(X).astype(dtype)))
 
     @pytest.mark.parametrize(
         "xi, eta, model",
@@ -109,17 +117,66 @@ class TestComplexQuadrature:
         ],
     )
     def test_catalog_drifts_match_the_complex_path(self, xi, eta, model, request, monkeypatch):
+        # Quadrature sums float64 values where the complex path summed
+        # complex ones: an ulp apart on the Gaussian bodies.  The atom and
+        # diffusion drifts still round as the complex path does.
+        ulps = 1 if model in ("merton_1d", "margrabe_jump_model") else 0
         model = request.getfixturevalue(model)
         t = model.triplet() if isinstance(model, dc.MargrabeModel) else model
+        assert xi._is_real() and eta._is_real()
         got = self._reports(xi, eta, t)
-        ev = dc.RepFn.eval_batch
-        monkeypatch.setattr(
-            dc.RepFn, "eval_batch", lambda self, X: ev(self, np.asarray(X).astype(np.complex128))
-        )
+        with monkeypatch.context() as m:
+            self._cast_points(m, np.float64)
+            real = self._reports(xi, eta, t)
+        self._cast_points(monkeypatch, np.complex128)
+        want = self._reports(xi, eta, t)
+        for a, r, b in zip(got, real, want):
+            assert np.all(a.jump_part.imag == 0.0)
+            for part in self.PARTS:
+                x, y = getattr(a, part), getattr(b, part)
+                assert np.array_equal(x, getattr(r, part))
+                assert np.all(np.abs(x - y) <= ulps * np.finfo(float).eps * (1.0 + np.abs(y)))
+
+    @pytest.mark.parametrize(
+        "xi, eta, model",
+        [
+            (dc.rep_exp_affine(0.8 + 0.5j), dc.rep_exp_utility(1.3), "merton_1d"),
+            (dc.rep_exp_affine(0.8 + 0.5j), dc.rep_exp_utility(0.7), "atoms_1d"),
+            (dc.rep_margrabe(0.75 + 0.5j), dc.rep_zero(2), "margrabe_jump_model"),
+        ],
+    )
+    def test_complex_literal_drifts_are_the_complex_path(self, xi, eta, model, request, monkeypatch):
+        model = request.getfixturevalue(model)
+        t = model.triplet() if isinstance(model, dc.MargrabeModel) else model
+        assert not xi._is_real()
+        got = self._reports(xi, eta, t)
+        self._cast_points(monkeypatch, np.complex128)
         want = self._reports(xi, eta, t)
         for a, b in zip(got, want):
-            for part in ("total", "linear_part", "quadratic_part", "jump_part"):
+            for part in self.PARTS:
                 assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+class TestOverflowOnRealTrees:
+    """e^{800 x} x overflows to inf in float64 at moderate jumps: the
+    engine reports that as overflow, not as an undefined point."""
+
+    XI = dc.RepFn(1, (dc.Mul(dc.Exp(dc.Const(800.0) * dc.Coord(0)), dc.Coord(0)),))
+
+    @staticmethod
+    def _triplet(jumps):
+        return dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), jumps, dc.TruncationSpec.identity(1))
+
+    def test_gaussian_body_is_not_integrable(self):
+        t = self._triplet(dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]])))
+        with pytest.raises(NonIntegrableError, match="grows faster than the jump law decays"):
+            dc.drift(self.XI, t)
+
+    def test_atom_sum_overflows(self):
+        t = self._triplet(dc.FiniteAtoms([[1.0]], [0.5]))
+        with pytest.raises(EngineError, match=r"^integrand overflows at atom \[1\.0\]: ") as info:
+            dc.drift(self.XI, t)
+        assert not isinstance(info.value, NanPointError)
 
 
 class TestMeasureChangedDrift:

@@ -255,24 +255,33 @@ class TestReweighted:
         assert est.z_score(target) < 3.0
 
     def test_one_tree_walk_per_block(self, merton_1d, monkeypatch):
-        walks, reductions = [], []
-        run, reduce = dc.RepFn._run, mcoracle._segment_reduce
+        walks, reductions, blocks = [], [], []
+        run, reduce, draw = dc.RepFn._run, mcoracle._segment_reduce, mcoracle._draw_paths
 
         def counted_run(self, rule, x):
-            # quadrature for the compensator hands complex nodes; blocks hand real draws
-            if rule == "ev" and x.dtype == np.float64:
+            if rule == "ev":
                 walks.append(x.shape[0])
             return run(self, rule, x)
+
+        def counted_draw(*args):
+            draws = draw(*args)
+            blocks.append(draws[2].shape[0])
+            return draws
 
         def counted_reduce(*args):
             reductions.append(args[1].shape)
             return reduce(*args)
 
         monkeypatch.setattr(dc.RepFn, "_run", counted_run)
+        monkeypatch.setattr(mcoracle, "_draw_paths", counted_draw)
         monkeypatch.setattr(mcoracle, "_segment_reduce", counted_reduce)
         cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE, seed=14)
         dc.mc_reweighted(dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), merton_1d, 1.0, cfg)
-        assert len(walks) == len(reductions) == 3
+        # the compensator's quadrature walks its nodes too; a block's walk
+        # takes all of the block's jumps
+        block_walks = [n for n in walks if n in blocks]
+        assert len(blocks) == len(block_walks) == len(reductions) == 3
+        assert sorted(block_walks) == sorted(blocks)
         assert all(shape[1] == 2 for shape in reductions)
 
     @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])

@@ -28,7 +28,8 @@ class TestFiniteAtomsIntegration:
         val, _ = dc.integrate(F, g.eval_batch)
         expected = np.zeros(1, dtype=complex)
         for k in range(9):
-            expected = expected + lam[k] * g.eval(pts[k].astype(complex))
+            # the tree's own arithmetic: float64 at a real atom
+            expected = expected + lam[k] * g.eval(pts[k])
         assert np.array_equal(val, expected)
 
     def test_zero_integrand(self):
@@ -102,17 +103,66 @@ class TestGaussianPush:
 
 class TestGaussHermiteLadder:
     def test_smooth_integrand_stops_at_the_second_level(self):
-        # 7 nodes plus the two far-tail probe points, then 15 nodes agree.
+        # One call: the 7-node rule, the two far-tail probe points, then the
+        # 15-node rule, whose estimate agrees with the first.
         gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        calls = []
+
+        def g(X):
+            calls.append(X.copy())
+            return X
+
+        val, _ = dc.integrate(gp, g)
+        assert [X.shape for X in calls] == [(24, 1)]
+        assert calls[0].dtype == np.float64
+        u7, u15, probe = (np.polynomial.hermite.hermgauss(n)[0] for n in (7, 15, models.QUAD_PROBE_NODES))
+        u = np.concatenate([u7, [probe[-1], -probe[-1]], u15])
+        np.testing.assert_array_equal(calls[0][:, 0], np.expm1(np.sqrt(2.0) * u * np.sqrt(0.09)))
+        assert val[0].real == pytest.approx(math.expm1(0.045), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_call_per_gaussian_body(self, d):
+        # 7^d + 2d + 15^d points: 278 and 3 724 (24 in 1-d, above)
+        gp = dc.GaussianPush(0.8, np.full(d, -0.05), 0.01 * (np.eye(d) + 0.5))
         sizes = []
 
         def g(X):
             sizes.append(len(X))
             return X
 
-        val, _ = dc.integrate(gp, g)
-        assert sizes == [9, 15]
-        assert val[0].real == pytest.approx(math.expm1(0.045), rel=1e-12)
+        dc.integrate(gp, g)
+        assert sizes == [7**d + 2 * d + 15**d]
+
+    def test_sum_and_mapped_measures_make_one_call_per_body(self):
+        a = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.01]]))
+        b = dc.GaussianPush(0.5, np.array([0.1]), np.array([[0.04]]))
+        for measure, bodies in ((dc.SumMeasure((a, b)), 2), (dc.MappedMeasure(a, dc.rep_exp_affine(0.5)), 1)):
+            sizes = []
+
+            def g(X):
+                sizes.append(len(X))
+                return X
+
+            dc.integrate(measure, g)
+            assert sizes == [24] * bodies
+
+    def test_undefined_at_a_second_rule_node_names_it(self):
+        # NaN at one node of the 15-node rule only: the same verdict as when
+        # that rule was a walk of its own
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x = float(np.expm1(np.sqrt(2.0) * np.polynomial.hermite.hermgauss(15)[0][-1] * np.sqrt(0.09)))
+        message = rf"^integrand is undefined at quadrature node \[{x!r}\]$"
+        with pytest.raises(NanPointError, match=message) as info:
+            dc.integrate(gp, lambda X: np.where(X == x, np.nan, X))
+        assert info.value.point.tolist() == [x]
+
+    def test_tail_probe_speaks_before_the_second_rule(self):
+        # e^{x/2} outgrows the Gaussian tail at the probe; a NaN on the
+        # 15-node rule does not take its place
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x = float(np.expm1(np.sqrt(2.0) * np.polynomial.hermite.hermgauss(15)[0][-1] * np.sqrt(0.09)))
+        with pytest.raises(NonIntegrableError, match="grows faster than the jump law decays"):
+            dc.integrate(gp, lambda X: np.where(X == x, np.nan, np.exp(0.5 * X)))
 
     def test_node_sets_are_cached_per_measure_after_success(self, monkeypatch):
         built = []
@@ -125,9 +175,10 @@ class TestGaussHermiteLadder:
         monkeypatch.setattr(dc.GaussianPush, "_build_nodes", counted)
         gp = dc.GaussianPush(0.8, np.array([-0.05, 0.02]), np.array([[0.04, 0.01], [0.01, 0.02]]))
         first, _ = dc.integrate(gp, dc.rep_ratio().eval_batch)
-        assert built == [0, 1]
+        # level 0 holds the first two rules: one build for both
+        assert built == [0]
         again, _ = dc.integrate(gp, dc.rep_ratio().eval_batch)
-        assert built == [0, 1]
+        assert built == [0]
         assert np.array_equal(first, again)
 
     @pytest.mark.parametrize("cov", [[[0.04, 0.01], [0.01, 0.02]], [[0.04, 0.04], [0.04, 0.04]]])

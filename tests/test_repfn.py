@@ -354,6 +354,78 @@ def test_random_composed_trees_evaluate_real_points_in_float64(seed):
     _assert_real_evaluation_agrees(f, rng.uniform(-1.5, 3.0, (64, f.input_dim)), ulps=None)
 
 
+def _with_param(f: dc.RepFn, values) -> dc.RepFn:
+    """f with a parameter axis: each output times a Param of ``values``."""
+    return dc.RepFn(f.input_dim, tuple(dc.Mul(dc.Param(values), root) for root in f.outputs))
+
+
+def _assert_batch_is_its_parts(f, A, B):
+    whole = f.eval_batch(np.concatenate([A, B]))
+    parts = np.concatenate([f.eval_batch(A), f.eval_batch(B)])
+    assert whole.dtype == parts.dtype
+    assert whole.tobytes() == parts.tobytes()
+
+
+#: parameter values: real, complex, and K = 1
+PARAM_VALUES = st.lists(
+    st.one_of(
+        st.floats(-2.0, 2.0),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from([None, (0.5, -1.25, 2.0), (0.5 + 0.25j, -1.0)]),
+    st.booleans(),
+    st.integers(1, 300),
+    st.integers(1, 300),
+)
+def test_a_batch_evaluates_as_its_parts(seed, complex_literal, param, complex_points, n, m):
+    # Quadrature evaluates two rules and the tail probe in one batch and
+    # slices the values: each row of a batch must come out as it would
+    # alone.  Batches of 1 to 300 rows meet both sides of a SIMD loop's tail.
+    rng = np.random.default_rng(seed)
+    f = random_composed_tree(rng)
+    if complex_literal:
+        f = dc.compose(dc.rep_exp_affine(0.7 + 0.4j), f)
+    if param:
+        f = _with_param(f, param)
+    A, B = rng.uniform(-1.5, 3.0, (n, f.input_dim)), rng.uniform(-1.5, 3.0, (m, f.input_dim))
+    if complex_points:
+        A, B = A + 1j * A[::-1], B + 1j * B[::-1]
+    _assert_batch_is_its_parts(f, A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_batch_of_raw_trees_evaluates_as_its_parts(data):
+    # the float extremes, poles and overflows of raw trees, NaN bits included
+    dim = data.draw(st.integers(1, 2))
+    roots = data.draw(st.lists(raw_trees(dim), min_size=1, max_size=2))
+    # shifted by their origin values, most raw trees construct
+    values = [origin_value(r, dim) for r in roots]
+    roots = [r - dc.Const(v) if v is not None and np.isfinite(v) else r for r, v in zip(roots, values)]
+    try:
+        f = dc.RepFn(dim, tuple(roots))
+    except ValueError:
+        return
+    if data.draw(st.booleans()):
+        f = _with_param(f, data.draw(PARAM_VALUES))
+    point = st.lists(REAL_POINTS, min_size=dim, max_size=dim)
+    A, B = (
+        np.resize(data.draw(st.lists(point, min_size=1, max_size=8)), (data.draw(st.integers(1, 300)), dim))
+        for _ in range(2)
+    )
+    if data.draw(st.booleans()):
+        A, B = A + 1j * A[::-1], B + 1j * B[::-1]
+    _assert_batch_is_its_parts(f, A, B)
+
+
 class TestEvalDtype:
     def test_integer_points_are_real_points(self):
         f = dc.rep_exp_affine(0.5)
