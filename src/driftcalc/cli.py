@@ -6,8 +6,7 @@ Commands
   cumulant        exponent function kappa(v) on a grid of complex v (CSV)
   utility         optimal exponential-utility exposure on a bracket
   memm            measure-changed cumulant on a grid of complex v (CSV)
-  price-margrabe  exchange-option price: closed form plus a contour integral
-                  or Poisson series
+  price-margrabe  exchange-option price: closed form plus a Poisson series
   discrete        discrete-time compensators and one-period products
   mc-verify       analytic value vs Monte Carlo estimate with a z-score
 
@@ -124,22 +123,19 @@ def _require_model(model, kind, what: str):
 
 
 def _report_payload(report) -> dict:
-    payload = {
+    return {
         "total": [_fmt_c(z) for z in report.total],
         "linear_part": [_fmt_c(z) for z in report.linear_part],
         "quadratic_part": [_fmt_c(z) for z in report.quadratic_part],
         "jump_part": [_fmt_c(z) for z in report.jump_part],
         "quadrature_error": _fmt(report.quadrature_error),
     }
-    if report.girsanov_cross is not None:
-        payload["girsanov_cross"] = [_fmt_c(z) for z in report.girsanov_cross]
-    return payload
 
 
 def _quad_from_args(args) -> QuadratureConfig:
     if args.tol is None:
         return QuadratureConfig()
-    return QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
+    return QuadratureConfig(rel_tol=args.tol)
 
 
 def _parse_bracket(text: str):

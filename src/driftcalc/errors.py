@@ -19,7 +19,7 @@ class NanPointError(EngineError):
 
 
 class ConvergenceError(EngineError):
-    """A quadrature, contour, or optimizer loop failed to converge."""
+    """A quadrature, series, or optimizer loop failed to converge."""
 
 
 class NonIntegrableError(ConvergenceError):

@@ -104,10 +104,14 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for jump integrals; errors are estimated by node doubling."""
+    """Tolerance for jump integrals; errors are estimated by node doubling."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+
+    @property
+    def abs_tol(self) -> float:
+        """The floor under rel_tol * |value|: rel_tol * 1e-2."""
+        return self.rel_tol * 1e-2
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -142,8 +146,9 @@ class _NodeSet(NamedTuple):
 class JumpMeasure:
     """Base class for finite-activity jump measures on R^d.
 
-    A jump law enters the drift formula only through the correction integral
-    and the image measure, so each kind of measure decides both here.
+    A jump law enters the drift formula through integrals against it, its
+    truncation moment and its image measure; each kind of measure decides
+    how it computes them here.
     """
 
     dim: int
@@ -159,14 +164,10 @@ class JumpMeasure:
         raise NotImplementedError
 
     def _truncation_moment(self, trunc: "TruncationSpec") -> np.ndarray:
-        """int h(x) F(dx) componentwise, shape (d,)."""
-        raise NotImplementedError
-
-    def _drift_correction(self, values_fn, J: np.ndarray, trunc: "TruncationSpec", quad):
-        """int (xi(x) - J h(x)) F(dx): the smooth xi term by quadrature, the
-        truncation term in closed form."""
-        smooth, err = integrate(self, values_fn, quad)
-        return smooth - J @ self._truncation_moment(trunc).astype(np.complex128), err
+        """int h(x) F(dx) componentwise, shape (d,); by default the integral
+        itself, slow where a clip boundary crosses a Gaussian body's support."""
+        val, _ = integrate(self, trunc.apply, DEFAULT_QUADRATURE)
+        return val.real
 
     def _image(self, f: RepFn) -> "JumpMeasure":
         """The image measure F o f^-1."""
@@ -201,19 +202,13 @@ def _atom_groups(pts: np.ndarray) -> list:
 
 
 def _require_psd(S: np.ndarray, what: str):
-    if not np.allclose(S, S.T, atol=1e-12):
+    if not np.isfinite(S).all():
+        raise ValueError(f"{what} must be finite")
+    # np.allclose(S, S.T, atol=1e-12) on finite entries, without its overhead
+    if not (np.abs(S - S.T) <= 1e-12 + 1e-5 * np.abs(S.T)).all():
         raise ValueError(f"{what} must be symmetric")
     if np.min(np.linalg.eigvalsh(S)) < -1e-12:
         raise ValueError(f"{what} must be positive semidefinite")
-
-
-def _add_up(results):
-    """Sum (value, error) pairs in order."""
-    total, err = None, 0.0
-    for val, e in results:
-        total = val if total is None else total + val
-        err += e
-    return total, err
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,22 +248,20 @@ class FiniteAtoms(JumpMeasure):
         if self.points.shape[0] == 0:
             return np.zeros(vals.shape[1], dtype=np.complex128), 0.0
         _require_defined(vals, self.points, "integrand is undefined at atom")
-        # Sequential accumulation in atom order so a plain loop reproduces
-        # the result bit for bit.
-        total = np.zeros(vals.shape[1], dtype=np.complex128)
-        # An overflowed value (inf times a zero part) sums to NaN without a
+        # A sequential sum in atom order, so a plain loop reproduces the
+        # total bit for bit; its partial sums name an overflowing atom.  An
+        # overflowed value (inf times a zero part) sums to NaN without a
         # numpy warning, as on every walk along a tree.
         with np.errstate(all="ignore"):
-            for k in range(self.points.shape[0]):
-                total = total + self.intensities[k] * vals[k]
-            if not np.isfinite(total).all():
-                # name the first atom whose running sum is not finite
-                partial = np.cumsum(self.intensities[:, None] * vals, axis=0)
-                k = int(np.argmin(np.isfinite(partial).all(axis=1)))
-                raise EngineError(
-                    f"integrand overflows at atom {self.points[k].tolist()}: "
-                    f"the atom sum is not finite ({partial[k].tolist()})"
-                )
+            partial = np.cumsum(self.intensities[:, None] * vals, axis=0)
+        # 0.0 + keeps the sign of a zero total as a sum started from 0 does
+        total = 0.0 + partial[-1]
+        if not np.isfinite(total).all():
+            k = int(np.argmin(np.isfinite(partial).all(axis=1)))
+            raise EngineError(
+                f"integrand overflows at atom {self.points[k].tolist()}: "
+                f"the atom sum is not finite ({partial[k].tolist()})"
+            )
         return total, 0.0
 
     def _sample(self, rng, n):
@@ -279,17 +272,11 @@ class FiniteAtoms(JumpMeasure):
         return self.points[idx]
 
     def _truncation_moment(self, trunc):
-        H = trunc.apply(self.points)
-        # Same sequential accumulation as _integrate, so drift components
-        # computed through either path cancel bit for bit.
-        total = np.zeros(self.dim)
-        for k in range(self.points.shape[0]):
-            total = total + self.intensities[k] * H[k]
-        return total
-
-    def _drift_correction(self, values_fn, J, trunc, quad):
-        # Exact: the atom sum takes the combined integrand in one pass.
-        return integrate(self, lambda X: values_fn(X) - trunc.apply(X) @ J.T, quad)
+        if self.points.shape[0] == 0:
+            return np.zeros(self.dim)
+        # the sequential sum of _integrate, so drift components computed
+        # through either path cancel bit for bit
+        return 0.0 + np.cumsum(self.intensities[:, None] * trunc.apply(self.points), axis=0)[-1]
 
     def _image(self, f):
         if self.points.shape[0] == 0:
@@ -328,8 +315,12 @@ class GaussianPush(JumpMeasure):
         object.__setattr__(self, "intensity", lam)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", S)
+        if not math.isfinite(lam):
+            raise ValueError("intensity must be finite")
         if lam < 0:
             raise ValueError("intensity must be nonnegative")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("mean must be finite")
         if S.shape != (m.size, m.size):
             raise ValueError(f"covariance shape {S.shape} does not match mean length {m.size}")
         _require_psd(S, "covariance")
@@ -472,7 +463,8 @@ class SumMeasure(JumpMeasure):
         return float(sum(p.total_mass() for p in self.parts))
 
     def _integrate(self, g, quad):
-        return _add_up(p._integrate(g, quad) for p in self.parts)
+        vals, errs = zip(*(p._integrate(g, quad) for p in self.parts))
+        return functools.reduce(np.add, vals), sum(errs)
 
     def _sample(self, rng, n):
         masses = np.array([p.total_mass() for p in self.parts])
@@ -486,9 +478,6 @@ class SumMeasure(JumpMeasure):
 
     def _truncation_moment(self, trunc):
         return sum(p._truncation_moment(trunc) for p in self.parts)
-
-    def _drift_correction(self, values_fn, J, trunc, quad):
-        return _add_up(p._drift_correction(values_fn, J, trunc, quad) for p in self.parts)
 
     def _image(self, f):
         return SumMeasure(tuple(p._image(f) for p in self.parts))
@@ -532,15 +521,6 @@ class MappedMeasure(JumpMeasure):
         # real draws take the map's float64 path when its literals are real
         return self._mapped_real(self.base._sample(rng, n)).real
 
-    def _truncation_moment(self, trunc):
-        # No closed form through an arbitrary map; clipped moments of a
-        # mapped Gaussian body can converge slowly if the clip boundary
-        # crosses the support.
-        val, _ = self._integrate(
-            lambda Y: trunc.apply(Y.real).astype(np.complex128), DEFAULT_QUADRATURE
-        )
-        return val.real
-
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -577,7 +557,8 @@ def truncation_moment(measure: JumpMeasure, trunc: TruncationSpec) -> np.ndarray
 
     Atoms sum exactly; Gaussian push-forward bodies use closed-form partial
     lognormal expectations, which keeps clipped truncations away from the
-    quadrature (the clip kink would otherwise spoil spectral convergence).
+    quadrature (the clip kink would otherwise spoil spectral convergence);
+    mapped measures integrate h.
     """
     if measure.dim != trunc.dim:
         raise ValueError(f"truncation dimension {trunc.dim} does not match measure {measure.dim}")
@@ -587,12 +568,14 @@ def truncation_moment(measure: JumpMeasure, trunc: TruncationSpec) -> np.ndarray
 def jump_drift_correction(measure: JumpMeasure, values_fn, jacobian, trunc, quad=None):
     """The jump part of a drift: int (xi(x) - Dxi(0) h(x)) F(dx).
 
-    ``values_fn`` evaluates xi over a batch; ``jacobian`` is Dxi(0).  Each
-    measure decides how (``JumpMeasure._drift_correction``): atoms sum the
-    combined expression exactly, continuous bodies integrate the smooth xi
-    term by quadrature and take the truncation moment in closed form.
+    ``values_fn`` evaluates xi over a batch; ``jacobian`` is Dxi(0).  Every
+    measure has finite activity, so the integral splits: int xi dF by
+    ``integrate``, minus Dxi(0) times the truncation moment int h dF, which
+    keeps a clipped truncation's kink out of the quadrature.  Returns
+    (value, error estimate of int xi dF).
     """
-    return measure._drift_correction(values_fn, np.asarray(jacobian), trunc, quad or DEFAULT_QUADRATURE)
+    smooth, err = integrate(measure, values_fn, quad)
+    return smooth - np.asarray(jacobian) @ truncation_moment(measure, trunc).astype(np.complex128), err
 
 
 def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig] = None):

@@ -188,6 +188,24 @@ def margrabe_jump_model():
     )
 
 
+def combined_atom_sum(points, intensities, values_fn, jacobian, trunc):
+    """The jump part of a drift on atoms, sum_k lam_k (xi(x_k) - Dxi(0) h(x_k)),
+    summed in atom order with the truncation term inside each summand: the
+    oracle of ``models.jump_drift_correction``, which splits that term out.
+
+    Returns the sum and its scale, sum_k lam_k (|xi(x_k)| + |Dxi(0) h(x_k)|),
+    one value per output.
+    """
+    vals = np.asarray(values_fn(points), dtype=complex).reshape(len(points), -1)
+    truncated = trunc.apply(points) @ np.asarray(jacobian).T
+    total = np.zeros(vals.shape[1], dtype=complex)
+    scale = np.zeros(vals.shape[1])
+    for lam, val, h in zip(intensities, vals, truncated):
+        total = total + lam * (val - h)
+        scale = scale + lam * (np.abs(val) + np.abs(h))
+    return total, scale
+
+
 def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
     """A random, well-conditioned composition of catalog-style scalar trees.
 

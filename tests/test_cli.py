@@ -352,6 +352,18 @@ class TestExitCodes:
     def test_unknown_catalog_name_is_usage_error(self, model_file, capsys):
         assert main(["drift", "--model", model_file(GBM_MODEL), "--xi", "nope"]) == 2
 
+    @pytest.mark.parametrize("doc, token, message", [
+        (dict(MERTON_MODEL, jumps=[dict(MERTON_MODEL["jumps"][0], **{"lambda": math.nan})]),
+         '"lambda": NaN', "intensity must be finite"),
+        (dict(MERTON_MODEL, c=[[math.inf]]), '"c": [[Infinity]]', "covariance must be finite"),
+    ])
+    def test_non_finite_model_parameter_is_usage_error(self, model_file, capsys, doc, token, message):
+        assert token in json.dumps(doc)
+        code = main(["drift", "--model", model_file(doc), "--xi", "exp_affine", "--xi-params", '{"v": "0.5"}'])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: malformed levy model: {message}\n"
+
     def test_missing_model_is_usage_error(self, capsys):
         assert main(["drift", "--model", "/does/not/exist.json", "--xi", "ratio"]) == 2
 

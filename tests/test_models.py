@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import driftcalc as dc
 from driftcalc import models
 from driftcalc.errors import ConvergenceError, NanPointError, NonIntegrableError
 from driftcalc.mcoracle import _block_rng
+
+from conftest import combined_atom_sum, random_composed_tree
 
 
 class TestFiniteAtomsIntegration:
@@ -93,6 +95,20 @@ class TestGaussianPush:
     def test_invalid_covariance_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             dc.GaussianPush(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("intensity, mean, cov, match", [
+        (math.nan, [0.0], [[0.04]], "intensity must be finite"),
+        (math.inf, [0.0], [[0.04]], "intensity must be finite"),
+        (-0.1, [0.0], [[0.04]], "intensity must be nonnegative"),
+        (0.8, [math.nan], [[0.04]], "mean must be finite"),
+        (0.8, [-math.inf], [[0.04]], "mean must be finite"),
+        (0.8, [0.0], [[math.inf]], "covariance must be finite"),
+        (0.8, [0.0], [[math.nan]], "covariance must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, intensity, mean, cov, match):
+        # named when the measure is built, without a numpy warning
+        with pytest.raises(ValueError, match=match):
+            dc.GaussianPush(intensity, np.array(mean), np.array(cov))
 
     def test_zero_intensity_integrates_to_zero(self):
         gp = dc.GaussianPush(0.0, np.zeros(1), np.array([[0.04]]))
@@ -331,11 +347,53 @@ class TestSumAndMapped:
         assert isinstance(both, dc.SumMeasure) and both.parts == (part, atoms)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(dc.TruncationKind)),
+       shape=st.sampled_from(["atoms", "atoms+gaussian", "mapped"]))
+def test_drift_correction_matches_the_combined_atom_sum(seed, kind, shape):
+    # The correction is int xi dF minus Dxi(0) int h dF; on atoms that is the
+    # combined sum up to rounding.  A sum measure adds its Gaussian part,
+    # taken alone; a mapped measure's atoms are the images of its base's.
+    rng = np.random.default_rng(seed)
+    f = random_composed_tree(rng)
+    k = int(rng.integers(1, 6))
+    atoms = dc.FiniteAtoms(rng.uniform(-0.5, 0.5, (k, f.input_dim)), rng.uniform(0.1, 2.0, k))
+    xi, measure, points = f, atoms, atoms.points
+    if shape == "mapped":
+        xi = random_composed_tree(rng)
+        while xi.input_dim != 1:
+            xi = random_composed_tree(rng)
+        measure, points = dc.MappedMeasure(atoms, f), f.eval_batch(atoms.points).real
+    assume(np.all(np.isfinite(xi.eval_batch(points))))
+    trunc = dc.TruncationSpec((kind,) * xi.input_dim)
+    J = xi.jet_at_zero().jacobian
+    if shape == "atoms+gaussian":
+        # narrow enough that no indicator step of the tree lies in its bulk
+        d = xi.input_dim
+        body = dc.GaussianPush(rng.uniform(0.2, 1.0), rng.uniform(-0.02, 0.02, d),
+                               np.diag(rng.uniform(0.01, 0.03, d) ** 2))
+        measure = dc.SumMeasure((atoms, body))
+        body_part, _ = models.jump_drift_correction(body, xi.eval_batch, J, trunc)
+        smooth, _ = dc.integrate(body, xi.eval_batch)
+        body_scale = np.abs(smooth) + np.abs(J @ dc.truncation_moment(body, trunc))
+    else:
+        body_part, body_scale = np.zeros(1), np.zeros(1)
+    expected, scale = combined_atom_sum(points, atoms.intensities, xi.eval_batch, J, trunc)
+    got, _ = models.jump_drift_correction(measure, xi.eval_batch, J, trunc)
+    assert np.all(np.abs(got - (expected + body_part)) <= 1e-15 * (1.0 + scale + body_scale))
+
+
 class TestLevyTriplet:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             dc.LevyTriplet(2, np.zeros(2), np.array([[1.0, 0.2], [0.3, 1.0]]),
                            dc.empty_measure(2), dc.TruncationSpec.identity(2))
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_covariance_rejected(self, c):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            dc.LevyTriplet(1, np.zeros(1), np.array([[c]]),
+                           dc.empty_measure(1), dc.TruncationSpec.identity(1))
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValueError, match="semidefinite"):
