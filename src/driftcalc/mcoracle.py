@@ -20,14 +20,23 @@ and only a tree with a non-real literal carries complex values.
 Randomness is counter-based: block ``b`` of a run draws from
 Philox(key=(seed, b)), which makes every estimate a pure function of
 (seed, n_paths) and therefore bit-identical across worker counts.  Block
-results are reduced in block order.
+results are written in block order into one array and reduced there.
+
+With ``workers`` > 1 the blocks run on one thread pool per worker count,
+made on first use and kept for the life of the process, so an estimate
+starts no thread once its pool exists; a forked child drops its parent's
+pools and makes its own.  ``workers`` == 1 runs the blocks in the calling
+thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Union
 
@@ -57,6 +66,16 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # numpy integers become ints; a float or a bool is refused
+        for name in ("n_paths", "seed", "workers"):
+            value = getattr(self, name)
+            try:
+                index = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = None
+            if index is None:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, index)
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
         if self.workers < 1:
@@ -84,39 +103,65 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"mcoracle-{workers}w")
+
+
+# A forked child has none of its parent's threads, so it makes pools of its own.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _collect(cfg: SimConfig, block_fn) -> np.ndarray:
-    """Run one value per path, blockwise, reduced in block order."""
-    full, rem = divmod(cfg.n_paths, BLOCK_SIZE)
-    sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
+    """One value per path, block by block, written in block order into one array."""
+    starts = range(0, cfg.n_paths, BLOCK_SIZE)
 
-    def run(b: int) -> np.ndarray:
-        return np.asarray(block_fn(_block_rng(cfg.seed, b), sizes[b]))
+    def run(start: int) -> np.ndarray:
+        rng = _block_rng(cfg.seed, start // BLOCK_SIZE)
+        return np.asarray(block_fn(rng, min(BLOCK_SIZE, cfg.n_paths - start)))
 
-    if cfg.workers == 1:
-        chunks = [run(b) for b in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(run, range(len(sizes))))
-    return np.concatenate(chunks)
+    futures = [] if cfg.workers == 1 else [_pool(cfg.workers).submit(run, s) for s in starts]
+    blocks = (f.result() for f in futures) if futures else map(run, starts)
+    try:
+        for start, block in zip(starts, blocks):
+            if start == 0:
+                out = np.empty(cfg.n_paths, block.dtype)
+            out[start:start + block.size] = block
+        return out
+    finally:
+        # a failed block leaves no other block running past the call
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
-    """Mean and standard error of real or complex per-path values."""
+    """Mean and standard error of real or complex per-path values.
+
+    Each moment is one reduction over one contiguous array, so the figures
+    do not depend on how the values were blocked or gathered.
+    """
     finite = np.isfinite(values)
-    n_bad = int((~finite).sum())
+    n_bad = values.size - int(np.count_nonzero(finite))
     if n_bad > 0.001 * values.size:
         raise EngineError(
             f"{n_bad} of {values.size} paths produced non-finite values (> 0.1%)"
         )
-    good = values[finite]
+    good = values[finite] if n_bad else values
     n = good.size
     mean = good.mean()
     dev = good - mean
-    dev2 = dev.real**2 + dev.imag**2 if np.iscomplexobj(dev) else dev * dev
+    if np.iscomplexobj(dev):
+        np.square(dev.real, out=dev.real)
+        np.square(dev.imag, out=dev.imag)
+        dev2 = dev.real + dev.imag
+    else:
+        dev2 = np.multiply(dev, dev, out=dev)
     var = float(dev2.sum() / (n - 1)) if n > 1 else 0.0
     se = math.sqrt(var / n) if n else float("inf")
     m2 = float(dev2.mean())
-    kurt = float((dev2**2).mean() / m2**2) if m2 > 0 else float("nan")
+    kurt = float(np.square(dev2, out=dev2).mean() / m2**2) if m2 > 0 else float("nan")
     if kurt > KURTOSIS_WARN_LEVEL:
         warnings.warn(
             f"heavy-tailed sample (kurtosis {kurt:.1f}); the standard error may be optimistic",

@@ -108,6 +108,10 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-10
 
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+
     @property
     def abs_tol(self) -> float:
         """The floor under rel_tol * |value|: rel_tol * 1e-2."""

@@ -206,6 +206,30 @@ def combined_atom_sum(points, intensities, values_fn, jacobian, trunc):
     return total, scale
 
 
+def concatenated_estimate(cfg, block_fn) -> dc.McEstimate:
+    """A Monte Carlo estimate as the oracle first computed it: every block's
+    values run in order and concatenated, then reduced with a fresh
+    temporary for each step.  The oracle of ``mcoracle._collect`` and
+    ``mcoracle._estimate``, which write into one array and square in place."""
+    from driftcalc.mcoracle import BLOCK_SIZE, _block_rng
+
+    full, rem = divmod(cfg.n_paths, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
+    values = np.concatenate([np.asarray(block_fn(_block_rng(cfg.seed, b), n)) for b, n in enumerate(sizes)])
+    finite = np.isfinite(values)
+    n_bad = int((~finite).sum())
+    good = values[finite]
+    n = good.size
+    mean = good.mean()
+    dev = good - mean
+    dev2 = dev.real**2 + dev.imag**2 if np.iscomplexobj(dev) else dev * dev
+    var = float(dev2.sum() / (n - 1)) if n > 1 else 0.0
+    se = math.sqrt(var / n) if n else float("inf")
+    m2 = float(dev2.mean())
+    kurt = float((dev2**2).mean() / m2**2) if m2 > 0 else float("nan")
+    return dc.McEstimate(mean=complex(mean), std_error=se, n_effective=n, n_nonfinite=n_bad, kurtosis=kurt)
+
+
 def random_composed_tree(rng: np.random.Generator) -> dc.RepFn:
     """A random, well-conditioned composition of catalog-style scalar trees.
 

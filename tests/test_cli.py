@@ -382,6 +382,28 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert "rel_tol must be finite and positive" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["drift", "--xi", "exp_affine", "--xi-params", '{"v": "0.5"}'],
+        ["cumulant", "--v-grid", '{"re": {"start": 0, "stop": 1, "count": 2}}'],
+        ["memm", "--v-grid", '{"re": {"start": 0, "stop": 1, "count": 2}}', "--lambda-star", "0.7"],
+        ["utility", "--bracket=-1,8"],
+        ["mc-verify", "--target", "cumulant", "--v", "0.5", "--n-paths", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_quadrature_tol_is_usage_error(self, model_file, capsys, command, tol):
+        code = main([command[0], "--model", model_file(MERTON_MODEL), *command[1:], f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"rel_tol must be finite and positive, got {float(tol)}" in captured.err
+
+    def test_non_integer_worker_count_is_usage_error(self, model_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_threads", lambda args: 2.5)
+        code = main(["mc-verify", "--model", model_file(MERTON_MODEL), "--target", "cumulant",
+                     "--n-paths", "100"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: workers must be an integer, got 2.5" in captured.err
+
     @pytest.mark.parametrize("option", [["--u-max", "50"], ["--beta=-0.3"]])
     def test_contour_options_are_gone(self, model_file, capsys, option):
         code = exit_code(["price-margrabe", "--model", model_file(MARGRABE_MODEL), *option])

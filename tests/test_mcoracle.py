@@ -1,8 +1,16 @@
+import dataclasses
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import driftcalc as dc
@@ -21,6 +29,8 @@ from driftcalc.mcoracle import (
     _segment_reduce,
     sample_increment_batch,
 )
+
+from conftest import concatenated_estimate
 
 
 class TestIncrementSampling:
@@ -438,3 +448,158 @@ def test_heavy_tailed_sample_warns():
     with pytest.warns(UserWarning, match="heavy-tailed"):
         est = _estimate(vals)
     assert est.kurtosis > 100.0
+
+
+def _fields(est):
+    """An estimate's fields as exact text: equal texts are equal bits, NaN included."""
+    return tuple(map(repr, dataclasses.astuple(est)))
+
+
+class TestSimConfig:
+    def test_numpy_integers_are_taken_as_ints(self, merton_1d):
+        cfg = dc.SimConfig(n_paths=np.int64(10_000), seed=np.uint64(3), workers=np.int32(2))
+        assert [type(v) for v in (cfg.n_paths, cfg.seed, cfg.workers)] == [int, int, int]
+        plain = dc.SimConfig(n_paths=10_000, seed=3, workers=2)
+        xi = dc.rep_exp_affine(0.5)
+        assert _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, cfg)) == _fields(
+            dc.mc_stoch_exp(xi, merton_1d, 1.0, plain))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 10_000.0), ("n_paths", np.float64(100.0)), ("n_paths", True),
+        ("seed", 3.0), ("seed", False), ("workers", 2.5), ("workers", True), ("workers", np.True_),
+    ])
+    def test_a_float_or_a_bool_is_refused(self, field, value):
+        kwargs = {"n_paths": 1_000, "seed": 1, "workers": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            dc.SimConfig(**kwargs)
+
+
+class TestBlockedEstimate:
+    """``_collect`` and ``_estimate`` against the concatenating oracle."""
+
+    @settings(max_examples=48, deadline=None)
+    @given(
+        n_paths=st.sampled_from([2, 8191, BLOCK_SIZE, 8193, 3 * BLOCK_SIZE + 100, 65_536]),
+        complex_values=st.booleans(),
+        nonfinite=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_same_bits_as_the_concatenating_oracle(self, n_paths, complex_values, nonfinite, seed):
+        def block(rng, n):
+            vals = rng.lognormal(0.0, 0.5, n)
+            if complex_values:
+                vals = vals + 1j * rng.normal(0.0, 1.0, n)
+            if nonfinite:
+                # a thousandth of each block, rounded down: just under 0.1% of the run
+                bad = rng.choice(n, size=n // 1000, replace=False)
+                vals[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.size)
+            return vals
+
+        expected = concatenated_estimate(dc.SimConfig(n_paths=n_paths, seed=seed), block)
+        assert expected.n_nonfinite == (n_paths // BLOCK_SIZE * 8 + n_paths % BLOCK_SIZE // 1000
+                                        if nonfinite else 0)
+        for workers in (1, 2, 3):
+            cfg = dc.SimConfig(n_paths=n_paths, seed=seed, workers=workers)
+            assert _fields(_estimate(_collect(cfg, block))) == _fields(expected)
+
+
+def _estimate_in_child(conn, xi, model, cfg):
+    conn.send(_fields(dc.mc_stoch_exp(xi, model, 1.0, cfg)))
+    conn.close()
+
+
+class TestBlockPool:
+    def test_estimates_start_no_thread_after_the_first(self, merton_1d, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        mcoracle._pool.cache_clear()
+        xi, cfg = dc.rep_exp_affine(0.5), dc.SimConfig(n_paths=4 * BLOCK_SIZE, seed=5, workers=2)
+        first = _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, cfg))
+        by_first = list(started)
+        for _ in range(19):
+            assert _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, cfg)) == first
+        assert 1 <= len(by_first) <= 2
+        assert started == by_first
+
+    def test_one_worker_makes_no_pool(self, merton_1d, monkeypatch):
+        monkeypatch.setattr(mcoracle, "_pool", None)  # calling it would raise
+        dc.mc_stoch_exp(dc.rep_exp_affine(0.5), merton_1d, 1.0, dc.SimConfig(n_paths=3 * BLOCK_SIZE, seed=5))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_more_than_workers_blocks_run_at_once(self, workers):
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def block(rng, n):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+            return rng.random(n)
+
+        _collect(dc.SimConfig(n_paths=12 * BLOCK_SIZE, seed=1, workers=workers), block)
+        assert 1 <= peak[0] <= workers
+
+    def test_a_failed_block_leaves_no_block_running(self):
+        lock, running, calls = threading.Lock(), [0], []
+
+        def block(rng, n):
+            with lock:
+                running[0] += 1
+                first = not calls
+                calls.append(n)
+            try:
+                time.sleep(0.01)
+                if first:
+                    raise EngineError("block failed")
+                return rng.random(n)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(EngineError, match="block failed"):
+            _collect(dc.SimConfig(n_paths=12 * BLOCK_SIZE, seed=1, workers=2), block)
+        assert running[0] == 0
+        assert len(calls) < 12  # the blocks still queued were cancelled
+
+    def test_concurrent_estimates_share_a_pool(self, merton_1d):
+        xi = dc.rep_exp_affine(0.5)
+        cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=9, workers=3)
+        expected = _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, dataclasses.replace(cfg, workers=1)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                got = list(callers.map(lambda _: _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, cfg)),
+                                       range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected] * 8
+
+    # Python 3.12 and later warn on a fork of a process with threads; here
+    # the parent's pool threads are the point of the test.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_estimates_on_a_pool_of_its_own(self, merton_1d):
+        ctx = multiprocessing.get_context("fork")
+        xi, cfg = dc.rep_exp_affine(0.5), dc.SimConfig(n_paths=4 * BLOCK_SIZE, seed=7, workers=2)
+        parent = _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, cfg))  # the pool now has threads
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_estimate_in_child, args=(send, xi, merton_1d, cfg))
+        child.start()
+        try:
+            send.close()
+            assert receive.poll(60), "the forked child's estimate did not finish"
+            assert receive.recv() == parent
+            child.join(10)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+            receive.close()

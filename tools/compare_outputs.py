@@ -4,17 +4,22 @@
 
 Each directory is a checkout with the package under ``src``.  For seeds 1,
 7 and 11 the script runs, in one subprocess per tree, every ``grid_1d`` op
-through ``cli.main``, every ``drift_nd`` drift (its full report) and every
-``price_margrabe`` price, as ``perfbench/workloads.py`` of this checkout
+through ``cli.main``, every ``drift_nd`` drift (its full report), every
+``price_margrabe`` price and every ``mc_verify`` estimate (all its fields)
+at 1 and at 2 workers, as ``perfbench/workloads.py`` of this checkout
 generates them.  It prints how many ops are identical and how many moved,
 with the worst move of a number x to x', |x' - x| / (1 + |x|), by op label;
-a ``grid_1d`` label names the jump kinds of its model.  It exits 1 if any
-exit code or stderr differs, or if an output differs other than in its
-numbers.  It is a development tool, not part of the package.
+a ``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
+label its worker count.  It exits 1 if any exit code or stderr differs, if
+an output differs other than in its numbers, or if a tree's estimate at 2
+workers differs from its estimate at 1.  It is a development tool, not part
+of the package.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -32,6 +37,7 @@ import worker  # noqa: E402  (the benchmark's op runner, imported read-only)
 import workloads  # noqa: E402
 
 SEEDS = (1, 7, 11)
+MC_WORKERS = (1, 2)
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 
 
@@ -55,6 +61,34 @@ def _drift_call(M, plan, op):
     return call
 
 
+def _mc_call(M, plan, op, workers):
+    """An ``mc_verify`` op at a worker count; its output is every field of
+    the estimate as its exact repr, the kurtosis too, which the benchmark's
+    own output leaves out."""
+    mc = M.mcoracle
+    model = M.modelio.parse_model(plan["models"][op["model"]])
+    cfg = mc.SimConfig(n_paths=op["n_paths"], seed=op["seed"], workers=workers)
+    if op["kind"] == "mc_margrabe":
+        estimate = functools.partial(mc.mc_margrabe, model, cfg)
+    elif op["kind"] == "mc_stoch_exp":
+        estimate = functools.partial(mc.mc_stoch_exp, M.calculus.rep_exp_affine(op["v"]), model, op["T"], cfg)
+    else:
+        xi, eta = M.calculus.rep_exp_affine(op["v"]), M.calculus.rep_exp_utility(op["lambda"])
+        estimate = functools.partial(mc.mc_reweighted, xi, eta, model, op["T"], cfg)
+    return lambda: {k: repr(v) for k, v in dataclasses.asdict(estimate()).items()}
+
+
+def _runs(M, name, seed, i, plan, op):
+    """(key, label, call) of each run of the i-th op of a plan."""
+    key, label = f"{name}/{seed}/{i}", f"{name} {op['label']}"
+    if name == "mc_verify":
+        return [(f"{key}/{w}w", f"{label} {w}w", _mc_call(M, plan, op, w)) for w in MC_WORKERS]
+    if op["kind"] == "cli":
+        label += f" ({_model_kind(plan['models'][op['check']['model']])})"
+    call = _drift_call(M, plan, op) if op["kind"] == "drift" else worker.make_call(M, plan, op)
+    return [(key, label, call)]
+
+
 def run_tree():
     """Every op's label, exit code, stdout and stderr on the tree on sys.path;
     an op that is not a CLI call prints its result as JSON, or exits 1 with
@@ -66,7 +100,7 @@ def run_tree():
                         modelio=modelio, pricing=pricing, repfn=repfn)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("grid_1d", "drift_nd", "price_margrabe"):
+        for name in ("grid_1d", "drift_nd", "price_margrabe", "mc_verify"):
             for seed in SEEDS:
                 plan = workloads.generate(name, seed)
                 plan["model_paths"] = {}
@@ -75,19 +109,16 @@ def run_tree():
                     path.write_text(json.dumps(doc), encoding="utf-8")
                     plan["model_paths"][m] = str(path)
                 for i, op in enumerate(plan["ops"]):
-                    label = f"{name} {op['label']}"
-                    if op["kind"] == "cli":
-                        label += f" ({_model_kind(plan['models'][op['check']['model']])})"
-                    call = _drift_call(M, plan, op) if op["kind"] == "drift" else worker.make_call(M, plan, op)
-                    res = worker.run_op(call)
-                    if op["kind"] == "cli":
-                        rc, out, err = res["rc"], res["out"], res["err"]
-                    elif "raise" in res:
-                        rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
-                    else:
-                        rc, out, err = 0, json.dumps(res), ""
-                    records.append({"key": f"{name}/{seed}/{i}", "label": label, "rc": rc,
-                                    "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
+                    for key, label, call in _runs(M, name, seed, i, plan, op):
+                        res = worker.run_op(call)
+                        if op["kind"] == "cli":
+                            rc, out, err = res["rc"], res["out"], res["err"]
+                        elif "raise" in res:
+                            rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
+                        else:
+                            rc, out, err = 0, json.dumps(res), ""
+                        records.append({"key": key, "label": label, "rc": rc,
+                                        "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
     return {"package": driftcalc.__file__, "records": records}
 
 
@@ -147,6 +178,10 @@ def main(argv) -> int:
         same, moved, worst, key = rows[label]
         where = f"{worst:.3g} ({key})" if moved else "-"
         print(f"{label:<42} {same:>9} {moved:>6}  {where}")
+    for tree, records in zip(argv, (old, new)):
+        runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
+        failures += [f"{tree}: {key} differs from its run at 1 worker" for key, run in runs.items()
+                     if key.endswith("/2w") and run != runs[key[:-2] + "1w"]]
     for line in failures:
         print("DIFFERS:", line)
     return 1 if failures else 0
