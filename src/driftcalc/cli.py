@@ -73,7 +73,7 @@ from .pricing import (
 from .repfn import RepFn, format_complex, from_prefix, parse_complex
 
 #: grid points per batched cumulant or memm call: one tree with a column per
-#: point; bounds the working arrays and what a failing chunk reruns
+#: point; bounds the working arrays
 GRID_CHUNK = 128
 
 
@@ -173,28 +173,29 @@ def _cmd_drift(args) -> int:
 def _grid_rows(grid, fn):
     """(v, value, status) rows of a grid and the number of failed points.
 
-    ``fn`` maps up to GRID_CHUNK points at once to their values.  A chunk
-    that raises reruns one point at a time, so each failed point carries
-    its own diagnostic and every other point its value.
+    ``fn`` maps up to GRID_CHUNK points to their values by one drift whose
+    outputs each stop and fail on their own, as a one-point call does.  A
+    failing drift names its failing rows in the error's ``faults``, and one
+    more drift values the others (a third if one of those overflows in a sum).
     """
-    rows, failures = [], 0
+    rows = []
     for start in range(0, len(grid), GRID_CHUNK):
         chunk = grid[start:start + GRID_CHUNK]
-        try:
-            rows.extend((v, k, "ok") for v, k in zip(chunk, fn(chunk)))
-            continue
-        except EngineError:
-            pass
-        for v in chunk:
+        values, status = np.full(len(chunk), complex("nan+nanj")), ["ok"] * len(chunk)
+        todo = np.arange(len(chunk))
+        while todo.size:
             try:
-                k = fn(v)
-                rows.append((v, k, "ok"))
+                values[todo] = fn(chunk[todo])
+                break
             except EngineError as exc:
-                failures += 1
+                # an error of no single output fails every row left
+                faults = exc.faults or dict.fromkeys(range(todo.size), exc)
+            for j, fault in faults.items():
                 # the status column must stay CSV-safe
-                message = str(exc).replace(",", ";").replace("\n", " ")
-                rows.append((v, complex(float("nan"), float("nan")), f"error: {message}"))
-    return rows, failures
+                status[todo[j]] = "error: " + str(fault).replace(",", ";").replace("\n", " ")
+            todo = np.delete(todo, list(faults))
+        rows.extend(zip(chunk, values, status))
+    return rows, sum(s != "ok" for *_, s in rows)
 
 
 def _emit_grid(args, rows, value_name: str):

@@ -25,7 +25,7 @@ import numpy as np
 from . import models
 from .calculus import girsanov_adjust
 from .errors import EngineError
-from .models import DiscreteModel, LevyTriplet, QuadratureConfig, jump_drift_correction
+from .models import DiscreteModel, LevyTriplet, QuadratureConfig, _raise_faults, jump_drift_correction
 from .repfn import RepFn
 
 
@@ -56,7 +56,9 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
 
     Raises NanPointError if xi is undefined at an atom or quadrature node,
     ConvergenceError if the jump integral does not settle, and EngineError
-    if a part of the drift is not finite.
+    if a part of the drift is not finite.  Each output fails on its own: the
+    error raised is the lowest-index failing output's, with every failing
+    output's own error in its ``faults``.
     """
     if xi.input_dim != t.dim:
         raise ValueError(f"representation expects dimension {xi.input_dim}, triplet has {t.dim}")
@@ -67,7 +69,8 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     jump, qerr = jump_drift_correction(t.jumps, xi.eval_batch, J, t.truncation, quad)
     total = linear + quadratic + jump
     if not np.isfinite(total).all():
-        _raise_non_finite(linear=linear, quadratic=quadratic, jump=jump)
+        _raise_faults({j: _non_finite(j, linear=linear, quadratic=quadratic, jump=jump)
+                       for j in np.flatnonzero(~np.isfinite(total)).tolist()})
     return DriftReport(
         total=total,
         linear_part=linear,
@@ -77,15 +80,16 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     )
 
 
-def _raise_non_finite(**parts):
-    """Name the first drift part that is not finite, or the total."""
+def _non_finite(j, **parts):
+    """The error of output j of a drift whose total is not finite: it names
+    the output's first part that is not finite, or else their sum."""
     for name, value in parts.items():
-        if not np.isfinite(value).all():
+        if not np.isfinite(value[j]):
             source = "jump integral" if name == "jump" else "representation's jet at the origin"
-            raise EngineError(
-                f"{name} part of the drift is not finite ({value.tolist()}); the {source} overflows"
+            return EngineError(
+                f"{name} part of the drift is not finite ({value[j:j + 1].tolist()}); the {source} overflows"
             )
-    raise EngineError("the drift overflows: its parts are finite but their sum is not")
+    return EngineError("the drift overflows: its parts are finite but their sum is not")
 
 
 def drift_q(

@@ -7,7 +7,13 @@ from valid inputs but cannot produce a trustworthy number.
 
 
 class EngineError(RuntimeError):
-    """Base class for computation diagnostics."""
+    """Base class for computation diagnostics.
+
+    A jump integral or drift whose outputs fail raises the lowest-index
+    one's error, with ``faults`` mapping each failing output to its own
+    error, the one a call of that output alone raises; else it is empty."""
+
+    faults: dict = {}
 
 
 class NanPointError(EngineError):

@@ -43,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from .calculus import rep_identity
-from .drift import drift
+from .drift import _check_horizon, drift
 from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
 from .pricing import MargrabeModel
@@ -255,8 +255,7 @@ def sample_increment_batch(
 ) -> np.ndarray:
     """Draw n exact terminal increments X_T - X_0, shape (n, d): the sum form
     of the identity, i.e. the continuous part plus all jumps."""
-    if T < 0:
-        raise ValueError("time horizon must be nonnegative")
+    _check_horizon(T)
     paths = _pathwise(rep_identity(t.dim), t, T, exponential=False)
     return paths(*_draw_paths(t, T, rng, n), np.real)
 
@@ -293,6 +292,7 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
     """
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
+    _check_horizon(T)
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)
         vals = 1.0 + xi.eval_batch(model.points)[:, 0]
@@ -312,6 +312,7 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
     """
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
+    _check_horizon(T)
     paths = _pathwise(xi, t, T, exponential=False)
     return _estimate(_collect(cfg, lambda rng, n: paths(*_draw_paths(t, T, rng, n), _first)))
 
@@ -350,6 +351,7 @@ def mc_reweighted(
     """
     if xi.output_dim != 1 or eta.output_dim != 1:
         raise ValueError("both representations must be scalar-valued")
+    _check_horizon(T)
 
     if isinstance(model, DiscreteModel):
         steps = math.floor(T)

@@ -7,14 +7,15 @@ choices are explicit: a triplet always records the truncation its drift
 vector refers to, and ``retruncate`` moves between equivalent descriptions.
 
 A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, 31, ...,
-255 nodes per axis, and stops at the first two levels whose estimates agree
-output by output.  Each measure keeps the node sets of the levels an
-accepted integral used, so later integrals on it rebuild nothing.  One call
-of the integrand covers the first two levels and a far-tail probe, about 21
-standard deviations out along each axis; an integrand that outgrows the
-Gaussian decay there raises ``NonIntegrableError`` instead of converging to
-a finite but meaningless number on the low levels.  Jump points are real,
-so a real tree is integrated in float64, a complex one in complex128.
+255 nodes per axis; each output stops at the first two levels whose
+estimates of it agree, and fails on its own, as an integral of it alone.
+Each measure keeps the node sets of the levels an accepted integral used,
+so later integrals on it rebuild nothing.  One call of the integrand covers
+the first two levels and a far-tail probe, about 21 standard deviations
+out along each axis; an integrand that outgrows the Gaussian decay there
+raises ``NonIntegrableError`` instead of converging to a finite but
+meaningless number on the low levels.  Jump points are real, so a real tree
+is integrated in float64, a complex one in complex128.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, EngineError, NanPointError, NonIntegrableError
-from .repfn import RepFn, _nonreal, _require_defined
+from .repfn import RepFn, _isnan, _nonreal
 
 ATOM_DEDUP_TOL = 1e-12
 #: Gauss-Hermite nodes per axis at the first level, and how often the count
@@ -161,6 +162,7 @@ class JumpMeasure:
         raise NotImplementedError
 
     def _integrate(self, g, quad: QuadratureConfig):
+        """(value, error estimate, {failing output: its error}) of int g dF."""
         raise NotImplementedError
 
     def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -203,6 +205,22 @@ def _atom_groups(pts: np.ndarray) -> list:
         else:
             groups.append([k])
     return groups
+
+
+def _flag(bad, open_, faults, error):
+    """Close each open output j flagged in the (N, n) mask ``bad``: its verdict is error(first row, j)."""
+    if np.count_nonzero(bad):  # bad.any() at a third of its cost
+        for j in np.flatnonzero(bad.any(axis=0) & open_).tolist():
+            faults[j] = error(int(np.argmax(bad[:, j])), j)
+            open_[j] = False
+
+
+def _raise_faults(faults: dict):
+    """Raise the lowest-index failing output's error, carrying ``faults``."""
+    if faults:
+        exc = faults[min(faults)]
+        exc.faults = faults
+        raise exc
 
 
 def _require_psd(S: np.ndarray, what: str):
@@ -250,23 +268,22 @@ class FiniteAtoms(JumpMeasure):
     def _integrate(self, g, quad):
         vals = np.asarray(g(self.points))
         if self.points.shape[0] == 0:
-            return np.zeros(vals.shape[1], dtype=np.complex128), 0.0
-        _require_defined(vals, self.points, "integrand is undefined at atom")
+            return np.zeros(vals.shape[1], dtype=np.complex128), 0.0, {}
+        faults, open_ = {}, np.ones(vals.shape[1], dtype=bool)
+        _flag(_isnan(vals), open_, faults, lambda k, j: NanPointError(
+            f"integrand is undefined at atom {self.points[k].tolist()}", point=self.points[k]))
         # A sequential sum in atom order, so a plain loop reproduces the
-        # total bit for bit; its partial sums name an overflowing atom.  An
-        # overflowed value (inf times a zero part) sums to NaN without a
-        # numpy warning, as on every walk along a tree.
+        # total bit for bit; its partial sums name an overflowing atom, as
+        # a partial sum that is not finite stays so.  An overflowed value
+        # (inf times a zero part) sums to NaN without a numpy warning, as
+        # on every walk along a tree.
         with np.errstate(all="ignore"):
             partial = np.cumsum(self.intensities[:, None] * vals, axis=0)
+        _flag(~np.isfinite(partial), open_, faults, lambda k, j: EngineError(
+            f"integrand overflows at atom {self.points[k].tolist()}: "
+            f"the atom sum is not finite ({partial[k, j:j + 1].tolist()})"))
         # 0.0 + keeps the sign of a zero total as a sum started from 0 does
-        total = 0.0 + partial[-1]
-        if not np.isfinite(total).all():
-            k = int(np.argmin(np.isfinite(partial).all(axis=1)))
-            raise EngineError(
-                f"integrand overflows at atom {self.points[k].tolist()}: "
-                f"the atom sum is not finite ({partial[k].tolist()})"
-            )
-        return total, 0.0
+        return 0.0 + partial[-1], 0.0, faults
 
     def _sample(self, rng, n):
         if self.points.shape[0] == 0:
@@ -358,8 +375,8 @@ class GaussianPush(JumpMeasure):
     def _integrate(self, g, quad):
         if self.intensity == 0.0:
             probe = np.asarray(g(np.zeros((0, self.dim))))
-            return np.zeros(probe.shape[1], dtype=np.complex128), 0.0
-        used, prev, err = {}, None, None
+            return np.zeros(probe.shape[1], dtype=np.complex128), 0.0, {}
+        used, prev, faults, out, err = {}, None, {}, None, None
         for level in range(QUAD_MAX_DOUBLINGS + 1):
             if level == 1:
                 P, W, vals = rung1
@@ -372,45 +389,54 @@ class GaussianPush(JumpMeasure):
                 m = n + 2 * self.dim
                 probe, rung1 = (P[n:m], W[n:m], vals[n:m]), (P[m:], W[m:], vals[m:])
                 P, W, vals = P[:n], W[:n], vals[:n]
-            _require_defined(vals, P, "integrand is undefined at quadrature node")
+                # the outputs with neither a value nor a verdict yet
+                open_ = np.ones(vals.shape[1], dtype=bool)
+            _flag(_isnan(vals), open_, faults, lambda k, j: NanPointError(
+                f"integrand is undefined at quadrature node {P[k].tolist()}", point=P[k]))
             # Overflowing integrands are allowed to reach the checks below,
             # which report them instead of a numpy warning.
             with np.errstate(all="ignore"):
                 cur = self.intensity * (W[:, None] * vals).sum(axis=0)
                 if level == 0:
-                    self._check_tail(*probe, cur, quad)
+                    self._check_tail(*probe, cur, quad, open_, faults)
                 else:
                     delta = np.abs(cur - prev)
-                    err = float(np.max(delta, initial=0.0))
-                    if np.all(delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur))):
-                        for k, s in used.items():
-                            self._nodes.setdefault(k, s)
-                        return cur, err
+                    done = open_ & (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur)))
+                    # each output keeps its value and change from the level
+                    # that settles it; the first level fills every slot
+                    out, err = ((cur, delta) if out is None
+                                else (np.where(done, cur, out), np.where(done, delta, err)))
+                    open_ ^= done
+                    # checked from rung 1 on: the rung-0 walk computed rung 1
+                    # too, so outputs that all failed on rung 0 cost no walk
+                    if not np.count_nonzero(open_):
+                        break
             prev = cur
-        raise ConvergenceError(
-            f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
-            f"nodes (last change {err:.3e}); the integrand may not be integrable "
-            "against the jump law, or it is discontinuous inside the law's support "
-            "(an indicator level or a clipped output truncation there), which the "
-            "Gauss-Hermite rule cannot resolve"
-        )
+        else:
+            for j in np.flatnonzero(open_).tolist():
+                faults[j] = ConvergenceError(
+                    f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
+                    f"nodes (last change {delta[j]:.3e}); the integrand may not be integrable "
+                    "against the jump law, or it is discontinuous inside the law's support "
+                    "(an indicator level or a clipped output truncation there), which the "
+                    "Gauss-Hermite rule cannot resolve"
+                )
+        if not faults:
+            for k, s in used.items():
+                self._nodes.setdefault(k, s)
+        return out, float(np.max(err, initial=0.0)), faults
 
-    def _check_tail(self, P, W, vals, first, quad):
-        """Raise NonIntegrableError if the integrand at a probe point P[k],
-        times its weight, is not finite or exceeds the tolerance of the first
-        estimate ``first`` in some output."""
+    def _check_tail(self, P, W, vals, first, quad, open_, faults):
+        """Fail as not integrable each open output whose integrand at a probe point P[k],
+        times its weight, is not finite or exceeds the tolerance of its first estimate."""
         weighted = self.intensity * W[:, None] * np.abs(vals)
         # A non-finite first estimate sets no tolerance here; the ladder
         # then reports it as non-convergence.
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(first))
-        bad = np.where((~np.isfinite(weighted) | (weighted > tol)).any(axis=1))[0]
-        if bad.size:
-            k = bad[0]
-            raise NonIntegrableError(
-                "jump integral did not converge: the integrand grows faster than the "
-                f"jump law decays near x = {P[k].tolist()} (weighted value "
-                f"{np.max(weighted[k]):.3e} there); it is not integrable against the jump law"
-            )
+        _flag(~np.isfinite(weighted) | (weighted > tol), open_, faults, lambda k, j: NonIntegrableError(
+            "jump integral did not converge: the integrand grows faster than the "
+            f"jump law decays near x = {P[k].tolist()} (weighted value "
+            f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
 
     def _sample(self, rng, n):
         U = rng.standard_normal((n, self.dim))
@@ -467,8 +493,16 @@ class SumMeasure(JumpMeasure):
         return float(sum(p.total_mass() for p in self.parts))
 
     def _integrate(self, g, quad):
-        vals, errs = zip(*(p._integrate(g, quad) for p in self.parts))
-        return functools.reduce(np.add, vals), sum(errs)
+        results = []
+        for p in self.parts:
+            results.append(p._integrate(g, quad))
+            # each output's verdict is that of the first part that fails it;
+            # once every output has one, the later parts do not run
+            faults = {j: e for *_, f in reversed(results) for j, e in f.items()}
+            if len(faults) == results[0][0].size:
+                break
+        vals, errs, _ = zip(*results)
+        return functools.reduce(np.add, vals), sum(errs), faults
 
     def _sample(self, rng, n):
         masses = np.array([p.total_mass() for p in self.parts])
@@ -590,7 +624,8 @@ def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig
     tensorised Gauss-Hermite quadrature with node-count doubling for the
     error estimate, its first two rules and tail probe in one call of ``g``.
 
-    Returns (value, error_estimate) with complex ``value`` of shape (n,).
+    Returns (value, error_estimate) with complex ``value`` of shape (n,), or
+    raises the lowest-index failing output's error, with ``faults`` set.
     """
 
     def g2(X):
@@ -599,7 +634,9 @@ def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig
             out = out[:, None]
         return out
 
-    return measure._integrate(g2, quad or DEFAULT_QUADRATURE)
+    value, err, faults = measure._integrate(g2, quad or DEFAULT_QUADRATURE)
+    _raise_faults(faults)
+    return value, err
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ def cumulant(v, t: LevyTriplet, quad: Optional[QuadratureConfig] = None):
 
     ``v`` is a number, or a 1-d array of v whose kappa values are one drift
     of one tree with a column per point (the drift is linear in the
-    increment function).  The ladder's stop rule is per output, so each point keeps its
-    own tolerance; any point that fails fails the whole call.
+    increment function).  Each point stops and fails as it does alone; the
+    call raises if any fails, with every failing point's error in ``faults``.
     """
     _require_1d(t, "cumulant")
     return _per_point(v, drift(rep_exp_affine(v), t, quad))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,52 @@ class TestCommands:
         assert code == 0
         assert abs(float(doc["z_score"])) < 3.0
         assert doc["seed"] == 27
+
+    def test_mc_verify_memm_z_score(self, model_file, capsys):
+        code, doc = run_json(capsys, [
+            "mc-verify", "--model", model_file(MERTON_MODEL), "--target", "memm",
+            "--lambda-star", "0.7", "--v", "0.5", "--n-paths", "50000", "--seed", "27",
+        ])
+        assert code == 0
+        ref = np.exp(dc.memm_cumulant(dc.parse_complex("0.5"), 0.7, parse_model(MERTON_MODEL)))
+        assert dc.parse_complex(doc["analytic"]) == ref
+        assert abs(float(doc["z_score"])) < 4.0
+
+    def test_mc_verify_memm_needs_lambda_star(self, model_file, capsys):
+        code = main(["mc-verify", "--model", model_file(MERTON_MODEL), "--target", "memm"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--lambda-star is required" in captured.err
+
+    def test_mc_verify_stoch_exp_on_a_levy_model(self, model_file, capsys):
+        code, doc = run_json(capsys, [
+            "mc-verify", "--model", model_file(MERTON_MODEL), "--target", "stoch-exp",
+            "--xi", "exp_affine", "--xi-params", '{"v": "0.5"}', "--n-paths", "20000", "--seed", "5",
+        ])
+        assert code == 0
+        ref = dc.expectation_stoch_exp(dc.rep_exp_affine(0.5), parse_model(MERTON_MODEL), 1.0)
+        assert dc.parse_complex(doc["analytic"]) == ref
+
+    def test_discrete_compensator(self, model_file, capsys):
+        code, doc = run_json(capsys, [
+            "discrete", "--model", model_file(TRINOMIAL_MODEL), "--op", "compensator",
+            "--xi", "exp_affine", "--xi-params", '{"v": "0.5+1i"}', "-T", "3",
+        ])
+        assert code == 0
+        ref = dc.discrete_compensator(dc.rep_exp_affine(0.5 + 1j), parse_model(TRINOMIAL_MODEL), 3.0)
+        assert [dc.parse_complex(z) for z in doc["value"]] == list(ref)
+
+    @pytest.mark.parametrize("v, pattern", [("0.5+1i", r"^-?[0-9.e-]+\+[0-9.e-]+i$"),
+                                            ("0.5-1i", r"^-?[0-9.e-]+-[0-9.e-]+i$")])
+    def test_a_non_real_drift_prints_a_plus_bi(self, model_file, capsys, v, pattern):
+        code, doc = run_json(capsys, [
+            "drift", "--model", model_file(MERTON_MODEL), "--xi", "exp_affine", "--xi-params", json.dumps({"v": v}),
+        ])
+        assert code == 0
+        assert re.match(pattern, doc["total"][0])
+        ref = dc.drift(dc.rep_exp_affine(dc.parse_complex(v)), parse_model(MERTON_MODEL)).total[0]
+        assert dc.parse_complex(doc["total"][0]) == ref
 
     @pytest.mark.parametrize("target", ["cumulant", "margrabe"])
     def test_mc_verify_output_independent_of_threads(self, model_file, capsys, target):
@@ -738,6 +785,19 @@ def run_grid(model_file, capsys, command, doc, grid):
     return code, csv_rows(captured.out)
 
 
+def assert_rows_are_their_points(code, rows, ref):
+    """Each grid row has the status of its one-point call, and its value
+    within 1e-15 (1 + |kappa|); the exit code is 1 if any row failed."""
+    assert [r[2] for r in rows] == [r[2] for r in ref]
+    assert code == (0 if all(r[2] == "ok" for r in ref) else 1)
+    for (v, k, status), (v_ref, k_ref, _) in zip(rows, ref):
+        assert v == v_ref
+        if status == "ok":
+            assert abs(k - k_ref) <= 1e-15 * (1.0 + abs(k_ref))
+        else:
+            assert np.isnan(k.real) and np.isnan(k.imag)
+
+
 def spy_outputs(monkeypatch, name):
     """Output count of the tree of each call of ``pricing.<name>`` from now on."""
     calls, original = [], getattr(pricing, name)
@@ -768,12 +828,7 @@ class TestBatchedGrids:
                                                    command, grid, name):
         code, rows = run_grid(model_file, capsys, command, grid_models[name], grid)
         ref = per_point_rows(grid_call(command, grid_models[name]), parse_grid(grid))
-        assert [r[2] for r in rows] == [r[2] for r in ref]
-        assert code == (0 if all(r[2] == "ok" for r in ref) else 1)
-        for (v, k, status), (v_ref, k_ref, _) in zip(rows, ref):
-            assert v == v_ref
-            if status == "ok":
-                assert abs(k - k_ref) <= 1e-14 * (1.0 + abs(k_ref))
+        assert_rows_are_their_points(code, rows, ref)
 
     @pytest.mark.parametrize("command, doc, grid", [
         ("cumulant", MERTON_MODEL, {"re": {"start": 0, "stop": 10, "count": 3}}),
@@ -783,13 +838,18 @@ class TestBatchedGrids:
         code, rows = run_grid(model_file, capsys, command, doc, grid)
         ref = per_point_rows(grid_call(command, doc), parse_grid(grid))
         assert code == 1
-        assert [r[2] for r in rows] == [r[2] for r in ref]
         assert any(r[2].startswith("error: ") for r in rows)
-        for (_, k, status), (_, k_ref, _) in zip(rows, ref):
-            if status == "ok":
-                assert abs(k - k_ref) <= 1e-14 * (1.0 + abs(k_ref))
-            else:
-                assert np.isnan(k.real) and np.isnan(k.imag)
+        assert_rows_are_their_points(code, rows, ref)
+
+    @pytest.mark.parametrize("command, stop, failed", [
+        ("memm", 3, 0), ("memm", 30, 99), ("cumulant", 30, 109), ("cumulant", 3, 36),
+    ])
+    def test_docs_marginal_grids_are_their_one_point_calls(self, model_file, capsys, command, stop, failed):
+        grid = {"re": {"start": -4, "stop": stop, "count": 128}}
+        code, rows = run_grid(model_file, capsys, command, DOC_MARGINAL_MODEL, grid)
+        ref = per_point_rows(grid_call(command, DOC_MARGINAL_MODEL), parse_grid(grid))
+        assert [r[2] for r in rows].count("ok") == 128 - failed
+        assert_rows_are_their_points(code, rows, ref)
 
     @pytest.mark.parametrize("command, spied", [("cumulant", "drift"), ("memm", "drift_q")])
     @pytest.mark.parametrize("count, outputs", [(101, [101]), (300, [128, 128, 44])])
@@ -807,13 +867,27 @@ class TestBatchedGrids:
         grid[150] = 10.0  # not integrable against the jump body
         calls = spy_outputs(monkeypatch, "drift")
         rows, failures = cli._grid_rows(grid, lambda v: dc.cumulant(v, model))
-        assert calls == [128, 128] + [1] * 128 + [44]
+        # one drift names the failing row, one more values the other 127
+        assert calls == [128, 128, 127, 44]
         assert failures == 1
         assert [status for _, _, status in rows].count("ok") == 299
         with pytest.raises(EngineError) as info:
             dc.cumulant(10.0, model)
         message = str(info.value).replace(",", ";")
         assert rows[150][2] == f"error: {message}"
+
+    def test_a_row_whose_drift_sum_overflows_takes_a_third_drift(self, monkeypatch):
+        # Against an atom at -0.5, v = -2000 overflows in the atom sum.  The
+        # integral at v = 1e160 is finite, but v^2 c overflows in the drift's
+        # sum, which is checked only once the integral of every row settled.
+        t = dc.LevyTriplet(1, np.array([0.05]), np.array([[0.04]]), dc.FiniteAtoms([[-0.5]], [0.3]),
+                           dc.TruncationSpec.identity(1))
+        grid = np.array([-2000.0, 0.5, 1e160]) + 0j
+        calls = spy_outputs(monkeypatch, "drift")
+        rows, failures = cli._grid_rows(grid, lambda v: dc.cumulant(v, t))
+        assert calls == [3, 2, 1]
+        assert failures == 2
+        assert_rows_are_their_points(1, rows, per_point_rows(lambda v: dc.cumulant(v, t), grid))
 
 
 ATOMS_MODEL = {

@@ -95,6 +95,24 @@ class TestIncrementSampling:
         assert p_value > 0.001
 
 
+#: each estimator that takes a horizon, at a model and a horizon T
+HORIZON_ESTIMATORS = {
+    "mc_stoch_exp": lambda model, T: dc.mc_stoch_exp(dc.rep_exp_affine(0.5), model, T, dc.SimConfig(100, 1)),
+    "mc_sum": lambda model, T: dc.mc_sum(dc.rep_exp_affine(0.5), model, T, dc.SimConfig(100, 1)),
+    "mc_reweighted": lambda model, T: dc.mc_reweighted(
+        dc.rep_exp_affine(0.5), dc.rep_exp_utility(0.7), model, T, dc.SimConfig(100, 1)),
+    "sample_increment_batch": lambda model, T: sample_increment_batch(model, T, _block_rng(1, 0), 10),
+}
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("model", ["merton_1d", "trinomial"])
+@pytest.mark.parametrize("estimator", sorted(HORIZON_ESTIMATORS))
+def test_a_horizon_that_is_negative_or_not_finite_is_refused(estimator, model, T, request):
+    with pytest.raises(ValueError, match=f"^time horizon must be nonnegative and finite, got {T}$"):
+        HORIZON_ESTIMATORS[estimator](request.getfixturevalue(model), T)
+
+
 class TestStochasticExponential:
     def test_null_representation_is_one_with_zero_error(self, merton_1d):
         est = dc.mc_stoch_exp(dc.rep_zero(1), merton_1d, 1.0, dc.SimConfig(n_paths=5_000, seed=1))

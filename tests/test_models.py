@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import driftcalc as dc
-from driftcalc import models
-from driftcalc.errors import ConvergenceError, NanPointError, NonIntegrableError
+from driftcalc import cli, models
+from driftcalc.errors import ConvergenceError, EngineError, NanPointError, NonIntegrableError
 from driftcalc.mcoracle import _block_rng
 
 from conftest import combined_atom_sum, random_composed_tree
@@ -497,3 +497,111 @@ def test_step_integrals_never_converge_to_a_wrong_value():
                 except ConvergenceError:
                     continue
                 assert abs(val[0] - exact) <= 1e-8, (s, m, level)
+
+
+class TestOutputsSettleAlone:
+    """Each output of a jump integral stops and fails as an integral of it alone."""
+
+    gp = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
+
+    @staticmethod
+    def alone(measure, g, k, quad=None):
+        """(value, None) or (None, error) of output k of ``g`` integrated alone."""
+        try:
+            return dc.integrate(measure, lambda X: np.asarray(g(X))[:, k], quad)[0][0], None
+        except EngineError as exc:
+            return None, exc
+
+    def test_outputs_that_settle_on_different_levels_keep_their_own_values(self):
+        # |x + 0.05| settles at 31 nodes and |x + 0.1| at 127 alone; the first
+        # passes 31 nodes and fails a later level, so one stop level for
+        # both would have ended in non-convergence.
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        quad = dc.QuadratureConfig(rel_tol=1e-3)
+        kinks = lambda X: np.abs(X - np.array([-0.05, -0.1]))
+        val, _ = dc.integrate(gp, kinks, quad)
+        for k in range(2):
+            ref, _ = self.alone(gp, kinks, k, quad)
+            assert abs(val[k] - ref) <= 1e-15 * (1.0 + abs(ref))
+
+    def test_a_failing_output_raises_its_own_error(self, merton_1d):
+        # output 1 alone is not integrable against the jump body
+        xi = dc.rep_exp_affine(np.array([0.5, 10.0]))
+        with pytest.raises(NonIntegrableError) as info:
+            dc.drift(xi, merton_1d)
+        with pytest.raises(NonIntegrableError) as alone:
+            dc.drift(dc.rep_exp_affine(10.0), merton_1d)
+        assert info.value.faults == {1: info.value}
+        assert str(info.value) == str(alone.value)
+        # output 0 has no verdict, and the grid's rerun over it alone gives
+        # its own call's value
+        rows, failures = cli._grid_rows(np.array([0.5, 10.0]) + 0j, lambda v: dc.cumulant(v, merton_1d))
+        ref = dc.cumulant(0.5, merton_1d)
+        assert failures == 1 and rows[0][2] == "ok"
+        assert abs(rows[0][1] - ref) <= 1e-15 * (1.0 + abs(ref))
+        assert rows[1][2] == "error: " + str(alone.value).replace(",", ";")
+
+    def test_the_lowest_failing_output_is_raised_and_each_keeps_its_verdict(self):
+        # x is integrable, log(1 + 2x) is undefined where x < -0.5, and
+        # e^{10x} - 1 outgrows the jump law's tail
+        g = lambda X: np.hstack([X, np.log(1.0 + 2.0 * X), np.expm1(10.0 * X)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NanPointError) as info:
+                dc.integrate(self.gp, g)
+            verdicts = [self.alone(self.gp, g, k) for k in range(3)]
+        assert verdicts[0][1] is None
+        faults = info.value.faults
+        assert sorted(faults) == [1, 2] and faults[1] is info.value
+        for k in (1, 2):
+            assert type(faults[k]) is type(verdicts[k][1])
+            assert str(faults[k]) == str(verdicts[k][1])
+
+    def test_an_atom_sum_overflows_output_by_output(self):
+        atoms = dc.FiniteAtoms([[0.5], [-1.0]], [1.0, 2.0])
+        g = lambda X: np.hstack([X, 1e300 * np.exp(800.0 * X)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(EngineError, match=r"^integrand overflows at atom \[0.5\]") as info:
+                dc.integrate(atoms, g)
+            _, alone = self.alone(atoms, g, 1)
+        assert info.value.faults == {1: info.value}
+        assert str(info.value) == str(alone)
+
+    def test_a_sum_measure_takes_the_first_failing_part_and_stops_when_all_fail(self):
+        atoms = dc.FiniteAtoms([[-0.75]], [0.3])
+        sizes = []
+
+        def g(X):
+            sizes.append(len(X))
+            return np.hstack([X, np.log(1.0 + 2.0 * X)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            # output 1 fails in both parts: the atom part, first, names it
+            with pytest.raises(NanPointError, match=r"undefined at atom \[-0.75\]") as info:
+                dc.integrate(dc.SumMeasure((atoms, self.gp)), g)
+            assert sorted(info.value.faults) == [1] and sizes == [1, 24]
+            # one output, failed by the atom part: the body is not walked
+            sizes.clear()
+            with pytest.raises(NanPointError, match=r"undefined at atom \[-0.75\]"):
+                dc.integrate(dc.SumMeasure((atoms, self.gp)), lambda X: g(X)[:, 1])
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("kind", ["atoms", "body", "sum"])
+    def test_an_integrand_without_outputs_integrates_to_nothing(self, kind):
+        atoms = dc.FiniteAtoms([[0.1]], [1.0])
+        measure = {"atoms": atoms, "body": self.gp, "sum": dc.SumMeasure((atoms, self.gp))}[kind]
+        val, err = dc.integrate(measure, lambda X: np.zeros((len(X), 0)))
+        assert val.shape == (0,) and err == 0.0
+
+    def test_a_drift_that_overflows_fails_output_by_output(self):
+        # the second derivative of (x + 0.5i)^1e200 at the origin overflows
+        t = dc.LevyTriplet(1, np.array([0.03]), np.zeros((1, 1)), dc.FiniteAtoms([[0.08]], [1.2]),
+                           dc.TruncationSpec.identity(1))
+        with pytest.raises(EngineError, match=r"^quadratic part of the drift is not finite") as info:
+            dc.drift(dc.from_prefix("(repfn 1 (x 0) (pow 1e200 (add (x 0) (const 0.5i))))"), t)
+        with pytest.raises(EngineError) as alone:
+            dc.drift(dc.from_prefix("(repfn 1 (pow 1e200 (add (x 0) (const 0.5i))))"), t)
+        assert info.value.faults == {1: info.value}
+        assert str(info.value) == str(alone.value)

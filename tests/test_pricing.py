@@ -520,12 +520,12 @@ class TestGridCumulants:
         }
         assert len(sizes) == 1
 
-    def test_a_grid_value_that_moves_is_the_more_accurate(self):
+    def test_a_grid_value_is_its_one_point_value(self):
         # The one-dimensional marginal of the levy example in
         # docs/model-schema.md at lambda = 2: alone, v = 0.5 stops at 31
-        # nodes, within its tolerance but a few 1e-14 off.  In the grid the
-        # ladder climbs to 63 nodes for the other points, so the batched
-        # value is the closer one.
+        # nodes, within its tolerance but a few 1e-14 off, while the other
+        # points climb to 63.  Each output stops on its own level, so the
+        # grid keeps the one-point value; accuracy comes from the tolerance.
         t = dc.LevyTriplet(
             1, np.array([0.05]), np.array([[0.04]]),
             dc.sum_measure([
@@ -539,8 +539,10 @@ class TestGridCumulants:
         ref = np.array([dc.memm_cumulant(v, 2.0, t, tight) for v in grid])
         per_point = np.array([dc.memm_cumulant(v, 2.0, t) for v in grid])
         scale = 1.0 + np.abs(ref)
-        assert np.all(np.abs(dc.memm_cumulant(grid, 2.0, t) - ref) <= 1e-15 * scale)
+        assert np.all(np.abs(dc.memm_cumulant(grid, 2.0, t) - per_point) <= 1e-15 * (1.0 + np.abs(per_point)))
+        assert np.abs(per_point[2] - ref[2]) > 1e-14 * scale[2]
         assert np.all(np.abs(per_point - ref) <= 1e-10 * scale)
+        assert np.all(np.abs(dc.memm_cumulant(grid, 2.0, t, tight) - ref) <= 1e-15 * scale)
 
 
 class TestDefaultIntensities:

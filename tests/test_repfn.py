@@ -110,6 +110,31 @@ class TestConstruction:
             dc.RepFn(1, (tree,))
 
 
+class TestOperatorSugar:
+    """Python numbers on either side of an operator become constants."""
+
+    @pytest.mark.parametrize("sugar, explicit, closed", [
+        (lambda x: 2 * x, lambda x: dc.Mul(dc.Const(2), x), lambda X: 2 * X),
+        (lambda x: 1 + x, lambda x: dc.Add(dc.Const(1), x), lambda X: 1 + X),
+        (lambda x: 1 - x, lambda x: dc.Sub(dc.Const(1), x), lambda X: 1 - X),
+        (lambda x: x / 2, lambda x: dc.Div(x, dc.Const(2)), lambda X: X / 2),
+        (lambda x: 2 / (1 + x), lambda x: dc.Div(dc.Const(2), dc.Add(dc.Const(1), x)), lambda X: 2 / (1 + X)),
+        (lambda x: -x, lambda x: dc.Neg(x), lambda X: -X),
+    ], ids=["rmul", "radd", "rsub", "truediv", "rtruediv", "neg"])
+    def test_a_number_operand_builds_the_explicit_node(self, sugar, explicit, closed):
+        x = dc.Coord(0)
+        assert sugar(x) == explicit(x)
+        # times x, so that the tree vanishes at the origin
+        X = np.linspace(-0.9, 2.0, 7)[:, None]
+        sugared, spelled = (dc.RepFn(1, (x * node,)) for node in (sugar(x), explicit(x)))
+        np.testing.assert_array_equal(sugared.eval_batch(X), spelled.eval_batch(X))
+        np.testing.assert_allclose(sugared.eval_batch(X), X * closed(X), rtol=1e-15)
+
+    def test_a_string_operand_is_refused(self):
+        with pytest.raises(TypeError, match="^cannot convert str to an expression node$"):
+            dc.Coord(0) + "a"
+
+
 class TestJets:
     def test_exp_affine_jet(self):
         jet = dc.rep_exp_affine(2.0).jet_at_zero()

@@ -7,12 +7,15 @@ Each directory is a checkout with the package under ``src``.  For seeds 1,
 through ``cli.main``, every ``drift_nd`` drift (its full report), every
 ``price_margrabe`` price and every ``mc_verify`` estimate (all its fields)
 at 1 and at 2 workers, as ``perfbench/workloads.py`` of this checkout
-generates them.  It prints how many ops are identical and how many moved,
+generates them.  It also runs, through ``cli.main``, the grids of GRIDS,
+whose rows fail in part, as no ``grid_1d`` op's do.  It prints how many ops
+are identical and how many moved,
 with the worst move of a number x to x', |x' - x| / (1 + |x|), by op label;
 a ``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
 label its worker count.  It exits 1 if any exit code or stderr differs, if
-an output differs other than in its numbers, or if a tree's estimate at 2
-workers differs from its estimate at 1.  It is a development tool, not part
+an output differs other than in its numbers, if a grid row's error status
+differs at all, or if a tree's estimate at 2 workers differs from its
+estimate at 1.  It is a development tool, not part
 of the package.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import os
@@ -39,6 +43,28 @@ import workloads  # noqa: E402
 SEEDS = (1, 7, 11)
 MC_WORKERS = (1, 2)
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+#: the one-dimensional marginal of the levy example in docs/model-schema.md
+DOCS_MARGINAL = {
+    "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
+    "jumps": [{"kind": "atoms", "atoms": [{"x": [0.1], "intensity": 0.25}]},
+              {"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1], "cov": [[0.0625]]}],
+}
+MERTON = {
+    "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
+    "jumps": [{"kind": "gaussian_push", "lambda": 0.8, "mean": [-0.05], "cov": [[0.04]]},
+              {"kind": "atoms", "atoms": [{"x": [0.25], "intensity": 0.1}]}],
+}
+#: (label, model, command and flags, v-grid): the four 128-point docs-marginal
+#: grids, three of them with failing rows, and a 300-point Merton grid whose
+#: last point alone, v = 2.99, is not integrable (e^{vx} is up to v = 2.9837)
+GRIDS = [
+    ("memm [-4,3]", DOCS_MARGINAL, ["memm", "--lambda-star", "0.7"], {"start": -4, "stop": 3, "count": 128}),
+    ("memm [-4,30]", DOCS_MARGINAL, ["memm", "--lambda-star", "0.7"], {"start": -4, "stop": 30, "count": 128}),
+    ("cumulant [-4,30]", DOCS_MARGINAL, ["cumulant"], {"start": -4, "stop": 30, "count": 128}),
+    ("cumulant [-4,3]", DOCS_MARGINAL, ["cumulant"], {"start": -4, "stop": 3, "count": 128}),
+    ("merton cumulant [0,2.99]", MERTON, ["cumulant"], {"start": 0, "stop": 2.99, "count": 300}),
+]
 
 
 def _model_kind(doc) -> str:
@@ -94,10 +120,10 @@ def run_tree():
     an op that is not a CLI call prints its result as JSON, or exits 1 with
     its exception as stderr."""
     import driftcalc
-    from driftcalc import calculus, cli, drift, mcoracle, modelio, pricing, repfn
 
-    M = SimpleNamespace(calculus=calculus, cli=cli, drift=drift, mcoracle=mcoracle,
-                        modelio=modelio, pricing=pricing, repfn=repfn)
+    # the modules themselves: the package's ``drift`` attribute is the function
+    M = SimpleNamespace(**{name: importlib.import_module(f"driftcalc.{name}") for name in
+                           ("calculus", "cli", "drift", "mcoracle", "modelio", "pricing", "repfn")})
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("grid_1d", "drift_nd", "price_margrabe", "mc_verify"):
@@ -119,6 +145,13 @@ def run_tree():
                             rc, out, err = 0, json.dumps(res), ""
                         records.append({"key": key, "label": label, "rc": rc,
                                         "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
+        for i, (label, doc, command, axis) in enumerate(GRIDS):
+            path = Path(tmp) / f"grid-{i}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [command[0], "--model", str(path), "--v-grid", json.dumps({"re": axis}), *command[1:]]
+            res = worker.run_op(worker.make_call(M, {}, {"kind": "cli", "argv": argv}))
+            records.append({"key": f"grids/{i}", "label": f"grids {label}", "rc": res["rc"],
+                            "out": res["out"], "err": res["err"].replace(tmp, "<dir>")})
     return {"package": driftcalc.__file__, "records": records}
 
 
@@ -132,10 +165,16 @@ def collect(tree: Path) -> list:
     return result["records"]
 
 
+def _error_rows(text: str) -> list:
+    """The rows of a grid's CSV output whose status is an error."""
+    return [line for line in text.splitlines() if ",error: " in line]
+
+
 def move(a: str, b: str) -> float:
     """The worst relative move between the numbers of two texts that differ
-    only in their numbers; None if the texts differ otherwise."""
-    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+    only in their numbers, outside any grid row's error status; None if the
+    texts differ otherwise."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b) or _error_rows(a) != _error_rows(b):
         return None
     worst = 0.0
     for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
