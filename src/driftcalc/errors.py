@@ -25,7 +25,8 @@ class NanPointError(EngineError):
 
 
 class ConvergenceError(EngineError):
-    """A quadrature, series, or optimizer loop failed to converge."""
+    """A quadrature or optimizer loop failed to converge, or a series
+    would need more terms than its cap allows."""
 
 
 class NonIntegrableError(ConvergenceError):

@@ -263,6 +263,8 @@ class TestCommands:
         assert code == 0
         assert float(doc["price"]) == pytest.approx(10.524315781125255, rel=1e-9)
         assert float(doc["kappa0"]) == 0.0
+        assert list(doc) == ["price", "kappa0", "lambda2_Q1", "lambda1_Q2", "tail_mass", "terms"]
+        assert (doc["terms"], doc["tail_mass"]) == (1, "0")
 
     def test_discrete_utility_factor(self, model_file, capsys):
         code, doc = run_json(capsys, [
@@ -590,7 +592,7 @@ class TestExitCodes:
 
     def test_defaults_only_price_converges_at_tight_tolerance(self, model_file, capsys):
         # the margrabe example of docs/model-schema.md without diffusion or
-        # jump body: the closed-form part is the whole price
+        # jump body: the default mass and one Black put are the whole price
         for spot2 in (100.0, 80.0):
             doc = {"type": "margrabe", "spot1": 100.0, "spot2": spot2, "maturity": 1.0,
                    "diffusion": {"sigma1_sq": 0.0, "sigma12": 0.0, "sigma2_sq": 0.0},
@@ -600,18 +602,18 @@ class TestExitCodes:
             expected = 100.0 * -math.expm1(-0.02) + math.exp(-0.02) * max(
                 0.0, 100.0 - spot2 * math.exp(0.02))
             assert abs(float(out["price"]) - expected) <= 1e-14 * 100.0
-            assert (out["nodes"], out["tail_mass"]) == (0, "0")
+            assert (out["terms"], out["tail_mass"]) == (1, "0")
 
     def test_flat_envelope_price_converges_at_tight_tolerance(self, model_file, capsys):
         # the margrabe example of docs/model-schema.md with fixed jump sizes
-        # and no diffusion: the remainder is a Poisson series, no contour
+        # and no diffusion: the price is a Poisson sum of intrinsic values
         doc = {"type": "margrabe", "spot1": 100.0, "spot2": 100.0, "maturity": 1.0,
                "diffusion": {"sigma1_sq": 0.0, "sigma12": 0.0, "sigma2_sq": 0.0},
                "jump": {"lambda": 0.4, "mean": [-0.1, -0.05]},
                "defaults": [{"x": [0.0, -1.0], "intensity": 0.02}]}
         code, out = run_json(capsys, ["price-margrabe", "--model", model_file(doc), "--tol", "1e-12"])
         assert code == 0
-        assert out["nodes"] == 0 and 0.0 < float(out["tail_mass"]) <= 1e-16
+        assert out["terms"] == 14 and 0.0 < float(out["tail_mass"]) <= 1e-16
         price, _ = dc.margrabe_price(parse_model(doc))
         assert float(out["price"]) == price
 
@@ -629,7 +631,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         out = json.loads(captured.out)
-        assert math.isfinite(float(out["price"])) and out["nodes"] == 0
+        assert math.isfinite(float(out["price"])) and out["terms"] == 526
         # log S1_T has a standard deviation near 3.2 here, so the oracle warns
         # that its standard error may be optimistic; |z| <= 4 is a weak check
         with pytest.warns(UserWarning, match="heavy-tailed"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy.stats import norm, poisson
 
 import driftcalc as dc
@@ -73,8 +74,8 @@ def full_kappa_price(mm):
 
 
 def series_terms(mm, first, last):
-    """Terms first..last of the remainder's Poisson series over the number k
-    of body jumps, from scipy's Poisson law and normal cdf:
+    """Terms first..last of the price's Poisson series over the number k of
+    body jumps, per spot1, from scipy's Poisson law and normal cdf:
     e^{-lambda2_Q1 T} Poisson(k; mu) E[(1 - e^{Y_k})^+], with Y_k normal of
     variance sigma_eff^2 T + k s_eff^2 and E[e^{Y_k}] = e^{l + aT + k g}."""
     T, lam = mm.maturity, mm.jump_intensity
@@ -99,11 +100,34 @@ def series_terms(mm, first, last):
 
 
 def series_price(mm, last):
-    """The price from scipy: the default mass plus ``series_terms`` 0..last
-    (term 0 is the closed-form part's Black put)."""
+    """The price from scipy: the default mass plus ``series_terms`` 0..last."""
     lam2 = dc.default_intensities(mm)[0]
-    closed = -math.expm1(-lam2 * mm.maturity) + series_terms(mm, 0, 0)[0]
-    return mm.spot1 * (closed + series_terms(mm, 1, last).sum())
+    return mm.spot1 * (-math.expm1(-lam2 * mm.maturity) + series_terms(mm, 0, last).sum())
+
+
+def mpmath_price(mm):
+    """The price summed at 40 digits by mpmath from the model's own inputs:
+    the default mass plus e^{-lambda2_Q1 T} times the Poisson(mu) mean of the
+    Black puts P_n over n within 12 sqrt(mu) + 30 of mu, past which the
+    Poisson mass is below 1e-30."""
+    with mpmath.workdps(40):
+        f = mpmath.mpf
+        T, lam, l = f(mm.maturity), f(mm.jump_intensity), mpmath.log(f(mm.spot2) / f(mm.spot1))
+        (m1, m2), ((s11, s12), (_, s22)) = mm.jump_mean, mm.jump_cov
+        m1, m2, s11, s12, s22 = map(f, (m1, m2, s11, s12, s22))
+        lam2 = sum(f(lam_k) * (1 + f(x1)) for (x1, x2), lam_k in mm.default_atoms if x2 == -1.0)
+        lam1 = sum(f(lam_k) * (1 + f(x2)) for (x1, x2), lam_k in mm.default_atoms if x1 == -1.0)
+        e1, e2 = mpmath.exp(m1 + s11 / 2), mpmath.exp(m2 + s22 / 2)
+        a = lam * (e1 - e2) + lam2 - lam1
+        sig2 = f(mm.sigma1_sq) - 2 * f(mm.sigma12) + f(mm.sigma2_sq)
+        mu, total = lam * T * e1, f(0)
+        for n in range(max(0, int(mu - 12 * mpmath.sqrt(mu) - 30)), int(mu + 12 * mpmath.sqrt(mu) + 30)):
+            log_forward = l + a * T + n * (m2 - m1 + (s22 - s11) / 2)
+            s = mpmath.sqrt(sig2 * T + n * (s11 - 2 * s12 + s22))
+            d1 = log_forward / s + s / 2
+            put = mpmath.ncdf(s - d1) - mpmath.exp(log_forward) * mpmath.ncdf(-d1)
+            total += mpmath.exp(n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)) * put
+        return float(f(mm.spot1) * (1 - mpmath.exp(-lam2 * T) * (1 - total)))
 
 
 def count_calls(monkeypatch, module, name):
@@ -633,7 +657,7 @@ class TestExchangePrice:
         expected = classical_exchange_price(100.0, 100.0, math.sqrt(0.07), 1.0)
         assert abs(price - expected) <= 1e-6 * expected
         assert diags.kappa0 == 0.0
-        assert diags.imag_residual <= 1e-9 * mm.spot1
+        assert diags.terms == 1
 
     def test_worthless_counter_asset_limit(self):
         mm = dc.MargrabeModel(
@@ -698,12 +722,11 @@ class TestExchangePrice:
 
     def test_defaults_only_model_prices_the_default_mass(self):
         # No diffusion and no jump body: the ratio is deterministic except
-        # for defaults, so the closed-form part is the whole price and no
-        # contour runs.
+        # for defaults, so the default mass and one put are the whole price.
         price, diags = dc.margrabe_price(defaults_only_model())
         expected = 100.0 * (1.0 - math.exp(-0.02))
         assert abs(price - expected) <= 1e-14 * 100.0
-        assert (diags.nodes, diags.tail_mass, diags.u_max_used) == (0, 0.0, 0.0)
+        assert (diags.nodes, diags.tail_mass, diags.u_max_used, diags.terms) == (0, 0.0, 0.0, 1)
         est = dc.mc_margrabe(defaults_only_model(), dc.SimConfig(n_paths=200_000, seed=44))
         assert est.z_score(price) < 3.0
 
@@ -762,10 +785,10 @@ class TestExchangePrice:
 
 
 class TestBatchedContour:
-    """The closed-form part plus the Poisson series of the jump-body
-    remainder must give the tests' own contour price, summed panel by panel
-    (``split_price``), and the full-transform contour's; the engine runs no
-    contour, so ``nodes`` and ``u_max_used`` are 0."""
+    """The Poisson series over the number of body jumps must give the
+    tests' own contour price, summed panel by panel (``split_price``), and
+    the full-transform contour's; the engine runs no contour, so ``nodes``
+    and ``u_max_used`` are 0."""
 
     @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only", "algebraic"])
     def test_matches_panel_by_panel_sum(self, monkeypatch, margrabe_jump_model, kind):
@@ -775,7 +798,8 @@ class TestBatchedContour:
         assert kappa_calls == []
         ref_price, _, _ = split_price(mm)
         assert abs(price - ref_price) <= 1e-14 * mm.spot1
-        assert (diags.nodes, diags.u_max_used, diags.imag_residual) == (0, 0.0, 0.0)
+        terms = {"jump": 14, "near_degenerate": 14, "defaults_only": 1, "algebraic": 14}[kind]
+        assert (diags.nodes, diags.u_max_used, diags.terms) == (0, 0.0, terms)
 
     @pytest.mark.parametrize("kind", ["jump", "near_degenerate", "defaults_only"])
     def test_matches_the_full_transform_contour(self, margrabe_jump_model, kind):
@@ -849,8 +873,8 @@ class TestBatchedContour:
 
     def test_large_jump_mass_prices_finitely(self):
         # lam T = 1000: z0 = 882 overflows e^{z0} on the contour (the price
-        # came out NaN), and e^{-mu} underflows unless the series multiplies
-        # it into the powers of mu.
+        # came out NaN), and e^{-mu} underflows; the series never forms it,
+        # as its weights are ratios to the mode's.
         mm = dc.MargrabeModel(
             spot1=100.0, spot2=100.0, maturity=5.0,
             sigma1_sq=0.04, sigma12=0.0, sigma2_sq=0.0,
@@ -874,14 +898,54 @@ class TestBatchedContour:
         assert abs(price - longer) <= (diags.tail_mass + 1e-15) * mm.spot1
 
 
-@pytest.mark.parametrize("lam", [3e5, 1e308])
-def test_series_past_a_million_jumps_is_refused(lam):
-    # O(lam T) terms: lam T = 1.5e6 would take seconds, and lam T = inf never ends
+def test_a_million_and_a_half_jumps_price_the_unmoved_ratio():
+    # lam T = 1.5e6: both assets take the same jumps, so the ratio never
+    # moves and every put is the intrinsic value 0 of an at-the-money exchange
+    mm = dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=5.0, sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
+        jump_intensity=3e5, jump_mean=(0.0, 0.0),
+    )
+    price, diags = dc.margrabe_price(mm)
+    assert price == 0.0
+    assert 0.0 < diags.tail_mass <= 1e-16
+
+
+def docs_like_model(mu):
+    """The docs exchange model with jump means (-0.001, -0.0005), jump
+    variances 1e-4 and T = 5, at the intensity whose mean jump count
+    lam T e^{q0} is mu."""
+    return dc.MargrabeModel(
+        spot1=100.0, spot2=100.0, maturity=5.0, sigma1_sq=0.04, sigma12=0.006, sigma2_sq=0.01,
+        jump_intensity=mu / (5.0 * math.exp(-0.001 + 0.5e-4)), jump_mean=(-0.001, -0.0005),
+        jump_cov=((1e-4, 0.0), (0.0, 1e-4)), default_atoms=(((0.0, -1.0), 0.02),),
+    )
+
+
+def test_ten_million_jumps_price_within_the_tail_tolerance():
+    # the window holds about 19 sqrt(mu) terms, not the mu terms up from 0
+    price, diags = dc.margrabe_price(docs_like_model(1e7))
+    assert 0.0 < price <= 100.0
+    assert 0.0 < diags.tail_mass <= 1e-16
+    assert diags.terms < 19.0 * math.sqrt(1e7)
+
+
+@pytest.mark.parametrize("mu", [1e2, 1e3, 1e4, 1e5])
+def test_series_matches_a_forty_digit_sum(mu):
+    mm = docs_like_model(mu)
+    price, _ = dc.margrabe_price(mm)
+    assert abs(price - mpmath_price(mm)) <= 2e-13 * mm.spot1
+
+
+@pytest.mark.parametrize("lam", [2.0000001e8, 1e308])
+def test_series_past_its_window_cap_is_refused(lam):
+    # lam T = 1.0000001e9 is just past MAX_SERIES_MEAN (a window of 6e5
+    # terms), and lam T = inf never ends
     mm = dc.MargrabeModel(
         spot1=100.0, spot2=100.0, maturity=5.0, sigma1_sq=0.0, sigma12=0.0, sigma2_sq=0.0,
         jump_intensity=lam, jump_mean=(0.0, 0.0),
     )
-    with pytest.raises(ConvergenceError, match="jump-body series would need about"):
+    assert lam * mm.maturity > pricing.MAX_SERIES_MEAN
+    with pytest.raises(ConvergenceError, match="jump-body series would need about .* terms"):
         dc.margrabe_price(mm)
 
 
@@ -938,6 +1002,24 @@ def margrabe_models(draw):
     )
 
 
+def series_window(mm):
+    """The first and last jump counts of the engine's series, read from the
+    put arguments of a model with the same mean jump count mu, whose log
+    forward steps by 1 per jump (the window depends on mu and the tolerance
+    alone); checks that the series puts each count of the window once."""
+    m1, s11 = mm.jump_mean[0], mm.jump_cov[0][0]
+    probe = dataclasses.replace(
+        mm, jump_mean=(m1, m1 + 0.5 * s11 + 1.0), jump_cov=((s11, 0.0), (0.0, 0.0))
+    )
+    with mock.patch.object(pricing, "_black_put", wraps=pricing._black_put) as put:
+        dc.margrabe_price(probe)
+    mode = math.floor(mm.jump_intensity * mm.maturity * math.exp(m1 + 0.5 * s11))
+    first = put.call_args_list[0].args[0]
+    counts = sorted(mode + round(call.args[0] - first) for call in put.call_args_list)
+    assert counts == list(range(counts[0], counts[-1] + 1))
+    return counts[0], counts[-1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(margrabe_models())
 def test_contour_and_series_are_each_others_oracle(mm):
@@ -947,10 +1029,12 @@ def test_contour_and_series_are_each_others_oracle(mm):
         warnings.simplefilter("error")
         with mock.patch.object(pricing, "_black_put", wraps=pricing._black_put) as put:
             price, diags = dc.margrabe_price(mm)
+        lo, hi = series_window(mm)
     assert math.isfinite(price) and price >= 0.0
-    assert (diags.nodes, diags.u_max_used, diags.imag_residual) == (0, 0.0, 0.0)
-    # the closed-form part takes one put, the series one per term; the next
-    # 50 terms add no more than the reported tail bound
-    n = put.call_count - 1
-    assert abs(price - series_price(mm, n + 50)) <= 1e-12 * mm.spot1
-    assert series_terms(mm, n + 1, n + 50).sum() <= diags.tail_mass + 1e-15
+    assert (diags.nodes, diags.u_max_used, diags.terms) == (0, 0.0, put.call_count)
+    assert diags.terms == hi - lo + 1
+    # the next 50 terms past the window, and every term below it, add no
+    # more than the reported tail bound
+    assert abs(price - series_price(mm, hi + 50)) <= 1e-12 * mm.spot1
+    terms = series_terms(mm, 0, hi + 50)
+    assert terms[:lo].sum() + terms[hi + 1:].sum() <= diags.tail_mass + 1e-15

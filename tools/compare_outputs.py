@@ -5,18 +5,18 @@
 Each directory is a checkout with the package under ``src``.  For seeds 1,
 7 and 11 the script runs, in one subprocess per tree, every ``grid_1d`` op
 through ``cli.main``, every ``drift_nd`` drift (its full report), every
-``price_margrabe`` price and every ``mc_verify`` estimate (all its fields)
-at 1 and at 2 workers, as ``perfbench/workloads.py`` of this checkout
-generates them.  It also runs, through ``cli.main``, the grids of GRIDS,
-whose rows fail in part, as no ``grid_1d`` op's do.  It prints how many ops
-are identical and how many moved,
-with the worst move of a number x to x', |x' - x| / (1 + |x|), by op label;
-a ``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
-label its worker count.  It exits 1 if any exit code or stderr differs, if
-an output differs other than in its numbers, if a grid row's error status
-differs at all, or if a tree's estimate at 2 workers differs from its
-estimate at 1.  It is a development tool, not part
-of the package.
+``price_margrabe`` price, every ``mc_verify`` estimate (all its fields)
+at 1 and at 2 workers, and the price of every ``mc_verify`` exchange model,
+as ``perfbench/workloads.py`` of this checkout generates them.  It also
+runs, through ``cli.main``, the grids of GRIDS, whose rows fail in part, as
+no ``grid_1d`` op's do.  It prints how many ops are identical and how many
+moved, with the worst move of a number x to x' by op label: |x' - x| / spot1
+for a price, else |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump
+kinds of its model, an ``mc_verify`` label its worker count.  It exits 1 if
+any exit code or stderr differs, if an output differs other than in its
+numbers, if a grid row's error status differs at all, or if a tree's
+estimate at 2 workers differs from its estimate at 1.  It is a development
+tool, not part of the package.
 """
 
 from __future__ import annotations
@@ -105,14 +105,22 @@ def _mc_call(M, plan, op, workers):
 
 
 def _runs(M, name, seed, i, plan, op):
-    """(key, label, call) of each run of the i-th op of a plan."""
+    """(key, label, call, spot1 of a price or None) of each run of the i-th
+    op of a plan."""
     key, label = f"{name}/{seed}/{i}", f"{name} {op['label']}"
     if name == "mc_verify":
-        return [(f"{key}/{w}w", f"{label} {w}w", _mc_call(M, plan, op, w)) for w in MC_WORKERS]
+        return [(f"{key}/{w}w", f"{label} {w}w", _mc_call(M, plan, op, w), None) for w in MC_WORKERS]
     if op["kind"] == "cli":
         label += f" ({_model_kind(plan['models'][op['check']['model']])})"
     call = _drift_call(M, plan, op) if op["kind"] == "drift" else worker.make_call(M, plan, op)
-    return [(key, label, call)]
+    return [(key, label, call, plan["models"][op["model"]]["spot1"] if op["kind"] == "price" else None)]
+
+
+def _price_runs(M, seed, plan):
+    """The price run of each exchange model of an ``mc_verify`` plan."""
+    return [(f"mc_verify/{seed}/{m}/price", "mc_verify price",
+             worker.make_call(M, plan, {"kind": "price", "model": m}), doc["spot1"])
+            for m, doc in plan["models"].items() if doc["type"] == "margrabe"]
 
 
 def run_tree():
@@ -134,23 +142,25 @@ def run_tree():
                     path = Path(tmp) / f"{name}-{seed}-{m}.json"
                     path.write_text(json.dumps(doc), encoding="utf-8")
                     plan["model_paths"][m] = str(path)
-                for i, op in enumerate(plan["ops"]):
-                    for key, label, call in _runs(M, name, seed, i, plan, op):
-                        res = worker.run_op(call)
-                        if op["kind"] == "cli":
-                            rc, out, err = res["rc"], res["out"], res["err"]
-                        elif "raise" in res:
-                            rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
-                        else:
-                            rc, out, err = 0, json.dumps(res), ""
-                        records.append({"key": key, "label": label, "rc": rc,
-                                        "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
+                runs = [run for i, op in enumerate(plan["ops"]) for run in _runs(M, name, seed, i, plan, op)]
+                if name == "mc_verify":
+                    runs += _price_runs(M, seed, plan)
+                for key, label, call, spot1 in runs:
+                    res = worker.run_op(call)
+                    if "rc" in res:
+                        rc, out, err = res["rc"], res["out"], res["err"]
+                    elif "raise" in res:
+                        rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
+                    else:
+                        rc, out, err = 0, json.dumps(res), ""
+                    records.append({"key": key, "label": label, "rc": rc, "spot1": spot1,
+                                    "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
         for i, (label, doc, command, axis) in enumerate(GRIDS):
             path = Path(tmp) / f"grid-{i}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             argv = [command[0], "--model", str(path), "--v-grid", json.dumps({"re": axis}), *command[1:]]
             res = worker.run_op(worker.make_call(M, {}, {"kind": "cli", "argv": argv}))
-            records.append({"key": f"grids/{i}", "label": f"grids {label}", "rc": res["rc"],
+            records.append({"key": f"grids/{i}", "label": f"grids {label}", "rc": res["rc"], "spot1": None,
                             "out": res["out"], "err": res["err"].replace(tmp, "<dir>")})
     return {"package": driftcalc.__file__, "records": records}
 
@@ -170,10 +180,10 @@ def _error_rows(text: str) -> list:
     return [line for line in text.splitlines() if ",error: " in line]
 
 
-def move(a: str, b: str) -> float:
-    """The worst relative move between the numbers of two texts that differ
-    only in their numbers, outside any grid row's error status; None if the
-    texts differ otherwise."""
+def move(a: str, b: str, spot1=None) -> float:
+    """The worst move between the numbers of two texts that differ only in
+    their numbers, outside any grid row's error status, relative to 1 + |x|
+    or in units of ``spot1`` if given; None if the texts differ otherwise."""
     if NUMBER.sub("#", a) != NUMBER.sub("#", b) or _error_rows(a) != _error_rows(b):
         return None
     worst = 0.0
@@ -181,7 +191,8 @@ def move(a: str, b: str) -> float:
         x, y = float(x), float(y)
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
-        worst = max(worst, abs(y - x) / (1.0 + abs(x)) if math.isfinite(x - y) else math.inf)
+        scale = spot1 or 1.0 + abs(x)
+        worst = max(worst, abs(y - x) / scale if math.isfinite(x - y) else math.inf)
     return worst
 
 
@@ -207,7 +218,7 @@ def main(argv) -> int:
             row[0] += 1
             continue
         row[1] += 1
-        m = move(a["out"], b["out"])
+        m = move(a["out"], b["out"], a["spot1"])
         if m is None:
             failures.append(f"{a['key']} ({a['label']}): output text differs")
         elif m >= row[2]:
