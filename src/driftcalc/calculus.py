@@ -88,16 +88,18 @@ def rep_exp_utility(lam: float) -> RepFn:
 
 
 def _rep_exp_utility_slope(lam) -> RepFn:
-    """First and second lam-derivatives of ``rep_exp_utility(lam)``:
-    -y e^{-lam y} and y^2 e^{-lam y} with y = e^x - 1.
+    """First and second lam-derivatives of ``rep_exp_utility(lam)`` and the
+    function itself: -y e^{-lam y}, y^2 e^{-lam y} and e^{-lam y} - 1 with
+    y = e^x - 1.
 
-    The drift is linear in the increment function, so the drift of these two
-    roots is the pair of lam-derivatives of the utility drift.  An array
-    ``lam`` is one parameter leaf: columns in (output, parameter) order.
+    The drift is linear in the increment function, so the drift of these
+    three roots is u', u'' and u for the utility drift u at lam, from one
+    tree whose roots share the weight e^{-lam y}.  An array ``lam`` is one
+    parameter leaf: columns in (output, parameter) order.
     """
     y = Exp(Coord(0)) - _ONE
     weight = Exp(Neg((Param(lam) if np.ndim(lam) else Const(lam)) * y))
-    return RepFn(1, (Neg(y * weight), y * y * weight))
+    return RepFn(1, (Neg(y * weight), y * y * weight, weight - _ONE))
 
 
 def rep_memm_integrand(v, lam_star: float) -> RepFn:

@@ -149,6 +149,17 @@ def _parse_bracket(text: str):
     return lo, hi
 
 
+def _parse_lambda_star(text: str) -> float:
+    """The --lambda-star flag: a finite number."""
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = math.nan
+    if not math.isfinite(lam):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return lam
+
+
 def _parse_horizon(text: str) -> float:
     """The -T flag: a finite number T >= 0."""
     try:
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--v-grid", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--lambda-star", type=float, default=None)
+    p.add_argument("--lambda-star", type=_parse_lambda_star, default=None)
     p.add_argument("--bracket", default="-1,8", help="used when --lambda-star is absent")
     p.set_defaults(fn=_cmd_memm)
 
@@ -410,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, mc=True)
     p.add_argument("--target", required=True, choices=["cumulant", "memm", "margrabe", "stoch-exp"])
     p.add_argument("--v", default="1", help='complex argument, e.g. "0.5+2i"')
-    p.add_argument("--lambda-star", type=float, default=None)
+    p.add_argument("--lambda-star", type=_parse_lambda_star, default=None)
     repfn_args(p, "xi")
     p.add_argument("-T", type=_parse_horizon, default=1.0, help="time horizon")
     p.set_defaults(fn=_cmd_mc_verify)

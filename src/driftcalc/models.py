@@ -140,6 +140,25 @@ def _ladder_nodes(level: int) -> int:
     return (QUAD_BASE_NODES + 1) * 2**level - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _standard_rule(level: int, d: int):
+    """The model-free rule of ``level`` on d axes, read-only: points in
+    Hermite units (N, d) and weights (N,) divided by pi^{d/2}.  Level 0 is
+    the 7-node rule, the 2d probe points +-u e_i (u the outermost node of
+    the QUAD_PROBE_NODES rule, each with its weight in that tensor rule),
+    then the 15-node rule."""
+    parts = [_tensor_rule(_ladder_nodes(level), d)]
+    if level == 0:
+        pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
+        probe_w = np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))
+        parts += [(pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), probe_w), _tensor_rule(_ladder_nodes(1), d)]
+    U, W = (np.concatenate(a) for a in zip(*parts))
+    rule = U, W / np.pi ** (d / 2)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 class _NodeSet(NamedTuple):
     """One level of a Gaussian body's quadrature ladder (level 0 also holds the
     probe and level 1), read-only."""
@@ -356,21 +375,11 @@ class GaussianPush(JumpMeasure):
         return self.intensity
 
     def _build_nodes(self, level: int) -> _NodeSet:
-        """The tensor rule of ``level``; level 0 is the 7-node rule, the 2d
-        probe points +-u e_i (u the outermost node of the QUAD_PROBE_NODES
-        rule, each with its weight in that tensor rule), then the 15-node rule."""
-        d = self.dim
-        parts = [_tensor_rule(_ladder_nodes(level), d)]
-        if level == 0:
-            pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
-            probe_w = np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))
-            parts += [(pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), probe_w), _tensor_rule(_ladder_nodes(1), d)]
-        U, W = (np.concatenate(a) for a in zip(*parts))
+        """The standard rule of ``level`` mapped onto this body."""
+        U, W = _standard_rule(level, self.dim)
         P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._factor.T)
-        nodes = _NodeSet(P, W / np.pi ** (d / 2))
-        for a in nodes:
-            a.setflags(write=False)
-        return nodes
+        P.setflags(write=False)
+        return _NodeSet(P, W)
 
     def _integrate(self, g, quad):
         if self.intensity == 0.0:

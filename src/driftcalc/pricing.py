@@ -35,6 +35,8 @@ LOG_FLOAT_MAX = 709.78
 #: largest mean jump count lam T e^{q0} whose series is summed: its window
 #: holds about 19 sqrt(mu) terms, 6e5 here (about 0.5 s)
 MAX_SERIES_MEAN = 1e9
+#: points of the optimiser's first drift, the bracket ends among them
+SCAN_POINTS = 17
 #: bracketed Newton steps the optimiser may take before giving up
 POLISH_STEPS = 100
 
@@ -76,28 +78,39 @@ def utility_drift(lam: float, t: LevyTriplet, quad: Optional[QuadratureConfig] =
 
 
 def minimize_scalar(fn, bracket: Tuple[float, float]) -> float:
-    """Minimiser of a convex f on ``bracket`` from ``fn(x) = (f'(x), f''(x))``
-    at a number or a 1-d array x.  One call at both ends decides the edge
-    verdicts: f not finite on the bracket, or f'(hi) <= 0 (f'(lo) >= 0) for a
-    minimum at the right (left) edge.  Otherwise Newton runs from the midpoint;
-    each step shrinks the bracket by the sign of f' and bisects unless f'' > 0
-    and the Newton step stays inside and is at most half the previous step.
+    """Minimiser of a convex f on ``bracket`` from ``fn(x) = (f'(x), f''(x),
+    ...)`` at a number or a 1-d array x; entries past the second are the
+    caller's and are not read.
+
+    One call on SCAN_POINTS evenly spaced points, the first and last being
+    the bracket ends, decides the edge verdicts: f not finite on the bracket,
+    or f'(hi) <= 0 (f'(lo) >= 0) for a minimum at the right (left) edge.
+    Otherwise f' changes sign in one cell of the scan, and Newton runs from
+    the secant root of f' in that cell; each step shrinks the cell by the
+    sign of f' and bisects unless f'' > 0 and the Newton step stays inside
+    and is at most half the previous step.  The result is the last point fn
+    was called at, whose next step is below 1e-15 (1 + |x|).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    ends = np.asarray(fn(np.array([lo, hi])), dtype=float)
-    if not np.all(np.isfinite(ends)):
+    xs = np.linspace(lo, hi, SCAN_POINTS)
+    scan = np.asarray(fn(xs)[:2], dtype=float)
+    if not np.all(np.isfinite(scan)):
         raise EngineError("objective is not finite everywhere on the bracket")
-    if ends[0, 1] <= 0.0 or ends[0, 0] >= 0.0:
-        side = "right" if ends[0, 1] <= 0.0 else "left"
+    slopes = scan[0]
+    if slopes[-1] <= 0.0 or slopes[0] >= 0.0:
+        side = "right" if slopes[-1] <= 0.0 else "left"
         raise EngineError(f"no interior minimum in [{lo}, {hi}]; widen the bracket "
                           f"(the minimum sits at the {side} edge)")
-    a, b, x, step = lo, hi, 0.5 * (lo + hi), hi - lo
+    # the first scan point where f' > 0 closes the cell; f'(a) <= 0 < f'(b)
+    k = int(np.argmax(slopes > 0.0))
+    (a, b), (sa, sb) = xs[k - 1:k + 1].tolist(), slopes[k - 1:k + 1].tolist()
+    x, step = min(max(a - sa * (b - a) / (sb - sa), a), b), b - a
     for _ in range(POLISH_STEPS):
-        d1, d2 = fn(x)
+        d1, d2 = fn(x)[:2]
         a, b = (a, x) if d1 > 0.0 else (x, b)
         new = 0.5 * (a + b)
         # inclusive: a step that rounds to x, now a bracket end, settles
@@ -105,7 +118,7 @@ def minimize_scalar(fn, bracket: Tuple[float, float]) -> float:
             new = x - d1 / d2
         step = new - x
         if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            return new
+            return x
         x = new
     raise ConvergenceError(f"Newton polish on [{lo}, {hi}] did not settle in {POLISH_STEPS} steps")
 
@@ -120,19 +133,25 @@ def optimize_exp_utility(
     Expected utility -E[e^{-lam R_T}] is largest where the drift rate of the
     relative change of e^{-lam R} is smallest, so the optimiser returns the
     interior minimiser lam* of ``utility_drift`` over the bracket, together
-    with the attained drift value (the search itself sees only u' and u'').
+    with the attained drift value.  Each drift the search takes gives u', u''
+    and u at its points, so the value at lam*, a point the search evaluated,
+    costs no further drift: a typical optimum costs one scan drift and three
+    Newton drifts.
     """
     _require_1d(t, "utility drift")
+    values = {}
 
     def slope(lam):
         d = drift(_rep_exp_utility_slope(lam), t, quad).total
         if _nonreal(d):
             raise EngineError(f"utility drift derivatives came out non-real: {d}")
         # columns in (output, parameter) order
-        return d.real.reshape(2, -1) if np.ndim(lam) else (float(d[0].real), float(d[1].real))
+        rows = d.real.reshape(3, -1)
+        values.update(zip(np.atleast_1d(lam).tolist(), rows[2].tolist()))
+        return rows if np.ndim(lam) else tuple(rows[:, 0].tolist())
 
     lam_star = minimize_scalar(slope, bracket)
-    return lam_star, utility_drift(lam_star, t, quad)
+    return lam_star, values[lam_star]
 
 
 def optimize_discrete_exp_utility(model, bracket: Tuple[float, float]) -> Tuple[float, float]:

@@ -672,6 +672,20 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e309"])
+@pytest.mark.parametrize("command", ["memm", "mc-verify"])
+def test_lambda_star_must_be_finite(model_file, capsys, command, lam):
+    argv = [command, "--model", model_file(MERTON_MODEL), f"--lambda-star={lam}"]
+    argv += (["--v-grid", '{"re": 0.5}'] if command == "memm"
+             else ["--target", "memm", "--n-paths", "100"])
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument --lambda-star: needs a finite number, got '{lam}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestDiscreteInputs:
     """Bad horizons, options and support points end in exit 2 (or 1 for an
     overflow) with a one-line diagnostic, never a traceback."""

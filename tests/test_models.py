@@ -197,6 +197,37 @@ class TestGaussHermiteLadder:
         assert built == [0]
         assert np.array_equal(first, again)
 
+    def test_standard_rule_is_built_once_per_level_and_dimension(self, monkeypatch):
+        # Fresh bodies of one dimension share the model-free rule: each
+        # (nodes per axis, d) tensor rule is built once, and every node set
+        # equals the rule built for the body alone, bit for bit.
+        tensor_rule = models._tensor_rule
+
+        def built_alone(gp, level):
+            d = gp.dim
+            parts = [tensor_rule(models._ladder_nodes(level), d)]
+            if level == 0:
+                pu, pw = models._hermite_nodes(models.QUAD_PROBE_NODES)
+                probe_w = np.full(2 * d, pw[-1] * pw[models.QUAD_PROBE_NODES // 2] ** (d - 1))
+                parts += [(pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), probe_w),
+                          tensor_rule(models._ladder_nodes(1), d)]
+            U, W = (np.concatenate(a) for a in zip(*parts))
+            return np.expm1(gp.mean[None, :] + np.sqrt(2.0) * U @ gp._factor.T), W / np.pi ** (d / 2)
+
+        calls = []
+        monkeypatch.setattr(models, "_tensor_rule", lambda n, d: calls.append((n, d)) or tensor_rule(n, d))
+        models._standard_rule.cache_clear()
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            for _ in range(2):
+                A = rng.normal(size=(d, d)) * 0.2
+                gp = dc.GaussianPush(0.5, rng.normal(size=d) * 0.1, A @ A.T)
+                for level in (0, 2):
+                    got, want = gp._build_nodes(level), built_alone(gp, level)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    assert not any(a.flags.writeable for a in got)
+        assert sorted(calls) == [(n, d) for n in (7, 15, 31) for d in (1, 2, 3)]
+
     @pytest.mark.parametrize("cov", [[[0.04, 0.01], [0.01, 0.02]], [[0.04, 0.04], [0.04, 0.04]]])
     def test_covariance_is_factored_once_per_measure(self, cov, monkeypatch):
         factored = []

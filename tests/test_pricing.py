@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import mpmath
 from scipy.stats import norm, poisson
@@ -150,7 +150,7 @@ def scan_then_polish(fn, slope, lo, hi):
     assert 0 < k < 64, "reference scan found no interior minimum"
     x = float(xs[k])
     for _ in range(12):
-        d1, d2 = slope(x)
+        d1, d2 = slope(x)[:2]
         x -= d1 / d2
     return x
 
@@ -271,7 +271,7 @@ class TestOptimizer:
         assert abs(dc.memm_cumulant(1.0, lam_star, atoms_1d)) < 1e-9
 
     def test_no_interior_optimum_advises_wider_bracket(self, atoms_1d, monkeypatch):
-        # u' > 0 at both ends: the one drift of the end slopes decides it.
+        # u' > 0 at both ends: the one scan drift decides it.
         calls = count_calls(monkeypatch, pricing, "drift")
         with pytest.raises(EngineError, match=r"in \[10.0, 20.0\]; widen the bracket .*at the left edge"):
             dc.optimize_exp_utility(atoms_1d, (10.0, 20.0))
@@ -328,7 +328,7 @@ class TestOptimizer:
         near, _ = dc.optimize_exp_utility(t, (0.0, 8.0))
         calls = count_calls(monkeypatch, pricing, "drift")
         lam_star, _ = dc.optimize_exp_utility(t, (0.0, 800.0))
-        assert len(calls) <= 20
+        assert len(calls) <= 6
         assert lam_star == pytest.approx(near, abs=1e-12)
         assert near == pytest.approx(1.404, abs=1e-3)
 
@@ -347,7 +347,8 @@ class TestOptimizer:
 
     def test_every_bracket_beside_the_minimum_names_its_edge(self):
         # f(x) = e^x - x has its minimum at 0.  The slopes at the two ends
-        # name the edge, in the one call that evaluates both ends.
+        # name the edge, in the one scan call whose first and last points
+        # are the ends.
         rng = np.random.default_rng(3)
         for _ in range(300):
             gap, width = 10 ** rng.uniform(-6, 1), 10 ** rng.uniform(-3, 1.5)
@@ -362,7 +363,8 @@ class TestOptimizer:
             with pytest.raises(EngineError, match=f"at the {side} edge"):
                 pricing.minimize_scalar(fn, bracket)
             assert len(calls) == 1
-            np.testing.assert_array_equal(calls[0], bracket)
+            assert (calls[0][0], calls[0][-1]) == bracket
+            assert np.all(np.diff(calls[0]) > 0.0)
 
     @pytest.mark.parametrize("ends", [(np.nan, 1.0), (-1.0, np.inf)])
     def test_non_finite_end_slope_is_refused(self, ends):
@@ -378,8 +380,8 @@ class TestOptimizer:
             pricing.minimize_scalar(lambda x: (np.zeros_like(x), np.zeros_like(x)), (0.0, 1.0))
 
     def test_bracket_below_zero_on_gaussian_body_fails_at_first_drift(self, merton_1d, monkeypatch):
-        # The objective is convex, so only the bracket ends need to exist; the
-        # left end lam = -1 is where the Gaussian body makes it non-integrable.
+        # The scan reaches the left end lam = -1, where the Gaussian body
+        # makes the objective non-integrable, in the first drift.
         calls = count_calls(monkeypatch, pricing, "drift")
         with pytest.raises(NonIntegrableError, match="jump integral did not converge"):
             dc.optimize_exp_utility(merton_1d, (-1.0, 8.0))
@@ -415,7 +417,7 @@ class TestOptimizer:
     def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
         calls = count_calls(monkeypatch, pricing, "drift")
         dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
-        assert len(calls) <= 12
+        assert len(calls) <= 4
 
     def test_newton_step_below_one_ulp_settles(self, monkeypatch):
         # Newton reaches lam* from one side here: its last step rounds to the
@@ -430,7 +432,7 @@ class TestOptimizer:
         calls = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
         lam_star, _ = dc.optimize_exp_utility(t, (0.0, 8.0))
         assert lam_star == pytest.approx(1.097256332595609, rel=1e-13)
-        assert len(calls) <= 6
+        assert len(calls) <= 4
 
 
 class TestUtilitySlope:
@@ -441,7 +443,7 @@ class TestUtilitySlope:
     @pytest.mark.parametrize("lam", [0.5, 1.5, 4.0, 7.0])
     def test_matches_central_differences(self, request, model, lam):
         t = request.getfixturevalue(model)
-        d1, d2 = dc.drift(_rep_exp_utility_slope(lam), t).total
+        d1, d2 = dc.drift(_rep_exp_utility_slope(lam), t).total[:2]
         h = 1e-3
         up, mid, down = (dc.utility_drift(lam + s, t) for s in (h, 0.0, -h))
         assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
@@ -464,9 +466,120 @@ class TestUtilitySlope:
     def test_discrete_compensator_on_trinomial(self, trinomial, lam):
         y = np.expm1(trinomial.points[:, 0])
         weight = trinomial.probabilities * np.exp(-lam * y)
-        d1, d2 = dc.discrete_compensator(_rep_exp_utility_slope(lam), trinomial, 1.0)
+        d1, d2 = dc.discrete_compensator(_rep_exp_utility_slope(lam), trinomial, 1.0)[:2]
         assert d1 == pytest.approx(-np.sum(weight * y), rel=1e-13)
         assert d2 == pytest.approx(np.sum(weight * y * y), rel=1e-13)
+
+
+def midpoint_newton(fn, bracket):
+    """The optimiser before the scan, kept as an oracle: one call at both
+    ends for the edge verdicts, then bracketed Newton from the midpoint,
+    returning the last Newton update."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    ends = np.asarray(fn(np.array([lo, hi]))[:2], dtype=float)
+    if not np.all(np.isfinite(ends)):
+        raise EngineError("objective is not finite everywhere on the bracket")
+    if ends[0, 1] <= 0.0 or ends[0, 0] >= 0.0:
+        raise EngineError("no interior minimum")
+    a, b, x, step = lo, hi, 0.5 * (lo + hi), hi - lo
+    for _ in range(pricing.POLISH_STEPS):
+        d1, d2 = fn(x)[:2]
+        a, b = (a, x) if d1 > 0.0 else (x, b)
+        new = 0.5 * (a + b)
+        if d2 > 0.0 and a <= x - d1 / d2 <= b and abs(d1 / d2) <= 0.5 * abs(step):
+            new = x - d1 / d2
+        step = new - x
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+            return new
+        x = new
+    raise ConvergenceError("Newton polish did not settle")
+
+
+def oracle_optimum(t, bracket):
+    """(lam*, u(lam*)) by ``midpoint_newton`` and a separate utility drift."""
+
+    def slope(lam):
+        rows = dc.drift(_rep_exp_utility_slope(lam), t).total.real.reshape(3, -1)[:2]
+        return rows if np.ndim(lam) else rows[:, 0]
+
+    lam_star = midpoint_newton(slope, bracket)
+    return lam_star, dc.utility_drift(lam_star, t)
+
+
+def outcome(optimum, t, bracket):
+    """(lam*, u) of an optimiser, or the class of the error it raises."""
+    try:
+        return optimum(t, bracket)
+    except EngineError as exc:
+        return type(exc)
+
+
+@st.composite
+def utility_models(draw):
+    """One-dimensional models for the optimiser: atoms, a Gaussian body or
+    both, with or without diffusion, under each truncation."""
+    kind = draw(st.sampled_from(["atoms", "gaussian_push", "mixed"]))
+    parts = []
+    if kind != "gaussian_push":
+        sizes = draw(st.lists(st.integers(-300, 300), min_size=1, max_size=3, unique=True))
+        parts.append(dc.FiniteAtoms([[k / 1000] for k in sizes],
+                                    [draw(st.floats(0.05, 2.0)) for _ in sizes]))
+    if kind != "atoms":
+        parts.append(dc.GaussianPush(draw(st.floats(0.05, 1.0)), np.array([draw(st.floats(-0.2, 0.1))]),
+                                     np.array([[draw(st.floats(0.0025, 0.04))]])))
+    truncation = draw(st.sampled_from([dc.TruncationSpec.identity, dc.TruncationSpec.unit_clip,
+                                       dc.TruncationSpec.zero]))(1)
+    c = draw(st.sampled_from([0.0, draw(st.floats(0.005, 0.09))]))
+    return dc.LevyTriplet(1, np.array([draw(st.floats(-0.1, 0.2))]), np.array([[c]]),
+                          dc.sum_measure(parts, 1), truncation)
+
+
+def slope_scale(t, lam):
+    """The magnitudes the utility slope u'(lam) sums, |b| + |2 lam - 1| c / 2
+    + int |y| e^{-lam y} + |x| dF with y = e^x - 1, a Gaussian body's
+    integral by the trapezoid rule over 12 standard deviations: rounding
+    moves the computed u' by about one ulp of this scale."""
+
+    def magnitude(m):
+        if isinstance(m, dc.FiniteAtoms):
+            x, nu = m.points[:, 0], m.intensities
+        else:
+            z = np.linspace(-12.0, 12.0, 4801)
+            x, nu = m.mean[0] + math.sqrt(m.cov[0, 0]) * z, m.intensity * norm.pdf(z) * (z[1] - z[0])
+        y = np.expm1(x)
+        return float(np.sum(nu * (np.abs(y) * np.exp(-lam * y) + np.abs(x))))
+
+    parts = getattr(t.jumps, "parts", (t.jumps,))
+    return abs(t.b[0]) + 0.5 * abs(2.0 * lam - 1.0) * t.c[0, 0] + sum(map(magnitude, parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(utility_models(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+# a flat objective: u'' = 1e-6 against slope terms of 1e-3 leaves lam*
+# resolved to about 4e-13, where the two optimisers differ by 2e-14
+@example(dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), dc.FiniteAtoms([[0.001]], [1.0]),
+                        dc.TruncationSpec.identity(1)), 1.0, 1.0)
+def test_scan_newton_agrees_with_midpoint_newton(t, below, above):
+    # A wide bracket first (lam < 0 is not integrable on a Gaussian body),
+    # then one drawn around the optimum it found.
+    body = any(isinstance(m, dc.GaussianPush) for m in getattr(t.jumps, "parts", (t.jumps,)))
+    lo = 0.0 if body else -40.0
+    bracket = (lo, 40.0)
+    for _ in range(2):
+        old, new = outcome(oracle_optimum, t, bracket), outcome(dc.optimize_exp_utility, t, bracket)
+        if not isinstance(old, tuple):
+            assert new is old
+            return
+        assert isinstance(new, tuple), new
+        (lam_old, _), (lam, u) = old, new
+        # u' vanishes at lam* only to within its rounding, so where u is so
+        # flat that this leaves lam* looser than 4e-15 (1 + |lam*|), the two
+        # optimisers agree to that looser resolution
+        curvature = dc.drift(_rep_exp_utility_slope(lam), t).total[1].real
+        resolution = np.finfo(float).eps * slope_scale(t, lam) / curvature
+        assert abs(lam - lam_old) <= max(4e-15 * (1.0 + abs(lam)), resolution)
+        assert abs(u - dc.utility_drift(lam, t)) <= 1e-15 * (1.0 + abs(u))
+        bracket = (max(lo, lam_old - below), lam_old + above)
 
 
 class TestMemmCumulant:

@@ -9,20 +9,24 @@ through ``cli.main``, every ``drift_nd`` drift (its full report), every
 at 1 and at 2 workers, and the price of every ``mc_verify`` exchange model,
 as ``perfbench/workloads.py`` of this checkout generates them.  It also
 runs, through ``cli.main``, the grids of GRIDS, whose rows fail in part, as
-no ``grid_1d`` op's do.  It prints how many ops are identical and how many
-moved, with the worst move of a number x to x' by op label: |x' - x| / spot1
-for a price, else |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump
-kinds of its model, an ``mc_verify`` label its worker count.  It exits 1 if
-any exit code or stderr differs, if an output differs other than in its
-numbers, if a grid row's error status differs at all, or if a tree's
-estimate at 2 workers differs from its estimate at 1.  It is a development
-tool, not part of the package.
+no ``grid_1d`` op's do, and the utility optimum on the (0, 800) bracket;
+the discrete optimum of a trinomial law; and the Gaussian-body node sets of
+NODE_SETS.  It prints how many ops are identical and how many moved, with
+the worst move of a number x to x' by op label: |x' - x| / spot1 for a
+price, else |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds
+of its model, an ``mc_verify`` label its worker count.  Then it prints, by
+label, the ``pricing.drift`` calls of each tree per op.  It exits 1 if any
+exit code or stderr differs, if an output differs other than in its
+numbers, if a node set differs at all, if a grid row's error status
+differs at all, or if a tree's estimate at 2 workers differs from its
+estimate at 1.  It is a development tool, not part of the package.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import importlib
 import json
 import math
@@ -65,6 +69,17 @@ GRIDS = [
     ("cumulant [-4,3]", DOCS_MARGINAL, ["cumulant"], {"start": -4, "stop": 3, "count": 128}),
     ("merton cumulant [0,2.99]", MERTON, ["cumulant"], {"start": 0, "stop": 2.99, "count": 300}),
 ]
+#: a Gaussian body whose utility drift grows like e^{c lam}: Newton steps
+#: from the middle of (0, 800) are about 2 long
+WIDE = {
+    "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["identity"],
+    "jumps": [{"kind": "gaussian_push", "lambda": 0.4, "mean": [-0.1], "cov": [[0.04]]}],
+}
+TRINOMIAL = {"type": "discrete", "support": [{"x": [math.log(1.1)], "p": 0.4}, {"x": [0.0], "p": 0.4},
+                                             {"x": [math.log(0.9)], "p": 0.2}]}
+#: (mean, cov) of the bodies whose node sets at levels 0 and 2 are compared
+NODE_SETS = [([-0.05], [[0.04]]), ([-0.1, 0.02], [[0.04, 0.01], [0.01, 0.02]]),
+             ([-0.1, -0.05, 0.02], [[0.04, 0.0, 0.0], [0.0, 0.04, 0.0], [0.0, 0.0, 0.04]])]
 
 
 def _model_kind(doc) -> str:
@@ -104,6 +119,53 @@ def _mc_call(M, plan, op, workers):
     return lambda: {k: repr(v) for k, v in dataclasses.asdict(estimate()).items()}
 
 
+def _node_sets(M, mean, cov):
+    """The node sets of levels 0 and 2 of a fresh body, as a digest spelt in
+    capitals only, which hold no number: a changed bit reads as changed text."""
+    def call():
+        gp = M.models.GaussianPush(0.5, mean, cov)
+        digest = hashlib.sha256(b"".join(a.tobytes() for level in (0, 2) for a in gp._build_nodes(level)))
+        return {"sha256": digest.hexdigest().upper().translate(str.maketrans("0123456789", "GHIJKLMNOP"))}
+
+    return call
+
+
+def _extra_runs(M, tmp):
+    """(key, label, call, None) of each run beyond the benchmark's ops."""
+    runs = []
+    for i, (label, doc, command, axis) in enumerate(GRIDS):
+        path = Path(tmp) / f"grid-{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command[0], "--model", str(path), "--v-grid", json.dumps({"re": axis}), *command[1:]]
+        runs.append((f"grids/{i}", f"grids {label}", worker.make_call(M, {}, {"kind": "cli", "argv": argv}), None))
+    path = Path(tmp) / "wide.json"
+    path.write_text(json.dumps(WIDE), encoding="utf-8")
+    argv = ["utility", "--model", str(path), "--bracket=0,800"]
+    runs.append(("optima/wide", "optima utility (0,800)", worker.make_call(M, {}, {"kind": "cli", "argv": argv}), None))
+    trinomial = M.modelio.parse_model(TRINOMIAL)
+    runs.append(("optima/discrete", "optima discrete (-2,10)",
+                 lambda: dict(zip(("lambda_star", "value"), map(repr, M.pricing.optimize_discrete_exp_utility(
+                     trinomial, (-2.0, 10.0))))), None))
+    runs += [(f"nodes/{len(mean)}d", f"node sets {len(mean)}d", _node_sets(M, mean, cov), None)
+             for mean, cov in NODE_SETS]
+    return runs
+
+
+def _record(drifts, key, label, call, spot1, tmp):
+    """One run's record: exit code, stdout and stderr (``tmp`` written as
+    <dir>) and its ``pricing.drift`` calls."""
+    before = drifts[0]
+    res = worker.run_op(call)
+    if "rc" in res:
+        rc, out, err = res["rc"], res["out"], res["err"]
+    elif "raise" in res:
+        rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
+    else:
+        rc, out, err = 0, json.dumps(res), ""
+    return {"key": key, "label": label, "rc": rc, "spot1": spot1, "drifts": drifts[0] - before,
+            "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")}
+
+
 def _runs(M, name, seed, i, plan, op):
     """(key, label, call, spot1 of a price or None) of each run of the i-th
     op of a plan."""
@@ -124,14 +186,21 @@ def _price_runs(M, seed, plan):
 
 
 def run_tree():
-    """Every op's label, exit code, stdout and stderr on the tree on sys.path;
-    an op that is not a CLI call prints its result as JSON, or exits 1 with
-    its exception as stderr."""
+    """Every op's label, exit code, stdout, stderr and ``pricing.drift``
+    calls on the tree on sys.path; an op that is not a CLI call prints its
+    result as JSON, or exits 1 with its exception as stderr."""
     import driftcalc
 
     # the modules themselves: the package's ``drift`` attribute is the function
     M = SimpleNamespace(**{name: importlib.import_module(f"driftcalc.{name}") for name in
-                           ("calculus", "cli", "drift", "mcoracle", "modelio", "pricing", "repfn")})
+                           ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")})
+    drifts, drift = [0], M.pricing.drift
+
+    def counted(*args, **kwargs):
+        drifts[0] += 1
+        return drift(*args, **kwargs)
+
+    M.pricing.drift = counted
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("grid_1d", "drift_nd", "price_margrabe", "mc_verify"):
@@ -145,23 +214,8 @@ def run_tree():
                 runs = [run for i, op in enumerate(plan["ops"]) for run in _runs(M, name, seed, i, plan, op)]
                 if name == "mc_verify":
                     runs += _price_runs(M, seed, plan)
-                for key, label, call, spot1 in runs:
-                    res = worker.run_op(call)
-                    if "rc" in res:
-                        rc, out, err = res["rc"], res["out"], res["err"]
-                    elif "raise" in res:
-                        rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
-                    else:
-                        rc, out, err = 0, json.dumps(res), ""
-                    records.append({"key": key, "label": label, "rc": rc, "spot1": spot1,
-                                    "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")})
-        for i, (label, doc, command, axis) in enumerate(GRIDS):
-            path = Path(tmp) / f"grid-{i}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            argv = [command[0], "--model", str(path), "--v-grid", json.dumps({"re": axis}), *command[1:]]
-            res = worker.run_op(worker.make_call(M, {}, {"kind": "cli", "argv": argv}))
-            records.append({"key": f"grids/{i}", "label": f"grids {label}", "rc": res["rc"], "spot1": None,
-                            "out": res["out"], "err": res["err"].replace(tmp, "<dir>")})
+                records += [_record(drifts, *run, tmp) for run in runs]
+        records += [_record(drifts, *run, tmp) for run in _extra_runs(M, tmp)]
     return {"package": driftcalc.__file__, "records": records}
 
 
@@ -232,6 +286,15 @@ def main(argv) -> int:
         runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
         failures += [f"{tree}: {key} differs from its run at 1 worker" for key, run in runs.items()
                      if key.endswith("/2w") and run != runs[key[:-2] + "1w"]]
+    print(f"\n{'pricing.drift calls per op':<42} {'parent':>9} {'change':>9}")
+    ops, calls = defaultdict(int), defaultdict(lambda: [0, 0])
+    for a, b in zip(old, new):
+        ops[a["label"]] += 1
+        calls[a["label"]][0] += a["drifts"]
+        calls[a["label"]][1] += b["drifts"]
+    for label in sorted(label for label, (x, y) in calls.items() if x or y):
+        x, y = calls[label]
+        print(f"{label:<42} {x / ops[label]:>9.2f} {y / ops[label]:>9.2f}")
     for line in failures:
         print("DIFFERS:", line)
     return 1 if failures else 0
