@@ -42,7 +42,6 @@ from .mcoracle import (
     mc_reweighted,
     mc_stoch_exp,
     mc_sum,
-    sample_increment,
     sample_increment_batch,
 )
 from .models import (

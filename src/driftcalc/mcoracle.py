@@ -1,17 +1,26 @@
 """Independent Monte Carlo verification of drifts, expectations, and prices.
 
-Finite-activity increments are simulated exactly: Gaussian part in closed
-form, jump times ignored (only terminal laws are needed), jump counts Poisson
-and jump sizes drawn from the normalised jump law.  One pathwise kernel splits
-each path into its continuous part and its jumps and returns either the
-represented sum (linear + Ito term + summed jump transforms) or its stochastic
-exponential (exp(continuous exponent) times the product of (1 + jump
-transform) factors), so no time discretisation error enters.  Sums,
-stochastic exponentials, reweighting, increments (the sum form of the
-identity) and the exchange payoff (spots times the exponential form of the
-identity) all go through it.  A reweighted estimate walks one two-output tree
-per block, so the payoff and the weight share a single evaluation of the
-jumps.
+Increments are simulated exactly, so no time discretisation error enters:
+the Gaussian part in closed form, jump times ignored (only terminal laws are
+needed), jump counts Poisson and jump sizes drawn from the normalised jump
+law.  A discrete model is the pure-jump triplet of its increment law (b = c
+= 0, zero truncation) with exactly floor(T) jumps per path and no diffusion
+draws.  One pathwise kernel serves both.  Per path it returns the
+represented sum (linear + Ito term + summed jump transforms) or its
+stochastic exponential (exp(continuous exponent) times the product of
+(1 + jump transform) factors).  Sums, stochastic exponentials, reweighting
+(one two-output tree, so payoff and weight share one walk over the jumps),
+increments and the exchange payoff all go through it.
+
+On a bare atom measure, a discrete model included, the tree is walked once
+on the K atoms and each jump's values are gathered by its drawn atom index;
+on other measures it is walked on the drawn jumps.  A block draws its
+diffusion normals, then every Poisson count, then its jumps in chunks of
+whole paths and at most ROW_CHUNK rows, each reduced before the next is
+drawn, so its memory does not grow with its jump count.  Atom indices and
+Gaussian jumps are one stream of draws however they are chunked; a
+SumMeasure splits and shuffles each chunk's draw, so its estimates depend
+on ROW_CHUNK in blocks of more than one chunk.
 
 Paths are simulated in real arithmetic from the draws to the estimate: the
 draws are real, a tree with real literals evaluates real draws in float64,
@@ -45,15 +54,19 @@ import numpy as np
 from .calculus import rep_identity
 from .drift import _check_horizon, drift
 from .errors import EngineError
-from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
+from .models import DiscreteModel, FiniteAtoms, LevyTriplet, psd_factor, truncation_moment
 from .pricing import MargrabeModel
 from .repfn import RepFn, _nonreal
+
+Model = Union[LevyTriplet, DiscreteModel]
 
 KURTOSIS_WARN_LEVEL = 100.0
 #: paths per random-number block; part of every estimate's definition
 BLOCK_SIZE = 8192
-#: most support indices the discrete sampler draws at once (8 MB of indices)
-DISCRETE_DRAW_CHUNK = 1 << 20
+#: most jump rows a block draws and reduces at once; a path's jumps are never
+#: split.  At 2^16 rows and more glibc returned and re-faulted each chunk's
+#: pages, some 80 000 minor faults per discrete estimate at T = 250.
+ROW_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -177,32 +190,32 @@ def _estimate(values: np.ndarray) -> McEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _draw_jump_batch(t: LevyTriplet, T: float, rng: np.random.Generator, n: int):
-    """Poisson jump counts per path plus all jump sizes, path-major order."""
-    mass = t.jumps.total_mass()
-    if mass <= 0:
-        return np.zeros(n, dtype=np.int64), np.zeros((0, t.dim))
-    counts = rng.poisson(mass * T, size=n)
-    total = int(counts.sum())
-    jumps = t.jumps._sample(rng, total) if total else np.zeros((0, t.dim))
-    return counts, jumps
+def _row_chunks(counts: np.ndarray) -> list:
+    """A block's jump counts split, in path order, into chunks of paths with
+    at most ROW_CHUNK jumps in all, or of one path with more."""
+    if counts.sum() <= ROW_CHUNK:  # one chunk, found without a cumulative sum
+        return [counts]
+    ends, bounds = np.cumsum(counts), [0]
+    while bounds[-1] < counts.size:
+        cap = ROW_CHUNK + (ends[bounds[-1] - 1] if bounds[-1] else 0)
+        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(ends, cap, side="right"))))
+    return np.split(counts, bounds[1:-1])
 
 
-def _draw_paths(t: LevyTriplet, T: float, rng: np.random.Generator, n: int):
-    """Diffusion normals (n, d), then jump counts and sizes: (Z, counts, jumps)."""
-    Z = rng.standard_normal((n, t.dim))
-    return (Z, *_draw_jump_batch(t, T, rng, n))
-
-
-def _segment_reduce(op, values: np.ndarray, counts: np.ndarray, empty):
-    """Per-path reduction of jump-level rows (axis 0) laid out path-major."""
-    out = np.full((counts.size,) + values.shape[1:], empty, dtype=values.dtype)
-    if values.shape[0]:
-        offsets = np.zeros(counts.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        nz = counts > 0
-        out[nz] = op.reduceat(values, offsets[nz], axis=0)
-    return out
+def _segment_reduce(op, columns, counts: np.ndarray) -> np.ndarray:
+    """Per-path reductions, shape (n, m), of m columns of jump values laid
+    out path-major, a path without jumps reducing to ``op.identity``.  Each
+    column is reduced on its own: a 1-d reduceat gives the bits of one along
+    the rows of a 2-d array, several times faster."""
+    offsets = np.cumsum(counts) - counts
+    nz = counts > 0
+    if nz.all():  # no empty segment to fill
+        return np.stack([op.reduceat(column, offsets) for column in columns]).T
+    out = np.full((len(columns), counts.size), op.identity, dtype=np.result_type(*columns))
+    for row, column in zip(out, columns):
+        if column.size:
+            row[nz] = op.reduceat(column, offsets[nz])
+    return out.T
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -211,31 +224,58 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a if a.imag.any() else a.real
 
 
-def _pathwise(fn: RepFn, t: LevyTriplet, T: float, exponential: bool):
+def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     """(fn o X)_T, or its stochastic exponential, per path as a function of the draws.
 
     With X^c_T = (b - int h dF) T + sqrt(T) Z L^T the continuous part of X,
     the sum form is Dfn(0) X^c_T + 1/2 tr(D^2fn(0) c) T + sum fn(dX) and the
     exponential form is exp(that continuous part - 1/2 Dfn c Dfn^T T) times
-    prod (1 + fn(dX)).  Returns ``paths(Z, counts, jumps, payoff,
-    antithetic=False)``: ``payoff`` of the (n, m) values at Z, averaged with
-    its value at -Z under antithetic pairing.
+    prod (1 + fn(dX)); a discrete model's continuous part is zero.  Returns
+    ``paths(rng, n, payoff, antithetic=False)``: ``payoff`` of the (n, m)
+    values of n paths drawn from ``rng``, averaged with its value at -Z
+    under antithetic pairing.
     """
+    discrete = isinstance(model, DiscreteModel)
+    jumps = model if discrete else model.jumps
+    op = np.multiply if exponential else np.add
+    values = (lambda x: 1.0 + fn.eval_batch(x)) if exponential else fn.eval_batch
+
+    if isinstance(jumps, FiniteAtoms):
+        table = values(jumps.points).T.copy()  # (m, K): each output at each atom
+
+        def columns(rng, rows):
+            idx = jumps._sample_index(rng, rows) if rows else np.zeros(0, dtype=np.intp)
+            return [row[idx] for row in table]
+    else:
+        def columns(rng, rows):
+            return values(jumps._sample(rng, rows) if rows else np.zeros((0, jumps.dim))).T
+
+    def jump_part(rng, counts):
+        # a chunk's jumps are freed once reduced, before the next is drawn
+        parts = [_segment_reduce(op, columns(rng, int(c.sum())), c) for c in _row_chunks(counts)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    if discrete:  # no continuous part, and floor(T) jumps on every path
+        def discrete_paths(rng, n, payoff, antithetic=False):
+            return payoff(jump_part(rng, np.full(n, math.floor(T))))
+
+        return discrete_paths
+
+    mass = jumps.total_mass()
     jet = fn.jet_at_zero()
     J, H = _real_if_exact(jet.jacobian), _real_if_exact(jet.hessian)
-    ito = np.einsum("kij,ij->k", H, t.c)
+    ito = np.einsum("kij,ij->k", H, model.c)
     if exponential:
-        ito = ito - np.einsum("ki,ij,kj->k", J, t.c, J)
-    const = J @ (t.b - truncation_moment(t.jumps, t.truncation)) * T + 0.5 * ito * T
-    slope = (J @ psd_factor(t.c)).T
+        ito = ito - np.einsum("ki,ij,kj->k", J, model.c, J)
+    const = J @ (model.b - truncation_moment(jumps, model.truncation)) * T + 0.5 * ito * T
+    slope = (J @ psd_factor(model.c)).T
     root = math.sqrt(T)
 
-    def paths(Z, counts, jumps, payoff, antithetic=False):
-        vals = fn.eval_batch(jumps)
-        if exponential:
-            jump = _segment_reduce(np.multiply, 1.0 + vals, counts, 1.0)
-        else:
-            jump = _segment_reduce(np.add, vals, counts, 0.0)
+    def paths(rng, n, payoff, antithetic=False):
+        # diffusion normals, then every Poisson count, then the jumps chunk by chunk
+        Z = rng.standard_normal((n, model.dim))
+        counts = rng.poisson(mass * T, size=n) if mass > 0 else np.zeros(n, dtype=np.int64)
+        jump = jump_part(rng, counts)
 
         def at(sign):
             x = const + (sign * root * Z) @ slope
@@ -256,53 +296,18 @@ def sample_increment_batch(
     """Draw n exact terminal increments X_T - X_0, shape (n, d): the sum form
     of the identity, i.e. the continuous part plus all jumps."""
     _check_horizon(T)
-    paths = _pathwise(rep_identity(t.dim), t, T, exponential=False)
-    return paths(*_draw_paths(t, T, rng, n), np.real)
-
-
-def sample_increment(t: LevyTriplet, T: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one exact terminal increment, shape (d,)."""
-    return sample_increment_batch(t, T, rng, 1)[0]
-
-
-def _discrete_products(m: DiscreteModel, steps: int, rng, size: int, *factors):
-    """Per-path products of each factor vector over ``steps`` i.i.d. support draws.
-
-    The support indices are drawn in row chunks of at most DISCRETE_DRAW_CHUNK
-    indices.  ``choice`` fills its uniforms in C order, so the chunks draw
-    the indices of one (size, steps) draw.
-    """
-    rows = max(1, DISCRETE_DRAW_CHUNK // max(steps, 1))
-    parts = []
-    for start in range(0, size, rows):
-        idx = rng.choice(m.size, size=(min(rows, size - start), steps), p=m.probabilities)
-        parts.append([np.prod(f[idx], axis=1) for f in factors])
-    return [np.concatenate(products) for products in zip(*parts)]
-
-
-Model = Union[LevyTriplet, DiscreteModel]
+    return _pathwise(rep_identity(t.dim), t, T, exponential=False)(rng, n, np.real)
 
 
 def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimate:
-    """Estimate E[stochastic exponential of (xi o X) at T] by simulation.
-
-    Continuous models simulate the Gaussian exponent in law and the jumps
-    exactly; discrete models draw floor(T) i.i.d. increments per path.
-    Antithetic pairing flips the diffusion normals only.
-    """
+    """Estimate E[stochastic exponential of (xi o X) at T] by simulation, on a
+    discrete model over floor(T) i.i.d. periods.  Antithetic pairing flips
+    the diffusion normals only."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
     _check_horizon(T)
-    if isinstance(model, DiscreteModel):
-        steps = math.floor(T)
-        vals = 1.0 + xi.eval_batch(model.points)[:, 0]
-        return _estimate(
-            _collect(cfg, lambda rng, n: _discrete_products(model, steps, rng, n, vals)[0])
-        )
     paths = _pathwise(xi, model, T, exponential=True)
-    return _estimate(
-        _collect(cfg, lambda rng, n: paths(*_draw_paths(model, T, rng, n), _first, cfg.antithetic))
-    )
+    return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, _first, cfg.antithetic)))
 
 
 def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
@@ -314,7 +319,7 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
         raise ValueError("mc_sum needs a scalar representation")
     _check_horizon(T)
     paths = _pathwise(xi, t, T, exponential=False)
-    return _estimate(_collect(cfg, lambda rng, n: paths(*_draw_paths(t, T, rng, n), _first)))
+    return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, _first)))
 
 
 def mc_margrabe(mm: MargrabeModel, cfg: SimConfig) -> McEstimate:
@@ -324,18 +329,14 @@ def mc_margrabe(mm: MargrabeModel, cfg: SimConfig) -> McEstimate:
     coordinate.  Both assets share jump times; a jump with component -1
     zeroes that asset's compounding factor permanently.
     """
-    t = mm.triplet()
-    T = mm.maturity
     spots = np.array([mm.spot1, mm.spot2])
-    paths = _pathwise(rep_identity(2), t, T, exponential=True)
+    paths = _pathwise(rep_identity(2), mm.triplet(), mm.maturity, exponential=True)
 
     def payoff(growth):
         S = spots * growth.real
         return np.maximum(S[:, 0] - S[:, 1], 0.0)
 
-    return _estimate(
-        _collect(cfg, lambda rng, n: paths(*_draw_paths(t, T, rng, n), payoff, cfg.antithetic))
-    )
+    return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, payoff, cfg.antithetic)))
 
 
 def mc_reweighted(
@@ -352,27 +353,24 @@ def mc_reweighted(
     if xi.output_dim != 1 or eta.output_dim != 1:
         raise ValueError("both representations must be scalar-valued")
     _check_horizon(T)
+    # One tree with xi and eta as its two outputs: both exponentials on the
+    # same paths from one walk over the jumps.
+    paths = _pathwise(RepFn(xi.input_dim, xi.outputs + eta.outputs), model, T, exponential=True)
+    payoff = _weighted_payoff(eta, model, T)
+    return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, payoff)))
 
+
+def _weighted_payoff(eta: RepFn, model: Model, T: float):
+    """The reweighted payoff: of the (n, 2) exponentials of xi and eta, xi's
+    times the weight w / E[w], w being eta's.  E[w] is exp(drift T), or for
+    a discrete model the one-period mean of 1 + eta to the power floor(T),
+    in real arithmetic where eta is real on the support, as w then is."""
     if isinstance(model, DiscreteModel):
-        steps = math.floor(T)
-        xi_vals, eta_vals = (1.0 + f.eval_batch(model.points)[:, 0] for f in (xi, eta))
-        norm = (model.probabilities * eta_vals).sum().item() ** steps
-
-        def block(rng, size):
-            v, w = _discrete_products(model, steps, rng, size, xi_vals, eta_vals)
-            return _apply_weights(w / norm, v)
-
-    else:
-        # One tree with xi and eta as its two outputs: both exponentials on
-        # the same paths from one walk over the jumps.
-        paths = _pathwise(RepFn(xi.input_dim, xi.outputs + eta.outputs), model, T, exponential=True)
-        scale = 1.0 / _real_if_exact(np.exp(drift(eta, model).total[0] * T))
-
-        def block(rng, size):
-            vals = paths(*_draw_paths(model, T, rng, size), np.asarray)
-            return _apply_weights(vals[:, 1] * scale, vals[:, 0])
-
-    return _estimate(_collect(cfg, block))
+        one = (model.probabilities * (1.0 + eta.eval_batch(model.points)[:, 0])).sum()
+        norm = one.item() ** math.floor(T)
+        return lambda vals: _apply_weights(_real_if_exact(vals[:, 1]) / norm, vals[:, 0])
+    scale = 1.0 / _real_if_exact(np.exp(drift(eta, model).total[0] * T))
+    return lambda vals: _apply_weights(vals[:, 1] * scale, vals[:, 0])
 
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:

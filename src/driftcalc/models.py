@@ -304,12 +304,15 @@ class FiniteAtoms(JumpMeasure):
         # 0.0 + keeps the sign of a zero total as a sum started from 0 does
         return 0.0 + partial[-1], 0.0, faults
 
-    def _sample(self, rng, n):
+    def _sample_index(self, rng, n) -> np.ndarray:
+        """Draw n atom indices, each atom with probability proportional to its intensity."""
         if self.points.shape[0] == 0:
             raise ValueError("cannot sample from an empty atom measure")
         p = self.intensities / self.intensities.sum()
-        idx = rng.choice(self.points.shape[0], size=n, p=p)
-        return self.points[idx]
+        return rng.choice(self.points.shape[0], size=n, p=p)
+
+    def _sample(self, rng, n):
+        return self.points[self._sample_index(rng, n)]
 
     def _truncation_moment(self, trunc):
         if self.points.shape[0] == 0:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import multiprocessing
@@ -21,12 +22,9 @@ from driftcalc.mcoracle import (
     _apply_weights,
     _block_rng,
     _collect,
-    _draw_jump_batch,
-    _draw_paths,
     _estimate,
     _first,
     _pathwise,
-    _segment_reduce,
     sample_increment_batch,
 )
 
@@ -43,7 +41,7 @@ class TestIncrementSampling:
         np.testing.assert_array_equal(draws, np.full((5, 1), 0.6))
 
     def test_single_draw_shape(self, merton_1d):
-        x = dc.sample_increment(merton_1d, 1.0, _block_rng(2, 0))
+        x = sample_increment_batch(merton_1d, 1.0, _block_rng(2, 0), 1)[0]
         assert x.shape == (1,)
 
     def test_mean_equals_drift_for_identity_truncation(self, atoms_1d):
@@ -129,15 +127,10 @@ class TestStochasticExponential:
         )
         v = 0.8
         rng = _block_rng(5, 0)
-        comp = dc.truncation_moment(t.jumps, t.truncation)
-        counts, jumps = _draw_jump_batch(t, 1.0, rng, 4_000)
-        xi = dc.rep_exp_affine(v)
-        factors = 1.0 + xi.eval_batch(jumps.astype(complex))[:, 0]
-        prod = _segment_reduce(np.multiply, factors, counts, 1.0 + 0j)
-        compounded = math.exp(v * (t.b[0] - comp[0])) * prod
-        jump_sum = _segment_reduce(np.add, jumps[:, 0].astype(complex), counts, 0.0).real
-        direct = np.exp(v * ((t.b[0] - comp[0]) + jump_sum))
-        np.testing.assert_allclose(compounded.real, direct, rtol=1e-12)
+        twin = copy.deepcopy(rng)
+        compounded = _pathwise(dc.rep_exp_affine(v), t, 1.0, exponential=True)(rng, 4_000, _first)
+        direct = np.exp(v * sample_increment_batch(t, 1.0, twin, 4_000)[:, 0])
+        np.testing.assert_allclose(compounded, direct, rtol=1e-12)
 
     def test_merton_matches_analytic(self, merton_1d):
         v = 0.5
@@ -284,33 +277,29 @@ class TestReweighted:
 
     def test_one_tree_walk_per_block(self, merton_1d, monkeypatch):
         walks, reductions, blocks = [], [], []
-        run, reduce, draw = dc.RepFn._run, mcoracle._segment_reduce, mcoracle._draw_paths
+        run, reduce = dc.RepFn._run, mcoracle._segment_reduce
 
         def counted_run(self, rule, x):
             if rule == "ev":
                 walks.append(x.shape[0])
             return run(self, rule, x)
 
-        def counted_draw(*args):
-            draws = draw(*args)
-            blocks.append(draws[2].shape[0])
-            return draws
-
-        def counted_reduce(*args):
-            reductions.append(args[1].shape)
-            return reduce(*args)
+        def counted_reduce(op, columns, counts):
+            blocks.append(int(counts.sum()))
+            reductions.append(len(columns))
+            return reduce(op, columns, counts)
 
         monkeypatch.setattr(dc.RepFn, "_run", counted_run)
-        monkeypatch.setattr(mcoracle, "_draw_paths", counted_draw)
         monkeypatch.setattr(mcoracle, "_segment_reduce", counted_reduce)
         cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE, seed=14)
         dc.mc_reweighted(dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), merton_1d, 1.0, cfg)
         # the compensator's quadrature walks its nodes too; a block's walk
-        # takes all of the block's jumps
+        # takes all of the block's jumps, one chunk here, and its reduction
+        # both outputs
         block_walks = [n for n in walks if n in blocks]
         assert len(blocks) == len(block_walks) == len(reductions) == 3
         assert sorted(block_walks) == sorted(blocks)
-        assert all(shape[1] == 2 for shape in reductions)
+        assert reductions == [2, 2, 2]
 
     @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])
     def test_one_tree_equals_two_trees_on_shared_draws(self, model, request):
@@ -321,8 +310,8 @@ class TestReweighted:
         scale = 1.0 / np.exp(dc.drift(eta, model).total[0] * T).real
 
         def block(rng, size):
-            draws = _draw_paths(model, T, rng, size)
-            return _apply_weights(eta_paths(*draws, _first) * scale, xi_paths(*draws, _first))
+            twin = copy.deepcopy(rng)  # the same draws for the second tree
+            return _apply_weights(eta_paths(rng, size, _first) * scale, xi_paths(twin, size, _first))
 
         two = _estimate(_collect(cfg, block))
         one = dc.mc_reweighted(xi, eta, model, T, cfg)
@@ -330,13 +319,13 @@ class TestReweighted:
 
     def test_discrete_weights_are_real(self, trinomial, monkeypatch):
         seen = []
-        products = mcoracle._discrete_products
+        reduce = mcoracle._segment_reduce
 
-        def spy(m, steps, rng, size, *factors):
-            seen.extend(f.dtype for f in factors)
-            return products(m, steps, rng, size, *factors)
+        def spy(op, columns, counts):
+            seen.extend(c.dtype for c in columns)
+            return reduce(op, columns, counts)
 
-        monkeypatch.setattr(mcoracle, "_discrete_products", spy)
+        monkeypatch.setattr(mcoracle, "_segment_reduce", spy)
         cfg = dc.SimConfig(n_paths=5_000, seed=16)
         dc.mc_stoch_exp(dc.rep_exp_affine(0.4), trinomial, 3.0, cfg)
         dc.mc_reweighted(dc.rep_exp_affine(0.4), dc.rep_exp_utility(1.1), trinomial, 3.0, cfg)
@@ -351,17 +340,26 @@ class TestReweighted:
                 (0.581226279333703 - 0.16202294227433225j), 0.003618141634426206),
     }
 
-    @pytest.mark.parametrize("chunk", [mcoracle.DISCRETE_DRAW_CHUNK, 1000, 7])
+    @pytest.mark.parametrize("chunk", [mcoracle.ROW_CHUNK, 1000, 7])
     @pytest.mark.parametrize("T", [3.0, 250.0])
-    def test_discrete_draws_in_row_chunks_are_one_draw(self, trinomial, monkeypatch, T, chunk):
-        monkeypatch.setattr(mcoracle, "DISCRETE_DRAW_CHUNK", chunk)
+    def test_discrete_draws_in_row_chunks_are_one_draw(
+        self, trinomial, atoms_1d, merton_1d, monkeypatch, T, chunk
+    ):
         cfg = dc.SimConfig(n_paths=10_000, seed=11)
-        plain = dc.mc_stoch_exp(dc.rep_exp_affine(0.3), trinomial, T, cfg)
-        weighted = dc.mc_reweighted(
-            dc.rep_exp_affine(0.3 + 0.2j), dc.rep_exp_utility(0.7), trinomial, T, cfg
-        )
-        got = (plain.mean, plain.std_error, weighted.mean, weighted.std_error)
-        assert got == self.DISCRETE_PINS[T]
+
+        def estimates(model, T):
+            plain = dc.mc_stoch_exp(dc.rep_exp_affine(0.3), model, T, cfg)
+            weighted = dc.mc_reweighted(
+                dc.rep_exp_affine(0.3 + 0.2j), dc.rep_exp_utility(0.7), model, T, cfg
+            )
+            return (plain.mean, plain.std_error, weighted.mean, weighted.std_error)
+
+        # atom indices and Gaussian jumps are one stream of draws however
+        # they are chunked, so the Levy models keep the default chunk's bits
+        levy = [estimates(m, 1.0) for m in (atoms_1d, merton_1d)]
+        monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
+        assert estimates(trinomial, T) == self.DISCRETE_PINS[T]
+        assert [estimates(m, 1.0) for m in (atoms_1d, merton_1d)] == levy
 
     def test_discrete_draw_memory_is_bounded(self, trinomial):
         # one (8192, 2000) draw of indices and gathered factors took 250 MB
@@ -372,6 +370,53 @@ class TestReweighted:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_levy_draw_memory_is_bounded(self):
+        # lambda T = 1000 jumps per path; one (8192 * 1000)-jump block held
+        # at once peaked at 500 MB, row chunks at 3 MB
+        t = dc.LevyTriplet(
+            1, np.zeros(1), np.zeros((1, 1)),
+            dc.GaussianPush(500.0, np.array([-0.01]), np.array([[0.0004]])),
+            dc.TruncationSpec.identity(1),
+        )
+        tracemalloc.start()
+        try:
+            dc.mc_stoch_exp(dc.rep_exp_affine(0.5), t, 2.0, dc.SimConfig(n_paths=8192, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_atom_jumps_are_gathered_from_one_walk_on_the_atoms(self, atoms_1d, monkeypatch):
+        class Ungathered(dc.JumpMeasure):
+            """The atom law, drawn alike but not a FiniteAtoms: the tree is walked at every jump."""
+
+            def __init__(self, atoms):
+                self.atoms, self.dim = atoms, atoms.dim
+
+            def total_mass(self):
+                return self.atoms.total_mass()
+
+            def _sample(self, rng, n):
+                return self.atoms._sample(rng, n)
+
+            def _truncation_moment(self, trunc):
+                return self.atoms._truncation_moment(trunc)
+
+        reference_model = dataclasses.replace(atoms_1d, jumps=Ungathered(atoms_1d.jumps))
+        xi, cfg = dc.rep_exp_affine(0.6), dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=19)
+        reference = dc.mc_stoch_exp(xi, reference_model, 1.3, cfg)
+        walks, run = [], dc.RepFn._run
+
+        def counted_run(self, rule, x):
+            if rule == "ev":
+                walks.append(x.shape[0])
+            return run(self, rule, x)
+
+        monkeypatch.setattr(dc.RepFn, "_run", counted_run)
+        gathered = dc.mc_stoch_exp(xi, atoms_1d, 1.3, cfg)
+        assert walks == [atoms_1d.jumps.points.shape[0]]
+        assert _fields(gathered) == _fields(reference)
 
     def test_negative_weight_is_rejected(self, trinomial):
         # eta far below -1 on part of the support produces negative weights

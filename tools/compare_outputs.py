@@ -10,11 +10,14 @@ at 1 and at 2 workers, and the price of every ``mc_verify`` exchange model,
 as ``perfbench/workloads.py`` of this checkout generates them.  It also
 runs, through ``cli.main``, the grids of GRIDS, whose rows fail in part, as
 no ``grid_1d`` op's do, and the utility optimum on the (0, 800) bracket;
-the discrete optimum of a trinomial law; and the Gaussian-body node sets of
-NODE_SETS.  It prints how many ops are identical and how many moved, with
-the worst move of a number x to x' by op label: |x' - x| / spot1 for a
-price, else |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds
-of its model, an ``mc_verify`` label its worker count.  Then it prints, by
+the discrete optimum of a trinomial law; the Gaussian-body node sets of
+NODE_SETS; and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1
+and at 2 workers, on the trinomial law and each ``grid_1d`` discrete model
+at T = 3 and 250 and on ATOMS, whose blocks span several row chunks.  It
+prints how many ops are identical and how many moved, with the worst move
+of a number x to x' by op label: |x' - x| / spot1 for a price, else
+|x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds of its
+model, an ``mc_verify`` label its worker count.  Then it prints, by
 label, the ``pricing.drift`` calls of each tree per op.  It exits 1 if any
 exit code or stderr differs, if an output differs other than in its
 numbers, if a node set differs at all, if a grid row's error status
@@ -77,6 +80,13 @@ WIDE = {
 }
 TRINOMIAL = {"type": "discrete", "support": [{"x": [math.log(1.1)], "p": 0.4}, {"x": [0.0], "p": 0.4},
                                              {"x": [math.log(0.9)], "p": 0.2}]}
+#: an atom law of about 100 jumps per path at T = 2: a block of 8192 paths
+#: draws about 800 000 jumps, some 25 chunks of 2^15 rows
+ATOMS = {"type": "levy", "dim": 1, "b": [0.01], "c": [[0.01]], "truncation": ["identity"],
+         "jumps": [{"kind": "atoms", "atoms": [{"x": [0.01], "intensity": 30.0},
+                                               {"x": [-0.012], "intensity": 20.0}]}]}
+#: paths of each discrete and ATOMS estimate: three full blocks and a partial one
+MC_EXTRA_PATHS = 3 * 8192 + 77
 #: (mean, cov) of the bodies whose node sets at levels 0 and 2 are compared
 NODE_SETS = [([-0.05], [[0.04]]), ([-0.1, 0.02], [[0.04, 0.01], [0.01, 0.02]]),
              ([-0.1, -0.05, 0.02], [[0.04, 0.0, 0.0], [0.0, 0.04, 0.0], [0.0, 0.0, 0.04]])]
@@ -102,6 +112,11 @@ def _drift_call(M, plan, op):
     return call
 
 
+def _fields(estimate):
+    """A call returning every field of ``estimate()`` as its exact repr."""
+    return lambda: {k: repr(v) for k, v in dataclasses.asdict(estimate()).items()}
+
+
 def _mc_call(M, plan, op, workers):
     """An ``mc_verify`` op at a worker count; its output is every field of
     the estimate as its exact repr, the kurtosis too, which the benchmark's
@@ -116,7 +131,7 @@ def _mc_call(M, plan, op, workers):
     else:
         xi, eta = M.calculus.rep_exp_affine(op["v"]), M.calculus.rep_exp_utility(op["lambda"])
         estimate = functools.partial(mc.mc_reweighted, xi, eta, model, op["T"], cfg)
-    return lambda: {k: repr(v) for k, v in dataclasses.asdict(estimate()).items()}
+    return _fields(estimate)
 
 
 def _node_sets(M, mean, cov):
@@ -128,6 +143,26 @@ def _node_sets(M, mean, cov):
         return {"sha256": digest.hexdigest().upper().translate(str.maketrans("0123456789", "GHIJKLMNOP"))}
 
     return call
+
+
+def _mc_extra_runs(M):
+    """(key, label, call, None) of each discrete and ATOMS estimate."""
+    models = [("trinomial", TRINOMIAL, (3.0, 250.0)), ("atoms", ATOMS, (2.0,))]
+    for seed in SEEDS:
+        docs = workloads.generate("grid_1d", seed)["models"]
+        models += [(f"grid_1d-{seed}-{m}", doc, (3.0, 250.0)) for m, doc in docs.items()
+                   if doc["type"] == "discrete"]
+    mc, xi, eta = M.mcoracle, M.calculus.rep_exp_affine(0.3), M.calculus.rep_exp_utility(0.7)
+    runs = []
+    for name, doc, horizons in models:
+        model, kind = M.modelio.parse_model(doc), _model_kind(doc)
+        for T in horizons:
+            for w in MC_WORKERS:
+                cfg = mc.SimConfig(n_paths=MC_EXTRA_PATHS, seed=5, workers=w)
+                for op, args in (("mc_stoch_exp", (xi,)), ("mc_reweighted", (xi, eta))):
+                    call = _fields(functools.partial(getattr(mc, op), *args, model, T, cfg))
+                    runs.append((f"mc/{name}/{op}/{T:g}/{w}w", f"mc {op} {kind} T={T:g} {w}w", call, None))
+    return runs
 
 
 def _extra_runs(M, tmp):
@@ -148,7 +183,7 @@ def _extra_runs(M, tmp):
                      trinomial, (-2.0, 10.0))))), None))
     runs += [(f"nodes/{len(mean)}d", f"node sets {len(mean)}d", _node_sets(M, mean, cov), None)
              for mean, cov in NODE_SETS]
-    return runs
+    return runs + _mc_extra_runs(M)
 
 
 def _record(drifts, key, label, call, spot1, tmp):
