@@ -8,7 +8,6 @@ analytic number can be cross-checked against exact Monte Carlo simulation.
 
 from .calculus import (
     CATALOG_NAMES,
-    StdRep,
     atom_mass_in_boxes,
     build_catalog_fn,
     girsanov_adjust,
@@ -89,7 +88,6 @@ from .repfn import (
     RepFn,
     Sub,
     compose,
-    finite_difference_jet,
     format_complex,
     from_prefix,
     parse_complex,

@@ -9,7 +9,6 @@ forms; path-state-dependent transformations are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -206,17 +205,6 @@ def atom_mass_in_boxes(measure: FiniteAtoms, boxes) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StdRep:
-    """A catalog entry: name, parameters, the resulting function, and a
-    short derivation note."""
-
-    name: str
-    params: dict
-    fn: RepFn
-    note: str
-
-
 def _param(params: dict, key: str, kind: str):
     if key not in params:
         raise ValueError(f"missing parameter {key!r}")
@@ -230,31 +218,26 @@ def _param(params: dict, key: str, kind: str):
     raise ValueError(kind)
 
 
-#: name -> (builder, parameter (key, kind) pairs in builder order, note)
+#: name -> (builder, parameter (key, kind) pairs in builder order)
 _CATALOG = {
-    "identity": (rep_identity, (("dim", "int"),), "componentwise identity"),
-    "coord": (rep_coord, (("dim", "int"), ("index", "int")), "coordinate projection"),
-    "zero": (rep_zero, (("dim", "int"),), "null transformation"),
-    "ratio": (rep_ratio, (), "relative change of a ratio of two compounding quantities"),
-    "log_return": (rep_log_return, (), "log of the compounding factor"),
-    "exp_affine": (rep_exp_affine, (("v", "complex"),), "relative change of a scaled exponential"),
-    "power": (rep_power, (("v", "complex"),), "relative change of a power transform"),
-    "exp_utility": (
-        rep_exp_utility, (("lambda", "real"),), "relative change of exponential utility of yield"
-    ),
-    "memm_integrand": (
-        rep_memm_integrand, (("v", "complex"), ("lambda_star", "real")),
-        "measure-changed exponential kernel",
-    ),
-    "margrabe": (rep_margrabe, (("v", "complex"),), "exchange-ratio transform with default handling"),
+    "identity": (rep_identity, (("dim", "int"),)),
+    "coord": (rep_coord, (("dim", "int"), ("index", "int"))),
+    "zero": (rep_zero, (("dim", "int"),)),
+    "ratio": (rep_ratio, ()),
+    "log_return": (rep_log_return, ()),
+    "exp_affine": (rep_exp_affine, (("v", "complex"),)),
+    "power": (rep_power, (("v", "complex"),)),
+    "exp_utility": (rep_exp_utility, (("lambda", "real"),)),
+    "memm_integrand": (rep_memm_integrand, (("v", "complex"), ("lambda_star", "real"))),
+    "margrabe": (rep_margrabe, (("v", "complex"),)),
 }
 CATALOG_NAMES = tuple(_CATALOG)
 
 
-def build_catalog_fn(name: str, params: Optional[dict] = None) -> StdRep:
+def build_catalog_fn(name: str, params: Optional[dict] = None) -> RepFn:
     """Instantiate a catalog representation by string key (one of CATALOG_NAMES)."""
     if name not in _CATALOG:
         raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")
     params = dict(params or {})
-    builder, specs, note = _CATALOG[name]
-    return StdRep(name, params, builder(*[_param(params, key, kind) for key, kind in specs]), note)
+    builder, specs = _CATALOG[name]
+    return builder(*[_param(params, key, kind) for key, kind in specs])

@@ -113,7 +113,7 @@ def _resolve_repfn(name, params_json, tree, what: str) -> RepFn:
     if not name:
         raise ValueError(f"missing --{what} (catalog name) or --{what}-tree (prefix expression)")
     params = json.loads(params_json) if params_json else {}
-    return build_catalog_fn(name, params).fn
+    return build_catalog_fn(name, params)
 
 
 def _require_model(model, kind, what: str):
@@ -311,7 +311,7 @@ def _cmd_mc_verify(args) -> int:
         t = _require_model(model, LevyTriplet, "levy")
         v = parse_complex(args.v)
         analytic = complex(np.exp(cumulant(v, t, quad) * T))
-        xi = build_catalog_fn("exp_affine", {"v": args.v}).fn
+        xi = build_catalog_fn("exp_affine", {"v": args.v})
         est = mc_stoch_exp(xi, t, T, cfg)
     elif args.target == "memm":
         t = _require_model(model, LevyTriplet, "levy")
@@ -319,8 +319,8 @@ def _cmd_mc_verify(args) -> int:
             raise ValueError("--lambda-star is required for the memm target")
         v = parse_complex(args.v)
         analytic = complex(np.exp(memm_cumulant(v, args.lambda_star, t, quad) * T))
-        xi = build_catalog_fn("exp_affine", {"v": args.v}).fn
-        eta = build_catalog_fn("exp_utility", {"lambda": args.lambda_star}).fn
+        xi = build_catalog_fn("exp_affine", {"v": args.v})
+        eta = build_catalog_fn("exp_utility", {"lambda": args.lambda_star})
         est = mc_reweighted(xi, eta, t, T, cfg)
     else:  # stoch-exp
         xi = _resolve_repfn(args.xi, args.xi_params, args.xi_tree, "xi")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,8 +34,7 @@ class DriftReport:
     """Drift of a represented process, decomposed into its three sources.
 
     ``total`` is the exact floating-point sum linear + quadratic + jump as
-    computed.  ``girsanov_cross`` carries the diffusion cross term of a
-    measure-changed drift when one was requested, for diagnostics only.
+    computed.
     """
 
     total: np.ndarray
@@ -43,7 +42,6 @@ class DriftReport:
     quadratic_part: np.ndarray
     jump_part: np.ndarray
     quadrature_error: float
-    girsanov_cross: Optional[np.ndarray] = None
 
     def scalar(self) -> complex:
         if self.total.shape != (1,):
@@ -102,14 +100,8 @@ def drift_q(
 
     Equals the drift of (1 + eta) * xi under the original measure; eta must
     be real-valued with eta >= -1 on the jump support (caller contract).
-    The report additionally exposes the diffusion cross term
-    sum_ij D_i xi(0) D_j eta(0) c_ij.
     """
-    report = drift(girsanov_adjust(xi, eta), t, quad)
-    j_xi = xi.jet_at_zero().jacobian
-    j_eta = eta.jet_at_zero().jacobian
-    cross = np.einsum("ni,j,ij->n", j_xi, j_eta[0], t.c.astype(np.complex128))
-    return replace(report, girsanov_cross=cross)
+    return drift(girsanov_adjust(xi, eta), t, quad)
 
 
 def expectation_pii(

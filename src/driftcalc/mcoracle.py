@@ -12,15 +12,16 @@ stochastic exponential (exp(continuous exponent) times the product of
 (one two-output tree, so payoff and weight share one walk over the jumps),
 increments and the exchange payoff all go through it.
 
-On a bare atom measure, a discrete model included, the tree is walked once
-on the K atoms and each jump's values are gathered by its drawn atom index;
-on other measures it is walked on the drawn jumps.  A block draws its
-diffusion normals, then every Poisson count, then its jumps in chunks of
-whole paths and at most ROW_CHUNK rows, each reduced before the next is
-drawn, so its memory does not grow with its jump count.  Atom indices and
-Gaussian jumps are one stream of draws however they are chunked; a
-SumMeasure splits and shuffles each chunk's draw, so its estimates depend
-on ROW_CHUNK in blocks of more than one chunk.
+The kernel takes the tree's values at a chunk's jumps from the jump
+measure's draw, whatever the measure: atoms, a discrete model or a part of
+a sum included, walk the tree once on their K points and gather each jump's
+values by its drawn index; a Gaussian body walks it on its drawn jumps.  A
+block draws its diffusion normals, then every Poisson count, then its jumps
+in chunks of whole paths and at most ROW_CHUNK rows, each reduced before
+the next is drawn, so its memory does not grow with its jump count.  Atom
+indices and Gaussian jumps are one stream of draws however they are
+chunked; a sum measure splits and shuffles each chunk's draw, so its
+estimates depend on ROW_CHUNK in blocks of more than one chunk.
 
 Paths are simulated in real arithmetic from the draws to the estimate: the
 draws are real, a tree with real literals evaluates real draws in float64,
@@ -52,9 +53,9 @@ from typing import Union
 import numpy as np
 
 from .calculus import rep_identity
-from .drift import _check_horizon, drift
+from .drift import _check_horizon, _over_periods, drift
 from .errors import EngineError
-from .models import DiscreteModel, FiniteAtoms, LevyTriplet, psd_factor, truncation_moment
+from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
 from .pricing import MargrabeModel
 from .repfn import RepFn, _nonreal
 
@@ -203,7 +204,7 @@ def _row_chunks(counts: np.ndarray) -> list:
 
 
 def _segment_reduce(op, columns, counts: np.ndarray) -> np.ndarray:
-    """Per-path reductions, shape (n, m), of m columns of jump values laid
+    """Per-path reductions, shape (n, m), of the (m, rows) jump values laid
     out path-major, a path without jumps reducing to ``op.identity``.  Each
     column is reduced on its own: a 1-d reduceat gives the bits of one along
     the rows of a 2-d array, several times faster."""
@@ -211,10 +212,9 @@ def _segment_reduce(op, columns, counts: np.ndarray) -> np.ndarray:
     nz = counts > 0
     if nz.all():  # no empty segment to fill
         return np.stack([op.reduceat(column, offsets) for column in columns]).T
-    out = np.full((len(columns), counts.size), op.identity, dtype=np.result_type(*columns))
+    out = np.full((len(columns), counts.size), op.identity, dtype=columns.dtype)
     for row, column in zip(out, columns):
-        if column.size:
-            row[nz] = op.reduceat(column, offsets[nz])
+        row[nz] = op.reduceat(column, offsets[nz])
     return out.T
 
 
@@ -238,21 +238,15 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     discrete = isinstance(model, DiscreteModel)
     jumps = model if discrete else model.jumps
     op = np.multiply if exponential else np.add
-    values = (lambda x: 1.0 + fn.eval_batch(x)) if exponential else fn.eval_batch
-
-    if isinstance(jumps, FiniteAtoms):
-        table = values(jumps.points).T.copy()  # (m, K): each output at each atom
-
-        def columns(rng, rows):
-            idx = jumps._sample_index(rng, rows) if rows else np.zeros(0, dtype=np.intp)
-            return [row[idx] for row in table]
-    else:
-        def columns(rng, rows):
-            return values(jumps._sample(rng, rows) if rows else np.zeros((0, jumps.dim))).T
+    draw = jumps._draw((lambda x: 1.0 + fn.eval_batch(x)) if exponential else fn.eval_batch)
+    # the values of a chunk without jumps, which draws nothing: the jumps are
+    # real, so the tree's values are float64 where its literals are real
+    none = np.zeros((fn.output_dim, 0), np.float64 if fn._is_real() else np.complex128)
 
     def jump_part(rng, counts):
         # a chunk's jumps are freed once reduced, before the next is drawn
-        parts = [_segment_reduce(op, columns(rng, int(c.sum())), c) for c in _row_chunks(counts)]
+        parts = [_segment_reduce(op, draw(rng, rows) if (rows := int(c.sum())) else none, c)
+                 for c in _row_chunks(counts)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     if discrete:  # no continuous part, and floor(T) jumps on every path
@@ -364,13 +358,22 @@ def _weighted_payoff(eta: RepFn, model: Model, T: float):
     """The reweighted payoff: of the (n, 2) exponentials of xi and eta, xi's
     times the weight w / E[w], w being eta's.  E[w] is exp(drift T), or for
     a discrete model the one-period mean of 1 + eta to the power floor(T),
-    in real arithmetic where eta is real on the support, as w then is."""
+    in real arithmetic where eta is real on the support, as w then is.  An
+    E[w] that overflows or underflows raises EngineError before any draw."""
     if isinstance(model, DiscreteModel):
         one = (model.probabilities * (1.0 + eta.eval_batch(model.points)[:, 0])).sum()
-        norm = one.item() ** math.floor(T)
+        norm = _checked_normaliser(_over_periods(T, one.item(), operator.pow), "E[1 + eta]^floor(T)")
         return lambda vals: _apply_weights(_real_if_exact(vals[:, 1]) / norm, vals[:, 0])
-    scale = 1.0 / _real_if_exact(np.exp(drift(eta, model).total[0] * T))
+    with np.errstate(over="ignore"):
+        norm = _real_if_exact(np.exp(drift(eta, model).total[0] * T))
+    scale = 1.0 / _checked_normaliser(norm, "exp(drift(eta) T)")
     return lambda vals: _apply_weights(vals[:, 1] * scale, vals[:, 0])
+
+
+def _checked_normaliser(norm, name: str):
+    if not (np.isfinite(norm) and abs(norm) > 0):
+        raise EngineError(f"the measure-change normaliser {name} = {norm} is not finite and positive")
+    return norm
 
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:

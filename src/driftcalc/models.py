@@ -171,8 +171,10 @@ class JumpMeasure:
     """Base class for finite-activity jump measures on R^d.
 
     A jump law enters the drift formula through integrals against it, its
-    truncation moment and its image measure; each kind of measure decides
-    how it computes them here.
+    truncation moment and its image measure, and a simulated path through
+    a function's values at jumps drawn from its normalised law (atoms
+    evaluate the function once and gather by drawn index); each kind of
+    measure decides how it computes them here.
     """
 
     dim: int
@@ -184,8 +186,9 @@ class JumpMeasure:
         """(value, error estimate, {failing output: its error}) of int g dF."""
         raise NotImplementedError
 
-    def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n jumps from the normalised law, shape (n, d)."""
+    def _draw(self, f: Callable) -> Callable:
+        """``draw(rng, n)``: f's values (m, n) at n >= 1 jumps drawn from the
+        normalised law, f mapping real points (N, d) to values (N, m)."""
         raise NotImplementedError
 
     def _truncation_moment(self, trunc: "TruncationSpec") -> np.ndarray:
@@ -304,15 +307,11 @@ class FiniteAtoms(JumpMeasure):
         # 0.0 + keeps the sign of a zero total as a sum started from 0 does
         return 0.0 + partial[-1], 0.0, faults
 
-    def _sample_index(self, rng, n) -> np.ndarray:
-        """Draw n atom indices, each atom with probability proportional to its intensity."""
-        if self.points.shape[0] == 0:
-            raise ValueError("cannot sample from an empty atom measure")
+    def _draw(self, f):
+        # f walks the K atoms once; each jump gathers its atom's values
+        table = f(self.points).T.copy()
         p = self.intensities / self.intensities.sum()
-        return rng.choice(self.points.shape[0], size=n, p=p)
-
-    def _sample(self, rng, n):
-        return self.points[self._sample_index(rng, n)]
+        return lambda rng, n: np.take(table, rng.choice(p.size, size=n, p=p), axis=1)
 
     def _truncation_moment(self, trunc):
         if self.points.shape[0] == 0:
@@ -450,9 +449,8 @@ class GaussianPush(JumpMeasure):
             f"jump law decays near x = {P[k].tolist()} (weighted value "
             f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
 
-    def _sample(self, rng, n):
-        U = rng.standard_normal((n, self.dim))
-        return np.expm1(self.mean[None, :] + U @ self._factor.T)
+    def _draw(self, f):
+        return lambda rng, n: f(np.expm1(self.mean + rng.standard_normal((n, self.dim)) @ self._factor.T)).T
 
     def _truncation_moment(self, trunc):
         """Closed-form marginal moments of the componentwise lognormal map.
@@ -516,15 +514,17 @@ class SumMeasure(JumpMeasure):
         vals, errs, _ = zip(*results)
         return functools.reduce(np.add, vals), sum(errs), faults
 
-    def _sample(self, rng, n):
+    def _draw(self, f):
         masses = np.array([p.total_mass() for p in self.parts])
-        if masses.sum() <= 0:
-            raise ValueError("cannot sample from a zero-mass measure")
-        counts = rng.multinomial(n, masses / masses.sum())
-        chunks = [p._sample(rng, c) for p, c in zip(self.parts, counts) if c > 0]
-        out = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.dim))
-        # Restore a uniformly random order so draws are exchangeable.
-        return out[rng.permutation(n)]
+        draws = [p._draw(f) for p in self.parts]
+
+        def draw(rng, n):
+            counts = rng.multinomial(n, masses / masses.sum())
+            out = np.concatenate([d(rng, c) for d, c in zip(draws, counts) if c > 0], axis=1)
+            # Restore a uniformly random order so draws are exchangeable.
+            return np.take(out, rng.permutation(n), axis=1)
+
+        return draw
 
     def _truncation_moment(self, trunc):
         return sum(p._truncation_moment(trunc) for p in self.parts)
@@ -567,9 +567,9 @@ class MappedMeasure(JumpMeasure):
     def _integrate(self, g, quad):
         return self.base._integrate(lambda X: np.asarray(g(self._mapped_real(X))), quad)
 
-    def _sample(self, rng, n):
+    def _draw(self, f):
         # real draws take the map's float64 path when its literals are real
-        return self._mapped_real(self.base._sample(rng, n)).real
+        return self.base._draw(lambda X: f(self._mapped_real(X).real))
 
 
 def _norm_cdf(x: float) -> float:

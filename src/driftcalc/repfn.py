@@ -34,8 +34,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NanPointError
-
 _CNAN = complex(float("nan"), float("nan"))
 
 #: predicate operators accepted by Indicator nodes
@@ -49,17 +47,6 @@ MAX_PREFIX_NESTING = 256
 def _isnan(z):
     z = np.asarray(z)
     return np.isnan(z.real) | np.isnan(z.imag)
-
-
-def _require_defined(vals: np.ndarray, points: np.ndarray, message: str):
-    """Raise NanPointError at the first point whose row of ``vals`` holds a NaN.
-
-    ``message`` reads "... is undefined at <kind>"; the point is appended.
-    """
-    bad = np.where(_isnan(vals).any(axis=1))[0]
-    if bad.size:
-        point = points[bad[0]]
-        raise NanPointError(f"{message} {point.tolist()}", point=point)
 
 
 def _nonreal(z) -> bool:
@@ -710,55 +697,6 @@ def compose(psi: RepFn, xi: RepFn) -> RepFn:
     for op, node, args in psi._tape:
         new.append(op.subst(node, xi.outputs, *[new[i] for i in args]))
     return RepFn(xi.input_dim, tuple([new[s] for s in psi._roots]))
-
-
-def finite_difference_jet(f: RepFn, step: float) -> Jet2:
-    """Central-difference estimate of the Jacobian and Hessian at the origin.
-
-    Independent of the forward-mode path; used as a cross-check oracle.
-    Raises NanPointError if any stencil point is undefined.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    d, n = f.input_dim, f.output_dim
-    h = float(step)
-
-    points = [np.zeros(d)]
-    for i in range(d):
-        for s in (+1, -1):
-            p = np.zeros(d)
-            p[i] = s * h
-            points.append(p)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                p = np.zeros(d)
-                p[i], p[j] = si * h, sj * h
-                points.append(p)
-    P = np.asarray(points)
-    vals = f.eval_batch(P)
-    _require_defined(vals, P, "representing function is undefined at stencil point")
-
-    f0 = vals[0]
-    jac = np.zeros((n, d), dtype=np.complex128)
-    hess = np.zeros((n, d, d), dtype=np.complex128)
-    idx = 1
-    plus = np.zeros((d, n), dtype=np.complex128)
-    minus = np.zeros((d, n), dtype=np.complex128)
-    for i in range(d):
-        plus[i], minus[i] = vals[idx], vals[idx + 1]
-        idx += 2
-    for i in range(d):
-        jac[:, i] = (plus[i] - minus[i]) / (2 * h)
-        hess[:, i, i] = (plus[i] - 2 * f0 + minus[i]) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            fpp, fpm, fmp, fmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
-            idx += 4
-            mixed = (fpp - fpm - fmp + fmm) / (4 * h**2)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-    return Jet2(value=f0.copy(), jacobian=jac, hessian=hess)
 
 
 # ---------------------------------------------------------------------------

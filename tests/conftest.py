@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 import driftcalc as dc
 from driftcalc.modelio import serialize_model
-from driftcalc.repfn import _OPS, PRED_OPS
+from driftcalc.repfn import _OPS, PRED_OPS, _isnan
 
 # Every run draws the same examples and replays nothing from a local
 # example database, so a property fails or passes the same way in every
@@ -204,6 +204,66 @@ def combined_atom_sum(points, intensities, values_fn, jacobian, trunc):
         total = total + lam * (val - h)
         scale = scale + lam * (np.abs(val) + np.abs(h))
     return total, scale
+
+
+def _require_defined(vals: np.ndarray, points: np.ndarray, message: str):
+    """Raise NanPointError at the first point whose row of ``vals`` holds a NaN.
+
+    ``message`` reads "... is undefined at <kind>"; the point is appended.
+    """
+    bad = np.where(_isnan(vals).any(axis=1))[0]
+    if bad.size:
+        point = points[bad[0]]
+        raise dc.NanPointError(f"{message} {point.tolist()}", point=point)
+
+
+def finite_difference_jet(f: dc.RepFn, step: float) -> dc.Jet2:
+    """Central-difference estimate of the Jacobian and Hessian at the origin.
+
+    Independent of the forward-mode path: the tests' oracle for the jets.
+    Raises NanPointError if any stencil point is undefined.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    d, n = f.input_dim, f.output_dim
+    h = float(step)
+
+    points = [np.zeros(d)]
+    for i in range(d):
+        for s in (+1, -1):
+            p = np.zeros(d)
+            p[i] = s * h
+            points.append(p)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                p = np.zeros(d)
+                p[i], p[j] = si * h, sj * h
+                points.append(p)
+    P = np.asarray(points)
+    vals = f.eval_batch(P)
+    _require_defined(vals, P, "representing function is undefined at stencil point")
+
+    f0 = vals[0]
+    jac = np.zeros((n, d), dtype=np.complex128)
+    hess = np.zeros((n, d, d), dtype=np.complex128)
+    idx = 1
+    plus = np.zeros((d, n), dtype=np.complex128)
+    minus = np.zeros((d, n), dtype=np.complex128)
+    for i in range(d):
+        plus[i], minus[i] = vals[idx], vals[idx + 1]
+        idx += 2
+    for i in range(d):
+        jac[:, i] = (plus[i] - minus[i]) / (2 * h)
+        hess[:, i, i] = (plus[i] - 2 * f0 + minus[i]) / h**2
+    for i in range(d):
+        for j in range(i + 1, d):
+            fpp, fpm, fmp, fmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
+            idx += 4
+            mixed = (fpp - fpm - fmp + fmm) / (4 * h**2)
+            hess[:, i, j] = mixed
+            hess[:, j, i] = mixed
+    return dc.Jet2(value=f0.copy(), jacobian=jac, hessian=hess)
 
 
 def concatenated_estimate(cfg, block_fn) -> dc.McEstimate:

@@ -14,9 +14,8 @@ import pytest
 from scipy.stats import norm
 
 import driftcalc as dc
-from driftcalc.repfn import finite_difference_jet
 
-from conftest import random_composed_tree
+from conftest import finite_difference_jet, random_composed_tree
 
 
 def merton_exchange_model():

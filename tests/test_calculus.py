@@ -86,21 +86,20 @@ class TestCatalogExamples:
         assert f0.eval([0.3, -1.0])[0] == pytest.approx(-1.3, abs=1e-15)
 
     def test_catalog_builder_round_trips_names(self):
-        for name, params in [
-            ("identity", {"dim": 2}),
-            ("coord", {"dim": 2, "index": 1}),
-            ("zero", {"dim": 1}),
-            ("ratio", {}),
-            ("log_return", {}),
-            ("exp_affine", {"v": "0.5+1.2i"}),
-            ("power", {"v": 2}),
-            ("exp_utility", {"lambda": 3}),
-            ("memm_integrand", {"v": 1, "lambda_star": 0.5}),
-            ("margrabe", {"v": "0.5"}),
+        # each entry is the tree of its builder called directly
+        for name, params, direct in [
+            ("identity", {"dim": 2}, dc.rep_identity(2)),
+            ("coord", {"dim": 2, "index": 1}, dc.rep_coord(2, 1)),
+            ("zero", {"dim": 1}, dc.rep_zero(1)),
+            ("ratio", {}, dc.rep_ratio()),
+            ("log_return", {}, dc.rep_log_return()),
+            ("exp_affine", {"v": "0.5+1.2i"}, dc.rep_exp_affine(0.5 + 1.2j)),
+            ("power", {"v": 2}, dc.rep_power(2)),
+            ("exp_utility", {"lambda": 3}, dc.rep_exp_utility(3.0)),
+            ("memm_integrand", {"v": 1, "lambda_star": 0.5}, dc.rep_memm_integrand(1, 0.5)),
+            ("margrabe", {"v": "0.5"}, dc.rep_margrabe(0.5)),
         ]:
-            entry = dc.build_catalog_fn(name, params)
-            assert entry.name == name
-            assert isinstance(entry.fn, dc.RepFn)
+            assert dc.to_prefix(dc.build_catalog_fn(name, params)) == dc.to_prefix(direct)
 
     def test_unknown_catalog_name(self):
         with pytest.raises(ValueError, match="unknown catalog"):

@@ -184,9 +184,8 @@ class TestMeasureChangedDrift:
         xi = dc.rep_exp_affine(0.9)
         plain = dc.drift(xi, merton_1d)
         changed = dc.drift_q(xi, dc.rep_zero(1), merton_1d)
-        assert np.array_equal(plain.total, changed.total)
-        assert np.array_equal(plain.jump_part, changed.jump_part)
-        assert np.array_equal(changed.girsanov_cross, np.zeros(1, dtype=complex))
+        for part in ("total", "linear_part", "quadratic_part", "jump_part"):
+            assert np.array_equal(getattr(plain, part), getattr(changed, part))
 
     def test_zero_payoff_representation(self, merton_1d):
         report = dc.drift_q(dc.rep_zero(1), dc.rep_exp_utility(0.8), merton_1d)
@@ -224,8 +223,13 @@ class TestMeasureChangedDrift:
     def test_cross_term_diagnostic(self, merton_1d):
         xi, eta = dc.rep_exp_affine(1.0), dc.rep_exp_utility(0.5)
         report = dc.drift_q(xi, eta, merton_1d)
-        # D xi(0) = 1, D eta(0) = -0.5, c = 0.04
-        assert report.girsanov_cross[0] == pytest.approx(-0.02, abs=1e-15)
+        adjusted = dc.drift(dc.girsanov_adjust(xi, eta), merton_1d)
+        for part in ("total", "linear_part", "quadratic_part", "jump_part"):
+            assert np.array_equal(getattr(report, part), getattr(adjusted, part))
+        # the diffusion cross term D xi(0) D eta(0) c, with D xi(0) = 1,
+        # D eta(0) = -0.5 and c = 0.04
+        cross = report.quadratic_part[0] - dc.drift(xi, merton_1d).quadratic_part[0]
+        assert cross == pytest.approx(-0.02, abs=1e-15)
 
 
 class TestExpectations:

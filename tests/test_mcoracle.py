@@ -388,35 +388,64 @@ class TestReweighted:
         assert peak < 8 * 2**20
 
     def test_atom_jumps_are_gathered_from_one_walk_on_the_atoms(self, atoms_1d, monkeypatch):
-        class Ungathered(dc.JumpMeasure):
-            """The atom law, drawn alike but not a FiniteAtoms: the tree is walked at every jump."""
-
-            def __init__(self, atoms):
-                self.atoms, self.dim = atoms, atoms.dim
-
-            def total_mass(self):
-                return self.atoms.total_mass()
-
-            def _sample(self, rng, n):
-                return self.atoms._sample(rng, n)
-
-            def _truncation_moment(self, trunc):
-                return self.atoms._truncation_moment(trunc)
-
-        reference_model = dataclasses.replace(atoms_1d, jumps=Ungathered(atoms_1d.jumps))
-        xi, cfg = dc.rep_exp_affine(0.6), dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=19)
-        reference = dc.mc_stoch_exp(xi, reference_model, 1.3, cfg)
-        walks, run = [], dc.RepFn._run
-
-        def counted_run(self, rule, x):
-            if rule == "ev":
-                walks.append(x.shape[0])
-            return run(self, rule, x)
-
-        monkeypatch.setattr(dc.RepFn, "_run", counted_run)
-        gathered = dc.mc_stoch_exp(xi, atoms_1d, 1.3, cfg)
-        assert walks == [atoms_1d.jumps.points.shape[0]]
+        cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=19)
+        walks, gaussian_rows, gathered, reference, _ = _gathered_and_reference(
+            monkeypatch, atoms_1d.jumps,
+            lambda jumps: dc.mc_stoch_exp(dc.rep_exp_affine(0.6), dataclasses.replace(atoms_1d, jumps=jumps), 1.3, cfg))
+        assert walks == [atoms_1d.jumps.points.shape[0]] and not gaussian_rows
         assert _fields(gathered) == _fields(reference)
+
+    @pytest.mark.parametrize("case", ["atoms+gaussian", "margrabe"])
+    def test_atom_parts_of_mixed_models_are_gathered(self, case, atoms_1d, margrabe_jump_model, monkeypatch):
+        # atoms + a Gaussian body over 65 536 paths at lambda T = 1.65, of
+        # which 0.44 is the body's, and the exchange model's jump body with
+        # a default atom
+        if case == "margrabe":
+            triplet, cfg = margrabe_jump_model.triplet(), dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=19)
+
+            def estimate(jumps):
+                with monkeypatch.context() as m:
+                    m.setattr(dc.MargrabeModel, "triplet", lambda _: dataclasses.replace(triplet, jumps=jumps))
+                    return dc.mc_margrabe(margrabe_jump_model, cfg)
+        else:
+            triplet = dataclasses.replace(atoms_1d, jumps=dc.SumMeasure((
+                atoms_1d.jumps, dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]])))))
+            cfg = dc.SimConfig(n_paths=8 * BLOCK_SIZE, seed=19)
+
+            def estimate(jumps):
+                return dc.mc_stoch_exp(dc.rep_exp_affine(0.6), dataclasses.replace(triplet, jumps=jumps), 0.55, cfg)
+
+        walks, gaussian_rows, gathered, reference, every_jump = _gathered_and_reference(
+            monkeypatch, triplet.jumps, estimate)
+        (atoms,) = [p for p in triplet.jumps.parts if isinstance(p, dc.FiniteAtoms)]
+        # one walk on the atoms; every other walk is one draw of the Gaussian body
+        assert walks == [atoms.points.shape[0], *gaussian_rows] and gaussian_rows
+        assert _fields(gathered) == _fields(reference)
+        if case == "atoms+gaussian":  # the parent walked every jump, 107 905 rows
+            assert (sum(walks), every_jump) == (28_666, 107_905)
+
+    @pytest.mark.parametrize("case", ["discrete", "levy"])
+    def test_a_normaliser_that_overflows_is_refused_before_any_path(self, case, monkeypatch):
+        # E[1 + eta] = 1.169 to the power 5000, or exp(1e298): the parent
+        # raised a bare OverflowError, or returned a mean of 0 with warnings
+        if case == "discrete":
+            model, eta, T = dc.DiscreteModel([[-0.1], [0.0], [0.2]], [0.3, 0.4, 0.3]), dc.rep_exp_affine(3.0), 5000.0
+            message = r"^the result overflows: floor\(T\) = 5000 periods of 1\.168"
+        else:
+            model = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), dc.FiniteAtoms([[5.0]], [0.01]),
+                                   dc.TruncationSpec.zero(1))
+            eta, T = dc.RepFn(1, (dc.Const(2e299) * dc.Coord(0),)), 1.0
+            message = r"^the measure-change normaliser exp\(drift\(eta\) T\) = inf is not finite and positive$"
+        monkeypatch.setattr(mcoracle, "_collect", None)  # no block runs
+        with pytest.raises(EngineError, match=message):
+            dc.mc_reweighted(dc.rep_exp_affine(0.1), eta, model, T, dc.SimConfig(n_paths=10_000, seed=1))
+
+    def test_a_normaliser_that_underflows_is_refused(self, trinomial):
+        # 0.97 to the power 50 000 is 0.0 in float64
+        with pytest.raises(EngineError, match=r"normaliser E\[1 \+ eta\]\^floor\(T\) = 0\.0 is not finite"):
+            dc.mc_reweighted(dc.rep_exp_affine(0.1), dc.rep_exp_affine(-3.0),
+                             dc.DiscreteModel([[-0.1], [0.0], [0.2]], [0.3, 0.4, 0.3]), 50_000.0,
+                             dc.SimConfig(n_paths=100, seed=1))
 
     def test_negative_weight_is_rejected(self, trinomial):
         # eta far below -1 on part of the support produces negative weights
@@ -511,6 +540,58 @@ def test_heavy_tailed_sample_warns():
     with pytest.warns(UserWarning, match="heavy-tailed"):
         est = _estimate(vals)
     assert est.kurtosis > 100.0
+
+
+class Ungathered(dc.JumpMeasure):
+    """An atom law drawn by the same ``rng.choice`` call as FiniteAtoms, but
+    not a FiniteAtoms: the tree is walked at every drawn jump."""
+
+    def __init__(self, atoms):
+        self.atoms, self.dim = atoms, atoms.dim
+
+    def total_mass(self):
+        return self.atoms.total_mass()
+
+    def _draw(self, f):
+        points, lam = self.atoms.points, self.atoms.intensities
+        return lambda rng, n: f(points[rng.choice(lam.size, size=n, p=lam / lam.sum())]).T
+
+    def _truncation_moment(self, trunc):
+        return self.atoms._truncation_moment(trunc)
+
+
+def _ungathered(jumps):
+    """A measure with each atom part replaced by its Ungathered twin."""
+    if isinstance(jumps, dc.SumMeasure):
+        return dc.SumMeasure(tuple(map(_ungathered, jumps.parts)))
+    return Ungathered(jumps) if isinstance(jumps, dc.FiniteAtoms) else jumps
+
+
+def _gathered_and_reference(monkeypatch, jumps, estimate):
+    """(walks, Gaussian rows drawn, estimate, reference, rows the reference
+    walked): ``estimate(jumps)`` with the size of each of its tree walks and
+    of each Gaussian draw, then ``estimate`` of the jumps' Ungathered twin,
+    which walks every drawn jump."""
+    walks, gaussian_rows = [], []
+    run, draw_gaussian = dc.RepFn._run, dc.GaussianPush._draw
+
+    def counted_run(self, rule, x):
+        if rule == "ev":
+            walks.append(x.shape[0])
+        return run(self, rule, x)
+
+    def counted_draw(self, f):
+        draw = draw_gaussian(self, f)
+        return lambda rng, n: gaussian_rows.append(n) or draw(rng, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(dc.RepFn, "_run", counted_run)
+        m.setattr(dc.GaussianPush, "_draw", counted_draw)
+        gathered = estimate(jumps)
+        counted = walks[:], gaussian_rows[:]
+        walks.clear()
+        reference = estimate(_ungathered(jumps))
+    return (*counted, gathered, reference, sum(walks))
 
 
 def _fields(est):

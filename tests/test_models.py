@@ -14,6 +14,11 @@ from driftcalc.mcoracle import _block_rng
 from conftest import combined_atom_sum, random_composed_tree
 
 
+def _points(X):
+    """The jump points themselves, as the function a measure draws."""
+    return X
+
+
 class TestFiniteAtomsIntegration:
     def test_single_atom_value(self):
         F = dc.FiniteAtoms([[0.1]], [1.0])
@@ -71,13 +76,13 @@ class TestGaussianPush:
         gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
         val, _ = dc.integrate(gp, lambda X: X)
         rng = _block_rng(314, 0)
-        draws = gp._sample(rng, 10_000_000)[:, 0]
+        draws = gp._draw(_points)(rng, 10_000_000)[0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - val[0].real) < 3 * se
 
     def test_support_stays_above_minus_one(self):
         gp = dc.GaussianPush(2.0, np.array([-0.3, 0.1]), np.array([[0.5, 0.1], [0.1, 0.3]]))
-        draws = gp._sample(_block_rng(7, 0), 1_000_000)
+        draws = gp._draw(_points)(_block_rng(7, 0), 1_000_000)
         assert np.all(draws > -1.0)
 
     def test_doubling_converges_on_pricing_integrands(self, margrabe_jump_model):
@@ -240,7 +245,7 @@ class TestGaussHermiteLadder:
         monkeypatch.setattr(models, "psd_factor", counted)
         gp = dc.GaussianPush(0.8, np.array([-0.05, 0.02]), np.array(cov))
         dc.integrate(gp, dc.rep_ratio().eval_batch)
-        draws = gp._sample(np.random.default_rng(5), 1_000)
+        draws = gp._draw(_points)(np.random.default_rng(5), 1_000).T
         assert len(factored) == 1
         # the node sets and the draws use the factor they always used
         U = np.random.default_rng(5).standard_normal((1_000, 2))
@@ -356,12 +361,12 @@ class TestSumAndMapped:
         # the map runs in float64 on the base draws and gives the complex
         # evaluation's values; a map that leaves the reals is still refused
         base = dc.GaussianPush(1.0, np.array([-0.05]), np.array([[0.04]]))
-        draws = dc.MappedMeasure(base, dc.rep_exp_affine(0.7))._sample(np.random.default_rng(3), 1_000)
-        x = base._sample(np.random.default_rng(3), 1_000)
+        draws = dc.MappedMeasure(base, dc.rep_exp_affine(0.7))._draw(_points)(np.random.default_rng(3), 1_000)
+        x = base._draw(_points)(np.random.default_rng(3), 1_000)
         assert draws.dtype == np.float64
         np.testing.assert_allclose(draws, np.expm1(0.7 * x), rtol=0, atol=1e-15)
         with pytest.raises(dc.NanPointError, match="not real-valued"):
-            dc.MappedMeasure(base, dc.rep_exp_affine(0.7j))._sample(np.random.default_rng(3), 10)
+            dc.MappedMeasure(base, dc.rep_exp_affine(0.7j))._draw(_points)(np.random.default_rng(3), 10)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import driftcalc as dc
 from driftcalc.errors import NanPointError
 from driftcalc import cli
-from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan, finite_difference_jet
+from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan
 
 from conftest import (
     RAW_CONSTANTS,
+    finite_difference_jet,
     on_level,
     origin_value,
     random_composed_tree,

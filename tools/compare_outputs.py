@@ -13,7 +13,9 @@ no ``grid_1d`` op's do, and the utility optimum on the (0, 800) bracket;
 the discrete optimum of a trinomial law; the Gaussian-body node sets of
 NODE_SETS; and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1
 and at 2 workers, on the trinomial law and each ``grid_1d`` discrete model
-at T = 3 and 250 and on ATOMS, whose blocks span several row chunks.  It
+at T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose
+blocks span several row chunks, and on the pushforward of WIDE through
+e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It
 prints how many ops are identical and how many moved, with the worst move
 of a number x to x' by op label: |x' - x| / spot1 for a price, else
 |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds of its
@@ -85,7 +87,10 @@ TRINOMIAL = {"type": "discrete", "support": [{"x": [math.log(1.1)], "p": 0.4}, {
 ATOMS = {"type": "levy", "dim": 1, "b": [0.01], "c": [[0.01]], "truncation": ["identity"],
          "jumps": [{"kind": "atoms", "atoms": [{"x": [0.01], "intensity": 30.0},
                                                {"x": [-0.012], "intensity": 20.0}]}]}
-#: paths of each discrete and ATOMS estimate: three full blocks and a partial one
+#: the horizon of the long DOCS_MARGINAL estimates: lambda T = 16.25, so a
+#: block of 8192 paths draws about 133 000 jumps, some 4 chunks of 2^15 rows
+DOCS_LONG_T = 25.0
+#: paths of each estimate beyond the benchmark's: three full blocks and a partial one
 MC_EXTRA_PATHS = 3 * 8192 + 77
 #: (mean, cov) of the bodies whose node sets at levels 0 and 2 are compared
 NODE_SETS = [([-0.05], [[0.04]]), ([-0.1, 0.02], [[0.04, 0.01], [0.01, 0.02]]),
@@ -146,16 +151,21 @@ def _node_sets(M, mean, cov):
 
 
 def _mc_extra_runs(M):
-    """(key, label, call, None) of each discrete and ATOMS estimate."""
-    models = [("trinomial", TRINOMIAL, (3.0, 250.0)), ("atoms", ATOMS, (2.0,))]
+    """(key, label, call, None) of each discrete, ATOMS, pushforward and
+    long docs-marginal estimate."""
+    parse = M.modelio.parse_model
+    pushforward = M.calculus.pushforward_characteristics(
+        M.calculus.rep_exp_affine(0.7), parse(WIDE), M.models.TruncationSpec.identity(1))
+    models = [("trinomial", parse(TRINOMIAL), "discrete", (3.0, 250.0)), ("atoms", parse(ATOMS), "atoms", (2.0,)),
+              ("pushforward", pushforward, "mapped gaussian_push", (1.3,)),
+              ("docs", parse(DOCS_MARGINAL), _model_kind(DOCS_MARGINAL), (DOCS_LONG_T,))]
     for seed in SEEDS:
         docs = workloads.generate("grid_1d", seed)["models"]
-        models += [(f"grid_1d-{seed}-{m}", doc, (3.0, 250.0)) for m, doc in docs.items()
+        models += [(f"grid_1d-{seed}-{m}", parse(doc), "discrete", (3.0, 250.0)) for m, doc in docs.items()
                    if doc["type"] == "discrete"]
     mc, xi, eta = M.mcoracle, M.calculus.rep_exp_affine(0.3), M.calculus.rep_exp_utility(0.7)
     runs = []
-    for name, doc, horizons in models:
-        model, kind = M.modelio.parse_model(doc), _model_kind(doc)
+    for name, model, kind, horizons in models:
         for T in horizons:
             for w in MC_WORKERS:
                 cfg = mc.SimConfig(n_paths=MC_EXTRA_PATHS, seed=5, workers=w)
@@ -312,16 +322,16 @@ def main(argv) -> int:
             failures.append(f"{a['key']} ({a['label']}): output text differs")
         elif m >= row[2]:
             row[2], row[3] = m, a["key"]
-    print(f"{'label':<42} {'identical':>9} {'moved':>6}  worst move (op)")
+    print(f"{'label':<50} {'identical':>9} {'moved':>6}  worst move (op)")
     for label in sorted(rows):
         same, moved, worst, key = rows[label]
         where = f"{worst:.3g} ({key})" if moved else "-"
-        print(f"{label:<42} {same:>9} {moved:>6}  {where}")
+        print(f"{label:<50} {same:>9} {moved:>6}  {where}")
     for tree, records in zip(argv, (old, new)):
         runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
         failures += [f"{tree}: {key} differs from its run at 1 worker" for key, run in runs.items()
                      if key.endswith("/2w") and run != runs[key[:-2] + "1w"]]
-    print(f"\n{'pricing.drift calls per op':<42} {'parent':>9} {'change':>9}")
+    print(f"\n{'pricing.drift calls per op':<50} {'parent':>9} {'change':>9}")
     ops, calls = defaultdict(int), defaultdict(lambda: [0, 0])
     for a, b in zip(old, new):
         ops[a["label"]] += 1
@@ -329,7 +339,7 @@ def main(argv) -> int:
         calls[a["label"]][1] += b["drifts"]
     for label in sorted(label for label, (x, y) in calls.items() if x or y):
         x, y = calls[label]
-        print(f"{label:<42} {x / ops[label]:>9.2f} {y / ops[label]:>9.2f}")
+        print(f"{label:<50} {x / ops[label]:>9.2f} {y / ops[label]:>9.2f}")
     for line in failures:
         print("DIFFERS:", line)
     return 1 if failures else 0
