@@ -185,18 +185,24 @@ def pushforward_characteristics(
 def atom_mass_in_boxes(measure: FiniteAtoms, boxes) -> float:
     """Total intensity of atoms inside a finite union of closed axis boxes.
 
-    ``boxes`` is an iterable of (lo, hi) vector pairs; used for counting
-    queries against image measures.
+    ``boxes`` is an iterable of (lo, hi) vector pairs of the atoms'
+    dimension, read once; used for counting queries against image measures.
+    A box of another dimension, or a measure that is not an atom measure,
+    raises ValueError.
     """
+    if not isinstance(measure, FiniteAtoms):
+        raise ValueError(f"counting needs an atom measure, got {type(measure).__name__}")
+    d = measure.dim
+    bounds = []
+    for lo, hi in boxes:
+        lo, hi = (np.asarray(v, dtype=float).reshape(-1) for v in (lo, hi))
+        if lo.shape != (d,) or hi.shape != (d,):
+            raise ValueError(f"box ({lo.tolist()}, {hi.tolist()}) does not have the atoms' dimension {d}")
+        bounds.append((lo, hi))
     total = 0.0
-    for k in range(measure.points.shape[0]):
-        x = measure.points[k]
-        for lo, hi in boxes:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if np.all(x >= lo) and np.all(x <= hi):
-                total += float(measure.intensities[k])
-                break
+    for x, lam in zip(measure.points, measure.intensities):
+        if any(np.all(x >= lo) and np.all(x <= hi) for lo, hi in bounds):
+            total += float(lam)
     return total
 
 

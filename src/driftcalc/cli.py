@@ -51,7 +51,7 @@ import sys
 
 import numpy as np
 
-from .calculus import build_catalog_fn
+from .calculus import build_catalog_fn, girsanov_adjust, rep_exp_affine, rep_exp_utility
 from .drift import (
     discrete_compensator,
     discrete_q_stoch_exp,
@@ -65,6 +65,7 @@ from .models import DiscreteModel, LevyTriplet, QuadratureConfig, TruncationSpec
 from .modelio import ModelFormatError, load_model, parse_grid, serialize_model
 from .pricing import (
     MargrabeModel,
+    _require_1d,
     cumulant,
     margrabe_price,
     memm_cumulant,
@@ -307,28 +308,27 @@ def _cmd_mc_verify(args) -> int:
         mm = _require_model(model, MargrabeModel, "margrabe")
         analytic, _ = margrabe_price(mm)
         est = mc_margrabe(mm, cfg)
-    elif args.target == "cumulant":
-        t = _require_model(model, LevyTriplet, "levy")
-        v = parse_complex(args.v)
-        analytic = complex(np.exp(cumulant(v, t, quad) * T))
-        xi = build_catalog_fn("exp_affine", {"v": args.v})
-        est = mc_stoch_exp(xi, t, T, cfg)
     elif args.target == "memm":
         t = _require_model(model, LevyTriplet, "levy")
         if args.lambda_star is None:
             raise ValueError("--lambda-star is required for the memm target")
-        v = parse_complex(args.v)
-        analytic = complex(np.exp(memm_cumulant(v, args.lambda_star, t, quad) * T))
-        xi = build_catalog_fn("exp_affine", {"v": args.v})
-        eta = build_catalog_fn("exp_utility", {"lambda": args.lambda_star})
+        _require_1d(t, "measure-changed cumulant")
+        xi = rep_exp_affine(parse_complex(args.v))
+        eta = rep_exp_utility(args.lambda_star)
+        analytic = expectation_stoch_exp(girsanov_adjust(xi, eta), t, T, quad)
         est = mc_reweighted(xi, eta, t, T, cfg)
-    else:  # stoch-exp
-        xi = _resolve_repfn(args.xi, args.xi_params, args.xi_tree, "xi")
+    else:  # cumulant or stoch-exp: the mean stochastic exponential of xi o X at T
+        if args.target == "cumulant":
+            model = _require_model(model, LevyTriplet, "levy")
+            _require_1d(model, "cumulant")
+            xi = rep_exp_affine(parse_complex(args.v))
+        else:
+            model = _require_model(model, (LevyTriplet, DiscreteModel), "levy or discrete")
+            xi = _resolve_repfn(args.xi, args.xi_params, args.xi_tree, "xi")
         if isinstance(model, DiscreteModel):
             analytic = discrete_stoch_exp(xi, model, T)
         else:
-            t = _require_model(model, LevyTriplet, "levy")
-            analytic = expectation_stoch_exp(xi, t, T, quad)
+            analytic = expectation_stoch_exp(xi, model, T, quad)
         est = mc_stoch_exp(xi, model, T, cfg)
 
     z = est.z_score(complex(analytic))

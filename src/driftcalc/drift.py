@@ -7,10 +7,12 @@ covariance, and a jump correction integral:
     b = Dxi(0) b_h + (1/2) sum_ij D2_ij xi(0) c_ij + int (xi(x) - Dxi(0) h(x)) F(dx).
 
 For processes with independent increments the drift converts directly into
-terminal expectations, both for the represented sum and for its stochastic
-exponential.  A discrete-time increment law is an atom measure of mass 1, so
-its per-period expectation is that measure's atom integral; over a horizon T
-it is taken floor(T) times, or compounds as floor(T) one-period factors.
+terminal expectations: drift T for the represented sum, exp(drift T) for its
+stochastic exponential.  A discrete-time increment law is an atom measure of
+mass 1, whose one-period mean, an atom integral, is taken floor(T) times or
+compounded as floor(T) factors.  One rule takes every such value to its
+horizon, for every caller (the Monte Carlo normaliser and the CLI too): T is
+checked first, and a value that is not finite raises EngineError.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     error raised is the lowest-index failing output's, with every failing
     output's own error in its ``faults``.
     """
-    if xi.input_dim != t.dim:
-        raise ValueError(f"representation expects dimension {xi.input_dim}, triplet has {t.dim}")
+    _require_dim(t, xi)
     jet = xi.jet_at_zero()
     J, H = jet.jacobian, jet.hessian
     linear = J @ t.b.astype(np.complex128)
@@ -108,8 +109,7 @@ def expectation_pii(
     xi: RepFn, t: LevyTriplet, T: float, quad: Optional[QuadratureConfig] = None
 ) -> np.ndarray:
     """E[(xi o X)_T] for an independent-increment process: drift times T."""
-    _check_horizon(T)
-    return drift(xi, t, quad).total * T
+    return _over_horizon(T, lambda: drift(xi, t, quad).total, operator.mul)
 
 
 def expectation_stoch_exp(
@@ -118,8 +118,7 @@ def expectation_stoch_exp(
     """E[stochastic exponential of (xi o X) at T] = exp(drift * T)."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
-    _check_horizon(T)
-    return complex(np.exp(drift(xi, t, quad).total[0] * T))
+    return complex(_over_horizon(T, lambda: drift(xi, t, quad).total[0], lambda rate, T: np.exp(rate * T)))
 
 
 def _check_horizon(T: float):
@@ -127,25 +126,35 @@ def _check_horizon(T: float):
         raise ValueError(f"time horizon must be nonnegative and finite, got {T}")
 
 
-def _over_periods(T: float, one_period, op):
-    """op(one_period, floor(T)) for a horizon T >= 0, op being ``mul`` or
-    ``pow``; a result that overflows raises EngineError."""
+def _require_dim(model, *fns: RepFn):
+    """Each representation must take the model's dimension (a usage error)."""
+    for fn in fns:
+        if fn.input_dim != model.dim:
+            raise ValueError(f"representation expects dimension {fn.input_dim}, triplet has {model.dim}")
+
+
+def _over_horizon(T: float, per_unit, op, periods: bool = False):
+    """op(per_unit(), T) for a drift, or op(per_unit(), floor(T)) for a
+    one-period value on the discrete clock; T is checked before ``per_unit``
+    runs, and a result that is not finite raises EngineError."""
     _check_horizon(T)
-    steps = math.floor(T)
+    one, steps = per_unit(), (math.floor(T) if periods else T)
     try:
-        with np.errstate(over="ignore"):
-            value = op(one_period, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = op(one, steps)
     except OverflowError:
         value = math.inf
     if not np.isfinite(value).all():
-        raise EngineError(f"the result overflows: floor(T) = {steps:g} periods of {one_period}")
+        clock = f"floor(T) = {steps:g} periods of" if periods else f"T = {T:g} at a drift of"
+        raise EngineError(f"the result overflows: {clock} {one}")
     return value
 
 
 def discrete_compensator(xi: RepFn, m: DiscreteModel, T: float) -> np.ndarray:
     """Compensator at time T for i.i.d. discrete-time increments:
     floor(T) * E[xi(increment)]."""
-    return _over_periods(T, models.integrate(m, xi.eval_batch)[0], operator.mul)
+    _require_dim(m, xi)
+    return _over_horizon(T, lambda: models.integrate(m, xi.eval_batch)[0], operator.mul, periods=True)
 
 
 def discrete_stoch_exp(xi: RepFn, m: DiscreteModel, T: float) -> complex:
@@ -153,8 +162,9 @@ def discrete_stoch_exp(xi: RepFn, m: DiscreteModel, T: float) -> complex:
     (E[1 + xi(increment)])^floor(T)."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
-    factor = models.integrate(m, lambda X: 1.0 + xi.eval_batch(X))[0]
-    return _over_periods(T, complex(factor[0]), operator.pow)
+    _require_dim(m, xi)
+    return _over_horizon(T, lambda: complex(models.integrate(m, lambda X: 1.0 + xi.eval_batch(X))[0][0]),
+                         operator.pow, periods=True)
 
 
 def discrete_q_stoch_exp(xi: RepFn, eta: RepFn, m: DiscreteModel, T: float) -> complex:
@@ -166,14 +176,18 @@ def discrete_q_stoch_exp(xi: RepFn, eta: RepFn, m: DiscreteModel, T: float) -> c
     """
     if xi.output_dim != 1 or eta.output_dim != 1:
         raise ValueError("both representations must be scalar-valued")
+    _require_dim(m, xi, eta)
 
     def weighted(X):
         w = 1.0 + eta.eval_batch(X)
         return np.hstack([w, w * (1.0 + xi.eval_batch(X))])
 
-    normaliser, numerator = (complex(z) for z in models.integrate(m, weighted)[0])
-    if abs(normaliser.imag) > 1e-12 * (1.0 + abs(normaliser.real)) or normaliser.real <= 0.0:
-        raise EngineError(
-            f"degenerate measure change: E[1 + eta] = {normaliser} must be real and positive"
-        )
-    return _over_periods(T, numerator / normaliser, operator.pow)
+    def factor():
+        normaliser, numerator = (complex(z) for z in models.integrate(m, weighted)[0])
+        if abs(normaliser.imag) > 1e-12 * (1.0 + abs(normaliser.real)) or normaliser.real <= 0.0:
+            raise EngineError(
+                f"degenerate measure change: E[1 + eta] = {normaliser} must be real and positive"
+            )
+        return numerator / normaliser
+
+    return _over_horizon(T, factor, operator.pow, periods=True)

@@ -10,7 +10,9 @@ represented sum (linear + Ito term + summed jump transforms) or its
 stochastic exponential (exp(continuous exponent) times the product of
 (1 + jump transform) factors).  Sums, stochastic exponentials, reweighting
 (one two-output tree, so payoff and weight share one walk over the jumps),
-increments and the exchange payoff all go through it.
+increments and the exchange payoff all go through it.  A reweighted
+estimate divides by eta's expectation, exp(drift T) or E[1 + eta]^floor(T),
+which it takes from drift.py as every expectation is taken.
 
 The kernel takes the tree's values at a chunk's jumps from the jump
 measure's draw, whatever the measure: atoms, a discrete model or a part of
@@ -53,7 +55,7 @@ from typing import Union
 import numpy as np
 
 from .calculus import rep_identity
-from .drift import _check_horizon, _over_periods, drift
+from .drift import _check_horizon, _require_dim, discrete_stoch_exp, expectation_stoch_exp
 from .errors import EngineError
 from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
 from .pricing import MargrabeModel
@@ -235,6 +237,7 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     values of n paths drawn from ``rng``, averaged with its value at -Z
     under antithetic pairing.
     """
+    _check_horizon(T)
     discrete = isinstance(model, DiscreteModel)
     jumps = model if discrete else model.jumps
     op = np.multiply if exponential else np.add
@@ -289,7 +292,6 @@ def sample_increment_batch(
 ) -> np.ndarray:
     """Draw n exact terminal increments X_T - X_0, shape (n, d): the sum form
     of the identity, i.e. the continuous part plus all jumps."""
-    _check_horizon(T)
     return _pathwise(rep_identity(t.dim), t, T, exponential=False)(rng, n, np.real)
 
 
@@ -299,7 +301,7 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
     the diffusion normals only."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
-    _check_horizon(T)
+    _require_dim(model, xi)
     paths = _pathwise(xi, model, T, exponential=True)
     return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, _first, cfg.antithetic)))
 
@@ -311,7 +313,7 @@ def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
     """
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
-    _check_horizon(T)
+    _require_dim(t, xi)
     paths = _pathwise(xi, t, T, exponential=False)
     return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, _first)))
 
@@ -339,41 +341,35 @@ def mc_reweighted(
     """Estimate the stochastic-exponential mean of xi under the measure
     generated by eta.
 
-    Per path the weight is the stochastic exponential of (eta o X) divided
-    by its expectation (a deterministic compensator factor); weights must be
-    nonnegative, which is exactly the eta >= -1 contract.  Antithetic
-    pairing is not applied to reweighted estimates.
+    Per path the weight is the stochastic exponential of (eta o X) over its
+    expectation E[w] from drift.py, real where eta is real on the support;
+    an E[w] that fails or underflows raises EngineError naming it before
+    any path is drawn.  Weights must be nonnegative, which is exactly the
+    eta >= -1 contract.  Antithetic pairing is not applied to reweighted
+    estimates.
     """
     if xi.output_dim != 1 or eta.output_dim != 1:
         raise ValueError("both representations must be scalar-valued")
-    _check_horizon(T)
+    _require_dim(model, xi, eta)
+    discrete = isinstance(model, DiscreteModel)
+    name = "E[1 + eta]^floor(T)" if discrete else "exp(drift(eta) T)"
+    try:
+        norm = (discrete_stoch_exp if discrete else expectation_stoch_exp)(eta, model, T)
+    except EngineError as exc:  # its class, atom and faults kept
+        exc.args = (f"the measure-change normaliser {name}: {exc}",)
+        raise
+    norm = _real_if_exact(np.complex128(norm))
+    if not abs(norm) > 0:
+        raise EngineError(f"the measure-change normaliser {name} = {norm} is not finite and positive")
+    scale = 1.0 / norm
     # One tree with xi and eta as its two outputs: both exponentials on the
     # same paths from one walk over the jumps.
     paths = _pathwise(RepFn(xi.input_dim, xi.outputs + eta.outputs), model, T, exponential=True)
-    payoff = _weighted_payoff(eta, model, T)
+
+    def payoff(vals):  # xi's exponential times eta's weight
+        return _apply_weights(vals[:, 1] * scale, vals[:, 0])
+
     return _estimate(_collect(cfg, lambda rng, n: paths(rng, n, payoff)))
-
-
-def _weighted_payoff(eta: RepFn, model: Model, T: float):
-    """The reweighted payoff: of the (n, 2) exponentials of xi and eta, xi's
-    times the weight w / E[w], w being eta's.  E[w] is exp(drift T), or for
-    a discrete model the one-period mean of 1 + eta to the power floor(T),
-    in real arithmetic where eta is real on the support, as w then is.  An
-    E[w] that overflows or underflows raises EngineError before any draw."""
-    if isinstance(model, DiscreteModel):
-        one = (model.probabilities * (1.0 + eta.eval_batch(model.points)[:, 0])).sum()
-        norm = _checked_normaliser(_over_periods(T, one.item(), operator.pow), "E[1 + eta]^floor(T)")
-        return lambda vals: _apply_weights(_real_if_exact(vals[:, 1]) / norm, vals[:, 0])
-    with np.errstate(over="ignore"):
-        norm = _real_if_exact(np.exp(drift(eta, model).total[0] * T))
-    scale = 1.0 / _checked_normaliser(norm, "exp(drift(eta) T)")
-    return lambda vals: _apply_weights(vals[:, 1] * scale, vals[:, 0])
-
-
-def _checked_normaliser(norm, name: str):
-    if not (np.isfinite(norm) and abs(norm) > 0):
-        raise EngineError(f"the measure-change normaliser {name} = {norm} is not finite and positive")
-    return norm
 
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:

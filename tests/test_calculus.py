@@ -162,6 +162,28 @@ class TestPushforward:
         )
         assert dc.atom_mass_in_boxes(out.jumps, [((0.1,), (np.inf,))]) == 1.0
 
+    def test_counting_query_reads_its_boxes_once_per_call(self):
+        # a one-shot iterable of boxes was consumed by the first atom (0.1)
+        atoms = dc.FiniteAtoms([[-1.0, 0.0], [0.5, -1.0], [0.2, 0.3]], [0.1, 0.2, 0.3])
+        box = ((-1.0, -1.0), (1.0, 1.0))
+        assert dc.atom_mass_in_boxes(atoms, [box]) == 0.1 + 0.2 + 0.3
+        assert dc.atom_mass_in_boxes(atoms, iter([box])) == 0.1 + 0.2 + 0.3
+        assert dc.atom_mass_in_boxes(atoms, (b for b in [box])) == 0.1 + 0.2 + 0.3
+
+    @pytest.mark.parametrize("box", [((-1.0,), (1.0,)), (-1.0, 1.0), ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))])
+    def test_counting_query_refuses_a_box_of_another_dimension(self, box):
+        # a 1-d box broadcast over 2-d atoms and counted all of them, 1.0
+        atoms = dc.FiniteAtoms([[-1.0, 0.0], [0.5, -1.0], [0.2, 0.3]], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"^box \(.*\) does not have the atoms' dimension 2$"):
+            dc.atom_mass_in_boxes(atoms, [((-1.0, -1.0), (1.0, 1.0)), box])
+
+    def test_counting_query_refuses_a_measure_without_atoms(self):
+        # a sum measure raised an AttributeError
+        mixed = dc.SumMeasure((dc.FiniteAtoms([[0.1]], [1.0]),
+                               dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))))
+        with pytest.raises(ValueError, match=r"^counting needs an atom measure, got SumMeasure$"):
+            dc.atom_mass_in_boxes(mixed, [((-1.0,), (1.0,))])
+
     def test_counting_query_is_exact(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(0.0, 0.3, (8, 1))

@@ -730,6 +730,45 @@ class TestDiscreteInputs:
         assert dc.parse_complex(doc["analytic"]) == ref
         assert abs(float(doc["z_score"])) < 4.0
 
+    @pytest.mark.parametrize("command", ["discrete", "mc-verify"])
+    def test_a_representation_of_another_dimension_is_exit_two(self, model_file, capsys, command):
+        # the parent failed in the tree walk: "expected a batch of shape (N, 1), got (2, 2)"
+        path = model_file({"type": "discrete", "support": [{"x": [0.1, 0.0], "p": 0.5},
+                                                           {"x": [-0.1, 0.05], "p": 0.5}]})
+        if command == "discrete":
+            argv = self.discrete(path, "-T", "2")
+        else:
+            argv = ["mc-verify", "--model", path, "--target", "stoch-exp", "--xi", "exp_affine",
+                    "--xi-params", '{"v": "2"}', "--n-paths", "100", "-T", "2"]
+        code = exit_code(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: representation expects dimension 1, triplet has 2\n"
+
+    def test_mc_verify_stoch_exp_names_both_model_kinds(self, model_file, capsys):
+        code = exit_code(["mc-verify", "--model", model_file(MARGRABE_MODEL), "--target", "stoch-exp",
+                          "--xi", "exp_affine", "--n-paths", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: this command needs a levy or discrete model file\n"
+
+    @pytest.mark.parametrize("target", ["cumulant", "stoch-exp"])
+    def test_mc_verify_whose_analytic_value_overflows_is_exit_one(self, model_file, capsys, monkeypatch, target):
+        # E[e^{30 X_5}] = exp(5 (e^6 - 1)) on an atom at 0.2 overflows; the
+        # parent printed "analytic": "inf" and "z_score": "inf" and exited 0
+        path = model_file({"type": "levy", "dim": 1, "b": [0.0], "c": [[0.0]], "truncation": ["zero"],
+                           "jumps": [{"kind": "atoms", "atoms": [{"x": [0.2], "intensity": 1.0}]}]})
+        xi = ["--v", "30"] if target == "cumulant" else ["--xi", "exp_affine", "--xi-params", '{"v": 30}']
+        monkeypatch.setattr(cli, "mc_stoch_exp", None)  # no path is simulated
+        code = exit_code(["mc-verify", "--model", path, "--target", target, *xi, "-T", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("computation failed: the result overflows: "
+                                "T = 5 at a drift of (402.4287934927351+0j)\n")
+
     @pytest.mark.parametrize("command", ["discrete", "roundtrip"])
     def test_tol_is_not_an_option(self, model_file, capsys, command):
         path = model_file(TRINOMIAL_MODEL)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestExpectations:
             with pytest.raises(ValueError, match="time horizon must be nonnegative and finite, got"):
                 call()
 
+    def test_an_expectation_that_overflows_is_an_engine_error(self):
+        # e^{30x} - 1 on an atom at 0.2 has drift e^6 - 1 = 402.4, so exp(402.4 * 5)
+        # and 402.4 * 1e307 overflow; the parent returned inf with a RuntimeWarning
+        t = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), dc.FiniteAtoms([[0.2]], [1.0]),
+                           dc.TruncationSpec.zero(1))
+        xi = dc.rep_exp_affine(30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EngineError, match=r"^the result overflows: T = 5 at a drift of "
+                                                  r"\(402\.4287934927351\+0j\)$"):
+                dc.expectation_stoch_exp(xi, t, 5.0)
+            with pytest.raises(EngineError, match=r"^the result overflows: T = 1e\+307 at a drift of \[402\.4"):
+                dc.expectation_pii(xi, t, 1e307)
+            # just inside the float range on both clocks' rules
+            assert math.isfinite(dc.expectation_stoch_exp(xi, t, 1.7).real)
+            assert np.isfinite(dc.expectation_pii(xi, t, 1e305)).all()
+
     def test_linear_case(self):
         t = dc.LevyTriplet(
             1, np.array([0.3]), np.zeros((1, 1)), dc.empty_measure(1),
@@ -363,6 +381,17 @@ class TestDiscrete:
         # a factor below one underflows to zero, which is no overflow
         xi = dc.RepFn(1, (dc.Neg(dc.Mul(dc.Coord(0), dc.Coord(0))),))
         assert dc.discrete_stoch_exp(xi, trinomial, 1e300) == 0.0
+
+    def test_a_representation_of_another_dimension_is_a_usage_error(self):
+        # the parent failed inside the tree walk: "expected a batch of shape (N, 1), got (2, 2)"
+        law = dc.DiscreteModel([[0.1, 0.0], [-0.1, 0.05]], [0.5, 0.5])
+        one_d, two_d = dc.rep_exp_affine(0.5), dc.rep_coord(2, 0)
+        for call in (lambda: dc.discrete_compensator(one_d, law, 2.0),
+                     lambda: dc.discrete_stoch_exp(one_d, law, 2.0),
+                     lambda: dc.discrete_q_stoch_exp(one_d, two_d, law, 2.0),
+                     lambda: dc.discrete_q_stoch_exp(two_d, one_d, law, 2.0)):
+            with pytest.raises(ValueError, match=r"^representation expects dimension 1, triplet has 2$"):
+                call()
 
     def test_undefined_support_point_is_named(self, trinomial):
         # log(1 - 20 x) is undefined at the up move x = log 1.1

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import driftcalc as dc
-from driftcalc.errors import EngineError
+from driftcalc.errors import EngineError, NanPointError
 from driftcalc import mcoracle
 from driftcalc.mcoracle import (
     BLOCK_SIZE,
@@ -301,13 +302,18 @@ class TestReweighted:
         assert sorted(block_walks) == sorted(blocks)
         assert reductions == [2, 2, 2]
 
-    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d", "trinomial"])
     def test_one_tree_equals_two_trees_on_shared_draws(self, model, request):
+        # the weight is eta's exponential times 1 / E[w], E[w] being the
+        # expectation of drift.py on the model's clock
+        expectation = dc.discrete_stoch_exp if model == "trinomial" else dc.expectation_stoch_exp
         model = request.getfixturevalue(model)
         xi, eta, T = dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), 1.3
         cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE + 100, seed=15)
         xi_paths, eta_paths = (_pathwise(f, model, T, exponential=True) for f in (xi, eta))
-        scale = 1.0 / np.exp(dc.drift(eta, model).total[0] * T).real
+        norm = expectation(eta, model, T)
+        assert norm.imag == 0.0
+        scale = 1.0 / norm.real
 
         def block(rng, size):
             twin = copy.deepcopy(rng)  # the same draws for the second tree
@@ -332,12 +338,14 @@ class TestReweighted:
         assert seen == [np.float64] * 3
 
     # estimates of one draw of (paths, floor(T)) indices, as sampled before
-    # the draw was split into row chunks
+    # the draw was split into row chunks; the weighted standard error at
+    # T = 250 moved by an ulp when its normaliser became discrete_stoch_exp's
+    # atom integral and complex power
     DISCRETE_PINS = {
         3.0: ((0.9983343066809736 + 0j), 0.00040156912838026026,
               (0.9936400586206121 - 0.0030590373394046018j), 0.0005931149743186543),
         250.0: ((0.8548700891038695 + 0j), 0.003263487127941599,
-                (0.581226279333703 - 0.16202294227433225j), 0.003618141634426206),
+                (0.581226279333703 - 0.16202294227433225j), 0.0036181416344262056),
     }
 
     @pytest.mark.parametrize("chunk", [mcoracle.ROW_CHUNK, 1000, 7])
@@ -426,19 +434,32 @@ class TestReweighted:
 
     @pytest.mark.parametrize("case", ["discrete", "levy"])
     def test_a_normaliser_that_overflows_is_refused_before_any_path(self, case, monkeypatch):
-        # E[1 + eta] = 1.169 to the power 5000, or exp(1e298): the parent
-        # raised a bare OverflowError, or returned a mean of 0 with warnings
+        # E[1 + eta] = 1.169 to the power 5000, or exp(1e298): either clock's
+        # expectation raises its overflow, and the message names the normaliser
         if case == "discrete":
             model, eta, T = dc.DiscreteModel([[-0.1], [0.0], [0.2]], [0.3, 0.4, 0.3]), dc.rep_exp_affine(3.0), 5000.0
-            message = r"^the result overflows: floor\(T\) = 5000 periods of 1\.168"
+            message = ("the measure-change normaliser E[1 + eta]^floor(T): "
+                       "the result overflows: floor(T) = 5000 periods of (1.1688811063216682+0j)")
         else:
             model = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), dc.FiniteAtoms([[5.0]], [0.01]),
                                    dc.TruncationSpec.zero(1))
             eta, T = dc.RepFn(1, (dc.Const(2e299) * dc.Coord(0),)), 1.0
-            message = r"^the measure-change normaliser exp\(drift\(eta\) T\) = inf is not finite and positive$"
+            message = ("the measure-change normaliser exp(drift(eta) T): "
+                       "the result overflows: T = 1 at a drift of (1.0000000000000001e+298+0j)")
         monkeypatch.setattr(mcoracle, "_collect", None)  # no block runs
-        with pytest.raises(EngineError, match=message):
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
             dc.mc_reweighted(dc.rep_exp_affine(0.1), eta, model, T, dc.SimConfig(n_paths=10_000, seed=1))
+
+    def test_a_normaliser_undefined_at_an_atom_names_the_atom(self, trinomial, monkeypatch):
+        # log(1 - 20 x) is undefined at the up move x = log 1.1; the parent
+        # summed the atoms by hand and read "floor(T) = 3 periods of nan"
+        eta = dc.RepFn(1, (dc.Log(dc.Const(1.0) - dc.Const(20.0) * dc.Coord(0)),))
+        monkeypatch.setattr(mcoracle, "_collect", None)  # no block runs
+        with pytest.raises(NanPointError) as info:
+            dc.mc_reweighted(dc.rep_exp_affine(0.1), eta, trinomial, 3.0, dc.SimConfig(n_paths=100, seed=1))
+        assert str(info.value) == ("the measure-change normaliser E[1 + eta]^floor(T): "
+                                   f"integrand is undefined at atom {[math.log(1.1)]}")
+        assert info.value.point.tolist() == [math.log(1.1)]
 
     def test_a_normaliser_that_underflows_is_refused(self, trinomial):
         # 0.97 to the power 50 000 is 0.0 in float64
@@ -453,6 +474,26 @@ class TestReweighted:
         with pytest.raises(EngineError, match="negative measure-change weight"):
             dc.mc_reweighted(dc.rep_identity(1), eta, trinomial, 1.0,
                              dc.SimConfig(n_paths=10_000, seed=6))
+
+
+@pytest.mark.parametrize("kind", ["levy", "discrete"])
+def test_a_representation_of_another_dimension_is_a_usage_error(kind, monkeypatch):
+    # the parent failed inside the kernel: numpy's "matmul: Input operand 1
+    # has a mismatch in its core dimension 0" on a triplet, and "expected a
+    # batch of shape (N, 1), got (2, 2)" on a discrete law
+    if kind == "levy":
+        model = dc.LevyTriplet(2, np.zeros(2), np.eye(2) * 0.01, dc.FiniteAtoms([[0.1, 0.0]], [1.0]),
+                               dc.TruncationSpec.identity(2))
+    else:
+        model = dc.DiscreteModel([[0.1, 0.0], [-0.1, 0.05]], [0.5, 0.5])
+    one_d, two_d, cfg = dc.rep_exp_affine(0.5), dc.rep_coord(2, 0), dc.SimConfig(n_paths=100, seed=1)
+    monkeypatch.setattr(mcoracle, "_collect", None)  # no block runs
+    for call in (lambda: dc.mc_stoch_exp(one_d, model, 1.0, cfg),
+                 lambda: dc.mc_sum(one_d, model, 1.0, cfg),
+                 lambda: dc.mc_reweighted(one_d, two_d, model, 1.0, cfg),
+                 lambda: dc.mc_reweighted(two_d, one_d, model, 1.0, cfg)):
+        with pytest.raises(ValueError, match=r"^representation expects dimension 1, triplet has 2$"):
+            call()
 
 
 def test_estimate_reports_nonfinite_paths():

@@ -11,12 +11,13 @@ as ``perfbench/workloads.py`` of this checkout generates them.  It also
 runs, through ``cli.main``, the grids of GRIDS, whose rows fail in part, as
 no ``grid_1d`` op's do, and the utility optimum on the (0, 800) bracket;
 the discrete optimum of a trinomial law; the Gaussian-body node sets of
-NODE_SETS; and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1
-and at 2 workers, on the trinomial law and each ``grid_1d`` discrete model
-at T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose
-blocks span several row chunks, and on the pushforward of WIDE through
-e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It
-prints how many ops are identical and how many moved, with the worst move
+NODE_SETS; the ``mc-verify`` calls of MC_VERIFY_TARGETS, through
+``cli.main`` at 1 and at 2 workers, on MERTON and on the trinomial law;
+and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1 and at 2
+workers, on the trinomial law and each ``grid_1d`` discrete model at
+T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose blocks
+span several row chunks, and on the pushforward of WIDE through
+e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how many ops are identical and how many moved, with the worst move
 of a number x to x' by op label: |x' - x| / spot1 for a price, else
 |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds of its
 model, an ``mc_verify`` label its worker count.  Then it prints, by
@@ -33,6 +34,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -92,6 +94,14 @@ ATOMS = {"type": "levy", "dim": 1, "b": [0.01], "c": [[0.01]], "truncation": ["i
 DOCS_LONG_T = 25.0
 #: paths of each estimate beyond the benchmark's: three full blocks and a partial one
 MC_EXTRA_PATHS = 3 * 8192 + 77
+#: (target, flags) of the ``mc-verify`` calls run through ``cli.main`` on
+#: MERTON and on TRINOMIAL, at each worker count; the cumulant and memm
+#: targets refuse the discrete law, with exit 2
+MC_VERIFY_TARGETS = [
+    ("cumulant", ["--v", "0.5+1i"]),
+    ("memm", ["--v", "0.5", "--lambda-star", "0.7"]),
+    ("stoch-exp", ["--xi", "exp_affine", "--xi-params", '{"v": "0.3"}']),
+]
 #: (mean, cov) of the bodies whose node sets at levels 0 and 2 are compared
 NODE_SETS = [([-0.05], [[0.04]]), ([-0.1, 0.02], [[0.04, 0.01], [0.01, 0.02]]),
              ([-0.1, -0.05, 0.02], [[0.04, 0.0, 0.0], [0.0, 0.04, 0.0], [0.0, 0.0, 0.04]])]
@@ -193,6 +203,14 @@ def _extra_runs(M, tmp):
                      trinomial, (-2.0, 10.0))))), None))
     runs += [(f"nodes/{len(mean)}d", f"node sets {len(mean)}d", _node_sets(M, mean, cov), None)
              for mean, cov in NODE_SETS]
+    for name, doc in (("levy", MERTON), ("discrete", TRINOMIAL)):
+        path = Path(tmp) / f"mc-verify-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for (target, flags), w in itertools.product(MC_VERIFY_TARGETS, MC_WORKERS):
+            argv = ["mc-verify", "--model", str(path), "--target", target, *flags, "-T", "3",
+                    "--n-paths", str(MC_EXTRA_PATHS), "--seed", "5", "--threads", str(w)]
+            runs.append((f"mc-verify/{name}/{target}/{w}w", f"mc-verify {target} {name} {w}w",
+                         worker.make_call(M, {}, {"kind": "cli", "argv": argv}), None))
     return runs + _mc_extra_runs(M)
 
 
