@@ -63,8 +63,8 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     _require_dim(t, xi)
     jet = xi.jet_at_zero()
     J, H = jet.jacobian, jet.hessian
-    linear = J @ t.b.astype(np.complex128)
-    quadratic = 0.5 * np.einsum("nij,ij->n", H, t.c.astype(np.complex128))
+    linear = J @ t._complex_bc[0]
+    quadratic = 0.5 * np.einsum("nij,ij->n", H, t._complex_bc[1])
     jump, qerr = jump_drift_correction(t.jumps, xi.eval_batch, J, t.truncation, quad)
     total = linear + quadratic + jump
     if not np.isfinite(total).all():

@@ -10,12 +10,14 @@ A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, 31, ...,
 255 nodes per axis; each output stops at the first two levels whose
 estimates of it agree, and fails on its own, as an integral of it alone.
 Each measure keeps the node sets of the levels an accepted integral used,
-so later integrals on it rebuild nothing.  One call of the integrand covers
-the first two levels and a far-tail probe, about 21 standard deviations
-out along each axis; an integrand that outgrows the Gaussian decay there
-raises ``NonIntegrableError`` instead of converging to a finite but
-meaningless number on the low levels.  Jump points are real, so a real tree
-is integrated in float64, a complex one in complex128.
+and its truncation moments, so later integrals on it rebuild nothing.  One
+call of the integrand covers the first two levels and a far-tail probe,
+about 21 standard deviations out along each axis; an integrand that
+outgrows the Gaussian decay there raises ``NonIntegrableError`` instead of
+converging to a finite but meaningless number on the low levels.  The
+ladder runs in one floating-point error-state scope per integral and scans
+each call's values for NaN once.  Jump points are real, so a real tree is
+integrated in float64, a complex one in complex128.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, EngineError, NanPointError, NonIntegrableError
-from .repfn import RepFn, _isnan, _nonreal
+from .repfn import RepFn, _nonreal
 
 ATOM_DEDUP_TOL = 1e-12
 #: Gauss-Hermite nodes per axis at the first level, and how often the count
@@ -45,6 +47,7 @@ QUAD_MAX_DOUBLINGS = 5
 #: 1-d Gaussian weight is 7e-102: only an integrand that outgrows the
 #: Gaussian decay shows there.
 QUAD_PROBE_NODES = 127
+_FLOAT_MAX = np.finfo(float).max
 
 
 class TruncationKind(enum.Enum):
@@ -292,7 +295,7 @@ class FiniteAtoms(JumpMeasure):
         if self.points.shape[0] == 0:
             return np.zeros(vals.shape[1], dtype=np.complex128), 0.0, {}
         faults, open_ = {}, np.ones(vals.shape[1], dtype=bool)
-        _flag(_isnan(vals), open_, faults, lambda k, j: NanPointError(
+        _flag(np.isnan(vals), open_, faults, lambda k, j: NanPointError(
             f"integrand is undefined at atom {self.points[k].tolist()}", point=self.points[k]))
         # A sequential sum in atom order, so a plain loop reproduces the
         # total bit for bit; its partial sums name an overflowing atom, as
@@ -388,28 +391,31 @@ class GaussianPush(JumpMeasure):
             probe = np.asarray(g(np.zeros((0, self.dim))))
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0, {}
         used, prev, faults, out, err = {}, None, {}, None, None
-        for level in range(QUAD_MAX_DOUBLINGS + 1):
-            if level == 1:
-                P, W, vals = rung1
-            else:
-                used[level] = nodes = self._nodes.get(level) or self._build_nodes(level)
-                P, W, vals = nodes.points, nodes.weights, np.asarray(g(nodes.points))
-            if level == 0:
-                # one walk: rung 0, then the probe, then rung 1
-                n = _ladder_nodes(0) ** self.dim
-                m = n + 2 * self.dim
-                probe, rung1 = (P[n:m], W[n:m], vals[n:m]), (P[m:], W[m:], vals[m:])
-                P, W, vals = P[:n], W[:n], vals[:n]
-                # the outputs with neither a value nor a verdict yet
-                open_ = np.ones(vals.shape[1], dtype=bool)
-            _flag(_isnan(vals), open_, faults, lambda k, j: NanPointError(
-                f"integrand is undefined at quadrature node {P[k].tolist()}", point=P[k]))
-            # Overflowing integrands are allowed to reach the checks below,
-            # which report them instead of a numpy warning.
-            with np.errstate(all="ignore"):
+        # level 0's walk holds rung 0, then the probe, then rung 1
+        n = _ladder_nodes(0) ** self.dim
+        m = n + 2 * self.dim
+        # One scope for the whole ladder, the walks of g included:
+        # overflowing integrands are allowed to reach the checks below,
+        # which report them instead of a numpy warning.
+        with np.errstate(all="ignore"):
+            for level in range(QUAD_MAX_DOUBLINGS + 1):
+                if level != 1:
+                    used[level] = nodes = self._nodes.get(level) or self._build_nodes(level)
+                    walk = nodes.points, nodes.weights, np.asarray(g(nodes.points))
+                    # one NaN scan per walk; the rungs of a walk without NaN flag nothing
+                    nan = np.isnan(walk[2])
+                    nan = nan if np.count_nonzero(nan) else None
+                rows = slice(m, None) if level == 1 else slice(0, n if level == 0 else None)
+                P, W, vals = walk[0][rows], walk[1][rows], walk[2][rows]
+                if level == 0:
+                    # the outputs with neither a value nor a verdict yet
+                    open_ = np.ones(vals.shape[1], dtype=bool)
+                if nan is not None:
+                    _flag(nan[rows], open_, faults, lambda k, j: NanPointError(
+                        f"integrand is undefined at quadrature node {P[k].tolist()}", point=P[k]))
                 cur = self.intensity * (W[:, None] * vals).sum(axis=0)
                 if level == 0:
-                    self._check_tail(*probe, cur, quad, open_, faults)
+                    self._check_tail(walk[0][n:m], walk[1][n:m], walk[2][n:m], cur, quad, open_, faults)
                 else:
                     delta = np.abs(cur - prev)
                     done = open_ & (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur)))
@@ -422,29 +428,30 @@ class GaussianPush(JumpMeasure):
                     # too, so outputs that all failed on rung 0 cost no walk
                     if not np.count_nonzero(open_):
                         break
-            prev = cur
-        else:
-            for j in np.flatnonzero(open_).tolist():
-                faults[j] = ConvergenceError(
-                    f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
-                    f"nodes (last change {delta[j]:.3e}); the integrand may not be integrable "
-                    "against the jump law, or it is discontinuous inside the law's support "
-                    "(an indicator level or a clipped output truncation there), which the "
-                    "Gauss-Hermite rule cannot resolve"
-                )
+                prev = cur
+            else:
+                for j in np.flatnonzero(open_).tolist():
+                    faults[j] = ConvergenceError(
+                        f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
+                        f"nodes (last change {delta[j]:.3e}); the integrand may not be integrable "
+                        "against the jump law, or it is discontinuous inside the law's support "
+                        "(an indicator level or a clipped output truncation there), which the "
+                        "Gauss-Hermite rule cannot resolve"
+                    )
         if not faults:
             for k, s in used.items():
                 self._nodes.setdefault(k, s)
-        return out, float(np.max(err, initial=0.0)), faults
+        return out, float(err.max(initial=0.0)), faults
 
     def _check_tail(self, P, W, vals, first, quad, open_, faults):
         """Fail as not integrable each open output whose integrand at a probe point P[k],
         times its weight, is not finite or exceeds the tolerance of its first estimate."""
         weighted = self.intensity * W[:, None] * np.abs(vals)
-        # A non-finite first estimate sets no tolerance here; the ladder
-        # then reports it as non-convergence.
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(first))
-        _flag(~np.isfinite(weighted) | (weighted > tol), open_, faults, lambda k, j: NonIntegrableError(
+        # A non-finite first estimate sets no tolerance here (fmin drops a
+        # NaN and caps inf), so only a weighted value that is not finite
+        # fails; the ladder then reports it as non-convergence.
+        tol = np.fmin(np.maximum(quad.abs_tol, quad.rel_tol * np.abs(first)), _FLOAT_MAX)
+        _flag(~(weighted <= tol), open_, faults, lambda k, j: NonIntegrableError(
             "jump integral did not converge: the integrand grows faster than the "
             f"jump law decays near x = {P[k].tolist()} (weighted value "
             f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
@@ -608,11 +615,23 @@ def truncation_moment(measure: JumpMeasure, trunc: TruncationSpec) -> np.ndarray
     Atoms sum exactly; Gaussian push-forward bodies use closed-form partial
     lognormal expectations, which keeps clipped truncations away from the
     quadrature (the clip kink would otherwise spoil spectral convergence);
-    mapped measures integrate h.
+    mapped measures integrate h.  Kept per (measure, truncation), read-only.
     """
-    if measure.dim != trunc.dim:
-        raise ValueError(f"truncation dimension {trunc.dim} does not match measure {measure.dim}")
-    return measure._truncation_moment(trunc)
+    return _moments(measure, trunc)[0]
+
+
+def _moments(measure: JumpMeasure, trunc: TruncationSpec) -> tuple:
+    """The truncation moment, read-only, and its complex128 cast."""
+    # Computed on the first call for each (measure, truncation), and kept
+    # only if it succeeds; a hit implies the dimensions matched.
+    cache = measure.__dict__.setdefault("_moments", {})
+    if trunc.kinds not in cache:
+        if measure.dim != trunc.dim:
+            raise ValueError(f"truncation dimension {trunc.dim} does not match measure {measure.dim}")
+        real = np.array(measure._truncation_moment(trunc), dtype=float)
+        real.setflags(write=False)
+        cache[trunc.kinds] = real, real.astype(np.complex128)
+    return cache[trunc.kinds]
 
 
 def jump_drift_correction(measure: JumpMeasure, values_fn, jacobian, trunc, quad=None):
@@ -625,7 +644,7 @@ def jump_drift_correction(measure: JumpMeasure, values_fn, jacobian, trunc, quad
     (value, error estimate of int xi dF).
     """
     smooth, err = integrate(measure, values_fn, quad)
-    return smooth - np.asarray(jacobian) @ truncation_moment(measure, trunc).astype(np.complex128), err
+    return smooth - np.asarray(jacobian) @ _moments(measure, trunc)[1], err
 
 
 def integrate(measure: JumpMeasure, g: Callable, quad: Optional[QuadratureConfig] = None):
@@ -669,8 +688,10 @@ class LevyTriplet:
 
     def __post_init__(self):
         d = int(self.dim)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
+        # copies, so the complex casts kept below cannot go stale when the
+        # caller reuses its arrays
+        b = np.array(self.b, dtype=float).reshape(-1)
+        c = np.atleast_2d(np.array(self.c, dtype=float))
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -686,6 +707,8 @@ class LevyTriplet:
         if self.truncation.dim != d:
             raise ValueError(f"truncation dimension {self.truncation.dim} does not match {d}")
         _require_admissible(self.truncation, self.jumps)
+        # b and c in complex128, cast once for every drift on the triplet
+        object.__setattr__(self, "_complex_bc", (b.astype(np.complex128), c.astype(np.complex128)))
 
 
 def _require_admissible(trunc: TruncationSpec, jumps: JumpMeasure):

@@ -327,12 +327,17 @@ def _like(value: complex, z: np.ndarray):
 
 def _guarded(bad, fn, z):
     """fn(z) with the points flagged ``bad`` sent to NaN instead of evaluated."""
+    # where none is flagged, fn(z) itself, without the two masking passes
+    if not np.count_nonzero(bad):
+        return fn(z)
     out = fn(np.where(bad, 1.0, z))
     return np.where(bad, _like(_CNAN, out), out)
 
 
 def _nonpositive(z):
-    return (z.imag == 0.0) & (z.real <= 0.0)
+    # a real array has no imaginary part to test
+    real = type(z) is np.ndarray and z.dtype.kind == "f"
+    return z <= 0.0 if real else (z.imag == 0.0) & (z.real <= 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,9 +444,11 @@ def _jet_pow(n, dim, c):
 def _ev_pow(n, X, z):
     # Not through _guarded: a closure would keep the masked copy of z alive
     # through log and exp, which slows large batches.
+    # Where no point is masked, the two masking passes are skipped.
     bad = _nonpositive(z)
-    out = np.exp(_like(n.exponent, z) * np.log(np.where(bad, 1.0, z)))
-    return np.where(bad, _like(_CNAN, z), out)
+    masked = np.count_nonzero(bad)
+    out = np.exp(_like(n.exponent, z) * np.log(np.where(bad, 1.0, z) if masked else z))
+    return np.where(bad, _like(_CNAN, z), out) if masked else out
 
 
 def _ev_indicator(n, X, z):
@@ -615,11 +622,12 @@ class RepFn:
     def _run(self, rule: str, x) -> list:
         """Apply one row rule ("ev" or "jet") along the tape; one value per slot."""
         vals: list = []
+        i = _Op._fields.index(rule)
         # NaN is the result wherever a row is undefined, so no floating-point
         # event along the walk is an error.
         with np.errstate(all="ignore"):
             for op, node, args in self._tape:
-                fn = getattr(op, rule)
+                fn = op[i]
                 # Spelled out per arity (at most 2): building an argument list
                 # per node measurably slows the small trees built in bulk.
                 if len(args) == 2:
@@ -657,7 +665,9 @@ class RepFn:
         X = X.astype(np.float64 if real else np.complex128, copy=False)
         if not self._width:
             vals = self._run("ev", X)
-            return np.stack([vals[s] for s in self._roots], axis=1)
+            roots = [vals[s] for s in self._roots]
+            # one root: a column view of its own array, not a stacked copy
+            return roots[0][:, None] if len(roots) == 1 else np.stack(roots, axis=1)
         shape = (X.shape[0], self._width)
         vals = self._run("ev", X[:, :, None])
         columns = np.stack([np.broadcast_to(vals[s], shape) for s in self._roots], axis=1)

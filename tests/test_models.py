@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -185,6 +186,55 @@ class TestGaussHermiteLadder:
         with pytest.raises(NonIntegrableError, match="grows faster than the jump law decays"):
             dc.integrate(gp, lambda X: np.where(X == x, np.nan, np.exp(0.5 * X)))
 
+    @staticmethod
+    def outermost(gp, n):
+        """The jump point at the outermost positive node of the n-node rule."""
+        u = np.polynomial.hermite.hermgauss(n)[0][-1]
+        return float(np.expm1(gp.mean[0] + np.sqrt(2.0) * u * gp._factor[0, 0]))
+
+    @pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_nan_at_the_probe_is_not_integrable(self, nan):
+        # NaN at the far-tail probe point only (x ~ 630): the probe's own
+        # verdict, as for a value that outgrows the tail there
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x = self.outermost(gp, models.QUAD_PROBE_NODES)
+        message = (r"^jump integral did not converge: the integrand grows faster than the jump law "
+                   rf"decays near x = \[{re.escape(repr(x))}\] \(weighted value nan there\)")
+        with pytest.raises(NonIntegrableError, match=message) as info:
+            dc.integrate(gp, lambda X: np.where(X > 100.0, nan, X + 0j))
+        assert info.value.faults == {0: info.value}
+        # a NaN on the 15-node rule as well does not take the probe's place
+        x15 = self.outermost(gp, 15)
+        with pytest.raises(NonIntegrableError, match=message):
+            dc.integrate(gp, lambda X: np.where((X > 100.0) | (X == x15), nan, X + 0j))
+
+    def test_nan_on_the_first_rule_speaks_before_the_probe(self):
+        # NaN at the outermost 7-node point, and e^{x/2} outgrowing the tail
+        # at the probe: the first rule's verdict comes first
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x = self.outermost(gp, 7)
+        with pytest.raises(NanPointError, match=rf"^integrand is undefined at quadrature node \[{re.escape(repr(x))}\]$"):
+            dc.integrate(gp, lambda X: np.where(X == x, np.nan, np.exp(0.5 * X)))
+
+    def test_each_output_keeps_the_verdict_of_its_first_nan(self):
+        # output 0: NaN at the probe; output 1: NaN on the 7-node rule and at
+        # the probe; output 2: NaN on the 15-node rule; output 3: no NaN
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x7, x15 = self.outermost(gp, 7), self.outermost(gp, 15)
+
+        def g(X):
+            far = X > 100.0
+            return np.hstack([np.where(far, np.nan, X), np.where(far | (X == x7), np.nan, X),
+                              np.where(X == x15, np.nan, X), X])
+
+        with pytest.raises(NonIntegrableError) as info:
+            dc.integrate(gp, g)
+        faults = info.value.faults
+        assert sorted(faults) == [0, 1, 2] and faults[0] is info.value
+        assert "weighted value nan there" in str(faults[0])
+        assert type(faults[1]) is NanPointError and repr(x7) in str(faults[1])
+        assert type(faults[2]) is NanPointError and repr(x15) in str(faults[2])
+
     def test_node_sets_are_cached_per_measure_after_success(self, monkeypatch):
         built = []
         build = dc.GaussianPush._build_nodes
@@ -312,6 +362,98 @@ class TestTruncationMoment:
         gp = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
         got = dc.truncation_moment(gp, dc.TruncationSpec.identity(1))[0]
         assert got == pytest.approx(0.8 * math.expm1(-0.05 + 0.02), rel=1e-14)
+
+
+class TestTruncationMomentCache:
+    """The moment int h dF is computed once per (measure, truncation)."""
+
+    @staticmethod
+    def spy(monkeypatch, cls):
+        """The truncations each ``cls._truncation_moment`` call was asked for."""
+        asked, moment = [], cls._truncation_moment
+
+        def spied(self, trunc):
+            asked.append(trunc.names())
+            return moment(self, trunc)
+
+        monkeypatch.setattr(cls, "_truncation_moment", spied)
+        return asked
+
+    def test_repeated_drifts_compute_each_moment_once(self, monkeypatch, merton_1d):
+        asked = self.spy(monkeypatch, dc.GaussianPush)
+        xi = dc.rep_exp_affine(0.5)
+        totals = [dc.drift(xi, merton_1d).total for _ in range(3)]
+        assert asked == [["unit_clip"]]
+        assert all(np.array_equal(t, totals[0]) for t in totals)
+        # another truncation of the same measure is a new entry, the old one stays
+        identity = dc.TruncationSpec.identity(1)
+        again = dc.retruncate(merton_1d, identity)
+        assert asked == [["unit_clip"], ["identity"]]
+        dc.drift(xi, again)
+        dc.truncation_moment(merton_1d.jumps, dc.TruncationSpec.unit_clip(1))
+        assert asked == [["unit_clip"], ["identity"]]
+        # each moment is the closed form it always was, and read-only
+        fresh = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
+        for trunc in (merton_1d.truncation, identity):
+            kept = dc.truncation_moment(merton_1d.jumps, trunc)
+            assert kept.tobytes() == fresh._truncation_moment(trunc).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1.0
+
+    def test_a_sum_measure_keeps_its_own_moment(self, monkeypatch):
+        asked = self.spy(monkeypatch, dc.FiniteAtoms)
+        t = dc.LevyTriplet(1, np.array([0.05]), np.array([[0.04]]),
+                           dc.SumMeasure((dc.FiniteAtoms([[0.25]], [0.1]),
+                                          dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]])))),
+                           dc.TruncationSpec.unit_clip(1))
+        for _ in range(3):
+            dc.drift(dc.rep_exp_affine(0.5), t)
+        assert asked == [["unit_clip"]]
+
+    def test_an_overriding_measure_keeps_its_override(self):
+        class Doubled(dc.FiniteAtoms):
+            def _truncation_moment(self, trunc):
+                return 2.0 * super()._truncation_moment(trunc)
+
+        atoms = dc.FiniteAtoms([[0.3], [-0.2]], [1.0, 0.5])
+        doubled = Doubled(atoms.points, atoms.intensities)
+        h = dc.TruncationSpec.identity(1)
+        for _ in range(2):
+            np.testing.assert_array_equal(dc.truncation_moment(doubled, h), 2.0 * dc.truncation_moment(atoms, h))
+        # the drift's jump part int x dF - 1 * moment uses the override
+        t = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), doubled, h)
+        jump = dc.drift(dc.rep_identity(1), t).jump_part[0]
+        assert jump == pytest.approx(-dc.truncation_moment(atoms, h)[0], rel=1e-15)
+
+    def test_a_moment_that_fails_is_not_kept(self, monkeypatch):
+        # the image of a Gaussian body under e^{10x} - 1 has no first moment
+        body = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
+        mapped = dc.MappedMeasure(body, dc.rep_exp_affine(10.0))
+        asked = self.spy(monkeypatch, dc.JumpMeasure)
+        for _ in range(2):
+            with pytest.raises(NonIntegrableError):
+                dc.truncation_moment(mapped, dc.TruncationSpec.identity(1))
+        assert asked == [["identity"], ["identity"]]
+        assert mapped.__dict__.get("_moments", {}) == {}
+
+    def test_a_dimension_mismatch_is_refused_every_time(self):
+        gp = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="truncation dimension 2 does not match measure 1"):
+                dc.truncation_moment(gp, dc.TruncationSpec.identity(2))
+
+
+def test_a_triplet_keeps_its_own_copy_of_b_and_c(merton_1d):
+    # the drift reads complex casts of b and c taken at construction, so
+    # the caller's arrays are copied: reusing them later changes nothing
+    b, c = np.array([0.05]), np.array([[0.04]])
+    t = dc.LevyTriplet(1, b, c, merton_1d.jumps, merton_1d.truncation)
+    xi = dc.rep_exp_affine(0.5)
+    before = dc.drift(xi, t).total
+    b[0], c[0, 0] = 1.0, 1.0
+    assert t.b[0] == 0.05 and t.c[0, 0] == 0.04
+    assert np.array_equal(dc.drift(xi, t).total, before)
+    assert np.array_equal(before, dc.drift(xi, merton_1d).total)
 
 
 class TestRetruncate:

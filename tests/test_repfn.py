@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import driftcalc as dc
 from driftcalc.errors import NanPointError
-from driftcalc import cli
+from driftcalc import cli, repfn
 from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan
 
 from conftest import (
@@ -744,3 +744,84 @@ def test_param_trees_equal_their_per_value_constant_trees(data):
         out = f.eval_batch(Y)
         assert _same_bits(out, np.stack([columns[j].eval_batch(Y)[:, k] for k, j in pick], axis=1))
     assert dc.from_prefix(dc.to_prefix(f)).outputs == f.outputs
+
+
+def _parent_nonpositive(z):
+    return (z.imag == 0.0) & (z.real <= 0.0)
+
+
+def _parent_masked(bad, fn, z):
+    """The masked formula every point took before masking was skipped: the
+    flagged points evaluated at 1 and then sent to NaN."""
+    out = fn(np.where(bad, 1.0, z))
+    return np.where(bad, np.nan if out.dtype.kind == "f" else complex(np.nan, np.nan), out)
+
+
+_REAL_BATCHES = {
+    "unmasked": [0.5, 1.0, 2.0, 1e-300, 3.7],
+    "zeros and negatives": [0.5, 0.0, -0.0, -2.0, 1.5],
+    "nan": [0.5, np.nan, 2.0, 0.25],
+    "nan and negatives": [np.nan, 0.0, -1.0, 2.0],
+}
+_COMPLEX_BATCHES = {
+    **{k: np.asarray(v) + 0j for k, v in _REAL_BATCHES.items()},
+    "off the axis": [0.5 + 0.1j, -2.0 + 1e-300j, -1.0 - 0.5j, 1j],
+    "signed zeros": [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -1.0 + 0j, 0.3j],
+    "nan parts": [complex(np.nan, 0.0), complex(-1.0, np.nan), complex(0.0, np.nan), 2.0 + 0j],
+}
+_ROW_BATCHES = [np.asarray(v, dtype=float) for v in _REAL_BATCHES.values()] + [
+    np.asarray(v, dtype=complex) for v in _COMPLEX_BATCHES.values()]
+
+
+class TestMaskedRows:
+    """pow, log and div skip their masking passes where no point is masked;
+    every batch, masked or not, keeps the bits and the NaNs of the masked
+    formula, in real and in complex arithmetic."""
+
+    @staticmethod
+    def _ev(cls, node, *args):
+        with np.errstate(all="ignore"):
+            return _OPS[cls].ev(node, None, *args)
+
+    # a real batch belongs to a real tree, whose exponents are real
+    @pytest.mark.parametrize("z, p", [(z, p) for z in _ROW_BATCHES for p in (0.7, -1.5, 2.0, 0.5 - 0.25j)
+                                      if z.dtype.kind == "c" or not isinstance(p, complex)])
+    def test_pow(self, z, p):
+        node = dc.PowConst(p, dc.Coord(0))
+        for batch in (z, np.stack([z, z[::-1]], axis=1)):  # a parameter axis too
+            got = self._ev(dc.PowConst, node, batch)
+            with np.errstate(all="ignore"):
+                want = _parent_masked(_parent_nonpositive(batch), lambda w: np.exp(p * np.log(w)), batch)
+            assert got.shape == want.shape and _same_bits(got, want)
+
+    @pytest.mark.parametrize("z", _ROW_BATCHES)
+    def test_log(self, z):
+        got = self._ev(dc.Log, dc.Log(dc.Coord(0)), z)
+        with np.errstate(all="ignore"):
+            want = _parent_masked(_parent_nonpositive(z), np.log, z)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("b", _ROW_BATCHES)
+    def test_div(self, b):
+        for a in (np.linspace(-1.0, 2.0, b.size).astype(b.dtype), np.full(b.size, np.nan, dtype=b.dtype)):
+            got = self._ev(dc.Div, dc.Div(dc.Coord(0), dc.Coord(0)), a, b)
+            with np.errstate(all="ignore"):
+                want = _parent_masked(b == 0, lambda d: a / d, b)
+            assert _same_bits(got, want)
+
+    def test_real_batches_test_only_the_sign(self):
+        # a real batch's nonpositive points are exactly z <= 0: -0.0 too, NaN not
+        z = np.array(_REAL_BATCHES["zeros and negatives"] + _REAL_BATCHES["nan"])
+        np.testing.assert_array_equal(repfn._nonpositive(z), _parent_nonpositive(z))
+        np.testing.assert_array_equal(repfn._nonpositive(z), z <= 0.0)
+
+    def test_a_single_root_is_a_column_of_its_own_walk(self):
+        f = dc.from_prefix("(repfn 2 (sub (sub (pow 0.5 (add (const 1) (x 0))) (const 1)) "
+                           "(log (add (const 1) (x 1)))))")
+        X = np.array([[0.2, -0.5], [-1.5, 0.1], [0.0, -1.0]])
+        for points in (X, X + 0j):
+            out = f.eval_batch(points)
+            assert out.shape == (3, 1) and out.dtype == points.dtype
+            np.testing.assert_array_equal(_isnan(out), [[False], [True], [True]])
+            want = np.sqrt(1.2) - 1.0 - np.log(0.5)
+            assert out[0, 0] == pytest.approx(want, rel=1e-15)

@@ -1,0 +1,165 @@
+"""Time two source trees against each other in one process.
+
+    python tools/ab_inprocess.py PARENT CHANGE [--workload W] [--seed S] [--rounds N]
+
+Each directory is a checkout with the package under ``src``.  The script
+loads each tree's package under its own name (``ab_parent`` and
+``ab_change``), so both run in one process on the same interpreter and
+allocator.  On each side it builds the ops of one pass of a ``perfbench``
+workload (default ``drift_nd``, seed 7), as ``perfbench/workloads.py`` and
+``perfbench/worker.py`` of this checkout generate and run them, and the
+fixed cases of ``cases``: the 1-d Merton drift of ``rep_exp_affine(0.5)`` and
+one 2-d power drift.  After one warm-up pass per side, each of N rounds
+(default 15) times one whole pass on each side, then CASE_REPS calls of
+each fixed case on each side; the side that goes first alternates from
+round to round.
+
+It exits 1, naming the op, if an op's output or a fixed case's drift
+differs between the two sides on any pass.  Otherwise it prints JSON: for
+the pass (in ms) and for each fixed case (in microseconds per call), the
+best and the median time of each side, the median over rounds of the pair
+ratio parent/change (above 1 when the change is faster), and in how many
+rounds the change was faster.  It is a development tool, not part of the
+package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import worker  # noqa: E402  (the benchmark's op runner, imported read-only)
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+MODULES = ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")
+#: calls per timed sample of a fixed case
+CASE_REPS = 500
+#: a Merton (1976) jump diffusion: lognormal jumps, no atoms
+MERTON = {
+    "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
+    "jumps": [{"kind": "gaussian_push", "lambda": 0.8, "mean": [-0.05], "cov": [[0.04]]}],
+}
+#: a 2-d Gaussian body like those of ``drift_nd``
+BODY_2D = {
+    "type": "levy", "dim": 2, "b": [0.03, 0.01], "c": [[0.04, 0.01], [0.01, 0.09]],
+    "truncation": ["identity", "identity"],
+    "jumps": [{"kind": "gaussian_push", "lambda": 0.6, "mean": [-0.08, 0.02],
+               "cov": [[0.01, 0.004], [0.004, 0.0225]]}],
+}
+
+
+def load(tree: Path, name: str) -> SimpleNamespace:
+    """The modules of the package under ``tree/src``, imported as ``name``."""
+    src = tree / "src" / "driftcalc"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def cases(M) -> dict:
+    """Label -> zero-argument call of each fixed case, returning its drift total."""
+    merton, body = M.modelio.parse_model(MERTON), M.modelio.parse_model(BODY_2D)
+    exp_affine = M.calculus.rep_exp_affine(0.5)
+    power = M.repfn.from_prefix(worker.power_tree([0.7, -1.2]))
+    return {
+        "merton_1d_us": lambda: M.drift.drift(exp_affine, merton).total,
+        "power_2d_us": lambda: M.drift.drift(power, body).total,
+    }
+
+
+def run_pass(calls) -> tuple:
+    """(seconds, outputs) of one whole pass."""
+    t0 = perf_counter()
+    outputs = [worker.run_op(call) for call in calls]
+    return perf_counter() - t0, outputs
+
+
+def time_case(call) -> tuple:
+    """(seconds per call over CASE_REPS calls, the last result)."""
+    t0 = perf_counter()
+    for _ in range(CASE_REPS):
+        out = call()
+    return (perf_counter() - t0) / CASE_REPS, out
+
+
+def summary(times: dict, scale: float) -> dict:
+    """Each side's best and median time (seconds times ``scale``), the median
+    pair ratio parent/change and the rounds the change won, from the
+    per-round seconds of each side in ``times``."""
+    ratios = [p / c for p, c in zip(times["parent"], times["change"])]
+    out = {f"{side}_{stat}": round(fn(times[side]) * scale, 3)
+           for side in SIDES for stat, fn in (("best", min), ("median", statistics.median))}
+    out["ratio_median"] = round(statistics.median(ratios), 4)
+    out["change_wins"] = f"{sum(r > 1.0 for r in ratios)}/{len(ratios)}"
+    return out
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", default="drift_nd", choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    plan = workloads.generate(args.workload, args.seed)
+    plan["mc_workers"] = workloads.MC_WORKERS
+    with tempfile.TemporaryDirectory() as tmp:
+        plan["model_paths"] = {}
+        for m, doc in plan["models"].items():
+            path = Path(tmp) / f"{m}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            plan["model_paths"][m] = str(path)
+        side = {}
+        for name, tree in zip(SIDES, (args.parent, args.change)):
+            M = load(tree.resolve(), f"ab_{name}")
+            side[name] = ([worker.make_call(M, plan, spec) for spec in plan["ops"]], cases(M))
+        passes = {name: [] for name in SIDES}
+        fixed = {label: {name: [] for name in SIDES} for label in side["parent"][1]}
+        for r in range(args.rounds + 1):  # round 0 is the warm-up
+            order = SIDES if r % 2 else SIDES[::-1]
+            outputs, totals = {}, {}
+            for name in order:
+                gc.collect()
+                dt, outputs[name] = run_pass(side[name][0])
+                if r:
+                    passes[name].append(dt)
+            for label in fixed:
+                for name in order:
+                    gc.collect()
+                    dt, totals[name] = time_case(side[name][1][label])
+                    if r:
+                        fixed[label][name].append(dt)
+                if totals["parent"].tolist() != totals["change"].tolist():
+                    print(f"DIFFERS: {label} drift {totals['parent']} -> {totals['change']}", file=sys.stderr)
+                    return 1
+            for i, (a, b) in enumerate(zip(outputs["parent"], outputs["change"])):
+                if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
+                    print(f"DIFFERS: op {i} ({plan['ops'][i]['label']}): {a} -> {b}", file=sys.stderr)
+                    return 1
+    result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+              "ops_per_pass": len(plan["ops"]), "pass_ms": summary(passes, 1e3)}
+    result.update({label: summary(times, 1e6) for label, times in fixed.items()})
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,7 +21,8 @@ e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how many ops 
 of a number x to x' by op label: |x' - x| / spot1 for a price, else
 |x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds of its
 model, an ``mc_verify`` label its worker count.  Then it prints, by
-label, the ``pricing.drift`` calls of each tree per op.  It exits 1 if any
+label, the ``drift.drift`` calls of each tree per op, counted through every
+module of the package that binds the function.  It exits 1 if any
 exit code or stderr differs, if an output differs other than in its
 numbers, if a node set differs at all, if a grid row's error status
 differs at all, or if a tree's estimate at 2 workers differs from its
@@ -216,7 +217,7 @@ def _extra_runs(M, tmp):
 
 def _record(drifts, key, label, call, spot1, tmp):
     """One run's record: exit code, stdout and stderr (``tmp`` written as
-    <dir>) and its ``pricing.drift`` calls."""
+    <dir>) and its ``drift.drift`` calls."""
     before = drifts[0]
     res = worker.run_op(call)
     if "rc" in res:
@@ -249,7 +250,7 @@ def _price_runs(M, seed, plan):
 
 
 def run_tree():
-    """Every op's label, exit code, stdout, stderr and ``pricing.drift``
+    """Every op's label, exit code, stdout, stderr and ``drift.drift``
     calls on the tree on sys.path; an op that is not a CLI call prints its
     result as JSON, or exits 1 with its exception as stderr."""
     import driftcalc
@@ -257,13 +258,19 @@ def run_tree():
     # the modules themselves: the package's ``drift`` attribute is the function
     M = SimpleNamespace(**{name: importlib.import_module(f"driftcalc.{name}") for name in
                            ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")})
-    drifts, drift = [0], M.pricing.drift
+    drifts, drift = [0], M.drift.drift
 
     def counted(*args, **kwargs):
         drifts[0] += 1
         return drift(*args, **kwargs)
 
-    M.pricing.drift = counted
+    # every module that binds the function, as perfbench/tracer.py installs
+    # its wrappers, so a drift taken through any of them is counted
+    for name, module in list(sys.modules.items()):
+        if name == "driftcalc" or name.startswith("driftcalc."):
+            for key, value in list(vars(module).items()):
+                if value is drift:
+                    setattr(module, key, counted)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("grid_1d", "drift_nd", "price_margrabe", "mc_verify"):
@@ -349,7 +356,7 @@ def main(argv) -> int:
         runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
         failures += [f"{tree}: {key} differs from its run at 1 worker" for key, run in runs.items()
                      if key.endswith("/2w") and run != runs[key[:-2] + "1w"]]
-    print(f"\n{'pricing.drift calls per op':<50} {'parent':>9} {'change':>9}")
+    print(f"\n{'drift calls per op':<50} {'parent':>9} {'change':>9}")
     ops, calls = defaultdict(int), defaultdict(lambda: [0, 0])
     for a, b in zip(old, new):
         ops[a["label"]] += 1
