@@ -441,7 +441,9 @@ def main(argv=None) -> int:
     except (ModelFormatError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
+    except (EngineError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = f"out of memory in the {args.command} command" + (f" ({exc})" if str(exc) else "")
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 

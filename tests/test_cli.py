@@ -582,6 +582,25 @@ class TestExitCodes:
         assert captured.err.startswith("computation failed: quadratic part of the drift is not finite")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, argv, function, error, detail", [
+        ("drift", ["--xi", "log_return"], "drift",
+         MemoryError("Unable to allocate 9.5 GiB for an array with shape (170000000, 7) and data type float64"),
+         " (Unable to allocate 9.5 GiB for an array with shape (170000000, 7) and data type float64)"),
+        ("utility", ["--bracket=0,8"], "optimize_exp_utility", MemoryError(), ""),
+    ])
+    def test_out_of_memory_is_exit_one_naming_the_command(self, model_file, capsys, monkeypatch,
+                                                          command, argv, function, error, detail):
+        # the command's computation raises as numpy does when an array
+        # cannot be allocated; nothing large is allocated here
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(cli, function, out_of_memory)
+        assert main([command, "--model", model_file(MERTON_MODEL), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"computation failed: out of memory in the {command} command{detail}\n"
+
     def test_misspelt_grid_axis_is_exit_two(self, model_file, capsys):
         code = main(["cumulant", "--model", model_file(MERTON_MODEL),
                      "--v-grid", '{"Re": {"start": 0, "stop": 2, "count": 3}}'])

@@ -415,9 +415,51 @@ class TestOptimizer:
         assert lam_star == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
+        # One tree, the scan and three Newton drifts.  Newton starts at the
+        # root of the cubic Hermite interpolant of u' on the scan cell, 5e-6
+        # from lam* here (the secant root is 5e-4 off): the cubic is off u'
+        # by up to 3.5e-7 on this cell, so a third Newton drift still settles.
         calls = count_calls(monkeypatch, pricing, "drift")
-        dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
+        builds = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
+        lam_star, _ = dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
         assert len(calls) <= 4
+        assert len(builds) == 1
+        start, = [node.values for _op, node, _args in calls[1][0]._tape if type(node) is dc.Param]
+        assert abs(start[0] - lam_star) <= 1e-5
+
+    def test_newton_starts_at_the_hermite_root(self):
+        # f' = x^3 + x - 3: the cubic Hermite interpolant of f' on a cell
+        # is f' itself, so Newton starts at its root and settles at once
+        root = 1.2134116627622296
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x**3 + x - 3.0, 3.0 * x**2 + 1.0
+
+        assert pricing.minimize_scalar(fn, (-4.0, 4.0)) == pytest.approx(root, rel=1e-15)
+        assert calls[1] == pytest.approx(root, rel=1e-15)
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("curvature", [35.0, 40.0])
+    def test_hermite_root_outside_the_cell_starts_at_the_secant_root(self, curvature):
+        # On the scan cell [4, 5], f' goes from -1 to 3, with f'' the same
+        # at both ends.  The secant root is 4.25.  With f'' = 35 the cubic
+        # through those data has slope 0.125 there, and Newton on it steps to
+        # t = -23 and is still at t = -2.6 after six steps, outside the cell;
+        # with f'' = 40 its slope there is -0.5.  Either way the secant root
+        # is the start.  Off the scan, f' = x - 4.25.
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if np.ndim(x):
+                return np.where(x < 4.5, -1.0, 3.0), np.full_like(x, curvature)
+            return x - 4.25, 1.0
+
+        assert pricing.minimize_scalar(fn, (0.0, 16.0)) == 4.25
+        assert calls[1] == 4.25
+        assert len(calls) == 2
 
     def test_newton_step_below_one_ulp_settles(self, monkeypatch):
         # Newton reaches lam* from one side here: its last step rounds to the
@@ -429,7 +471,7 @@ class TestOptimizer:
                             np.array([[0.016851080604062502]])),
             dc.TruncationSpec.unit_clip(1),
         )
-        calls = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
+        calls = count_calls(monkeypatch, pricing, "drift")
         lam_star, _ = dc.optimize_exp_utility(t, (0.0, 8.0))
         assert lam_star == pytest.approx(1.097256332595609, rel=1e-13)
         assert len(calls) <= 4
@@ -462,6 +504,23 @@ class TestUtilitySlope:
         want = one.T.ravel()
         assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
 
+    @pytest.mark.parametrize("K", [1, 17])
+    @pytest.mark.parametrize("lam", [0.0, -0.5, 1e-3, 1.4, 8.0, 800.0])
+    def test_a_rebound_tree_is_a_fresh_build(self, merton_1d, atoms_1d, lam, K):
+        # a 17-point scan tree rebound on its tape, as the Newton steps rebind it
+        values = lam + np.linspace(0.0, 2.0, K)
+        rebound = _rep_exp_utility_slope(np.linspace(-1.0, 7.0, 17))._rebind(values)
+        fresh = _rep_exp_utility_slope(values)
+        assert rebound.outputs == fresh.outputs and rebound.output_dim == 3 * K
+        assert dc.to_prefix(rebound) == dc.to_prefix(fresh)
+        for part in ("value", "jacobian", "hessian"):
+            assert same_bits(getattr(rebound.jet_at_zero(), part), getattr(fresh.jet_at_zero(), part))
+        X = np.array([[-3.0], [-0.2], [0.0], [1e-3], [0.7], [5.0]])
+        assert same_bits(rebound.eval_batch(X), fresh.eval_batch(X))
+        assert same_bits(rebound.eval_batch(X.astype(complex)), fresh.eval_batch(X.astype(complex)))
+        for t in (merton_1d, atoms_1d):
+            assert drift_outcome(rebound, t) == drift_outcome(fresh, t)
+
     @pytest.mark.parametrize("lam", [-2.0, 0.0, 3.0])
     def test_discrete_compensator_on_trinomial(self, trinomial, lam):
         y = np.expm1(trinomial.points[:, 0])
@@ -469,6 +528,21 @@ class TestUtilitySlope:
         d1, d2 = dc.discrete_compensator(_rep_exp_utility_slope(lam), trinomial, 1.0)[:2]
         assert d1 == pytest.approx(-np.sum(weight * y), rel=1e-13)
         assert d2 == pytest.approx(np.sum(weight * y * y), rel=1e-13)
+
+
+def same_bits(a, b) -> bool:
+    """True if two arrays have one dtype and shape and the same bytes."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def drift_outcome(xi, t):
+    """The bytes of every part of a drift report, or its error's class and message."""
+    try:
+        report = dc.drift(xi, t)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [getattr(report, p).tobytes() for p in ("total", "linear_part", "quadratic_part", "jump_part")]
 
 
 def midpoint_newton(fn, bracket):

@@ -671,6 +671,39 @@ class TestParam:
         back = pickle.loads(pickle.dumps(f))
         assert back.outputs == f.outputs and back.output_dim == 4
 
+    @pytest.mark.parametrize(
+        "make, values",
+        [
+            (lambda p: dc.Coord(0) * dc.Log(p), [2.0, 3.0]),
+            (lambda p: dc.Coord(0) * dc.Log(p), [2.0, -1.0]),
+            (lambda p: dc.Coord(0) * dc.PowConst(0.5, p), [4.0, -4.0]),
+            (lambda p: dc.Coord(0) * dc.Indicator("abs_le", 1.0, p), [0.5, 1.0]),
+            (lambda p: dc.Exp(p * dc.Coord(0)) - ONE, [0.5 + 2.0j, -1.0, 3.0]),
+            (lambda p: dc.Coord(0) / (p + dc.Coord(0)), [1.0, 0.0]),
+            (lambda p: p + dc.Coord(0), [0.0, 1.0]),
+        ],
+    )
+    def test_a_rebound_tree_is_a_fresh_build(self, make, values):
+        # y, off the leaf, is a root of its own and a child of a row that
+        # depends on the leaf
+        def build(p):
+            y = dc.Exp(dc.Coord(0)) - ONE
+            return dc.RepFn(1, (y * make(p), y))
+
+        def outcome(tree):
+            try:
+                f = tree()
+            except ValueError as exc:
+                return str(exc)
+            jet = f.jet_at_zero()
+            X = np.array([[-0.5], [0.0], [0.3], [2.0]])
+            return (f.outputs, dc.to_prefix(f), f.output_dim, *[a.tobytes() for a in (
+                jet.value, jet.jacobian, jet.hessian, f.eval_batch(X), f.eval_batch(X.astype(complex)))],
+                f.eval_batch(X).dtype)
+
+        start = build(dc.Param([0.7]))
+        assert outcome(lambda: start._rebind(values)) == outcome(lambda: build(dc.Param(values)))
+
 
 def _with_params(node, params):
     """The raw tree with Const leaves replaced, in walk order, by the

@@ -14,13 +14,18 @@ one 2-d power drift.  After one warm-up pass per side, each of N rounds
 each fixed case on each side; the side that goes first alternates from
 round to round.
 
-It exits 1, naming the op, if an op's output or a fixed case's drift
-differs between the two sides on any pass.  Otherwise it prints JSON: for
-the pass (in ms) and for each fixed case (in microseconds per call), the
-best and the median time of each side, the median over rounds of the pair
-ratio parent/change (above 1 when the change is faster), and in how many
-rounds the change was faster.  It is a development tool, not part of the
-package.
+An op's output or a fixed case's drift may differ between the two sides
+only in its numbers, each by at most MAX_MOVE (1 + |x|), the move of x as
+``tools/compare_outputs.py`` measures it.  The script exits 1, naming the
+op, on any other difference on any pass.  Otherwise it prints JSON: for the
+pass (in ms), for the pass's p90 op latency (in ms; the nearest-rank 90th
+percentile of its ops' wall times, a failing op counting by its time), for
+the ops of each label summed over a pass (in ms) and for each fixed case
+(in microseconds per call), the best and the median time of each side, the
+median over rounds of the pair ratio parent/change (above 1 when the change
+is faster), and in how many rounds the change was faster; and the moved
+outputs: how many ops moved, the worst move and its op.  It is a
+development tool, not part of the package.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -41,11 +47,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import worker  # noqa: E402  (the benchmark's op runner, imported read-only)
 import workloads  # noqa: E402
+from compare_outputs import move  # noqa: E402
 
 SIDES = ("parent", "change")
 MODULES = ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")
 #: calls per timed sample of a fixed case
 CASE_REPS = 500
+#: largest move of a number, relative to 1 + |x|, an output may show
+MAX_MOVE = 1e-15
 #: a Merton (1976) jump diffusion: lognormal jumps, no atoms
 MERTON = {
     "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
@@ -83,10 +92,40 @@ def cases(M) -> dict:
 
 
 def run_pass(calls) -> tuple:
-    """(seconds, outputs) of one whole pass."""
-    t0 = perf_counter()
-    outputs = [worker.run_op(call) for call in calls]
-    return perf_counter() - t0, outputs
+    """(seconds, seconds of each op, outputs) of one whole pass."""
+    outputs, times = [], []
+    start = perf_counter()
+    for call in calls:
+        t0 = perf_counter()
+        outputs.append(worker.run_op(call))
+        times.append(perf_counter() - t0)
+    return perf_counter() - start, times, outputs
+
+
+def p90(times) -> float:
+    """The nearest-rank 90th percentile, as ``perfbench/run.py`` ranks latencies."""
+    return sorted(times)[max(math.ceil(0.9 * len(times)) - 1, 0)]
+
+
+class Moves:
+    """The worst move of the outputs seen so far, and the ops that moved."""
+
+    def __init__(self):
+        self.worst, self.where, self.ops = 0.0, None, set()
+
+    def check(self, what, a: str, b: str) -> bool:
+        """Record the move from text a to text b; False, naming ``what`` on
+        stderr, if they differ other than in numbers within MAX_MOVE."""
+        if a == b:
+            return True
+        m = move(a, b)
+        if m is None or m > MAX_MOVE:
+            print(f"DIFFERS: {what}: {a} -> {b}", file=sys.stderr)
+            return False
+        self.ops.add(what)
+        if m >= self.worst:
+            self.worst, self.where = m, what
+        return True
 
 
 def time_case(call) -> tuple:
@@ -131,31 +170,42 @@ def main(argv) -> int:
         for name, tree in zip(SIDES, (args.parent, args.change)):
             M = load(tree.resolve(), f"ab_{name}")
             side[name] = ([worker.make_call(M, plan, spec) for spec in plan["ops"]], cases(M))
-        passes = {name: [] for name in SIDES}
+        labels = sorted({op["label"] for op in plan["ops"]})
+        passes, p90s = ({name: [] for name in SIDES} for _ in range(2))
+        by_label = {label: {name: [] for name in SIDES} for label in labels}
         fixed = {label: {name: [] for name in SIDES} for label in side["parent"][1]}
+        moves = Moves()
         for r in range(args.rounds + 1):  # round 0 is the warm-up
             order = SIDES if r % 2 else SIDES[::-1]
             outputs, totals = {}, {}
             for name in order:
                 gc.collect()
-                dt, outputs[name] = run_pass(side[name][0])
+                dt, times, outputs[name] = run_pass(side[name][0])
                 if r:
                     passes[name].append(dt)
+                    p90s[name].append(p90(times))
+                    for label in labels:
+                        by_label[label][name].append(
+                            sum(t for t, op in zip(times, plan["ops"]) if op["label"] == label))
             for label in fixed:
                 for name in order:
                     gc.collect()
                     dt, totals[name] = time_case(side[name][1][label])
                     if r:
                         fixed[label][name].append(dt)
-                if totals["parent"].tolist() != totals["change"].tolist():
-                    print(f"DIFFERS: {label} drift {totals['parent']} -> {totals['change']}", file=sys.stderr)
+                if not moves.check(f"{label} drift", repr(totals["parent"].tolist()),
+                                   repr(totals["change"].tolist())):
                     return 1
             for i, (a, b) in enumerate(zip(outputs["parent"], outputs["change"])):
-                if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
-                    print(f"DIFFERS: op {i} ({plan['ops'][i]['label']}): {a} -> {b}", file=sys.stderr)
+                if not moves.check(f"op {i} ({plan['ops'][i]['label']})", json.dumps(a, sort_keys=True),
+                                   json.dumps(b, sort_keys=True)):
                     return 1
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
-              "ops_per_pass": len(plan["ops"]), "pass_ms": summary(passes, 1e3)}
+              "ops_per_pass": len(plan["ops"]), "pass_ms": summary(passes, 1e3),
+              "op_p90_ms": summary(p90s, 1e3),
+              "label_ms": {label: summary(times, 1e3) for label, times in by_label.items()},
+              "moved": {"ops": len(moves.ops), "worst": moves.worst, "worst_op": moves.where,
+                        "bound": MAX_MOVE}}
     result.update({label: summary(times, 1e6) for label, times in fixed.items()})
     print(json.dumps(result, indent=1))
     return 0

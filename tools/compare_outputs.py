@@ -17,12 +17,15 @@ and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1 and at 2
 workers, on the trinomial law and each ``grid_1d`` discrete model at
 T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose blocks
 span several row chunks, and on the pushforward of WIDE through
-e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how many ops are identical and how many moved, with the worst move
-of a number x to x' by op label: |x' - x| / spot1 for a price, else
-|x' - x| / (1 + |x|); a ``grid_1d`` label names the jump kinds of its
-model, an ``mc_verify`` label its worker count.  Then it prints, by
-label, the ``drift.drift`` calls of each tree per op, counted through every
-module of the package that binds the function.  It exits 1 if any
+e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how
+many ops are identical and how many moved, with the worst move of a number
+x to x' by op label: |x' - x| / spot1 for a price, else |x' - x| / (1 + |x|);
+a ``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
+label its worker count.  Then it prints, by label, the ``drift.drift``
+calls of each tree per op, counted through every module of the package
+that binds the function, and the ``RepFn`` builds of each tree per op,
+counted through ``RepFn.__post_init__`` as ``perfbench/tracer.py`` counts
+them (a tree rebound on its tape is not a build).  It exits 1 if any
 exit code or stderr differs, if an output differs other than in its
 numbers, if a node set differs at all, if a grid row's error status
 differs at all, or if a tree's estimate at 2 workers differs from its
@@ -215,10 +218,10 @@ def _extra_runs(M, tmp):
     return runs + _mc_extra_runs(M)
 
 
-def _record(drifts, key, label, call, spot1, tmp):
+def _record(counts, key, label, call, spot1, tmp):
     """One run's record: exit code, stdout and stderr (``tmp`` written as
-    <dir>) and its ``drift.drift`` calls."""
-    before = drifts[0]
+    <dir>), and its ``drift.drift`` calls and ``RepFn`` builds."""
+    before = dict(counts)
     res = worker.run_op(call)
     if "rc" in res:
         rc, out, err = res["rc"], res["out"], res["err"]
@@ -226,7 +229,8 @@ def _record(drifts, key, label, call, spot1, tmp):
         rc, out, err = 1, "", f"{res['raise']}: {res['msg']}"
     else:
         rc, out, err = 0, json.dumps(res), ""
-    return {"key": key, "label": label, "rc": rc, "spot1": spot1, "drifts": drifts[0] - before,
+    return {"key": key, "label": label, "rc": rc, "spot1": spot1,
+            **{name: n - before[name] for name, n in counts.items()},
             "out": out.replace(tmp, "<dir>"), "err": err.replace(tmp, "<dir>")}
 
 
@@ -250,19 +254,26 @@ def _price_runs(M, seed, plan):
 
 
 def run_tree():
-    """Every op's label, exit code, stdout, stderr and ``drift.drift``
-    calls on the tree on sys.path; an op that is not a CLI call prints its
-    result as JSON, or exits 1 with its exception as stderr."""
+    """Every op's label, exit code, stdout, stderr, ``drift.drift`` calls
+    and ``RepFn`` builds on the tree on sys.path; an op that is not a CLI
+    call prints its result as JSON, or exits 1 with its exception as
+    stderr."""
     import driftcalc
 
     # the modules themselves: the package's ``drift`` attribute is the function
     M = SimpleNamespace(**{name: importlib.import_module(f"driftcalc.{name}") for name in
                            ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")})
-    drifts, drift = [0], M.drift.drift
+    counts, drift, build = {"drifts": 0, "builds": 0}, M.drift.drift, M.repfn.RepFn.__post_init__
 
     def counted(*args, **kwargs):
-        drifts[0] += 1
+        counts["drifts"] += 1
         return drift(*args, **kwargs)
+
+    def counted_build(self):
+        counts["builds"] += 1
+        return build(self)
+
+    M.repfn.RepFn.__post_init__ = counted_build
 
     # every module that binds the function, as perfbench/tracer.py installs
     # its wrappers, so a drift taken through any of them is counted
@@ -284,8 +295,8 @@ def run_tree():
                 runs = [run for i, op in enumerate(plan["ops"]) for run in _runs(M, name, seed, i, plan, op)]
                 if name == "mc_verify":
                     runs += _price_runs(M, seed, plan)
-                records += [_record(drifts, *run, tmp) for run in runs]
-        records += [_record(drifts, *run, tmp) for run in _extra_runs(M, tmp)]
+                records += [_record(counts, *run, tmp) for run in runs]
+        records += [_record(counts, *run, tmp) for run in _extra_runs(M, tmp)]
     return {"package": driftcalc.__file__, "records": records}
 
 
@@ -356,15 +367,15 @@ def main(argv) -> int:
         runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
         failures += [f"{tree}: {key} differs from its run at 1 worker" for key, run in runs.items()
                      if key.endswith("/2w") and run != runs[key[:-2] + "1w"]]
-    print(f"\n{'drift calls per op':<50} {'parent':>9} {'change':>9}")
-    ops, calls = defaultdict(int), defaultdict(lambda: [0, 0])
+    print(f"\n{'per op':<50} {'drift calls':>19} {'RepFn builds':>19}")
+    print(f"{'':<50} {'parent':>9} {'change':>9} {'parent':>9} {'change':>9}")
+    ops, calls = defaultdict(int), defaultdict(lambda: [0, 0, 0, 0])
     for a, b in zip(old, new):
         ops[a["label"]] += 1
-        calls[a["label"]][0] += a["drifts"]
-        calls[a["label"]][1] += b["drifts"]
-    for label in sorted(label for label, (x, y) in calls.items() if x or y):
-        x, y = calls[label]
-        print(f"{label:<50} {x / ops[label]:>9.2f} {y / ops[label]:>9.2f}")
+        for i, n in enumerate((a["drifts"], b["drifts"], a["builds"], b["builds"])):
+            calls[a["label"]][i] += n
+    for label in sorted(label for label, n in calls.items() if any(n)):
+        print(f"{label:<50}", *[f"{n / ops[label]:>9.2f}" for n in calls[label]])
     for line in failures:
         print("DIFFERS:", line)
     return 1 if failures else 0
