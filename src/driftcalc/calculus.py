@@ -93,11 +93,12 @@ def _rep_exp_utility_slope(lam) -> RepFn:
 
     The drift is linear in the increment function, so the drift of these
     three roots is u', u'' and u for the utility drift u at lam, from one
-    tree whose roots share the weight e^{-lam y}.  ``lam`` (a number or K
-    values) is one parameter leaf: columns in (output, parameter) order.
+    tree whose roots share the weight e^{-lam y}.  A number ``lam`` is a
+    constant leaf; a 1-d array of K values is one parameter leaf, with
+    columns in (output, parameter) order.
     """
     y = Exp(Coord(0)) - _ONE
-    weight = Exp(Neg(Param(np.atleast_1d(lam)) * y))
+    weight = Exp(Neg((Param(lam) if np.ndim(lam) else Const(lam)) * y))
     return RepFn(1, (Neg(y * weight), y * y * weight, weight - _ONE))
 
 

@@ -88,8 +88,9 @@ def minimize_scalar(fn, bracket: Tuple[float, float]) -> float:
     cubic Hermite interpolant of f' and f'' at its ends if that lies strictly
     inside with a positive slope, else at the secant root.  Each step shrinks
     the cell by the sign of f' and bisects unless f'' > 0 and the step stays
-    inside and is at most half the previous one.  The result is the last
-    point fn was called at, whose next step is below 1e-15 (1 + |x|).
+    inside and is at most half the previous one or at most 1e-15 (1 + |x|).
+    The result is the last point fn was called at, whose next step is at
+    most 1e-15 (1 + |x|).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -122,12 +123,13 @@ def minimize_scalar(fn, bracket: Tuple[float, float]) -> float:
     for _ in range(POLISH_STEPS):
         d1, d2 = fn(x)[:2]
         a, b = (a, x) if d1 > 0.0 else (x, b)
-        new = 0.5 * (a + b)
-        # inclusive: a step that rounds to x, now a bracket end, settles
-        if d2 > 0.0 and a <= x - d1 / d2 <= b and abs(d1 / d2) <= 0.5 * abs(step):
+        new, tol = 0.5 * (a + b), 1e-15 * (1.0 + abs(x))
+        # inclusive: a step that rounds to x, now a bracket end, settles; so
+        # does one within tol, even where rounding puts it past half the last
+        if d2 > 0.0 and a <= x - d1 / d2 <= b and abs(d1 / d2) <= max(0.5 * abs(step), tol):
             new = x - d1 / d2
         step = new - x
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+        if abs(step) <= tol:
             return x
         x = new
     raise ConvergenceError(f"Newton polish on [{lo}, {hi}] did not settle in {POLISH_STEPS} steps")
@@ -140,17 +142,16 @@ def optimize_exp_utility(
 ) -> Tuple[float, float]:
     """Optimal constant dollar exposure for exponential utility: the interior
     minimiser lam* over the bracket of the drift u of the relative change of
-    e^{-lam R}, where -E[e^{-lam R_T}] is largest, and u(lam*).  One slope
-    tree gives u', u'' and u; the Newton steps rebind its lam leaf, so an
-    optimum builds one tree and takes the scan drift and two or three Newton
-    drifts, the last at lam*, whose u costs no further drift."""
+    e^{-lam R}, where -E[e^{-lam R_T}] is largest, and u(lam*).  Each drift
+    is of one slope tree giving u', u'' and u at its lam: the scan's tree
+    holds its points in a parameter leaf, each Newton step's tree its one
+    lam in a constant leaf.  An optimum takes the scan drift and two or
+    three Newton drifts, the last at lam*, whose u costs no further drift."""
     _require_1d(t, "utility drift")
-    # the scan's tree, then each Newton step's rebinding of it
-    values, trees = {}, []
+    values = {}
 
     def slope(lam):
-        trees.append(trees[0]._rebind(np.atleast_1d(lam)) if trees else _rep_exp_utility_slope(lam))
-        d = drift(trees[-1], t, quad).total
+        d = drift(_rep_exp_utility_slope(lam), t, quad).total
         if _nonreal(d):
             raise EngineError(f"utility drift derivatives came out non-real: {d}")
         # columns in (output, parameter) order

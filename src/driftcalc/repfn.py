@@ -593,20 +593,15 @@ class RepFn:
         object.__setattr__(self, "_roots", roots)
         # K, or 0 without a parameter axis
         object.__setattr__(self, "_width", widths.pop() if widths else 0)
-        self._keep_jets(self._run("jet", self.input_dim))
-
-    def _keep_jets(self, jets: list):
-        # the roots' jet is validated and kept; each tape slot's jet is kept
-        # only on a tree with a parameter axis, the trees _rebind takes
-        object.__setattr__(self, "_jets", jets if self._width else None)
         d, K = self.input_dim, self._width or 1
-        n = len(self._roots) * K
+        jets = self._run("jet", d)
+        n = len(roots) * K
         value, jac, hess = blocks = [np.zeros(s, dtype=np.complex128) for s in ((n,), (n, d), (n, d, d))]
         if self._width:
             # output k's K columns, in the jet's shapes; a root off the axis
             # broadcasts over them
             blocks = (value.reshape(-1, K, 1, 1), jac.reshape(-1, K, 1, d), hess.reshape(-1, K, d, d))
-        for k, s in enumerate(self._roots):
+        for k, s in enumerate(roots):
             blocks[0][k], blocks[1][k], blocks[2][k] = jets[s]
         if np.count_nonzero(value):
             k = np.flatnonzero(value)[0]
@@ -620,22 +615,6 @@ class RepFn:
     def __reduce__(self):
         # The tape holds the table's rules, which do not pickle: rebuild it.
         return (RepFn, (self.input_dim, self.outputs))
-
-    def _rebind(self, values) -> "RepFn":
-        """This tree with its one Param leaf holding ``values``, as a fresh build
-        gives it: only the tape rows that depend on the leaf rebuild and rerun their jets."""
-        new, tape, jets, moved = object.__new__(RepFn), [], list(self._jets), set()
-        with np.errstate(all="ignore"):
-            for s, (op, node, args) in enumerate(self._tape):
-                if op.axis or not moved.isdisjoint(args):
-                    moved.add(s)
-                    node = Param(values) if op.axis else _rebuild(node, None, *[tape[a][1] for a in args])
-                    jets[s] = op.jet(node, self.input_dim, *[jets[a] for a in args])
-                tape.append((op, node, args))
-        new.__dict__.update(input_dim=self.input_dim, outputs=tuple([tape[s][1] for s in self._roots]),
-                            _tape=tape, _roots=self._roots, _width=len(values))
-        new._keep_jets(jets)
-        return new
 
     def _run(self, rule: str, x) -> list:
         """Apply one row rule ("ev" or "jet") along the tape; one value per slot."""
@@ -681,17 +660,16 @@ class RepFn:
             raise ValueError(f"expected a batch of shape (N, {self.input_dim}), got {X.shape}")
         real = X.dtype.kind in "biuf" and self._is_real()
         X = X.astype(np.float64 if real else np.complex128, copy=False)
-        if not self._width:
-            vals = self._run("ev", X)
-            roots = [vals[s] for s in self._roots]
-            # one root: a column view of its own array, not a stacked copy
-            return roots[0][:, None] if len(roots) == 1 else np.stack(roots, axis=1)
-        vals = self._run("ev", X[:, :, None])
-        # each root assigned into its block, a root off the axis broadcast
-        columns = np.empty((X.shape[0], len(self._roots), self._width), X.dtype)
+        N, m = X.shape[0], len(self._roots)
+        vals = self._run("ev", X[:, :, None] if self._width else X)
+        if m == 1 and not self._width:
+            # a column view of the root's own array, not a copy
+            return vals[self._roots[0]][:, None]
+        # a column per root, or a block of K with a root off the axis broadcast
+        columns = np.empty((N, m, self._width) if self._width else (N, m), X.dtype)
         for k, s in enumerate(self._roots):
             columns[:, k] = vals[s]
-        return columns.reshape(X.shape[0], self.output_dim)
+        return columns.reshape(N, self.output_dim)
 
     def eval(self, x) -> np.ndarray:
         """Evaluate at a single point, shape (d,) -> (n,), typed as eval_batch."""

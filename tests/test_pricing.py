@@ -415,17 +415,18 @@ class TestOptimizer:
         assert lam_star == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
-        # One tree, the scan and three Newton drifts.  Newton starts at the
-        # root of the cubic Hermite interpolant of u' on the scan cell, 5e-6
-        # from lam* here (the secant root is 5e-4 off): the cubic is off u'
-        # by up to 3.5e-7 on this cell, so a third Newton drift still settles.
+        # The scan and three Newton drifts, one tree each.  Newton starts at
+        # the root of the cubic Hermite interpolant of u' on the scan cell,
+        # 5e-6 from lam* here (the secant root is 5e-4 off): the cubic is off
+        # u' by up to 3.5e-7 on this cell, so a third Newton drift still settles.
         calls = count_calls(monkeypatch, pricing, "drift")
         builds = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
         lam_star, _ = dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
         assert len(calls) <= 4
-        assert len(builds) == 1
-        start, = [node.values for _op, node, _args in calls[1][0]._tape if type(node) is dc.Param]
-        assert abs(start[0] - lam_star) <= 1e-5
+        assert len(builds) == len(calls)
+        # the first Newton tree's lam leaf, in its weight - 1 = e^{-lam y} - 1
+        start = calls[1][0].outputs[2].left.child.child.left
+        assert type(start) is dc.Const and abs(start.value - lam_star) <= 1e-5
 
     def test_newton_starts_at_the_hermite_root(self):
         # f' = x^3 + x - 3: the cubic Hermite interpolant of f' on a cell
@@ -476,6 +477,16 @@ class TestOptimizer:
         assert lam_star == pytest.approx(1.097256332595609, rel=1e-13)
         assert len(calls) <= 4
 
+    def test_a_settling_newton_step_past_half_the_last_is_taken(self, trinomial, monkeypatch):
+        # lam* = 0 here.  Near it, a Newton step of 5.8e-16, within the settle
+        # tolerance, rounds to just over half the previous step; refusing it
+        # bisects away from lam*, and the polish then halves the bracket one
+        # drift at a time (26 drifts).
+        calls = count_calls(monkeypatch, pricing, "drift")
+        lam_star, value = dc.optimize_discrete_exp_utility(trinomial, (-2.0, 10.0))
+        assert abs(lam_star) <= 1e-14 and value == pytest.approx(1.0, abs=1e-15)
+        assert len(calls) <= 5
+
 
 class TestUtilitySlope:
     """The derivative tree's drift is the pair of lam-derivatives of the
@@ -504,22 +515,33 @@ class TestUtilitySlope:
         want = one.T.ravel()
         assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
 
-    @pytest.mark.parametrize("K", [1, 17])
+    @pytest.mark.parametrize("model", ["merton_1d", "atoms_1d"])
     @pytest.mark.parametrize("lam", [0.0, -0.5, 1e-3, 1.4, 8.0, 800.0])
-    def test_a_rebound_tree_is_a_fresh_build(self, merton_1d, atoms_1d, lam, K):
-        # a 17-point scan tree rebound on its tape, as the Newton steps rebind it
-        values = lam + np.linspace(0.0, 2.0, K)
-        rebound = _rep_exp_utility_slope(np.linspace(-1.0, 7.0, 17))._rebind(values)
-        fresh = _rep_exp_utility_slope(values)
-        assert rebound.outputs == fresh.outputs and rebound.output_dim == 3 * K
-        assert dc.to_prefix(rebound) == dc.to_prefix(fresh)
+    def test_a_constant_leaf_is_a_one_value_parameter_leaf(self, request, model, lam):
+        # a Newton step's tree holds its lam in a Const leaf
+        const, param = _rep_exp_utility_slope(lam), _rep_exp_utility_slope(np.array([lam]))
+        assert const._width == 0 and param._width == 1 and const.output_dim == param.output_dim == 3
         for part in ("value", "jacobian", "hessian"):
-            assert same_bits(getattr(rebound.jet_at_zero(), part), getattr(fresh.jet_at_zero(), part))
-        X = np.array([[-3.0], [-0.2], [0.0], [1e-3], [0.7], [5.0]])
-        assert same_bits(rebound.eval_batch(X), fresh.eval_batch(X))
-        assert same_bits(rebound.eval_batch(X.astype(complex)), fresh.eval_batch(X.astype(complex)))
-        for t in (merton_1d, atoms_1d):
-            assert drift_outcome(rebound, t) == drift_outcome(fresh, t)
+            assert same_bits(getattr(const.jet_at_zero(), part), getattr(param.jet_at_zero(), part))
+        for X in (SLOPE_POINTS, SLOPE_POINTS.astype(complex)):
+            assert same_bits(const.eval_batch(X), param.eval_batch(X))
+        t = request.getfixturevalue(model)
+        assert drift_outcome(const, t) == drift_outcome(param, t)
+
+    @pytest.mark.parametrize("bracket", [(-1.0, 7.0), (0.0, 8.0), (0.0, 800.0)], ids=str)
+    def test_each_scan_column_is_its_one_value_tree(self, bracket):
+        lams = np.linspace(*bracket, pricing.SCAN_POINTS)
+        scan = _rep_exp_utility_slope(lams)
+        K = len(lams)
+        outs = {part: getattr(scan.jet_at_zero(), part) for part in ("value", "jacobian", "hessian")}
+        points = (SLOPE_POINTS, SLOPE_POINTS.astype(complex))
+        evals = [scan.eval_batch(X) for X in points]
+        for j, lam in enumerate(lams.tolist()):
+            one, columns = _rep_exp_utility_slope(lam), [j, K + j, 2 * K + j]
+            for part, block in outs.items():
+                assert same_bits(block[columns], getattr(one.jet_at_zero(), part))
+            for X, out in zip(points, evals):
+                assert same_bits(out[:, columns], one.eval_batch(X))
 
     @pytest.mark.parametrize("lam", [-2.0, 0.0, 3.0])
     def test_discrete_compensator_on_trinomial(self, trinomial, lam):
@@ -528,6 +550,10 @@ class TestUtilitySlope:
         d1, d2 = dc.discrete_compensator(_rep_exp_utility_slope(lam), trinomial, 1.0)[:2]
         assert d1 == pytest.approx(-np.sum(weight * y), rel=1e-13)
         assert d2 == pytest.approx(np.sum(weight * y * y), rel=1e-13)
+
+
+#: points for the slope trees: both sides of 0, 0 itself, a large jump
+SLOPE_POINTS = np.array([[-3.0], [-0.2], [0.0], [1e-3], [0.7], [5.0]])
 
 
 def same_bits(a, b) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import driftcalc as dc
 from driftcalc.errors import NanPointError
 from driftcalc import cli, repfn
+from driftcalc.calculus import _rep_exp_utility_slope
 from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan
 
 from conftest import (
@@ -671,39 +672,6 @@ class TestParam:
         back = pickle.loads(pickle.dumps(f))
         assert back.outputs == f.outputs and back.output_dim == 4
 
-    @pytest.mark.parametrize(
-        "make, values",
-        [
-            (lambda p: dc.Coord(0) * dc.Log(p), [2.0, 3.0]),
-            (lambda p: dc.Coord(0) * dc.Log(p), [2.0, -1.0]),
-            (lambda p: dc.Coord(0) * dc.PowConst(0.5, p), [4.0, -4.0]),
-            (lambda p: dc.Coord(0) * dc.Indicator("abs_le", 1.0, p), [0.5, 1.0]),
-            (lambda p: dc.Exp(p * dc.Coord(0)) - ONE, [0.5 + 2.0j, -1.0, 3.0]),
-            (lambda p: dc.Coord(0) / (p + dc.Coord(0)), [1.0, 0.0]),
-            (lambda p: p + dc.Coord(0), [0.0, 1.0]),
-        ],
-    )
-    def test_a_rebound_tree_is_a_fresh_build(self, make, values):
-        # y, off the leaf, is a root of its own and a child of a row that
-        # depends on the leaf
-        def build(p):
-            y = dc.Exp(dc.Coord(0)) - ONE
-            return dc.RepFn(1, (y * make(p), y))
-
-        def outcome(tree):
-            try:
-                f = tree()
-            except ValueError as exc:
-                return str(exc)
-            jet = f.jet_at_zero()
-            X = np.array([[-0.5], [0.0], [0.3], [2.0]])
-            return (f.outputs, dc.to_prefix(f), f.output_dim, *[a.tobytes() for a in (
-                jet.value, jet.jacobian, jet.hessian, f.eval_batch(X), f.eval_batch(X.astype(complex)))],
-                f.eval_batch(X).dtype)
-
-        start = build(dc.Param([0.7]))
-        assert outcome(lambda: start._rebind(values)) == outcome(lambda: build(dc.Param(values)))
-
 
 def _with_params(node, params):
     """The raw tree with Const leaves replaced, in walk order, by the
@@ -858,3 +826,30 @@ class TestMaskedRows:
             np.testing.assert_array_equal(_isnan(out), [[False], [True], [True]])
             want = np.sqrt(1.2) - 1.0 - np.log(0.5)
             assert out[0, 0] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        dc.rep_identity(3),
+        # mc_reweighted's tree: xi's outputs, then eta's
+        dc.RepFn(1, dc.rep_exp_affine(0.5).outputs + dc.rep_exp_utility(1.2).outputs),
+        dc.RepFn(1, dc.rep_exp_affine(0.5 + 0.3j).outputs + dc.rep_exp_utility(1.2).outputs),
+        dc.girsanov_adjust(dc.rep_identity(2), dc.RepFn(2, (dc.Coord(0) * dc.Coord(1),))),
+        _rep_exp_utility_slope(1.4),
+    ],
+    ids=["identity", "reweighted", "reweighted_complex", "girsanov", "utility_slope"],
+)
+def test_several_roots_without_a_parameter_axis_fill_one_array(f):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.5, 2.0, (7, f.input_dim))
+    X[2] = np.nan  # NaN propagates into every column
+    for points in (X, X + 0j, X + 0.25j):
+        out = f.eval_batch(points)
+        real = points.dtype.kind == "f" and f._is_real()
+        assert out.shape == (7, len(f.outputs)) and f._width == 0
+        assert out.dtype == (np.float64 if real else np.complex128)
+        for k, root in enumerate(f.outputs):
+            # a real root of a complex tree in the tree's complex arithmetic
+            one = dc.RepFn(f.input_dim, (root,)).eval_batch(points.astype(out.dtype))
+            assert _same_bits(out[:, k:k + 1], one)

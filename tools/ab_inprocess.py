@@ -8,13 +8,14 @@ loads each tree's package under its own name (``ab_parent`` and
 allocator.  On each side it builds the ops of one pass of a ``perfbench``
 workload (default ``drift_nd``, seed 7), as ``perfbench/workloads.py`` and
 ``perfbench/worker.py`` of this checkout generate and run them, and the
-fixed cases of ``cases``: the 1-d Merton drift of ``rep_exp_affine(0.5)`` and
-one 2-d power drift.  After one warm-up pass per side, each of N rounds
-(default 15) times one whole pass on each side, then CASE_REPS calls of
-each fixed case on each side; the side that goes first alternates from
+fixed cases of ``cases``: the 1-d Merton drift of ``rep_exp_affine(0.5)``,
+one 2-d power drift and the exponential-utility optimum of the 1-d Merton
+model on the bracket (0, 8).  After one warm-up pass per side, each of N
+rounds (default 15) times one whole pass on each side, then CASE_REPS calls
+of each fixed case on each side; the side that goes first alternates from
 round to round.
 
-An op's output or a fixed case's drift may differ between the two sides
+An op's output or a fixed case's result may differ between the two sides
 only in its numbers, each by at most MAX_MOVE (1 + |x|), the move of x as
 ``tools/compare_outputs.py`` measures it.  The script exits 1, naming the
 op, on any other difference on any pass.  Otherwise it prints JSON: for the
@@ -42,6 +43,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -81,13 +84,15 @@ def load(tree: Path, name: str) -> SimpleNamespace:
 
 
 def cases(M) -> dict:
-    """Label -> zero-argument call of each fixed case, returning its drift total."""
+    """Label -> zero-argument call of each fixed case, returning its drift
+    total or, for the optimum, the array of (lam*, u(lam*))."""
     merton, body = M.modelio.parse_model(MERTON), M.modelio.parse_model(BODY_2D)
     exp_affine = M.calculus.rep_exp_affine(0.5)
     power = M.repfn.from_prefix(worker.power_tree([0.7, -1.2]))
     return {
         "merton_1d_us": lambda: M.drift.drift(exp_affine, merton).total,
         "power_2d_us": lambda: M.drift.drift(power, body).total,
+        "utility_opt_us": lambda: np.array(M.pricing.optimize_exp_utility(merton, (0.0, 8.0))),
     }
 
 
@@ -193,7 +198,7 @@ def main(argv) -> int:
                     dt, totals[name] = time_case(side[name][1][label])
                     if r:
                         fixed[label][name].append(dt)
-                if not moves.check(f"{label} drift", repr(totals["parent"].tolist()),
+                if not moves.check(f"{label} case", repr(totals["parent"].tolist()),
                                    repr(totals["change"].tolist())):
                     return 1
             for i, (a, b) in enumerate(zip(outputs["parent"], outputs["change"])):

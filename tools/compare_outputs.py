@@ -25,11 +25,11 @@ label its worker count.  Then it prints, by label, the ``drift.drift``
 calls of each tree per op, counted through every module of the package
 that binds the function, and the ``RepFn`` builds of each tree per op,
 counted through ``RepFn.__post_init__`` as ``perfbench/tracer.py`` counts
-them (a tree rebound on its tape is not a build).  It exits 1 if any
-exit code or stderr differs, if an output differs other than in its
-numbers, if a node set differs at all, if a grid row's error status
-differs at all, or if a tree's estimate at 2 workers differs from its
-estimate at 1.  It is a development tool, not part of the package.
+them.  It exits 1 if any exit code or stderr differs, if an output
+differs other than in its numbers, if a node set differs at all, if a grid
+row's error status differs at all, or if a tree's estimate at 2 workers
+differs from its estimate at 1.  It is a development tool, not part of
+the package.
 """
 
 from __future__ import annotations
