@@ -31,6 +31,11 @@ from .models import DiscreteModel, LevyTriplet, QuadratureConfig, _raise_faults,
 from .repfn import RepFn
 
 
+#: 1/2 as the 0-d complex128 array a Python 0.5 becomes in a complex product,
+#: made once
+_HALF = np.array(0.5 + 0j)
+
+
 @dataclass(frozen=True, eq=False)
 class DriftReport:
     """Drift of a represented process, decomposed into its three sources.
@@ -64,10 +69,10 @@ def drift(xi: RepFn, t: LevyTriplet, quad: Optional[QuadratureConfig] = None) ->
     jet = xi.jet_at_zero()
     J, H = jet.jacobian, jet.hessian
     linear = J @ t._complex_bc[0]
-    quadratic = 0.5 * np.einsum("nij,ij->n", H, t._complex_bc[1])
+    quadratic = _HALF * np.einsum("nij,ij->n", H, t._complex_bc[1])
     jump, qerr = jump_drift_correction(t.jumps, xi.eval_batch, J, t.truncation, quad)
     total = linear + quadratic + jump
-    if not np.isfinite(total).all():
+    if np.count_nonzero(np.isfinite(total)) < total.size:
         _raise_faults({j: _non_finite(j, linear=linear, quadratic=quadratic, jump=jump)
                        for j in np.flatnonzero(~np.isfinite(total)).tolist()})
     return DriftReport(

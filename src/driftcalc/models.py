@@ -16,8 +16,9 @@ about 21 standard deviations out along each axis; an integrand that
 outgrows the Gaussian decay there raises ``NonIntegrableError`` instead of
 converging to a finite but meaningless number on the low levels.  The
 ladder runs in one floating-point error-state scope per integral and scans
-each call's values for NaN once.  Jump points are real, so a real tree is
-integrated in float64, a complex one in complex128.
+a rung for NaN only where a comparison leaves an output open with a NaN
+change.  Jump points are real, so a real tree is integrated in float64, a
+complex one in complex128.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ QUAD_MAX_DOUBLINGS = 5
 #: 1-d Gaussian weight is 7e-102: only an integrand that outgrows the
 #: Gaussian decay shows there.
 QUAD_PROBE_NODES = 127
-_FLOAT_MAX = np.finfo(float).max
+#: the largest float64 as a 0-d array: a ufunc takes a Python float operand
+#: at about twice the cost, converting it on every call
+_FLOAT_MAX = np.array(np.finfo(float).max)
 
 
 class TruncationKind(enum.Enum):
@@ -115,6 +118,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        # (abs_tol, rel_tol) as 0-d arrays, as _FLOAT_MAX is
+        object.__setattr__(self, "_tols", (np.array(self.abs_tol), np.array(self.rel_tol)))
 
     @property
     def abs_tol(self) -> float:
@@ -167,7 +172,7 @@ class _NodeSet(NamedTuple):
     probe and level 1), read-only."""
 
     points: np.ndarray  # real jump points (N, d), handed to integrands
-    weights: np.ndarray  # tensor-rule weights (N,), summing to 1 over the rule
+    weights: np.ndarray  # tensor-rule weights as a column (N, 1), summing to 1 over the rule
 
 
 class JumpMeasure:
@@ -238,6 +243,12 @@ def _flag(bad, open_, faults, error):
         for j in np.flatnonzero(bad.any(axis=0) & open_).tolist():
             faults[j] = error(int(np.argmax(bad[:, j])), j)
             open_[j] = False
+
+
+def _flag_nan(P, vals, open_, faults):
+    """Close each open output undefined at a node of P: its verdict is its first NaN."""
+    _flag(np.isnan(vals), open_, faults, lambda k, j: NanPointError(
+        f"integrand is undefined at quadrature node {P[k].tolist()}", point=P[k]))
 
 
 def _raise_faults(faults: dict):
@@ -367,10 +378,16 @@ class GaussianPush(JumpMeasure):
         if not np.all(np.isfinite(m)):
             raise ValueError("mean must be finite")
         if S.shape != (m.size, m.size):
-            raise ValueError(f"covariance shape {S.shape} does not match mean length {m.size}")
-        _require_psd(S, "covariance")
+            raise ValueError(f"jump covariance shape {S.shape} does not match mean length {m.size}")
+        _require_psd(S, "jump covariance")
         # the covariance factor, shared by every node set and every draw
         object.__setattr__(self, "_factor", psd_factor(S))
+        # for every integral: the probe's rows in level 0's walk, after rung
+        # 0's and before rung 1's, and lam as the 0-d complex128 array the
+        # float becomes in a rung sum's product
+        n = _ladder_nodes(0) ** m.size
+        object.__setattr__(self, "_probe", slice(n, n + 2 * m.size))
+        object.__setattr__(self, "_lam", np.array(lam + 0j))
 
     @property
     def dim(self) -> int:
@@ -384,7 +401,7 @@ class GaussianPush(JumpMeasure):
         U, W = _standard_rule(level, self.dim)
         P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._factor.T)
         P.setflags(write=False)
-        return _NodeSet(P, W)
+        return _NodeSet(P, W[:, None])
 
     def _integrate(self, g, quad):
         if self.intensity == 0.0:
@@ -392,8 +409,8 @@ class GaussianPush(JumpMeasure):
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0, {}
         used, prev, faults, out, err = {}, None, {}, None, None
         # level 0's walk holds rung 0, then the probe, then rung 1
-        n = _ladder_nodes(0) ** self.dim
-        m = n + 2 * self.dim
+        n, m = self._probe.start, self._probe.stop
+        abs_tol, rel_tol = quad._tols
         # One scope for the whole ladder, the walks of g included:
         # overflowing integrands are allowed to reach the checks below,
         # which report them instead of a numpy warning.
@@ -401,29 +418,30 @@ class GaussianPush(JumpMeasure):
             for level in range(QUAD_MAX_DOUBLINGS + 1):
                 if level != 1:
                     used[level] = nodes = self._nodes.get(level) or self._build_nodes(level)
-                    walk = nodes.points, nodes.weights, np.asarray(g(nodes.points))
-                    # one NaN scan per walk; the rungs of a walk without NaN flag nothing
-                    nan = np.isnan(walk[2])
-                    nan = nan if np.count_nonzero(nan) else None
+                    vals = np.asarray(g(nodes.points))
+                    terms = nodes.weights * vals
                 rows = slice(m, None) if level == 1 else slice(0, n if level == 0 else None)
-                P, W, vals = walk[0][rows], walk[1][rows], walk[2][rows]
+                cur = self._lam * np.add.reduce(terms[rows], 0)
                 if level == 0:
-                    # the outputs with neither a value nor a verdict yet
-                    open_ = np.ones(vals.shape[1], dtype=bool)
-                if nan is not None:
-                    _flag(nan[rows], open_, faults, lambda k, j: NanPointError(
-                        f"integrand is undefined at quadrature node {P[k].tolist()}", point=P[k]))
-                cur = self.intensity * (W[:, None] * vals).sum(axis=0)
-                if level == 0:
-                    self._check_tail(walk[0][n:m], walk[1][n:m], walk[2][n:m], cur, quad, open_, faults)
+                    # the outputs with neither a value nor a verdict yet (np.ones at half its cost)
+                    open_ = np.empty(cur.shape, dtype=bool)
+                    open_.fill(True)
+                    self._check_tail(nodes, vals, cur, quad, open_, faults)
                 else:
                     delta = np.abs(cur - prev)
-                    done = open_ & (delta <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur)))
+                    done = open_ & (delta <= np.maximum(abs_tol, rel_tol * np.abs(cur)))
                     # each output keeps its value and change from the level
                     # that settles it; the first level fills every slot
                     out, err = ((cur, delta) if out is None
                                 else (np.where(done, cur, out), np.where(done, delta, err)))
-                    open_ ^= done
+                    open_ = open_ ^ done  # ^= costs twice as much
+                    # A NaN at a node makes its rung's sum and so the change
+                    # NaN: an output undefined on a rung just compared is
+                    # open, and its first NaN, rung 0's before rung 1's, is
+                    # its verdict.  Only such a change costs a scan.
+                    if np.count_nonzero(open_) and np.count_nonzero(np.isnan(delta)):
+                        for rung in ((slice(0, n), rows) if level == 1 else (rows,)):
+                            _flag_nan(nodes.points[rung], vals[rung], open_, faults)
                     # checked from rung 1 on: the rung-0 walk computed rung 1
                     # too, so outputs that all failed on rung 0 cost no walk
                     if not np.count_nonzero(open_):
@@ -441,20 +459,26 @@ class GaussianPush(JumpMeasure):
         if not faults:
             for k, s in used.items():
                 self._nodes.setdefault(k, s)
-        return out, float(err.max(initial=0.0)), faults
+        # err.max(initial=0.0) at a third of its cost: a settled change is no NaN
+        return out, max(err.tolist(), default=0.0), faults
 
-    def _check_tail(self, P, W, vals, first, quad, open_, faults):
-        """Fail as not integrable each open output whose integrand at a probe point P[k],
-        times its weight, is not finite or exceeds the tolerance of its first estimate."""
-        weighted = self.intensity * W[:, None] * np.abs(vals)
+    def _check_tail(self, nodes, vals, first, quad, open_, faults):
+        """Fail as not integrable each open output whose integrand at a probe point,
+        times its weight, is not finite or exceeds the tolerance of its first estimate;
+        an output undefined on rung 0 fails as such first."""
+        points, probe = nodes.points, self._probe
+        weighted = self._lam.real * nodes.weights[probe] * np.abs(vals[probe])
         # A non-finite first estimate sets no tolerance here (fmin drops a
         # NaN and caps inf), so only a weighted value that is not finite
         # fails; the ladder then reports it as non-convergence.
-        tol = np.fmin(np.maximum(quad.abs_tol, quad.rel_tol * np.abs(first)), _FLOAT_MAX)
-        _flag(~(weighted <= tol), open_, faults, lambda k, j: NonIntegrableError(
-            "jump integral did not converge: the integrand grows faster than the "
-            f"jump law decays near x = {P[k].tolist()} (weighted value "
-            f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
+        abs_tol, rel_tol = quad._tols
+        within = weighted <= np.fmin(np.maximum(abs_tol, rel_tol * np.abs(first)), _FLOAT_MAX)
+        if np.count_nonzero(within) < within.size:
+            _flag_nan(points[:probe.start], vals[:probe.start], open_, faults)
+            _flag(~within, open_, faults, lambda k, j: NonIntegrableError(
+                "jump integral did not converge: the integrand grows faster than the "
+                f"jump law decays near x = {points[probe][k].tolist()} (weighted value "
+                f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
 
     def _draw(self, f):
         return lambda rng, n: f(np.expm1(self.mean + rng.standard_normal((n, self.dim)) @ self._factor.T)).T
@@ -700,8 +724,8 @@ class LevyTriplet:
         if not np.all(np.isfinite(b)):
             raise ValueError("drift must be finite")
         if c.shape != (d, d):
-            raise ValueError(f"covariance must have shape ({d}, {d}), got {c.shape}")
-        _require_psd(c, "covariance")
+            raise ValueError(f"diffusion covariance must have shape ({d}, {d}), got {c.shape}")
+        _require_psd(c, "diffusion covariance")
         if self.jumps.dim != d:
             raise ValueError(f"jump measure dimension {self.jumps.dim} does not match {d}")
         if self.truncation.dim != d:

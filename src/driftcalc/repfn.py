@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _CNAN = complex(float("nan"), float("nan"))
+_ZERO = np.array(0.0)
 
 #: predicate operators accepted by Indicator nodes
 PRED_OPS = ("eq", "ne", "abs_le", "abs_gt")
@@ -125,6 +126,10 @@ class Const(Node):
         object.__setattr__(self, "value", complex(self.value))
         if _isnan(self.value):
             raise ValueError("NaN constants are not allowed")
+        # its row's value in a real and in a complex batch: 0-d float64 (the
+        # real part) and complex128 arrays, the operands numpy would make of
+        # the Python number on every call; no row writes to its operands
+        object.__setattr__(self, "_rows", (np.array(self.value.real), np.array(self.value)))
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,8 @@ class PowConst(Node):
         object.__setattr__(self, "exponent", complex(self.exponent))
         if _isnan(self.exponent):
             raise ValueError("NaN exponents are not allowed")
+        # the exponent as Const holds its value
+        object.__setattr__(self, "_rows", (np.array(self.exponent.real), np.array(self.exponent)))
 
 
 @dataclass(frozen=True)
@@ -296,7 +303,8 @@ class _Op(NamedTuple):
     ``literals`` lists (field, format, parse) for the non-node fields and
     ``children`` the node fields, both in constructor (and prefix operand)
     order.  ``ev(node, X, *child_values)`` maps a batch X of shape (N, d) to
-    (N,) values of X's dtype; ``jet(node, d, *child_jets)`` propagates
+    (N,) values of X's dtype, or to one 0-d value where only constants are
+    below the node; ``jet(node, d, *child_jets)`` propagates
     (value, gradient, Hessian) at x = 0 by second-order forward mode.
     ``subst(node, inner, *new_children)`` rebuilds the node for
     :func:`compose`, ``inner`` being the trees its coordinates stand for.
@@ -335,9 +343,10 @@ def _guarded(bad, fn, z):
 
 
 def _nonpositive(z):
-    # a real array has no imaginary part to test
+    # a real array has no imaginary part to test; its zero is a 0-d array,
+    # as a Const row's value is, which numpy need not make of a Python 0.0
     real = type(z) is np.ndarray and z.dtype.kind == "f"
-    return z <= 0.0 if real else (z.imag == 0.0) & (z.real <= 0.0)
+    return z <= _ZERO if real else (z.imag == 0.0) & (z.real <= 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,7 +456,7 @@ def _ev_pow(n, X, z):
     # Where no point is masked, the two masking passes are skipped.
     bad = _nonpositive(z)
     masked = np.count_nonzero(bad)
-    out = np.exp(_like(n.exponent, z) * np.log(np.where(bad, 1.0, z) if masked else z))
+    out = np.exp(n._rows[z.dtype.kind == "c"] * np.log(np.where(bad, 1.0, z) if masked else z))
     return np.where(bad, _like(_CNAN, z), out) if masked else out
 
 
@@ -486,8 +495,9 @@ _OPS = {
     ),
     Const: _Op(
         "const", (("value", *_COMPLEX),), (),
-        # X.shape[0::2] is (N,), or (N, 1) on the parameter axis
-        lambda n, X: np.full(X.shape[0::2], _like(n.value, X), dtype=X.dtype),
+        # a 0-d array, which a batch's arithmetic broadcasts as it would an
+        # N-length fill: the same operation runs on each element
+        lambda n, X: n._rows[X.dtype.kind == "c"],
         lambda n, dim: _flat(dim, n.value),
         wraps=(numbers.Number,),
     ),
@@ -505,8 +515,10 @@ _OPS = {
         "sub", (), _BINARY, lambda n, X, a, b: a - b,
         lambda n, dim, a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
     ),
-    # 0 * NaN stays NaN: numpy guarantees this for complex products.
-    Mul: _Op("mul", (), _BINARY, lambda n, X, a, b: a * b, _jet_mul),
+    # 0 * NaN stays NaN: numpy guarantees this for complex products.  The
+    # ufunc, not *: a constant subtree's values are numpy scalars, and *
+    # of two complex scalars rounds apart from the array loop.
+    Mul: _Op("mul", (), _BINARY, lambda n, X, a, b: np.multiply(a, b), _jet_mul),
     Div: _Op("div", (), _BINARY, lambda n, X, a, b: _guarded(b == 0, lambda d: a / d, b), _jet_div),
     Neg: _Op("neg", (), ("child",), lambda n, X, a: -a, lambda n, dim, a: (-a[0], -a[1], -a[2])),
     Exp: _Op("exp", (), ("child",), lambda n, X, z: np.exp(z), _jet_exp),
@@ -662,10 +674,12 @@ class RepFn:
         X = X.astype(np.float64 if real else np.complex128, copy=False)
         N, m = X.shape[0], len(self._roots)
         vals = self._run("ev", X[:, :, None] if self._width else X)
-        if m == 1 and not self._width:
+        root = vals[self._roots[0]]
+        if m == 1 and not self._width and root.shape == (N,):
             # a column view of the root's own array, not a copy
-            return vals[self._roots[0]][:, None]
-        # a column per root, or a block of K with a root off the axis broadcast
+            return root[:, None]
+        # a column per root, or a block of K with a root off the axis or a
+        # constant root (a 0-d value) broadcast
         columns = np.empty((N, m, self._width) if self._width else (N, m), X.dtype)
         for k, s in enumerate(self._roots):
             columns[:, k] = vals[s]

@@ -369,7 +369,8 @@ def origin_value(node: dc.Node, dim: int):
 
     with np.errstate(all="ignore"):
         out = ev(node)
-    return None if out is None else out[0]
+    # a batch of one point, or the 0-d value of a constant subtree
+    return None if out is None else np.ravel(out)[0]
 
 
 def on_level(node: dc.Indicator, z) -> bool:

@@ -404,7 +404,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, token, message", [
         (dict(MERTON_MODEL, jumps=[dict(MERTON_MODEL["jumps"][0], **{"lambda": math.nan})]),
          '"lambda": NaN', "intensity must be finite"),
-        (dict(MERTON_MODEL, c=[[math.inf]]), '"c": [[Infinity]]', "covariance must be finite"),
+        (dict(MERTON_MODEL, c=[[math.inf]]), '"c": [[Infinity]]', "diffusion covariance must be finite"),
     ])
     def test_non_finite_model_parameter_is_usage_error(self, model_file, capsys, doc, token, message):
         assert token in json.dumps(doc)
@@ -412,6 +412,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: malformed levy model: {message}\n"
+
+    @pytest.mark.parametrize("doc, field", [
+        (dict(MERTON_MODEL, c=[[-0.04]]), "diffusion covariance"),
+        (dict(MERTON_MODEL, jumps=[dict(MERTON_MODEL["jumps"][0], cov=[[-0.04]])]), "jump covariance"),
+    ])
+    def test_covariance_that_is_not_psd_is_usage_error_naming_its_field(self, model_file, capsys, doc, field):
+        code = main(["drift", "--model", model_file(doc), "--xi", "ratio"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: malformed levy model: {field} must be positive semidefinite\n"
 
     def test_missing_model_is_usage_error(self, capsys):
         assert main(["drift", "--model", "/does/not/exist.json", "--xi", "ratio"]) == 2

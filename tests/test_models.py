@@ -235,6 +235,37 @@ class TestGaussHermiteLadder:
         assert type(faults[1]) is NanPointError and repr(x7) in str(faults[1])
         assert type(faults[2]) is NanPointError and repr(x15) in str(faults[2])
 
+    def test_an_infinite_value_is_not_taken_for_a_nan(self):
+        # +inf at the outermost 7-node point: rung 0's sum is not finite but
+        # holds no NaN, so no node is named.  Rung 1 disagrees with it, and
+        # the 31-node rule, which lacks the point, settles the integral.
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        x7 = self.outermost(gp, 7)
+        value, _ = dc.integrate(gp, lambda X: np.where(X == x7, np.inf, X))
+        P, W = gp._build_nodes(2)
+        assert value.tobytes() == ((1.0 + 0j) * np.add.reduce(W.reshape(-1, 1) * (P + 0j), 0)).tobytes()
+        # +inf and -inf on rung 0: a NaN sum of values none of which is NaN
+        x7_ = float(np.expm1(np.sqrt(2.0) * np.polynomial.hermite.hermgauss(7)[0][0] * 0.3))
+        again, _ = dc.integrate(gp, lambda X: np.where(X == x7, np.inf, np.where(X == x7_, -np.inf, X)))
+        assert again.tobytes() == value.tobytes()
+        # +inf at the mean, a node of every rule: every change is NaN, and the
+        # ladder gives up, naming no node
+        with pytest.raises(ConvergenceError, match=r"after doubling to 255 nodes \(last change nan\)"):
+            dc.integrate(gp, lambda X: np.where(X == 0.0, np.inf, X))
+
+    def test_a_drift_settled_on_its_first_walk_integrates_and_walks_once(self, monkeypatch):
+        calls = []
+        integrate, eval_batch = models.integrate, dc.RepFn.eval_batch
+        monkeypatch.setattr(models, "integrate", lambda *a, **k: calls.append("integrate") or integrate(*a, **k))
+        monkeypatch.setattr(dc.RepFn, "eval_batch", lambda f, X: calls.append(len(X)) or eval_batch(f, X))
+        gp = dc.GaussianPush(0.6, np.array([-0.08, 0.02]), np.array([[0.01, 0.004], [0.004, 0.0225]]))
+        t = dc.LevyTriplet(2, np.zeros(2), np.eye(2) * 0.04, gp, dc.TruncationSpec.identity(2))
+        xi = dc.from_prefix("(repfn 2 (sub (mul (pow 0.7 (add (const 1) (x 0))) "
+                            "(pow -1.2 (add (const 1) (x 1)))) (const 1)))")
+        dc.drift(xi, t)
+        # one walk of level 0: rung 0, the probe and rung 1
+        assert calls == ["integrate", 7**2 + 4 + 15**2]
+
     def test_node_sets_are_cached_per_measure_after_success(self, monkeypatch):
         built = []
         build = dc.GaussianPush._build_nodes

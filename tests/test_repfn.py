@@ -853,3 +853,46 @@ def test_several_roots_without_a_parameter_axis_fill_one_array(f):
             # a real root of a complex tree in the tree's complex arithmetic
             one = dc.RepFn(f.input_dim, (root,)).eval_batch(points.astype(out.dtype))
             assert _same_bits(out[:, k:k + 1], one)
+
+
+def _filled_const(n, X):
+    """The Const row as an N-length fill, (N, 1) on the parameter axis."""
+    return np.full(X.shape[0::2], repfn._like(n.value, X), dtype=X.dtype)
+
+
+class TestConstRows:
+    """A Const row evaluates to a 0-d value, which each batch's arithmetic
+    broadcasts: every tree keeps the bits and the shape it has when each
+    Const row fills an N-length array, constant-only subtrees under every
+    unary row and constant roots included."""
+
+    @pytest.mark.parametrize("text", [
+        "(repfn 1 (sub (exp (mul (const 0.5) (x 0))) (const 1)))",
+        "(repfn 2 (sub (mul (pow 0.7 (add (const 1) (x 0))) (pow -1.2 (add (const 1) (x 1)))) (const 1)))",
+        "(repfn 1 (mul (x 0) (neg (const 2.5))))",
+        "(repfn 1 (mul (x 0) (exp (const 0.5))) (mul (x 0) (exp (const 0.5+1i))))",
+        "(repfn 1 (mul (x 0) (log (const 3))) (mul (x 0) (log (const -2+0.5i))))",
+        "(repfn 1 (mul (x 0) (pow 1.5 (const 3))) (mul (x 0) (pow 0.5 (const -4+1i))))",
+        "(repfn 1 (mul (x 0) (ind abs_le 1.0 (const 0.5))) (mul (x 0) (ind ne 2.0 (const 3+1i))))",
+        "(repfn 1 (mul (x 0) (div (mul (exp (const 0.5+1i)) (exp (const -1+2i))) (const 1e-300))))",
+        "(repfn 1 (sub (const 1) (const 1)))",
+        "(repfn 2 (sub (const 1) (const 1)) (x 1))",
+        "(repfn 1 (mul (param 0.5 1 2+1i) (sub (exp (x 0)) (const 1))))",
+        "(repfn 1 (mul (x 0) (exp (mul (param 0.5 -1) (const 2)))) (sub (const 2) (const 2)))",
+    ])
+    def test_each_tree_evaluates_as_with_filled_constants(self, text, monkeypatch):
+        f = dc.from_prefix(text)
+        monkeypatch.setitem(_OPS, dc.Const, _OPS[dc.Const]._replace(ev=_filled_const))
+        filled = dc.from_prefix(text)
+        X = np.random.default_rng(11).uniform(-1.5, 2.0, (9, f.input_dim))
+        X[3] = 0.0
+        for points in (X, X + 0j, X + 0.25j, X[:1], X[:0]):
+            got, want = f.eval_batch(points), filled.eval_batch(points)
+            assert got.shape == want.shape == (len(points), f.output_dim)
+            assert _same_bits(got, want)
+
+    def test_a_constant_root_is_a_fresh_column(self):
+        f = dc.from_prefix("(repfn 1 (const 0))")
+        for n in (1, 4):
+            out = f.eval_batch(np.zeros((n, 1)))
+            assert out.shape == (n, 1) and out.flags.writeable and not out.any()

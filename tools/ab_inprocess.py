@@ -9,11 +9,13 @@ allocator.  On each side it builds the ops of one pass of a ``perfbench``
 workload (default ``drift_nd``, seed 7), as ``perfbench/workloads.py`` and
 ``perfbench/worker.py`` of this checkout generate and run them, and the
 fixed cases of ``cases``: the 1-d Merton drift of ``rep_exp_affine(0.5)``,
-one 2-d power drift and the exponential-utility optimum of the 1-d Merton
-model on the bracket (0, 8).  After one warm-up pass per side, each of N
-rounds (default 15) times one whole pass on each side, then CASE_REPS calls
-of each fixed case on each side; the side that goes first alternates from
-round to round.
+one 2-d power drift, the exponential-utility optimum of the 1-d Merton
+model on the bracket (0, 8), and the walks alone of those two drifts: one
+``eval_batch`` of each tree on fixed points as many as a level-0 walk
+holds, so that a drift's time splits into its walks and its glue.  After
+one warm-up pass per side, each of N rounds (default 15) times one whole
+pass on each side, then CASE_REPS calls of each fixed case on each side;
+the side that goes first alternates from round to round.
 
 An op's output or a fixed case's result may differ between the two sides
 only in its numbers, each by at most MAX_MOVE (1 + |x|), the move of x as
@@ -63,6 +65,10 @@ MERTON = {
     "type": "levy", "dim": 1, "b": [0.05], "c": [[0.04]], "truncation": ["unit_clip"],
     "jumps": [{"kind": "gaussian_push", "lambda": 0.8, "mean": [-0.05], "cov": [[0.04]]}],
 }
+#: fixed jump points of the walk cases, one per node of a level-0 walk on d
+#: axes: 7^d nodes, 2d probe points and 15^d nodes
+WALK_POINTS = {d: np.expm1(np.random.default_rng(d).normal(-0.05, 0.2, (7**d + 2 * d + 15**d, d)))
+               for d in (1, 2)}
 #: a 2-d Gaussian body like those of ``drift_nd``
 BODY_2D = {
     "type": "levy", "dim": 2, "b": [0.03, 0.01], "c": [[0.04, 0.01], [0.01, 0.09]],
@@ -85,7 +91,8 @@ def load(tree: Path, name: str) -> SimpleNamespace:
 
 def cases(M) -> dict:
     """Label -> zero-argument call of each fixed case, returning its drift
-    total or, for the optimum, the array of (lam*, u(lam*))."""
+    total, for the optimum the array of (lam*, u(lam*)), or for a walk the
+    tree's values."""
     merton, body = M.modelio.parse_model(MERTON), M.modelio.parse_model(BODY_2D)
     exp_affine = M.calculus.rep_exp_affine(0.5)
     power = M.repfn.from_prefix(worker.power_tree([0.7, -1.2]))
@@ -93,6 +100,8 @@ def cases(M) -> dict:
         "merton_1d_us": lambda: M.drift.drift(exp_affine, merton).total,
         "power_2d_us": lambda: M.drift.drift(power, body).total,
         "utility_opt_us": lambda: np.array(M.pricing.optimize_exp_utility(merton, (0.0, 8.0))),
+        "walk_1d_us": lambda: exp_affine.eval_batch(WALK_POINTS[1]),
+        "walk_2d_us": lambda: power.eval_batch(WALK_POINTS[2]),
     }
 
 

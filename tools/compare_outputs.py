@@ -11,10 +11,12 @@ as ``perfbench/workloads.py`` of this checkout generates them.  It also
 runs, through ``cli.main``, the grids of GRIDS, whose rows fail in part, as
 no ``grid_1d`` op's do, and the utility optimum on the (0, 800) bracket;
 the discrete optimum of a trinomial law; the Gaussian-body node sets of
-NODE_SETS; the ``mc-verify`` calls of MC_VERIFY_TARGETS, through
-``cli.main`` at 1 and at 2 workers, on MERTON and on the trinomial law;
-and every field of ``mc_stoch_exp`` and ``mc_reweighted``, at 1 and at 2
-workers, on the trinomial law and each ``grid_1d`` discrete model at
+NODE_SETS; the failing drifts of VERDICTS, each as its error's class and
+message and every entry of its ``faults``; the ``mc-verify`` calls of
+MC_VERIFY_TARGETS, through ``cli.main`` at 1 and at 2 workers, on MERTON
+and on the trinomial law; and every field of ``mc_stoch_exp`` and
+``mc_reweighted``, at 1 and at 2 workers, on the trinomial law and each
+``grid_1d`` discrete model at
 T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose blocks
 span several row chunks, and on the pushforward of WIDE through
 e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how
@@ -26,10 +28,10 @@ calls of each tree per op, counted through every module of the package
 that binds the function, and the ``RepFn`` builds of each tree per op,
 counted through ``RepFn.__post_init__`` as ``perfbench/tracer.py`` counts
 them.  It exits 1 if any exit code or stderr differs, if an output
-differs other than in its numbers, if a node set differs at all, if a grid
-row's error status differs at all, or if a tree's estimate at 2 workers
-differs from its estimate at 1.  It is a development tool, not part of
-the package.
+differs other than in its numbers, if a node set or a failing drift's
+verdict differs at all, if a grid row's error status differs at all, or
+if a tree's estimate at 2 workers differs from its estimate at 1.  It is
+a development tool, not part of the package.
 """
 
 from __future__ import annotations
@@ -106,6 +108,55 @@ MC_VERIFY_TARGETS = [
     ("memm", ["--v", "0.5", "--lambda-star", "0.7"]),
     ("stoch-exp", ["--xi", "exp_affine", "--xi-params", '{"v": "0.3"}']),
 ]
+#: a Gaussian body whose 7-node rule, tail probe and 15-node rule are the
+#: rows 0-6, 7-8 and 9-23 of its level-0 node set
+BODY = {"kind": "gaussian_push", "lambda": 1.0, "mean": [-0.3], "cov": [[0.16]]}
+BODY_2D = {"kind": "gaussian_push", "lambda": 0.6, "mean": [-0.08, 0.02], "cov": [[0.01, 0.004], [0.004, 0.0225]]}
+ATOM = {"kind": "atoms", "atoms": [{"x": [1.0], "intensity": 0.5}]}
+#: e^{vx} - 1, which outgrows the tail of BODY for v = 0.5 and overflows at
+#: an atom at 1 for v = 800
+EXP = "(sub (exp (mul (const {v}) (x 0))) (const 1))"
+#: x / (x - c): undefined at the node c alone
+POLE = "(div (x 0) (sub (x 0) (const {c!r})))"
+#: e^{800 * 1{x = c}} - 1: +inf at the node c, 0 elsewhere
+SPIKE = "(sub (exp (mul (const 800) (ind eq {c!r} (x 0)))) (const 1))"
+
+
+def _levy(*jumps, dim=1):
+    """A levy model document with a small diffusion and the identity truncation."""
+    return {"type": "levy", "dim": dim, "b": [0.0] * dim, "c": [[0.04 if i == j else 0.0 for j in range(dim)]
+                                                               for i in range(dim)],
+            "truncation": ["identity"] * dim, "jumps": list(jumps)}
+
+
+def _node(M, body, row):
+    """Coordinate 0 of row ``row`` of a body's level-0 node set, as the
+    package builds it."""
+    gp = M.models.GaussianPush(body["lambda"], body["mean"], body["cov"])
+    return float(gp._build_nodes(0).points[row, 0])
+
+
+#: (label, model, representation: prefix text, or a function of the package
+#: returning it) of drifts that fail, one or more in each verdict class, and
+#: of one that nearly does
+VERDICTS = [
+    ("nan at a rung-0 node", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 0))})"),
+    ("nan at rung-1 nodes only", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 9))})"),
+    ("nan at a probe point only", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 8))})"),
+    ("probe growth", _levy(BODY), f"(repfn 1 {EXP.format(v=0.5)})"),
+    ("inf at nodes", _levy(BODY), "(repfn 1 (sub (pow -400 (add (const 1) (x 0))) (const 1)))"),
+    # not a failure: rung 0's sum is not finite but holds no NaN, and the
+    # 31-node rule, which lacks the node, settles it
+    ("inf at a rung-0 node", _levy(BODY), lambda M: f"(repfn 1 {SPIKE.format(c=_node(M, BODY, 0))})"),
+    ("non-convergence", _levy(BODY), "(repfn 1 (ind abs_le 0.5 (add (x 0) (const 1))))"),
+    ("atom overflow", _levy(ATOM), f"(repfn 1 {EXP.format(v=800)})"),
+    ("two outputs failing apart", _levy(BODY),
+     lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 3))} {EXP.format(v=0.5)})"),
+    ("mixed measure, first part failing", _levy(ATOM, BODY),
+     lambda M: f"(repfn 1 {EXP.format(v=800)} {POLE.format(c=_node(M, BODY, 12))} (x 0))"),
+    ("2-d body", _levy(BODY_2D, dim=2),
+     lambda M: f"(repfn 2 {POLE.format(c=_node(M, BODY_2D, 10))} {EXP.format(v=40)})"),
+]
 #: (mean, cov) of the bodies whose node sets at levels 0 and 2 are compared
 NODE_SETS = [([-0.05], [[0.04]]), ([-0.1, 0.02], [[0.04, 0.01], [0.01, 0.02]]),
              ([-0.1, -0.05, 0.02], [[0.04, 0.0, 0.0], [0.0, 0.04, 0.0], [0.0, 0.0, 0.04]])]
@@ -164,6 +215,22 @@ def _node_sets(M, mean, cov):
     return call
 
 
+def _verdict(M, doc, rep):
+    """A failing drift, as its error's class and message and each output's
+    entry of ``faults``; a drift that does not fail returns its total."""
+    model = M.modelio.parse_model(doc)
+    xi = M.repfn.from_prefix(rep if isinstance(rep, str) else rep(M))
+
+    def call():
+        try:
+            return {"total": [repr(complex(z)) for z in M.drift.drift(xi, model).total]}
+        except M.errors.EngineError as exc:
+            return {"raise": type(exc).__name__, "msg": str(exc),
+                    "faults": [[j, type(e).__name__, str(e)] for j, e in sorted(exc.faults.items())]}
+
+    return call
+
+
 def _mc_extra_runs(M):
     """(key, label, call, None) of each discrete, ATOMS, pushforward and
     long docs-marginal estimate."""
@@ -207,6 +274,8 @@ def _extra_runs(M, tmp):
                      trinomial, (-2.0, 10.0))))), None))
     runs += [(f"nodes/{len(mean)}d", f"node sets {len(mean)}d", _node_sets(M, mean, cov), None)
              for mean, cov in NODE_SETS]
+    runs += [(f"verdicts/{i}", f"verdict {label}", _verdict(M, doc, rep), None)
+             for i, (label, doc, rep) in enumerate(VERDICTS)]
     for name, doc in (("levy", MERTON), ("discrete", TRINOMIAL)):
         path = Path(tmp) / f"mc-verify-{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -262,7 +331,8 @@ def run_tree():
 
     # the modules themselves: the package's ``drift`` attribute is the function
     M = SimpleNamespace(**{name: importlib.import_module(f"driftcalc.{name}") for name in
-                           ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")})
+                           ("calculus", "cli", "drift", "errors", "mcoracle", "modelio", "models", "pricing",
+                            "repfn")})
     counts, drift, build = {"drifts": 0, "builds": 0}, M.drift.drift, M.repfn.RepFn.__post_init__
 
     def counted(*args, **kwargs):
@@ -352,6 +422,8 @@ def main(argv) -> int:
         if a["out"] == b["out"]:
             row[0] += 1
             continue
+        if a["key"].startswith("verdicts/"):
+            failures.append(f"{a['key']} ({a['label']}): verdict differs: {a['out']} -> {b['out']}")
         row[1] += 1
         m = move(a["out"], b["out"], a["spot1"])
         if m is None:
