@@ -220,7 +220,8 @@ def _emit_grid(args, rows, value_name: str):
         return
     lines = [f"re_v,im_v,re_{value_name},im_{value_name},status"]
     for v, k, status in rows:
-        lines.append(f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(k.real)},{_fmt(k.imag)},{status}")
+        # _fmt's format, in one formatting call per row
+        lines.append("%.17g,%.17g,%.17g,%.17g,%s" % (v.real, v.imag, k.real, k.imag, status))
     _emit(args, "\n".join(lines))
 
 

@@ -96,6 +96,9 @@ class SimConfig:
             raise ValueError("need at least two paths")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
+        # the Philox key holds the seed as one uint64, so no two seeds share a stream
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ class McEstimate:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(block)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

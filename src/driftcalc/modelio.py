@@ -52,21 +52,60 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _fields(doc, known: tuple, where: str):
+    """doc, with any key of a JSON object outside ``known`` refused."""
+    if isinstance(doc, dict):
+        _reject_unknown_keys(doc, known, where)
+    return doc
+
+
+def _not_a_number(value) -> bool:
+    """True if value is, or a list holds at any depth, a boolean or a string."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_not_a_number, value))
+    return isinstance(value, (bool, str))
+
+
+def _number(value, where: str):
+    """value, where the schema has a number or a list of numbers."""
+    if _not_a_number(value):
+        raise ModelFormatError(f"{where} must be a number or a list of numbers, got {value!r}")
+    return value
+
+
+def _field(doc: dict, key: str, where: str):
+    """The number field ``key`` of doc, required."""
+    return _number(_require(doc, key, where), f"{where} {key!r}")
+
+
+def _dim(doc: dict) -> int:
+    dim = _require(doc, "dim", "levy model")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ModelFormatError(f"levy model 'dim' must be an integer >= 1, got {dim!r}")
+    return dim
+
+
 def _parse_measure(entries, dim: int) -> JumpMeasure:
     parts = []
     for k, entry in enumerate(entries or []):
-        kind = _require(entry, "kind", f"jumps[{k}]")
+        where = f"jumps[{k}]"
+        kind = _require(entry, "kind", where)
         if kind == "atoms":
-            atoms = _require(entry, "atoms", f"jumps[{k}]")
-            pts = np.array([a["x"] for a in atoms], dtype=float).reshape(-1, dim)
-            lam = np.array([a["intensity"] for a in atoms], dtype=float)
+            atoms = _require(_fields(entry, ("kind", "atoms"), where), "atoms", where)
+            for i, a in enumerate(atoms):
+                _fields(a, ("x", "intensity"), f"{where} atoms[{i}]")
+            pts = np.array([_number(a["x"], f"{where} atoms[{i}] 'x'") for i, a in enumerate(atoms)],
+                           dtype=float).reshape(-1, dim)
+            lam = np.array([_number(a["intensity"], f"{where} atoms[{i}] 'intensity'")
+                            for i, a in enumerate(atoms)], dtype=float)
             parts.append(FiniteAtoms(pts, lam))
         elif kind == "gaussian_push":
+            _fields(entry, ("kind", "lambda", "mean", "cov"), where)
             parts.append(
                 GaussianPush(
-                    float(_require(entry, "lambda", f"jumps[{k}]")),
-                    np.asarray(_require(entry, "mean", f"jumps[{k}]"), dtype=float),
-                    np.asarray(_require(entry, "cov", f"jumps[{k}]"), dtype=float),
+                    float(_field(entry, "lambda", where)),
+                    np.asarray(_field(entry, "mean", where), dtype=float),
+                    np.asarray(_field(entry, "cov", where), dtype=float),
                 )
             )
         else:
@@ -75,40 +114,54 @@ def _parse_measure(entries, dim: int) -> JumpMeasure:
 
 
 def parse_model(doc: dict) -> AnyModel:
-    """Build a model object from a parsed JSON document."""
+    """Build a model object from a parsed JSON document.
+
+    A key outside the schema, at any level, is refused, and so is a boolean
+    or a string where the schema has a number."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     kind = _require(doc, "type", "model")
     try:
         if kind == "levy":
-            dim = int(_require(doc, "dim", "levy model"))
+            _fields(doc, ("type", "dim", "b", "c", "truncation", "jumps"), "levy model")
+            dim = _dim(doc)
             trunc = TruncationSpec.from_names(_require(doc, "truncation", "levy model"))
             return LevyTriplet(
                 dim,
-                np.asarray(_require(doc, "b", "levy model"), dtype=float),
-                np.asarray(_require(doc, "c", "levy model"), dtype=float),
+                np.asarray(_field(doc, "b", "levy model"), dtype=float),
+                np.asarray(_field(doc, "c", "levy model"), dtype=float),
                 _parse_measure(doc.get("jumps"), dim),
                 trunc,
             )
         if kind == "discrete":
-            support = _require(doc, "support", "discrete model")
-            return DiscreteModel([s["x"] for s in support], [s["p"] for s in support])
+            where = "discrete model"
+            support = _require(_fields(doc, ("type", "support"), where), "support", where)
+            for i, s in enumerate(support):
+                _fields(s, ("x", "p"), f"support[{i}]")
+            return DiscreteModel([_number(s["x"], f"support[{i}] 'x'") for i, s in enumerate(support)],
+                                 [_number(s["p"], f"support[{i}] 'p'") for i, s in enumerate(support)])
         if kind == "margrabe":
-            diff = _require(doc, "diffusion", "margrabe model")
-            jump = doc.get("jump") or {}
-            defaults = tuple(
-                (tuple(a["x"]), float(a["intensity"])) for a in doc.get("defaults", [])
-            )
+            where = "margrabe model"
+            _fields(doc, ("type", "spot1", "spot2", "maturity", "diffusion", "jump", "defaults"), where)
+            diff = _require(doc, "diffusion", where)
+            _fields(diff, ("sigma1_sq", "sigma12", "sigma2_sq"), "diffusion")
+            jump = _fields(doc.get("jump") or {}, ("lambda", "mean", "cov"), "jump")
+            defaults = doc.get("defaults", [])
+            for i, a in enumerate(defaults):
+                _fields(a, ("x", "intensity"), f"defaults[{i}]")
+            defaults = tuple((tuple(_number(a["x"], f"defaults[{i}] 'x'")),
+                              float(_number(a["intensity"], f"defaults[{i}] 'intensity'")))
+                             for i, a in enumerate(defaults))
             return MargrabeModel(
-                spot1=float(_require(doc, "spot1", "margrabe model")),
-                spot2=float(_require(doc, "spot2", "margrabe model")),
-                maturity=float(_require(doc, "maturity", "margrabe model")),
-                sigma1_sq=float(_require(diff, "sigma1_sq", "diffusion")),
-                sigma12=float(_require(diff, "sigma12", "diffusion")),
-                sigma2_sq=float(_require(diff, "sigma2_sq", "diffusion")),
-                jump_intensity=float(jump.get("lambda", 0.0)),
-                jump_mean=tuple(jump.get("mean", (0.0, 0.0))),
-                jump_cov=tuple(map(tuple, jump.get("cov", ((0.0, 0.0), (0.0, 0.0))))),
+                spot1=float(_field(doc, "spot1", where)),
+                spot2=float(_field(doc, "spot2", where)),
+                maturity=float(_field(doc, "maturity", where)),
+                sigma1_sq=float(_field(diff, "sigma1_sq", "diffusion")),
+                sigma12=float(_field(diff, "sigma12", "diffusion")),
+                sigma2_sq=float(_field(diff, "sigma2_sq", "diffusion")),
+                jump_intensity=float(_number(jump.get("lambda", 0.0), "jump 'lambda'")),
+                jump_mean=tuple(_number(jump.get("mean", (0.0, 0.0)), "jump 'mean'")),
+                jump_cov=tuple(map(tuple, _number(jump.get("cov", ((0.0, 0.0), (0.0, 0.0))), "jump 'cov'"))),
                 default_atoms=defaults,
             )
     except (KeyError, TypeError, ValueError) as exc:

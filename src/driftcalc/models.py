@@ -226,10 +226,11 @@ def _atom_groups(pts: np.ndarray) -> list:
     Each atom joins the first group whose leading atom is that close, or else
     leads a new group; groups and their members come in atom order.
     """
-    groups: list = []
-    for k in range(pts.shape[0]):
+    # the rows as floats, whose differences round as numpy's do
+    groups, rows = [], pts.tolist()
+    for k, row in enumerate(rows):
         for g in groups:
-            if np.max(np.abs(pts[k] - pts[g[0]])) < ATOM_DEDUP_TOL:
+            if max([abs(a - b) for a, b in zip(row, rows[g[0]])]) < ATOM_DEDUP_TOL:
                 g.append(k)
                 break
         else:
@@ -260,12 +261,15 @@ def _raise_faults(faults: dict):
 
 
 def _require_psd(S: np.ndarray, what: str):
-    if not np.isfinite(S).all():
+    # entry by entry in floats, which round as numpy's float64 ufuncs do,
+    # without their per-call cost on these small matrices
+    if not all(map(math.isfinite, S.ravel().tolist())):
         raise ValueError(f"{what} must be finite")
-    # np.allclose(S, S.T, atol=1e-12) on finite entries, without its overhead
-    if not (np.abs(S - S.T) <= 1e-12 + 1e-5 * np.abs(S.T)).all():
+    # np.allclose(S, S.T, atol=1e-12) on finite entries
+    if any([abs(x - y) > 1e-12 + 1e-5 * abs(y) for x, y in zip(S.flat, S.T.flat)]):
         raise ValueError(f"{what} must be symmetric")
-    if np.min(np.linalg.eigvalsh(S)) < -1e-12:
+    # the eigenvalue of a 1 x 1 matrix is its entry, as eigvalsh returns it
+    if (S[0, 0] if S.shape == (1, 1) else np.min(np.linalg.eigvalsh(S))) < -1e-12:
         raise ValueError(f"{what} must be positive semidefinite")
 
 
@@ -283,9 +287,9 @@ class FiniteAtoms(JumpMeasure):
         object.__setattr__(self, "intensities", lam)
         if pts.shape[0] != lam.shape[0]:
             raise ValueError("points and intensities must have matching lengths")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(lam)):
+        if not all(map(math.isfinite, pts.ravel().tolist() + lam.tolist())):
             raise ValueError("atom positions and intensities must be finite")
-        if lam.size and np.any(lam <= 0):
+        if any([x <= 0 for x in lam.tolist()]):
             raise ValueError("atom intensities must be strictly positive")
         dup = next((g for g in _atom_groups(pts) if len(g) > 1), None)
         if dup:
@@ -305,9 +309,6 @@ class FiniteAtoms(JumpMeasure):
         vals = np.asarray(g(self.points))
         if self.points.shape[0] == 0:
             return np.zeros(vals.shape[1], dtype=np.complex128), 0.0, {}
-        faults, open_ = {}, np.ones(vals.shape[1], dtype=bool)
-        _flag(np.isnan(vals), open_, faults, lambda k, j: NanPointError(
-            f"integrand is undefined at atom {self.points[k].tolist()}", point=self.points[k]))
         # A sequential sum in atom order, so a plain loop reproduces the
         # total bit for bit; its partial sums name an overflowing atom, as
         # a partial sum that is not finite stays so.  An overflowed value
@@ -315,9 +316,16 @@ class FiniteAtoms(JumpMeasure):
         # on every walk along a tree.
         with np.errstate(all="ignore"):
             partial = np.cumsum(self.intensities[:, None] * vals, axis=0)
-        _flag(~np.isfinite(partial), open_, faults, lambda k, j: EngineError(
-            f"integrand overflows at atom {self.points[k].tolist()}: "
-            f"the atom sum is not finite ({partial[k, j:j + 1].tolist()})"))
+        faults = {}
+        # a NaN at an atom makes the total NaN: only a total that is not
+        # finite costs the scans, NaN verdicts first
+        if np.count_nonzero(np.isfinite(partial[-1])) < vals.shape[1]:
+            open_ = np.ones(vals.shape[1], dtype=bool)
+            _flag(np.isnan(vals), open_, faults, lambda k, j: NanPointError(
+                f"integrand is undefined at atom {self.points[k].tolist()}", point=self.points[k]))
+            _flag(~np.isfinite(partial), open_, faults, lambda k, j: EngineError(
+                f"integrand overflows at atom {self.points[k].tolist()}: "
+                f"the atom sum is not finite ({partial[k, j:j + 1].tolist()})"))
         # 0.0 + keeps the sign of a zero total as a sum started from 0 does
         return 0.0 + partial[-1], 0.0, faults
 
@@ -375,7 +383,7 @@ class GaussianPush(JumpMeasure):
             raise ValueError("intensity must be finite")
         if lam < 0:
             raise ValueError("intensity must be nonnegative")
-        if not np.all(np.isfinite(m)):
+        if not all(map(math.isfinite, m.tolist())):
             raise ValueError("mean must be finite")
         if S.shape != (m.size, m.size):
             raise ValueError(f"jump covariance shape {S.shape} does not match mean length {m.size}")
@@ -614,6 +622,8 @@ def psd_factor(S: np.ndarray) -> np.ndarray:
     singular matrices (including exact zeros) factor without jitter.
     """
     S = np.asarray(S, dtype=float)
+    if S.shape == (1, 1) and S[0, 0] > 0:
+        return np.sqrt(S)  # the Cholesky factor, rounded alike
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -721,7 +731,7 @@ class LevyTriplet:
         object.__setattr__(self, "c", c)
         if b.shape != (d,):
             raise ValueError(f"drift must have shape ({d},), got {b.shape}")
-        if not np.all(np.isfinite(b)):
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError("drift must be finite")
         if c.shape != (d, d):
             raise ValueError(f"diffusion covariance must have shape ({d}, {d}), got {c.shape}")

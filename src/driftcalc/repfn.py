@@ -27,8 +27,11 @@ are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import numbers
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -124,7 +127,7 @@ class Const(Node):
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
-        if _isnan(self.value):
+        if cmath.isnan(self.value):
             raise ValueError("NaN constants are not allowed")
         # its row's value in a real and in a complex batch: 0-d float64 (the
         # real part) and complex128 arrays, the operands numpy would make of
@@ -147,7 +150,7 @@ class Param(Node):
         array = np.array(self.values, dtype=np.complex128)
         if array.ndim != 1 or not array.size:
             raise ValueError(f"parameter values must be a nonempty 1-d array, got shape {array.shape}")
-        if _isnan(array).any():
+        if np.isnan(array).any():
             raise ValueError("NaN parameter values are not allowed")
         array.setflags(write=False)
         object.__setattr__(self, "values", tuple(array.tolist()))
@@ -204,7 +207,7 @@ class PowConst(Node):
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", complex(self.exponent))
-        if _isnan(self.exponent):
+        if cmath.isnan(self.exponent):
             raise ValueError("NaN exponents are not allowed")
         # the exponent as Const holds its value
         object.__setattr__(self, "_rows", (np.array(self.exponent.real), np.array(self.exponent)))
@@ -304,8 +307,8 @@ class _Op(NamedTuple):
     ``children`` the node fields, both in constructor (and prefix operand)
     order.  ``ev(node, X, *child_values)`` maps a batch X of shape (N, d) to
     (N,) values of X's dtype, or to one 0-d value where only constants are
-    below the node; ``jet(node, d, *child_jets)`` propagates
-    (value, gradient, Hessian) at x = 0 by second-order forward mode.
+    below the node; ``jet(node, arith, *child_jets)`` propagates (value,
+    gradient, Hessian) at x = 0 by second-order forward mode in ``_Arith``.
     ``subst(node, inner, *new_children)`` rebuilds the node for
     :func:`compose`, ``inner`` being the trees its coordinates stand for.
     ``wraps`` names the Python types the operator sugar turns into this
@@ -349,17 +352,42 @@ def _nonpositive(z):
     return z <= _ZERO if real else (z.imag == 0.0) & (z.real <= 0.0)
 
 
+# The arithmetic of one jet pass: the input dimension d, the product and
+# quotient of two origin values, the quotient of a derivative by one, exp,
+# log, the outer product of two gradients, a read-only zero gradient and
+# Hessian, and the gradients of the coordinates, indexed by coordinate.
+_Arith = namedtuple("_Arith", "dim mul quot div exp log outer zeros units")
+
+
 @functools.lru_cache(maxsize=None)
-def _zero_jet(dim: int) -> tuple:
-    """Read-only zero gradient and Hessian, shared by every flat jet of ``dim``."""
-    out = (np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
-    for a in out:
+def _arrays(dim: int) -> _Arith:
+    """numpy's arithmetic on gradients of shape (d,) and Hessians (d, d)."""
+    zeros = (np.zeros(dim, dtype=np.complex128), np.zeros((dim, dim), dtype=np.complex128))
+    units = np.eye(dim, dtype=np.complex128)
+    for a in (*zeros, units):
         a.setflags(write=False)
-    return out
+    return _Arith(dim, np.multiply, np.divide, operator.truediv, np.exp, np.log, _outer, zeros, units)
 
 
-def _flat(dim: int, value) -> tuple:
-    return (value, *_zero_jet(dim))
+def _quot(p, q):
+    # p / q rounded as numpy divides complex numbers where |q.real| >=
+    # |q.imag|, as for a real q: by (q.real + q.imag rat)^-1
+    rat = q.imag / q.real
+    scl = 1.0 / (q.real + q.imag * rat)
+    return complex((p.real + p.imag * rat) * scl, (p.imag - p.real * rat) * scl)
+
+
+# The jet pass of a real tree on R^1 without a parameter axis, in Python
+# complex numbers: where every imaginary part is a signed zero, their
+# product rounds as numpy's and _quot as numpy's quotient; exp and log stay
+# numpy's.  A division by zero raises, and a literal that is not real is
+# NaN, which reaches a root: the tree then takes the array pass.
+_SCALARS = _Arith(1, operator.mul, _quot, _quot, lambda z: complex(np.exp(z)),
+                  lambda z: complex(np.log(z)), operator.mul, (0j, 0j), (1 + 0j,))
+
+
+def _flat(k: _Arith, value) -> tuple:
+    return (value, *k.zeros)
 
 
 def _outer(a, b):
@@ -381,12 +409,12 @@ def _column(jet, k):
     )
 
 
-def _columnwise(rule, n, dim, *jets):
+def _columnwise(rule, n, k, *jets):
     """A jet rule that branches on an origin value, applied one column at a
     time where that value spans the parameter axis: each column takes the
     branch and the arithmetic of a tree holding that column's constants."""
-    K = next(len(v) for v, _g, _h in jets if type(v) is np.ndarray)
-    v, g, h = zip(*[rule(n, dim, *[_column(jet, k) for jet in jets]) for k in range(K)])
+    K, dim = next(len(v) for v, _g, _h in jets if type(v) is np.ndarray), k.dim
+    v, g, h = zip(*[rule(n, k, *[_column(jet, j) for jet in jets]) for j in range(K)])
     return (
         np.array(v, dtype=np.complex128).reshape(K, 1, 1),
         np.array(g, dtype=np.complex128).reshape(K, 1, dim),
@@ -394,60 +422,59 @@ def _columnwise(rule, n, dim, *jets):
     )
 
 
-def _jet_coord(n, dim):
-    if n.index >= dim:
-        raise ValueError(f"coordinate index {n.index} out of range for input dimension {dim}")
-    g = np.zeros(dim, dtype=np.complex128)
-    g[n.index] = 1.0
-    return (0j, g, np.zeros((dim, dim), dtype=np.complex128))
+def _jet_coord(n, k):
+    if n.index >= k.dim:
+        raise ValueError(f"coordinate index {n.index} out of range for input dimension {k.dim}")
+    return (0j, k.units[n.index], k.zeros[1])
 
 
-# Origin values are scalars.  Their products and quotients go through numpy's
-# ufuncs, which round as an evaluation at the origin does; Python's complex
-# * and / round differently, and its ** raises on overflow.
+# Origin values are scalars.  In the array pass their products and quotients
+# go through numpy's ufuncs, which round as an evaluation at the origin does;
+# Python's complex * and / round differently, and its ** raises on overflow.
+# The scalar pass (_SCALARS) keeps those bits on real trees only.
 
 
-def _jet_mul(n, dim, a, b):
+def _jet_mul(n, k, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
-    v = np.multiply(va, vb)
-    return (v, va * gb + vb * ga, va * hb + vb * ha + _outer(ga, gb) + _outer(gb, ga))
+    return (k.mul(va, vb), va * gb + vb * ga, va * hb + vb * ha + k.outer(ga, gb) + k.outer(gb, ga))
 
 
-def _jet_div(n, dim, a, b):
+def _jet_div(n, k, a, b):
     (va, ga, ha), (vb, gb, hb) = a, b
     if type(vb) is np.ndarray:
-        return _columnwise(_jet_div, n, dim, a, b)
+        return _columnwise(_jet_div, n, k, a, b)
     if vb == 0:
-        return _flat(dim, _CNAN)
-    v = np.divide(va, vb)
-    g = (ga - v * gb) / vb
-    return (v, g, (ha - v * hb - _outer(g, gb) - _outer(gb, g)) / vb)
+        return _flat(k, _CNAN)
+    v = k.quot(va, vb)
+    g = k.div(ga - v * gb, vb)
+    return (v, g, k.div(ha - v * hb - k.outer(g, gb) - k.outer(gb, g), vb))
 
 
-def _jet_exp(n, dim, c):
+def _jet_exp(n, k, c):
     vc, gc, hc = c
-    w = np.exp(vc)
-    return (w, w * gc, w * (hc + _outer(gc, gc)))
+    w = k.exp(vc)
+    return (w, w * gc, w * (hc + k.outer(gc, gc)))
 
 
-def _jet_log(n, dim, c):
-    vc, gc, hc = c
-    if type(vc) is np.ndarray:
-        return _columnwise(_jet_log, n, dim, c)
-    if _nonpositive(vc):
-        return _flat(dim, _CNAN)
-    return (np.log(vc), gc / vc, hc / vc - _outer(gc, gc) / (vc * vc))
-
-
-def _jet_pow(n, dim, c):
+def _jet_log(n, k, c):
     vc, gc, hc = c
     if type(vc) is np.ndarray:
-        return _columnwise(_jet_pow, n, dim, c)
+        return _columnwise(_jet_log, n, k, c)
     if _nonpositive(vc):
-        return _flat(dim, _CNAN)
-    p = n.exponent
-    w = np.exp(np.multiply(p, np.log(vc)))
-    return (w, p * w / vc * gc, p * w / vc * hc + p * (p - 1) * w / (vc * vc) * _outer(gc, gc))
+        return _flat(k, _CNAN)
+    return (k.log(vc), k.div(gc, vc), k.div(hc, vc) - k.div(k.outer(gc, gc), vc * vc))
+
+
+def _jet_pow(n, k, c):
+    vc, gc, hc = c
+    if type(vc) is np.ndarray:
+        return _columnwise(_jet_pow, n, k, c)
+    if _nonpositive(vc):
+        return _flat(k, _CNAN)
+    p = _CNAN if k is _SCALARS and n.exponent.imag else n.exponent
+    w = k.exp(k.mul(p, k.log(vc)))
+    return (w, k.div(p * w, vc) * gc,
+            k.div(p * w, vc) * hc + k.div(p * (p - 1) * w, vc * vc) * k.outer(gc, gc))
 
 
 def _ev_pow(n, X, z):
@@ -464,19 +491,19 @@ def _ev_indicator(n, X, z):
     return np.where(_isnan(z), _like(_CNAN, z), n.test(z).astype(z.dtype))
 
 
-def _jet_indicator(n, dim, c):
+def _jet_indicator(n, k, c):
     # A predicate off its level is constant near the origin, so the indicator
     # is frozen at its origin value before differentiation; on its level it
     # is not, and the tree is rejected.
     z0 = c[0]
     if type(z0) is np.ndarray:
-        return _columnwise(_jet_indicator, n, dim, c)
+        return _columnwise(_jet_indicator, n, k, c)
     if (z0 if n.op in ("eq", "ne") else np.abs(z0)) == n.threshold:
         raise ValueError(
             "indicator predicate is discontinuous at the origin "
             f"(child value {np.complex128(z0)}, {n.op} {n.threshold})"
         )
-    return _flat(dim, _ev_indicator(n, None, np.asarray([z0]))[0])
+    return _flat(k, _ev_indicator(n, None, np.asarray([z0]))[0])
 
 
 _BINARY = ("left", "right")
@@ -498,29 +525,30 @@ _OPS = {
         # a 0-d array, which a batch's arithmetic broadcasts as it would an
         # N-length fill: the same operation runs on each element
         lambda n, X: n._rows[X.dtype.kind == "c"],
-        lambda n, dim: _flat(dim, n.value),
+        # a literal that is not real is NaN to the scalar pass (see _SCALARS)
+        lambda n, k: _flat(k, _CNAN if k is _SCALARS and n.value.imag else n.value),
         wraps=(numbers.Number,),
     ),
     Param: _Op(
         "param", (("values", _format_values, parse_complex),), (),
         lambda n, X: _like(n._array, X),
-        lambda n, dim: _flat(dim, n._column),
+        lambda n, k: _flat(k, n._column),
         axis=True,
     ),
     Add: _Op(
         "add", (), _BINARY, lambda n, X, a, b: a + b,
-        lambda n, dim, a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+        lambda n, k, a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
     ),
     Sub: _Op(
         "sub", (), _BINARY, lambda n, X, a, b: a - b,
-        lambda n, dim, a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
+        lambda n, k, a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
     ),
     # 0 * NaN stays NaN: numpy guarantees this for complex products.  The
     # ufunc, not *: a constant subtree's values are numpy scalars, and *
     # of two complex scalars rounds apart from the array loop.
     Mul: _Op("mul", (), _BINARY, lambda n, X, a, b: np.multiply(a, b), _jet_mul),
     Div: _Op("div", (), _BINARY, lambda n, X, a, b: _guarded(b == 0, lambda d: a / d, b), _jet_div),
-    Neg: _Op("neg", (), ("child",), lambda n, X, a: -a, lambda n, dim, a: (-a[0], -a[1], -a[2])),
+    Neg: _Op("neg", (), ("child",), lambda n, X, a: -a, lambda n, k, a: (-a[0], -a[1], -a[2])),
     Exp: _Op("exp", (), ("child",), lambda n, X, z: np.exp(z), _jet_exp),
     Log: _Op("log", (), ("child",), lambda n, X, z: _guarded(_nonpositive(z), np.log, z), _jet_log),
     PowConst: _Op("pow", (("exponent", *_COMPLEX),), ("child",), _ev_pow, _jet_pow),
@@ -544,6 +572,12 @@ def _record(root: Node, slots: dict, tape: list) -> int:
         node = stack.pop()
         if type(node) is tuple:
             op, node = node
+            # Spelled out per arity, as in RepFn._run: every node with one
+            # child holds it as ``child``.
+            if op.children is _BINARY:
+                args = (slots[id(node.left)], slots[id(node.right)])
+            else:
+                args = (slots[id(node.child)],)
         elif id(node) in slots:
             continue
         else:
@@ -552,13 +586,9 @@ def _record(root: Node, slots: dict, tape: list) -> int:
                 raise TypeError(f"unknown node type {type(node).__name__}")
             if op.children:
                 stack.append((op, node))
-                # Plain loops: a comprehension per node costs more than the walk.
-                for field in reversed(op.children):
-                    stack.append(getattr(node, field))
+                stack += (node.right, node.left) if op.children is _BINARY else (node.child,)
                 continue
-        args = ()
-        for field in op.children:
-            args += (slots[id(getattr(node, field))],)
+            args = ()
         slots[id(node)] = len(tape)
         tape.append((op, node, args))
     return slots[id(root)]
@@ -606,8 +636,16 @@ class RepFn:
         # K, or 0 without a parameter axis
         object.__setattr__(self, "_width", widths.pop() if widths else 0)
         d, K = self.input_dim, self._width or 1
-        jets = self._run("jet", d)
-        n = len(roots) * K
+        jets, n = None, len(roots) * K
+        if d == 1 and not self._width:
+            # see _SCALARS; a root's jet that is not finite takes the array
+            # pass's bits, and a refused tree the array pass's error
+            try:
+                jets = self._run("jet", _SCALARS)
+            except (ArithmeticError, ValueError):
+                pass
+        if jets is None or not all([cmath.isfinite(z) for s in roots for z in jets[s]]):
+            jets = self._run("jet", _arrays(d))
         value, jac, hess = blocks = [np.zeros(s, dtype=np.complex128) for s in ((n,), (n, d), (n, d, d))]
         if self._width:
             # output k's K columns, in the jet's shapes; a root off the axis

@@ -463,6 +463,15 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert "error: workers must be an integer, got 2.5" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+    def test_a_seed_outside_64_bits_is_usage_error(self, model_file, capsys, seed):
+        # masked into 64 bits, -1 printed the figures of 2**64 - 1 and 2**64 those of 0
+        code = main(["mc-verify", "--model", model_file(MERTON_MODEL), "--target", "cumulant",
+                     "--n-paths", "100", "--seed", seed])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
     @pytest.mark.parametrize("option", [["--u-max", "50"], ["--beta=-0.3"]])
     def test_contour_options_are_gone(self, model_file, capsys, option):
         code = exit_code(["price-margrabe", "--model", model_file(MARGRABE_MODEL), *option])
@@ -828,6 +837,101 @@ class TestDiscreteInputs:
             messages.append(captured.err)
         assert messages == [f"error: malformed {kind} model: atom positions and intensities must be finite\n"
                             for kind in ("discrete", "levy")]
+
+
+#: the exchange model of docs/model-schema.md
+DOC_MARGRABE_MODEL = {
+    "type": "margrabe", "spot1": 100.0, "spot2": 100.0, "maturity": 1.0,
+    "diffusion": {"sigma1_sq": 0.04, "sigma12": 0.006, "sigma2_sq": 0.01},
+    "jump": {"lambda": 0.4, "mean": [-0.1, -0.05], "cov": [[0.0625, 0.02], [0.02, 0.0625]]},
+    "defaults": [{"x": [0.0, -1.0], "intensity": 0.02}],
+}
+
+
+def _edit(doc, path, value=None, rename=None):
+    """A deep copy of doc whose entry at ``path`` (keys and indices) is set to
+    ``value``, or renamed to ``rename``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if rename is None:
+        node[last] = value
+    else:
+        node[rename] = node.pop(last)
+    return doc
+
+
+def _schema_argv(doc, path):
+    """A command that loads the model file at ``path``, for doc's type."""
+    if doc["type"] == "levy":
+        return ["cumulant", "--model", path, "--v-grid", '{"re": 0.5}']
+    if doc["type"] == "discrete":
+        return ["discrete", "--model", path, "--op", "compensator", "--xi", "identity",
+                "--xi-params", '{"dim": 1}', "-T", "2"]
+    return ["price-margrabe", "--model", path]
+
+
+class TestModelSchema:
+    """Every level of a model file refuses a key outside the schema, and every
+    number field refuses a boolean or a string, with exit 2 naming the field."""
+
+    def run(self, model_file, capsys, doc):
+        code = exit_code(_schema_argv(doc, model_file(doc)))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("doc, path, rename, where, allowed", [
+        # "jump" for "jumps" loaded with no jump measure: kappa(0.5) read 0.030000000000000002
+        (MERTON_MODEL, ["jumps"], "jump", "levy model", "'type', 'dim', 'b', 'c', 'truncation', 'jumps'"),
+        (MERTON_MODEL, ["jumps", 0, "cov"], "sd", "jumps[0]", "'kind', 'lambda', 'mean', 'cov'"),
+        (MERTON_MODEL, ["jumps", 1, "atoms"], "points", "jumps[1]", "'kind', 'atoms'"),
+        (MERTON_MODEL, ["jumps", 1, "atoms", 0, "intensity"], "lambda", "jumps[1] atoms[0]", "'x', 'intensity'"),
+        (TRINOMIAL_MODEL, ["support"], "atoms", "discrete model", "'type', 'support'"),
+        (TRINOMIAL_MODEL, ["support", 2, "p"], "prob", "support[2]", "'x', 'p'"),
+        # "jumps" for "jump" priced without the jump body: 7.7645209585126276, not 10.04098474298104
+        (DOC_MARGRABE_MODEL, ["jump"], "jumps", "margrabe model",
+         "'type', 'spot1', 'spot2', 'maturity', 'diffusion', 'jump', 'defaults'"),
+        (DOC_MARGRABE_MODEL, ["diffusion", "sigma12"], "sigma_12", "diffusion", "'sigma1_sq', 'sigma12', 'sigma2_sq'"),
+        (DOC_MARGRABE_MODEL, ["jump", "mean"], "means", "jump", "'lambda', 'mean', 'cov'"),
+        (DOC_MARGRABE_MODEL, ["defaults", 0, "intensity"], "lambda", "defaults[0]", "'x', 'intensity'"),
+    ])
+    def test_an_unknown_key_is_refused_at_every_level(self, model_file, capsys, doc, path, rename, where, allowed):
+        assert self.run(model_file, capsys, doc)[0] == 0
+        bad = _edit(doc, path, rename=rename)
+        assert self.run(model_file, capsys, bad) == (
+            2, "", f"error: {where} has unknown key {rename!r}; allowed keys are {allowed}\n")
+
+    @pytest.mark.parametrize("dim", [1.7, 1.0, True, 0, -1, "1", None])
+    def test_dim_must_be_an_integer_of_at_least_one(self, model_file, capsys, dim):
+        bad = _edit(MERTON_MODEL, ["dim"], dim)
+        assert self.run(model_file, capsys, bad) == (
+            2, "", f"error: levy model 'dim' must be an integer >= 1, got {dim!r}\n")
+
+    @pytest.mark.parametrize("doc, path, value, where", [
+        (MERTON_MODEL, ["b"], [True], "levy model 'b'"),
+        (MERTON_MODEL, ["c"], [["0.04"]], "levy model 'c'"),
+        (MERTON_MODEL, ["jumps", 0, "lambda"], "0.8", "jumps[0] 'lambda'"),
+        (MERTON_MODEL, ["jumps", 0, "mean"], [False], "jumps[0] 'mean'"),
+        (MERTON_MODEL, ["jumps", 0, "cov"], "[[0.04]]", "jumps[0] 'cov'"),
+        (MERTON_MODEL, ["jumps", 1, "atoms", 0, "x"], ["0.25"], "jumps[1] atoms[0] 'x'"),
+        (MERTON_MODEL, ["jumps", 1, "atoms", 0, "intensity"], True, "jumps[1] atoms[0] 'intensity'"),
+        (TRINOMIAL_MODEL, ["support", 1, "x"], [True], "support[1] 'x'"),
+        (TRINOMIAL_MODEL, ["support", 1, "p"], "0.4", "support[1] 'p'"),
+        (DOC_MARGRABE_MODEL, ["spot1"], "100", "margrabe model 'spot1'"),
+        (DOC_MARGRABE_MODEL, ["maturity"], True, "margrabe model 'maturity'"),
+        (DOC_MARGRABE_MODEL, ["diffusion", "sigma12"], "0.006", "diffusion 'sigma12'"),
+        (DOC_MARGRABE_MODEL, ["jump", "lambda"], "0.4", "jump 'lambda'"),
+        (DOC_MARGRABE_MODEL, ["jump", "cov"], [[0.0625, True], [0.02, 0.0625]], "jump 'cov'"),
+        (DOC_MARGRABE_MODEL, ["defaults", 0, "x"], ["0", -1.0], "defaults[0] 'x'"),
+        (DOC_MARGRABE_MODEL, ["defaults", 0, "intensity"], False, "defaults[0] 'intensity'"),
+    ])
+    def test_a_boolean_or_a_string_is_not_a_number(self, model_file, capsys, doc, path, value, where):
+        # each was read as its number before: "0.8" as 0.8, true as 1.0
+        bad = _edit(doc, path, value)
+        assert self.run(model_file, capsys, bad) == (
+            2, "", f"error: {where} must be a number or a list of numbers, got {value!r}\n")
 
 
 def csv_rows(text):

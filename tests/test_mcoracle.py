@@ -658,6 +658,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             dc.SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, -2**64, 2**64, 2**64 + 1, np.int64(-1)])
+    def test_a_seed_outside_the_philox_seed_word_is_refused(self, seed):
+        # masked into 64 bits, -1 and 2**64 - 1 gave one stream, 2**64 that of 0
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {int(seed)}$"):
+            dc.SimConfig(n_paths=1_000, seed=seed)
+
+    def test_the_ends_of_the_seed_range_give_their_own_streams(self, merton_1d):
+        xi, est = dc.rep_exp_affine(0.5), {}
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            est[seed] = _fields(dc.mc_stoch_exp(xi, merton_1d, 1.0, dc.SimConfig(n_paths=2_000, seed=seed)))
+        assert len(set(est.values())) == 4
+
 
 class TestBlockedEstimate:
     """``_collect`` and ``_estimate`` against the concatenating oracle."""

@@ -615,6 +615,90 @@ class TestLevyTriplet:
                            dc.FiniteAtoms([[0.1]], [1.0]), dc.TruncationSpec.identity(2))
 
 
+def _symmetric(S):
+    S = np.asarray(S, dtype=float)
+    return (S + S.T) / 2.0
+
+
+def _with_smallest_eigenvalue(lam, d):
+    """A symmetric d x d matrix, exactly so, whose smallest eigenvalue is about lam."""
+    if d == 1:
+        return np.array([[lam]])
+    Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    return _symmetric(Q @ np.diag([0.04, lam]) @ Q.T)
+
+
+def _covariance_owners(S):
+    """A constructor per place a covariance is checked: a triplet's c and a
+    Gaussian body's jump cov."""
+    d = S.shape[0]
+    return {
+        "diffusion covariance": lambda: dc.LevyTriplet(d, np.zeros(d), S, dc.empty_measure(d),
+                                                       dc.TruncationSpec.identity(d)),
+        "jump covariance": lambda: dc.GaussianPush(0.5, np.zeros(d), S),
+    }
+
+
+class TestCovarianceVerdicts:
+    """The PSD check and the covariance factor against numpy's eigenvalue
+    rule and factorisations, for c and for a jump cov."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lam", [-1e-13, -1e-11, 0.0, 1e-13, 0.02])
+    def test_the_verdict_is_that_of_eigvalsh(self, d, lam):
+        S = _with_smallest_eigenvalue(lam, d)
+        rejected = np.min(np.linalg.eigvalsh(S)) < -1e-12
+        assert rejected == (lam == -1e-11)
+        for what, build in _covariance_owners(S).items():
+            if rejected:
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == f"{what} must be positive semidefinite"
+            else:
+                build()
+
+    @pytest.mark.parametrize("S", [
+        [[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.04, 0.02], [0.02, 0.01]], [[0.01, -0.01], [-0.01, 0.01]],
+    ])
+    def test_singular_covariances_take_the_eigh_factor(self, S):
+        S = np.array(S)
+        for build in _covariance_owners(S).values():
+            build()
+        w, V = np.linalg.eigh(S)
+        want = V * np.sqrt(np.clip(w, 0.0, None))
+        got = dc.GaussianPush(0.5, np.zeros(S.shape[0]), S)._factor
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert models.psd_factor(S).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [1e-300, 0.0225, 0.09, 2.0, 1e300])
+    def test_a_one_by_one_factor_is_that_of_cholesky(self, s):
+        S = np.array([[s]])
+        want = np.linalg.cholesky(S)
+        assert dc.GaussianPush(0.5, [0.0], S)._factor.tobytes() == want.tobytes()
+        assert models.psd_factor(S).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("S, verdict", [
+        ([[math.nan]], "must be finite"),
+        ([[0.04, math.nan], [math.nan, 0.04]], "must be finite"),
+        ([[0.04, -math.inf], [-math.inf, 0.04]], "must be finite"),
+        ([[0.04, 0.01], [0.0, 0.04]], "must be symmetric"),
+        ([[0.04, 0.01], [0.01 + 2e-7, 0.04]], "must be symmetric"),
+    ])
+    def test_finiteness_and_symmetry_verdicts(self, S, verdict):
+        S = np.array(S)
+        for what, build in _covariance_owners(S).items():
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"{what} {verdict}"
+
+    def test_symmetry_holds_within_its_tolerance(self):
+        # 1e-12 + 1e-5 |S_ji| apart is symmetric, as np.allclose has it
+        S = np.array([[0.04, 0.01 + 1e-13], [0.01, 0.04]])
+        assert np.allclose(S, S.T, rtol=1e-5, atol=1e-12)
+        for build in _covariance_owners(S).values():
+            build()
+
+
 class TestDiscreteModel:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):

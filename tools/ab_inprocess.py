@@ -10,9 +10,12 @@ workload (default ``drift_nd``, seed 7), as ``perfbench/workloads.py`` and
 ``perfbench/worker.py`` of this checkout generate and run them, and the
 fixed cases of ``cases``: the 1-d Merton drift of ``rep_exp_affine(0.5)``,
 one 2-d power drift, the exponential-utility optimum of the 1-d Merton
-model on the bracket (0, 8), and the walks alone of those two drifts: one
+model on the bracket (0, 8), the walks alone of those two drifts (one
 ``eval_batch`` of each tree on fixed points as many as a level-0 walk
-holds, so that a drift's time splits into its walks and its glue.  After
+holds, so that a drift's time splits into its walks and its glue), the
+builds alone of two trees, the one-value slope tree of the utility
+optimiser's Newton steps and ``rep_exp_affine(0.5)``, and ``parse_model``
+of a fixed 1-d Gaussian + atoms document.  After
 one warm-up pass per side, each of N rounds (default 15) times one whole
 pass on each side, then CASE_REPS calls of each fixed case on each side;
 the side that goes first alternates from round to round.
@@ -69,6 +72,12 @@ MERTON = {
 #: axes: 7^d nodes, 2d probe points and 15^d nodes
 WALK_POINTS = {d: np.expm1(np.random.default_rng(d).normal(-0.05, 0.2, (7**d + 2 * d + 15**d, d)))
                for d in (1, 2)}
+#: a 1-d Gaussian body and two atoms, as most ``grid_1d`` models hold
+MIXED_1D = {
+    "type": "levy", "dim": 1, "b": [0.02], "c": [[0.09]], "truncation": ["unit_clip"],
+    "jumps": [{"kind": "gaussian_push", "lambda": 0.5, "mean": [-0.1], "cov": [[0.0225]]},
+              {"kind": "atoms", "atoms": [{"x": [0.2], "intensity": 0.3}, {"x": [-0.4], "intensity": 0.1}]}],
+}
 #: a 2-d Gaussian body like those of ``drift_nd``
 BODY_2D = {
     "type": "levy", "dim": 2, "b": [0.03, 0.01], "c": [[0.04, 0.01], [0.01, 0.09]],
@@ -91,8 +100,8 @@ def load(tree: Path, name: str) -> SimpleNamespace:
 
 def cases(M) -> dict:
     """Label -> zero-argument call of each fixed case, returning its drift
-    total, for the optimum the array of (lam*, u(lam*)), or for a walk the
-    tree's values."""
+    total, for the optimum the array of (lam*, u(lam*)), for a walk the
+    tree's values, for a build the tree and for a parse the model."""
     merton, body = M.modelio.parse_model(MERTON), M.modelio.parse_model(BODY_2D)
     exp_affine = M.calculus.rep_exp_affine(0.5)
     power = M.repfn.from_prefix(worker.power_tree([0.7, -1.2]))
@@ -102,7 +111,23 @@ def cases(M) -> dict:
         "utility_opt_us": lambda: np.array(M.pricing.optimize_exp_utility(merton, (0.0, 8.0))),
         "walk_1d_us": lambda: exp_affine.eval_batch(WALK_POINTS[1]),
         "walk_2d_us": lambda: power.eval_batch(WALK_POINTS[2]),
+        "slope_build_us": lambda: M.calculus._rep_exp_utility_slope(1.3),
+        "exp_affine_build_us": lambda: M.calculus.rep_exp_affine(0.5),
+        "parse_model_us": lambda: M.modelio.parse_model(MIXED_1D),
     }
+
+
+def digest(M, out) -> str:
+    """A fixed case's result as text: a tree's jet, a model's document with
+    each Gaussian body's covariance factor, or an array's numbers."""
+    if isinstance(out, M.repfn.RepFn):
+        jet = out.jet_at_zero()
+        return repr([jet.value.tolist(), jet.jacobian.tolist(), jet.hessian.tolist()])
+    if isinstance(out, M.models.LevyTriplet):
+        parts = getattr(out.jumps, "parts", (out.jumps,))
+        factors = [p._factor.tolist() for p in parts if isinstance(p, M.models.GaussianPush)]
+        return json.dumps([M.modelio.serialize_model(out), factors], sort_keys=True)
+    return repr(out.tolist())
 
 
 def run_pass(calls) -> tuple:
@@ -183,7 +208,7 @@ def main(argv) -> int:
         side = {}
         for name, tree in zip(SIDES, (args.parent, args.change)):
             M = load(tree.resolve(), f"ab_{name}")
-            side[name] = ([worker.make_call(M, plan, spec) for spec in plan["ops"]], cases(M))
+            side[name] = ([worker.make_call(M, plan, spec) for spec in plan["ops"]], cases(M), M)
         labels = sorted({op["label"] for op in plan["ops"]})
         passes, p90s = ({name: [] for name in SIDES} for _ in range(2))
         by_label = {label: {name: [] for name in SIDES} for label in labels}
@@ -207,8 +232,7 @@ def main(argv) -> int:
                     dt, totals[name] = time_case(side[name][1][label])
                     if r:
                         fixed[label][name].append(dt)
-                if not moves.check(f"{label} case", repr(totals["parent"].tolist()),
-                                   repr(totals["change"].tolist())):
+                if not moves.check(f"{label} case", *[digest(side[name][2], totals[name]) for name in SIDES]):
                     return 1
             for i, (a, b) in enumerate(zip(outputs["parent"], outputs["change"])):
                 if not moves.check(f"op {i} ({plan['ops'][i]['label']})", json.dumps(a, sort_keys=True),
