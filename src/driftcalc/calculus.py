@@ -70,9 +70,10 @@ def rep_exp_affine(v) -> RepFn:
     leaf: one column e^{v_k x} - 1 per point from a tree of six tape slots,
     whatever the number of points.
     """
-    if np.ndim(v) > 1:
+    ndim = np.ndim(v)  # once: on a number it costs a caught exception
+    if ndim > 1:
         raise ValueError(f"v must be a number or a 1-d array, got shape {np.shape(v)}")
-    return RepFn(1, (Exp((Param(v) if np.ndim(v) else Const(v)) * Coord(0)) - _ONE,))
+    return RepFn(1, (Exp((Param(v) if ndim else Const(v)) * Coord(0)) - _ONE,))
 
 
 def rep_power(v) -> RepFn:
@@ -98,7 +99,8 @@ def _rep_exp_utility_slope(lam) -> RepFn:
     columns in (output, parameter) order.
     """
     y = Exp(Coord(0)) - _ONE
-    weight = Exp(Neg((Param(lam) if np.ndim(lam) else Const(lam)) * y))
+    # isinstance, not np.ndim, which costs a caught exception on a float
+    weight = Exp(Neg((Param(lam) if isinstance(lam, np.ndarray) else Const(lam)) * y))
     return RepFn(1, (Neg(y * weight), y * y * weight, weight - _ONE))
 
 

@@ -10,7 +10,8 @@ Commands
   discrete        discrete-time compensators and one-period products
   mc-verify       analytic value vs Monte Carlo estimate with a z-score
 
-Exit codes: 0 success, 1 computation diagnostic, 2 usage or parse error.
+Exit codes: 0 success, 1 computation diagnostic or an output pipe its reader
+closed (then nothing on stderr), 2 usage or parse error.
 All numeric output is printed with 17 significant digits; complex numbers
 are rendered as "a+bi" strings.  Seeds make every Monte Carlo figure
 reproducible; ``--threads`` (or the DRIFTCALC_THREADS environment variable)
@@ -100,6 +101,7 @@ def _emit(args, text: str):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, where main catches it, not at exit
 
 
 def _emit_json(args, payload: dict):
@@ -439,6 +441,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader has gone: stdout points at devnull, so the flush at
+        # exit has nowhere to fail (the SIGPIPE note of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ModelFormatError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

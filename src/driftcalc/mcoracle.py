@@ -247,7 +247,7 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     draw = jumps._draw((lambda x: 1.0 + fn.eval_batch(x)) if exponential else fn.eval_batch)
     # the values of a chunk without jumps, which draws nothing: the jumps are
     # real, so the tree's values are float64 where its literals are real
-    none = np.zeros((fn.output_dim, 0), np.float64 if fn._is_real() else np.complex128)
+    none = np.zeros((fn.output_dim, 0), np.float64 if fn._real else np.complex128)
 
     def jump_part(rng, counts):
         # a chunk's jumps are freed once reduced, before the next is drawn

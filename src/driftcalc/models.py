@@ -6,19 +6,19 @@ push-forwards) evaluated by tensorised Gauss-Hermite quadrature.  Truncation
 choices are explicit: a triplet always records the truncation its drift
 vector refers to, and ``retruncate`` moves between equivalent descriptions.
 
-A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, 31, ...,
-255 nodes per axis; each output stops at the first two levels whose
-estimates of it agree, and fails on its own, as an integral of it alone.
-Each measure keeps the node sets of the levels an accepted integral used,
-and its truncation moments, so later integrals on it rebuild nothing.  One
-call of the integrand covers the first two levels and a far-tail probe,
-about 21 standard deviations out along each axis; an integrand that
-outgrows the Gaussian decay there raises ``NonIntegrableError`` instead of
-converging to a finite but meaningless number on the low levels.  The
-ladder runs in one floating-point error-state scope per integral and scans
-a rung for NaN only where a comparison leaves an output open with a NaN
-change.  Jump points are real, so a real tree is integrated in float64, a
-complex one in complex128.
+A Gaussian expectation climbs a ladder of odd tensor rules, 7, 15, ..., 255
+nodes per axis, whose rungs ``_ladder`` lists as data, each a node-set level
+and its rows in that level's walk; level 0's walk, one call of the
+integrand, holds rungs 0 and 1 with a far-tail probe between them, about 21
+standard deviations out on each axis.  One loop walks each level once, in
+one floating-point error-state scope, and fails each output alone by the
+first of: a NaN on rung 0; growth past the Gaussian decay at the probe
+(``NonIntegrableError``); a NaN on a later rung; no two consecutive rungs
+agreeing (``ConvergenceError``).  It scans for NaN only where an open
+output's change is NaN.  Each measure keeps the node sets of the levels an
+accepted integral used, and its truncation moments, so later integrals on
+it rebuild nothing.  Jump points are real, so a real tree is integrated in
+float64, a complex one in complex128.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @functools.lru_cache(maxsize=None)
 def _hermite_nodes(n: int):
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w
+    return np.polynomial.hermite.hermgauss(n)
 
 
 def _tensor_rule(n: int, d: int):
@@ -149,18 +148,30 @@ def _ladder_nodes(level: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _ladder(d: int):
+    """The rungs on d axes in order, each (node-set level, rows of its walk),
+    and the probe's rows: level 0 holds rung 0, the probe, then rung 1."""
+    n, levels = _ladder_nodes(0) ** d, range(2, QUAD_MAX_DOUBLINGS + 1)
+    rungs = [(0, slice(0, n)), (0, slice(n + 2 * d, None))] + [(k, slice(None)) for k in levels]
+    return tuple(rungs), slice(n, n + 2 * d)
+
+
+@functools.lru_cache(maxsize=None)
 def _standard_rule(level: int, d: int):
-    """The model-free rule of ``level`` on d axes, read-only: points in
-    Hermite units (N, d) and weights (N,) divided by pi^{d/2}.  Level 0 is
-    the 7-node rule, the 2d probe points +-u e_i (u the outermost node of
-    the QUAD_PROBE_NODES rule, each with its weight in that tensor rule),
-    then the 15-node rule."""
-    parts = [_tensor_rule(_ladder_nodes(level), d)]
+    """The model-free rule of ``level`` on d axes, read-only: points in Hermite units (N, d) and
+    weights (N,) divided by pi^{d/2}.  Level 0 holds, at the rows of ``_ladder``, rungs 0 and 1
+    and the probe points +-u e_i, u the outermost node of the QUAD_PROBE_NODES rule."""
+    U, W = _tensor_rule(_ladder_nodes(level), d)
     if level == 0:
+        ((_, rung0), (_, rung1), *_), probe = _ladder(d)
         pu, pw = _hermite_nodes(QUAD_PROBE_NODES)
-        probe_w = np.full(2 * d, pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))
-        parts += [(pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), probe_w), _tensor_rule(_ladder_nodes(1), d)]
-    U, W = (np.concatenate(a) for a in zip(*parts))
+        # each probe point with its weight in the QUAD_PROBE_NODES tensor rule
+        blocks = [(rung0, U, W), (rung1, *_tensor_rule(_ladder_nodes(1), d)),
+                  (probe, pu[-1] * np.vstack([np.eye(d), -np.eye(d)]), pw[-1] * pw[QUAD_PROBE_NODES // 2] ** (d - 1))]
+        size = probe.stop + _ladder_nodes(1) ** d
+        U, W = np.empty((size, d)), np.empty(size)
+        for rows, u, w in blocks:
+            U[rows], W[rows] = u, w
     rule = U, W / np.pi ** (d / 2)
     for a in rule:
         a.setflags(write=False)
@@ -168,8 +179,7 @@ def _standard_rule(level: int, d: int):
 
 
 class _NodeSet(NamedTuple):
-    """One level of a Gaussian body's quadrature ladder (level 0 also holds the
-    probe and level 1), read-only."""
+    """The walk of one level of a Gaussian body's ladder (see ``_ladder``), read-only."""
 
     points: np.ndarray  # real jump points (N, d), handed to integrands
     weights: np.ndarray  # tensor-rule weights as a column (N, 1), summing to 1 over the rule
@@ -200,8 +210,8 @@ class JumpMeasure:
         raise NotImplementedError
 
     def _truncation_moment(self, trunc: "TruncationSpec") -> np.ndarray:
-        """int h(x) F(dx) componentwise, shape (d,); by default the integral
-        itself, slow where a clip boundary crosses a Gaussian body's support."""
+        """int h(x) F(dx) componentwise, shape (d,); by default the integral itself
+        (on atoms their sum in atom order), slow where a clip boundary crosses a body."""
         val, _ = integrate(self, trunc.apply, DEFAULT_QUADRATURE)
         return val.real
 
@@ -335,13 +345,6 @@ class FiniteAtoms(JumpMeasure):
         p = self.intensities / self.intensities.sum()
         return lambda rng, n: np.take(table, rng.choice(p.size, size=n, p=p), axis=1)
 
-    def _truncation_moment(self, trunc):
-        if self.points.shape[0] == 0:
-            return np.zeros(self.dim)
-        # the sequential sum of _integrate, so drift components computed
-        # through either path cancel bit for bit
-        return 0.0 + np.cumsum(self.intensities[:, None] * trunc.apply(self.points), axis=0)[-1]
-
     def _image(self, f):
         if self.points.shape[0] == 0:
             return empty_measure(f.output_dim)
@@ -390,11 +393,8 @@ class GaussianPush(JumpMeasure):
         _require_psd(S, "jump covariance")
         # the covariance factor, shared by every node set and every draw
         object.__setattr__(self, "_factor", psd_factor(S))
-        # for every integral: the probe's rows in level 0's walk, after rung
-        # 0's and before rung 1's, and lam as the 0-d complex128 array the
-        # float becomes in a rung sum's product
-        n = _ladder_nodes(0) ** m.size
-        object.__setattr__(self, "_probe", slice(n, n + 2 * m.size))
+        # for every integral: lam as the 0-d complex128 array the float
+        # becomes in a rung sum's product
         object.__setattr__(self, "_lam", np.array(lam + 0j))
 
     @property
@@ -415,41 +415,60 @@ class GaussianPush(JumpMeasure):
         if self.intensity == 0.0:
             probe = np.asarray(g(np.zeros((0, self.dim))))
             return np.zeros(probe.shape[1], dtype=np.complex128), 0.0, {}
-        used, prev, faults, out, err = {}, None, {}, None, None
-        # level 0's walk holds rung 0, then the probe, then rung 1
-        n, m = self._probe.start, self._probe.stop
+        rungs, probe = _ladder(self.dim)
+        used, level, faults, out, err = {}, None, {}, None, None
         abs_tol, rel_tol = quad._tols
         # One scope for the whole ladder, the walks of g included:
         # overflowing integrands are allowed to reach the checks below,
         # which report them instead of a numpy warning.
         with np.errstate(all="ignore"):
-            for level in range(QUAD_MAX_DOUBLINGS + 1):
-                if level != 1:
-                    used[level] = nodes = self._nodes.get(level) or self._build_nodes(level)
+            for i, (k, rows) in enumerate(rungs):
+                if k != level:
+                    # a level's node set is walked once, for all its rungs;
+                    # ``fresh`` is the first of them not scanned for NaN yet
+                    level, fresh = k, i
+                    used[k] = nodes = self._nodes.get(k) or self._build_nodes(k)
                     vals = np.asarray(g(nodes.points))
                     terms = nodes.weights * vals
-                rows = slice(m, None) if level == 1 else slice(0, n if level == 0 else None)
                 cur = self._lam * np.add.reduce(terms[rows], 0)
-                if level == 0:
+                if i == 0:
                     # the outputs with neither a value nor a verdict yet (np.ones at half its cost)
                     open_ = np.empty(cur.shape, dtype=bool)
                     open_.fill(True)
-                    self._check_tail(nodes, vals, cur, quad, open_, faults)
+                    # The far-tail probe: an output whose integrand there,
+                    # times its weight, is not finite or exceeds the
+                    # tolerance of this first estimate is not integrable.  A
+                    # first estimate that is not finite sets no tolerance
+                    # (fmin drops a NaN and caps inf), so only a weighted
+                    # value that is not finite fails; the ladder then
+                    # reports it as non-convergence.
+                    weighted = self._lam.real * nodes.weights[probe] * np.abs(vals[probe])
+                    within = weighted <= np.fmin(np.maximum(abs_tol, rel_tol * np.abs(cur)), _FLOAT_MAX)
+                    if np.count_nonzero(within) < within.size:
+                        # an output undefined on rung 0 fails as such first
+                        _flag_nan(nodes.points[rows], vals[rows], open_, faults)
+                        fresh = 1
+                        _flag(~within, open_, faults, lambda r, j: NonIntegrableError(
+                            "jump integral did not converge: the integrand grows faster than the jump law "
+                            f"decays near x = {nodes.points[probe][r].tolist()} (weighted value "
+                            f"{weighted[r, j]:.3e} there); it is not integrable against the jump law"))
                 else:
                     delta = np.abs(cur - prev)
                     done = open_ & (delta <= np.maximum(abs_tol, rel_tol * np.abs(cur)))
-                    # each output keeps its value and change from the level
-                    # that settles it; the first level fills every slot
+                    # each output keeps its value and change from the rung
+                    # that settles it; rung 1 fills every slot
                     out, err = ((cur, delta) if out is None
                                 else (np.where(done, cur, out), np.where(done, delta, err)))
                     open_ = open_ ^ done  # ^= costs twice as much
                     # A NaN at a node makes its rung's sum and so the change
                     # NaN: an output undefined on a rung just compared is
-                    # open, and its first NaN, rung 0's before rung 1's, is
-                    # its verdict.  Only such a change costs a scan.
+                    # open, and its first NaN, in rung order, is its verdict.
+                    # Only such a change costs a scan, of this walk's rungs
+                    # not scanned yet.
                     if np.count_nonzero(open_) and np.count_nonzero(np.isnan(delta)):
-                        for rung in ((slice(0, n), rows) if level == 1 else (rows,)):
-                            _flag_nan(nodes.points[rung], vals[rung], open_, faults)
+                        for _, r in rungs[fresh:i + 1]:
+                            _flag_nan(nodes.points[r], vals[r], open_, faults)
+                        fresh = i + 1
                     # checked from rung 1 on: the rung-0 walk computed rung 1
                     # too, so outputs that all failed on rung 0 cost no walk
                     if not np.count_nonzero(open_):
@@ -458,35 +477,17 @@ class GaussianPush(JumpMeasure):
             else:
                 for j in np.flatnonzero(open_).tolist():
                     faults[j] = ConvergenceError(
-                        f"jump integral did not converge after doubling to {_ladder_nodes(QUAD_MAX_DOUBLINGS)} "
+                        f"jump integral did not converge after doubling to {_ladder_nodes(level)} "
                         f"nodes (last change {delta[j]:.3e}); the integrand may not be integrable "
                         "against the jump law, or it is discontinuous inside the law's support "
                         "(an indicator level or a clipped output truncation there), which the "
                         "Gauss-Hermite rule cannot resolve"
                     )
         if not faults:
-            for k, s in used.items():
-                self._nodes.setdefault(k, s)
+            # the node sets this accepted integral used, kept for later ones
+            self._nodes.update(used)
         # err.max(initial=0.0) at a third of its cost: a settled change is no NaN
         return out, max(err.tolist(), default=0.0), faults
-
-    def _check_tail(self, nodes, vals, first, quad, open_, faults):
-        """Fail as not integrable each open output whose integrand at a probe point,
-        times its weight, is not finite or exceeds the tolerance of its first estimate;
-        an output undefined on rung 0 fails as such first."""
-        points, probe = nodes.points, self._probe
-        weighted = self._lam.real * nodes.weights[probe] * np.abs(vals[probe])
-        # A non-finite first estimate sets no tolerance here (fmin drops a
-        # NaN and caps inf), so only a weighted value that is not finite
-        # fails; the ladder then reports it as non-convergence.
-        abs_tol, rel_tol = quad._tols
-        within = weighted <= np.fmin(np.maximum(abs_tol, rel_tol * np.abs(first)), _FLOAT_MAX)
-        if np.count_nonzero(within) < within.size:
-            _flag_nan(points[:probe.start], vals[:probe.start], open_, faults)
-            _flag(~within, open_, faults, lambda k, j: NonIntegrableError(
-                "jump integral did not converge: the integrand grows faster than the "
-                f"jump law decays near x = {points[probe][k].tolist()} (weighted value "
-                f"{weighted[k, j]:.3e} there); it is not integrable against the jump law"))
 
     def _draw(self, f):
         return lambda rng, n: f(np.expm1(self.mean + rng.standard_normal((n, self.dim)) @ self._factor.T)).T

@@ -380,8 +380,7 @@ def _quot(p, q):
 # The jet pass of a real tree on R^1 without a parameter axis, in Python
 # complex numbers: where every imaginary part is a signed zero, their
 # product rounds as numpy's and _quot as numpy's quotient; exp and log stay
-# numpy's.  A division by zero raises, and a literal that is not real is
-# NaN, which reaches a root: the tree then takes the array pass.
+# numpy's.  A division by zero raises: the tree then takes the array pass.
 _SCALARS = _Arith(1, operator.mul, _quot, _quot, lambda z: complex(np.exp(z)),
                   lambda z: complex(np.log(z)), operator.mul, (0j, 0j), (1 + 0j,))
 
@@ -431,7 +430,7 @@ def _jet_coord(n, k):
 # Origin values are scalars.  In the array pass their products and quotients
 # go through numpy's ufuncs, which round as an evaluation at the origin does;
 # Python's complex * and / round differently, and its ** raises on overflow.
-# The scalar pass (_SCALARS) keeps those bits on real trees only.
+# The scalar pass (_SCALARS), which only real trees take, keeps those bits.
 
 
 def _jet_mul(n, k, a, b):
@@ -471,7 +470,7 @@ def _jet_pow(n, k, c):
         return _columnwise(_jet_pow, n, k, c)
     if _nonpositive(vc):
         return _flat(k, _CNAN)
-    p = _CNAN if k is _SCALARS and n.exponent.imag else n.exponent
+    p = n.exponent
     w = k.exp(k.mul(p, k.log(vc)))
     return (w, k.div(p * w, vc) * gc,
             k.div(p * w, vc) * hc + k.div(p * (p - 1) * w, vc * vc) * k.outer(gc, gc))
@@ -525,8 +524,7 @@ _OPS = {
         # a 0-d array, which a batch's arithmetic broadcasts as it would an
         # N-length fill: the same operation runs on each element
         lambda n, X: n._rows[X.dtype.kind == "c"],
-        # a literal that is not real is NaN to the scalar pass (see _SCALARS)
-        lambda n, k: _flat(k, _CNAN if k is _SCALARS and n.value.imag else n.value),
+        lambda n, k: _flat(k, n.value),
         wraps=(numbers.Number,),
     ),
     Param: _Op(
@@ -628,16 +626,21 @@ class RepFn:
             raise ValueError("a representing function needs at least one output")
         slots, tape = {}, []
         roots = tuple([_record(root, slots, tape) for root in outputs])
-        widths = {len(node.values) for op, node, _args in tape if op.axis}
+        # each complex literal field, with whether it holds the K values of a parameter leaf
+        literals = [(op.axis, getattr(node, field)) for op, node, _args in tape
+                    for field, _fmt, parse in op.literals if parse is parse_complex]
+        widths = {len(v) for axis, v in literals if axis}
         if len(widths) > 1:
             raise ValueError(f"the parameter leaves of one tree must share K, got K in {sorted(widths)}")
         object.__setattr__(self, "_tape", tape)
         object.__setattr__(self, "_roots", roots)
         # K, or 0 without a parameter axis
         object.__setattr__(self, "_width", widths.pop() if widths else 0)
+        # whether every literal is real: it picks the jet pass and a real batch's dtype
+        object.__setattr__(self, "_real", not any([z.imag for axis, v in literals for z in (v if axis else (v,))]))
         d, K = self.input_dim, self._width or 1
         jets, n = None, len(roots) * K
-        if d == 1 and not self._width:
+        if d == 1 and not self._width and self._real:
             # see _SCALARS; a root's jet that is not finite takes the array
             # pass's bits, and a refused tree the array pass's error
             try:
@@ -689,26 +692,13 @@ class RepFn:
     def output_dim(self) -> int:
         return len(self.outputs) * (self._width or 1)
 
-    def _is_real(self) -> bool:
-        """True if every literal of the tree is real, decided on first use."""
-        real = self.__dict__.get("_real")
-        if real is None:
-            real = not any(
-                isinstance(z, complex) and z.imag != 0.0
-                for op, node, _args in self._tape
-                for field, _fmt, _parse in op.literals
-                for z in (getattr(node, field) if op.axis else (getattr(node, field),))
-            )
-            object.__setattr__(self, "_real", real)
-        return real
-
     def eval_batch(self, X) -> np.ndarray:
         """Evaluate at a batch of points, shape (N, d) -> (N, n), float64 for a
         real tree at real points, else complex."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of shape (N, {self.input_dim}), got {X.shape}")
-        real = X.dtype.kind in "biuf" and self._is_real()
+        real = X.dtype.kind in "biuf" and self._real
         X = X.astype(np.float64 if real else np.complex128, copy=False)
         N, m = X.shape[0], len(self._roots)
         vals = self._run("ev", X[:, :, None] if self._width else X)

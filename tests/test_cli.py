@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,6 +604,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("computation failed: quadratic part of the drift is not finite")
         assert len(captured.err.splitlines()) == 1
+
+    def test_a_closed_output_pipe_is_exit_one_without_a_traceback(self, model_file):
+        # 4 000 rows, about 320 KB: more than a pipe buffer holds, so the
+        # write itself meets the closed pipe
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "driftcalc.cli", "cumulant", "--model", model_file(MERTON_MODEL),
+                "--v-grid", '{"re": {"start": 0, "stop": 1, "count": 4000}}']
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"re_v,im_v,re_kappa,im_kappa,status\n"
+        proc.stdout.close()
+        with proc.stderr:
+            stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (1, b"")
 
     @pytest.mark.parametrize("command, argv, function, error, detail", [
         ("drift", ["--xi", "log_return"], "drift",

@@ -124,7 +124,7 @@ class TestComplexQuadrature:
         ulps = 1 if model in ("merton_1d", "margrabe_jump_model") else 0
         model = request.getfixturevalue(model)
         t = model.triplet() if isinstance(model, dc.MargrabeModel) else model
-        assert xi._is_real() and eta._is_real()
+        assert xi._real and eta._real
         got = self._reports(xi, eta, t)
         with monkeypatch.context() as m:
             self._cast_points(m, np.float64)
@@ -149,7 +149,7 @@ class TestComplexQuadrature:
     def test_complex_literal_drifts_are_the_complex_path(self, xi, eta, model, request, monkeypatch):
         model = request.getfixturevalue(model)
         t = model.triplet() if isinstance(model, dc.MargrabeModel) else model
-        assert not xi._is_real()
+        assert not xi._real
         got = self._reports(xi, eta, t)
         self._cast_points(monkeypatch, np.complex128)
         want = self._reports(xi, eta, t)

@@ -253,6 +253,36 @@ class TestGaussHermiteLadder:
         with pytest.raises(ConvergenceError, match=r"after doubling to 255 nodes \(last change nan\)"):
             dc.integrate(gp, lambda X: np.where(X == 0.0, np.inf, X))
 
+    def test_a_nan_first_met_on_a_later_walk_names_its_node(self):
+        # a pole at row 20 of level 2, a node of the 31-node rule only: rungs
+        # 0 and 1 disagree near it, and the 31-node walk meets the NaN
+        gp = dc.GaussianPush(1.0, np.array([-0.3]), np.array([[0.16]]))
+        c = float(gp._build_nodes(2).points[20, 0])
+        assert c == 1.2968005912843314
+        assert c not in gp._build_nodes(0).points
+        f = dc.from_prefix(f"(repfn 1 (div (x 0) (sub (x 0) (const {c!r}))))")
+        with pytest.raises(NanPointError, match=rf"^integrand is undefined at quadrature node \[{c!r}\]$") as info:
+            dc.integrate(gp, f.eval_batch)
+        assert info.value.point.tolist() == [c] and info.value.faults == {0: info.value}
+
+    def test_a_second_rung_list_runs_through_the_same_loop(self, monkeypatch):
+        # the ladder with its 31-node level dropped: the verdicts keep their
+        # classes, named points and order, and the walks follow the list
+        ladder = models._ladder
+        monkeypatch.setattr(models, "_ladder", lambda d: (tuple(r for r in ladder(d)[0] if r[0] != 2), ladder(d)[1]))
+        self.test_each_output_keeps_the_verdict_of_its_first_nan()
+        gp = dc.GaussianPush(1.0, np.zeros(1), np.array([[0.09]]))
+        sizes = []
+
+        def g(X):
+            sizes.append(len(X))
+            return np.where(X == 0.0, np.inf, X)
+
+        with pytest.raises(ConvergenceError, match=r"after doubling to 255 nodes \(last change nan\)"):
+            dc.integrate(gp, g)
+        assert sizes == [24, 63, 127, 255]
+        assert gp._nodes == {}
+
     def test_a_drift_settled_on_its_first_walk_integrates_and_walks_once(self, monkeypatch):
         calls = []
         integrate, eval_batch = models.integrate, dc.RepFn.eval_batch
@@ -393,6 +423,43 @@ class TestTruncationMoment:
         gp = dc.GaussianPush(0.8, np.array([-0.05]), np.array([[0.04]]))
         got = dc.truncation_moment(gp, dc.TruncationSpec.identity(1))[0]
         assert got == pytest.approx(0.8 * math.expm1(-0.05 + 0.02), rel=1e-14)
+
+
+class TestAtomTruncationMoment:
+    """An atom measure's truncation moment is its integral of h: the sum in
+    atom order that every atom integral makes, bit for bit."""
+
+    @staticmethod
+    def sequential(F, trunc):
+        h, totals = trunc.apply(F.points), []
+        for i in range(F.dim):
+            total = 0.0
+            for k, lam in enumerate(F.intensities.tolist()):
+                total = total + lam * float(h[k, i])
+            totals.append(total)
+        return np.array(totals)
+
+    def test_moments_are_the_sequential_atom_sum(self):
+        rng = np.random.default_rng(11)
+        kinds = list(dc.TruncationKind)
+        for _ in range(200):
+            d, K = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+            # every clip case: inside, outside and on the unit boundary
+            points = rng.normal(size=(K, d)) * rng.choice([0.3, 1.0, 3.0])
+            if K:
+                points[0, 0], points[-1, -1] = -0.0, rng.choice([1.0, -1.0, points[-1, -1]])
+            F = dc.FiniteAtoms(points, rng.exponential(size=K) + 1e-3)
+            trunc = dc.TruncationSpec(tuple(kinds[j] for j in rng.integers(0, 3, size=d)))
+            got = dc.truncation_moment(F, trunc)
+            assert got.dtype == np.float64 and got.shape == (d,)
+            assert got.tobytes() == self.sequential(F, trunc).tobytes()
+
+    def test_a_negative_zero_coordinate_sums_to_positive_zero(self):
+        # the sum starts from +0.0, as an atom integral's does
+        F = dc.FiniteAtoms([[-0.0, 0.5], [-0.0, -0.5]], [1.0, 1.0])
+        got = dc.truncation_moment(F, dc.TruncationSpec.identity(2))
+        assert got.tobytes() == np.array([0.0, 0.0]).tobytes()
+        assert not np.signbit(got).any()
 
 
 class TestTruncationMomentCache:

@@ -170,6 +170,21 @@ class TestJets:
         for a in (jet.value, jet.jacobian, jet.hessian):
             assert not a.flags.writeable
 
+    @pytest.mark.parametrize("v, arith", [(0.5, "scalars"), (0.5 + 1j, "arrays")])
+    def test_a_tree_on_r1_runs_one_jet_pass(self, monkeypatch, v, arith):
+        # the scalar pass is chosen before it runs: a complex literal takes
+        # the array pass alone
+        passes, run = [], dc.RepFn._run
+
+        def spied(self, rule, x):
+            passes.append((rule, "scalars" if x is repfn._SCALARS else "arrays"))
+            return run(self, rule, x)
+
+        monkeypatch.setattr(dc.RepFn, "_run", spied)
+        f = dc.rep_exp_affine(v)
+        assert passes == [("jet", arith)]
+        assert f._real is (arith == "scalars")
+
     def test_square_of_a_huge_origin_value(self):
         # d2/dx2 of x log(1e200 + x) is 2e-200; the log's own Hessian term
         # -1/1e400 underflows to 0 and must not overflow on the way.
@@ -361,7 +376,7 @@ def test_real_trees_evaluate_real_points_in_float64(data):
         return
     point = st.lists(REAL_POINTS, min_size=dim, max_size=dim)
     X = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
-    if f._is_real():
+    if f._real:
         _assert_real_evaluation_agrees(f, X)
     else:
         assert f.eval_batch(X).dtype == np.complex128
@@ -375,7 +390,7 @@ def test_random_composed_trees_evaluate_real_points_in_float64(seed):
     # bound holds where these trees are well conditioned, as the finite
     # difference tests use them; towards the poles only the pattern is held.
     f = random_composed_tree(np.random.default_rng(seed))
-    assert f._is_real()
+    assert f._real
     rng = np.random.default_rng(seed + 1)
     _assert_real_evaluation_agrees(f, rng.uniform(-0.4, 0.4, (64, f.input_dim)))
     _assert_real_evaluation_agrees(f, rng.uniform(-1.5, 3.0, (64, f.input_dim)), ulps=None)
@@ -482,12 +497,17 @@ class TestEvalDtype:
         np.testing.assert_allclose(real, ref.real, rtol=1e-15)
 
     def test_the_real_decision_is_taken_once(self):
-        f = dc.rep_exp_utility(0.7)
-        assert "_real" not in f.__dict__
-        f.eval_batch(np.zeros((1, 1), dtype=complex))
-        assert "_real" not in f.__dict__
-        f.eval_batch(np.zeros((1, 1)))
-        assert f.__dict__["_real"] is True
+        # at construction, where on R^1 it chooses the jet pass, for every
+        # tree alike; an evaluation reads it, at real or complex points
+        for f, real in ((dc.rep_margrabe(0.75), True), (dc.rep_margrabe(0.75 + 0.1j), False),
+                        (dc.rep_exp_utility(0.7), True), (dc.rep_exp_utility(0.7 + 1j), False),
+                        (dc.rep_exp_affine(np.array([0.5, 2.0])), True),
+                        (dc.rep_exp_affine(np.array([0.5, 2.0 + 1e-300j])), False)):
+            assert f.__dict__["_real"] is real
+            X = np.zeros((1, f.input_dim))
+            assert f.eval_batch(X).dtype == (np.float64 if real else np.complex128)
+            assert f.eval_batch(X.astype(complex)).dtype == np.complex128
+            assert f.__dict__["_real"] is real
 
 
 def _recursive_tape(f):
@@ -740,7 +760,7 @@ def test_param_trees_equal_their_per_value_constant_trees(data):
     point = st.lists(REAL_POINTS, min_size=dim, max_size=dim)
     X = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
     for Y in (X.astype(complex), X + 0.5j, X):
-        if Y.dtype.kind == "f" and not f._is_real():
+        if Y.dtype.kind == "f" and not f._real:
             continue
         out = f.eval_batch(Y)
         assert _same_bits(out, np.stack([columns[j].eval_batch(Y)[:, k] for k, j in pick], axis=1))
@@ -846,7 +866,7 @@ def test_several_roots_without_a_parameter_axis_fill_one_array(f):
     X[2] = np.nan  # NaN propagates into every column
     for points in (X, X + 0j, X + 0.25j):
         out = f.eval_batch(points)
-        real = points.dtype.kind == "f" and f._is_real()
+        real = points.dtype.kind == "f" and f._real
         assert out.shape == (7, len(f.outputs)) and f._width == 0
         assert out.dtype == (np.float64 if real else np.complex128)
         for k, root in enumerate(f.outputs):

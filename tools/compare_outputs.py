@@ -129,11 +129,11 @@ def _levy(*jumps, dim=1):
             "truncation": ["identity"] * dim, "jumps": list(jumps)}
 
 
-def _node(M, body, row):
-    """Coordinate 0 of row ``row`` of a body's level-0 node set, as the
+def _node(M, body, row, level=0):
+    """Coordinate 0 of row ``row`` of a body's node set of ``level``, as the
     package builds it."""
     gp = M.models.GaussianPush(body["lambda"], body["mean"], body["cov"])
-    return float(gp._build_nodes(0).points[row, 0])
+    return float(gp._build_nodes(level).points[row, 0])
 
 
 #: (label, model, representation: prefix text, or a function of the package
@@ -143,6 +143,8 @@ VERDICTS = [
     ("nan at a rung-0 node", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 0))})"),
     ("nan at rung-1 nodes only", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 9))})"),
     ("nan at a probe point only", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 8))})"),
+    # a node of the 31-node rule only, met on the second walk
+    ("nan at a rung-2 node", _levy(BODY), lambda M: f"(repfn 1 {POLE.format(c=_node(M, BODY, 20, level=2))})"),
     ("probe growth", _levy(BODY), f"(repfn 1 {EXP.format(v=0.5)})"),
     ("inf at nodes", _levy(BODY), "(repfn 1 (sub (pow -400 (add (const 1) (x 0))) (const 1)))"),
     # not a failure: rung 0's sum is not finite but holds no NaN, and the
