@@ -1,44 +1,39 @@
 """Independent Monte Carlo verification of drifts, expectations, and prices.
 
-Increments are simulated exactly, so no time discretisation error enters:
-the Gaussian part in closed form, jump times ignored (only terminal laws are
-needed), jump counts Poisson and jump sizes drawn from the normalised jump
-law.  A discrete model is the pure-jump triplet of its increment law (b = c
-= 0, zero truncation) with exactly floor(T) jumps per path and no diffusion
-draws.  One pathwise kernel serves both.  Per path it returns the
-represented sum (linear + Ito term + summed jump transforms) or its
-stochastic exponential (exp(continuous exponent) times the product of
-(1 + jump transform) factors).  Sums, stochastic exponentials, reweighting
-(one two-output tree, so payoff and weight share one walk over the jumps),
-increments and the exchange payoff all go through it.  A reweighted
-estimate divides by eta's expectation, exp(drift T) or E[1 + eta]^floor(T),
-which it takes from drift.py as every expectation is taken.
+Increments are simulated exactly, with no time discretisation: the Gaussian
+part in closed form, jump times ignored (only terminal laws are needed),
+Poisson jump counts and jump sizes from the normalised jump law.  A discrete
+model is the pure-jump triplet of its increment law with floor(T) jumps a
+path and no diffusion.  One pathwise kernel gives per path the represented
+sum (linear + Ito term + summed jump transforms) or its stochastic
+exponential (exp(continuous exponent) times prod (1 + jump transform)) for
+sums, stochastic exponentials, increments, the exchange payoff and
+reweighting, whose payoff and weight are one two-output tree walked once;
+the weight is divided by eta's expectation from drift.py.
 
-The kernel takes the tree's values at a chunk's jumps from the jump
-measure's draw, whatever the measure: atoms, a discrete model or a part of
-a sum included, walk the tree once on their K points and gather each jump's
-values by its drawn index; a Gaussian body walks it on its drawn jumps.  A
-block draws its diffusion normals, then every Poisson count, then its jumps
-in chunks of whole paths and at most ROW_CHUNK rows, each reduced before
-the next is drawn, so its memory does not grow with its jump count.  Atom
-indices and Gaussian jumps are one stream of draws however they are
-chunked; a sum measure splits and shuffles each chunk's draw, so its
-estimates depend on ROW_CHUNK in blocks of more than one chunk.
+A block of n paths draws its diffusion normals, its jump counts, then its
+jumps in chunks of whole paths and at most ROW_CHUNK rows, each folded into
+its paths before the next is drawn.  Below DENSE jumps a path the counts
+are Poissonised (one Poisson(n lambda T) total, each jump on a uniformly
+drawn path) and a chunk is folded in row order by ``ufunc.at``; from DENSE
+on numpy draws each path's count and ``reduceat`` folds each path.  Atoms,
+a discrete model or a part of a sum walk the tree once on their K points
+and gather each jump's values by drawn index; a Gaussian body walks it on
+its jumps.  Path labels, atom indices and Gaussian jumps are one stream of
+draws however chunked; a sum measure splits and shuffles each chunk's draw,
+so its estimates depend on ROW_CHUNK in blocks of more than one chunk.
 
 Paths are simulated in real arithmetic from the draws to the estimate: the
 draws are real, a tree with real literals evaluates real draws in float64,
 and only a tree with a non-real literal carries complex values.
 
-Randomness is counter-based: block ``b`` of a run draws from
-Philox(key=(seed, b)), which makes every estimate a pure function of
-(seed, n_paths) and therefore bit-identical across worker counts.  Block
-results are written in block order into one array and reduced there.
+Randomness is counter-based: block ``b`` draws from Philox(key=(seed, b)),
+so an estimate is a pure function of (seed, n_paths), bit-identical across
+worker counts, its block results written in block order into one array.
 
-With ``workers`` > 1 the blocks run on one thread pool per worker count,
-made on first use and kept for the life of the process, so an estimate
-starts no thread once its pool exists; a forked child drops its parent's
-pools and makes its own.  ``workers`` == 1 runs the blocks in the calling
-thread.
+With ``workers`` > 1 the blocks run on a thread pool per worker count, made
+on first use and kept for the process's life (a forked child makes its
+own); ``workers`` == 1 runs them in the calling thread.
 """
 
 from __future__ import annotations
@@ -70,6 +65,11 @@ BLOCK_SIZE = 8192
 #: split.  At 2^16 rows and more glibc returned and re-faulted each chunk's
 #: pages, some 80 000 minor faults per discrete estimate at T = 250.
 ROW_CHUNK = 1 << 15
+#: jumps a path from which numpy's per-path ``poisson`` (PTRS, a few doubles
+#: a path at any mean; below 10 it multiplies about mean + 1 uniforms a path,
+#: dearer than one 32-bit path label a jump) draws a block's counts, and one
+#: ``reduceat`` call per path, not ``ufunc.at`` per jump, folds a chunk
+DENSE = 10
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,7 @@ def _estimate(values: np.ndarray) -> McEstimate:
 
 
 def _row_chunks(counts: np.ndarray) -> list:
-    """A block's jump counts split, in path order, into chunks of paths with
-    at most ROW_CHUNK jumps in all, or of one path with more."""
+    """A block's counts split in path order into chunks of at most ROW_CHUNK jumps, or one longer path."""
     if counts.sum() <= ROW_CHUNK:  # one chunk, found without a cumulative sum
         return [counts]
     ends, bounds = np.cumsum(counts), [0]
@@ -208,18 +207,28 @@ def _row_chunks(counts: np.ndarray) -> list:
     return np.split(counts, bounds[1:-1])
 
 
+def _poisson_counts(rng, n: int, mean: float) -> np.ndarray:
+    """n i.i.d. Poisson(mean) counts, below DENSE as uniform path labels of a Poisson(n mean) total."""
+    if mean >= DENSE:
+        return rng.poisson(mean, size=n)
+    total, counts = int(rng.poisson(n * mean)), np.zeros(n, np.int64)
+    for done in range(0, total, ROW_CHUNK):
+        counts += np.bincount(rng.integers(0, n, min(total - done, ROW_CHUNK)), minlength=n)
+    return counts
+
+
 def _segment_reduce(op, columns, counts: np.ndarray) -> np.ndarray:
-    """Per-path reductions, shape (n, m), of the (m, rows) jump values laid
-    out path-major, a path without jumps reducing to ``op.identity``.  Each
-    column is reduced on its own: a 1-d reduceat gives the bits of one along
-    the rows of a 2-d array, several times faster."""
-    offsets = np.cumsum(counts) - counts
-    nz = counts > 0
-    if nz.all():  # no empty segment to fill
-        return np.stack([op.reduceat(column, offsets) for column in columns]).T
+    """Per-path folds from ``op.identity``, shape (n, m), of path-major (m, rows) jump values."""
     out = np.full((len(columns), counts.size), op.identity, dtype=columns.dtype)
-    for row, column in zip(out, columns):
-        row[nz] = op.reduceat(column, offsets[nz])
+    if columns.shape[1] < DENSE * counts.size:
+        paths = np.repeat(np.arange(counts.size), counts)
+        for row, column in zip(out, columns):
+            op.at(row, paths, column)
+    else:
+        nz = counts > 0
+        starts = (np.cumsum(counts) - counts)[nz]
+        for row, column in zip(out, columns):
+            row[nz] = op.reduceat(column, starts)
     return out.T
 
 
@@ -232,13 +241,12 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
 def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     """(fn o X)_T, or its stochastic exponential, per path as a function of the draws.
 
-    With X^c_T = (b - int h dF) T + sqrt(T) Z L^T the continuous part of X,
-    the sum form is Dfn(0) X^c_T + 1/2 tr(D^2fn(0) c) T + sum fn(dX) and the
-    exponential form is exp(that continuous part - 1/2 Dfn c Dfn^T T) times
-    prod (1 + fn(dX)); a discrete model's continuous part is zero.  Returns
-    ``paths(rng, n, payoff, antithetic=False)``: ``payoff`` of the (n, m)
-    values of n paths drawn from ``rng``, averaged with its value at -Z
-    under antithetic pairing.
+    With X^c_T = (b - int h dF) T + sqrt(T) Z L^T the continuous part of X
+    (zero for a discrete model), the sum form is Dfn(0) X^c_T + 1/2
+    tr(D^2fn(0) c) T + sum fn(dX), the exponential form exp(that continuous
+    part - 1/2 Dfn c Dfn^T T) prod (1 + fn(dX)).  Returns ``paths(rng, n,
+    payoff, antithetic=False)``: ``payoff`` of the (n, m) values of n paths
+    from ``rng``, averaged with its value at -Z under antithetic pairing.
     """
     _check_horizon(T)
     discrete = isinstance(model, DiscreteModel)
@@ -272,9 +280,9 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     root = math.sqrt(T)
 
     def paths(rng, n, payoff, antithetic=False):
-        # diffusion normals, then every Poisson count, then the jumps chunk by chunk
+        # diffusion normals, then every jump count, then the jumps chunk by chunk
         Z = rng.standard_normal((n, model.dim))
-        counts = rng.poisson(mass * T, size=n) if mass > 0 else np.zeros(n, dtype=np.int64)
+        counts = _poisson_counts(rng, n, mass * T)
         jump = jump_part(rng, counts)
 
         def at(sign):
@@ -299,9 +307,8 @@ def sample_increment_batch(
 
 
 def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimate:
-    """Estimate E[stochastic exponential of (xi o X) at T] by simulation, on a
-    discrete model over floor(T) i.i.d. periods.  Antithetic pairing flips
-    the diffusion normals only."""
+    """Estimate E[stochastic exponential of (xi o X) at T], over floor(T) i.i.d. periods
+    on a discrete model; antithetic pairing flips the diffusion normals only."""
     if xi.output_dim != 1:
         raise ValueError("the stochastic exponential needs a scalar representation")
     _require_dim(model, xi)
@@ -310,10 +317,7 @@ def mc_stoch_exp(xi: RepFn, model: Model, T: float, cfg: SimConfig) -> McEstimat
 
 
 def mc_sum(xi: RepFn, t: LevyTriplet, T: float, cfg: SimConfig) -> McEstimate:
-    """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms).
-
-    Antithetic pairing is not applied to sum estimates.
-    """
+    """Estimate E[(xi o X)_T] pathwise (linear + quadratic + jump terms), never antithetic."""
     if xi.output_dim != 1:
         raise ValueError("mc_sum needs a scalar representation")
     _require_dim(t, xi)

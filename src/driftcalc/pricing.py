@@ -156,8 +156,9 @@ def optimize_exp_utility(
             raise EngineError(f"utility drift derivatives came out non-real: {d}")
         # columns in (output, parameter) order
         rows = d.real.reshape(3, -1)
-        values.update(zip(np.atleast_1d(lam).tolist(), rows[2].tolist()))
-        return rows if np.ndim(lam) else tuple(rows[:, 0].tolist())
+        scan = isinstance(lam, np.ndarray)  # the scan's points, or a Newton step's one lam
+        values.update(zip(lam.tolist() if scan else [lam], rows[2].tolist()))
+        return rows if scan else tuple(rows[:, 0].tolist())
 
     lam_star = minimize_scalar(slope, bracket)
     return lam_star, values[lam_star]

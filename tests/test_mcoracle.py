@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import multiprocessing
+import operator
 import re
 import sys
 import threading
@@ -92,6 +93,109 @@ class TestIncrementSampling:
         exp = np.concatenate([pmf[:cut], [1 - pmf[:cut].sum()]]) * counts.size
         _, p_value = stats.chisquare(obs, exp)
         assert p_value > 0.001
+
+
+class TestPoissonisedKernel:
+    """A block's counts, below DENSE a path one Poisson total spread over
+    uniform path labels, and its per-path fold of the jump values, below
+    DENSE rows a path by ``ufunc.at``, else by ``reduceat``."""
+
+    @pytest.mark.parametrize("mean", [0.05, 0.7, 6.0, 40.0])
+    def test_counts_are_iid_poisson(self, mean):
+        # at 6 a block's total exceeds ROW_CHUNK, so its labels come in
+        # chunks; at 40 numpy's per-path poisson draws the counts
+        counts = np.concatenate([mcoracle._poisson_counts(_block_rng(31, b), BLOCK_SIZE, mean)
+                                 for b in range(8)])
+        if mean >= 6.0:
+            assert BLOCK_SIZE * mean > mcoracle.ROW_CHUNK
+        # cells of the pmf holding at least 5 expected paths, the tails pooled
+        k = np.arange(counts.max() + 2)
+        pmf = stats.poisson.pmf(k, mean)
+        keep = np.flatnonzero(pmf * counts.size >= 5)
+        lo, hi = keep[0], keep[-1]
+        observed = np.bincount(counts, minlength=k.size)
+        obs = [observed[:lo + 1].sum(), *observed[lo + 1:hi], observed[hi:].sum()]
+        exp = [stats.poisson.cdf(lo, mean), *pmf[lo + 1:hi], stats.poisson.sf(hi - 1, mean)]
+        _, p_value = stats.chisquare(obs, np.asarray(exp) * counts.size)
+        assert p_value > 0.001
+
+    @pytest.mark.parametrize("mean", [0.7, 6.0])
+    def test_counts_are_one_stream_of_labels_however_chunked(self, mean, monkeypatch):
+        def counts_and_next(chunk):
+            monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
+            rng = _block_rng(5, 2)
+            return mcoracle._poisson_counts(rng, BLOCK_SIZE, mean), rng.random(4)
+
+        counts, after = counts_and_next(mcoracle.ROW_CHUNK)
+        for chunk in (7, 1000):
+            other, other_after = counts_and_next(chunk)
+            assert other.dtype == counts.dtype and other.tobytes() == counts.tobytes()
+            assert other_after.tobytes() == after.tobytes()
+
+    def test_counts_from_dense_on_are_numpys_per_path_draw(self):
+        counts = mcoracle._poisson_counts(_block_rng(5, 1), BLOCK_SIZE, mcoracle.DENSE)
+        assert counts.tobytes() == _block_rng(5, 1).poisson(mcoracle.DENSE, BLOCK_SIZE).tobytes()
+
+    def test_no_mass_draws_nothing(self):
+        rng = _block_rng(5, 0)
+        assert not mcoracle._poisson_counts(rng, 100, 0.0).any()
+        assert rng.random(4).tobytes() == _block_rng(5, 0).random(4).tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("op, python_op", [(np.add, operator.add), (np.multiply, operator.mul)])
+    def test_per_path_fold_equals_a_python_loop(self, op, python_op, dtype, chunk, monkeypatch):
+        # empty paths, one-jump paths, a path longer than a chunk of 7 rows
+        # and a trailing empty path, on two columns laid out as draws are,
+        # fewer than DENSE rows a path in every chunk
+        if chunk is not None:
+            monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
+        counts = np.array([0, 1, 3, 0, 0, 9, 1, 2, 0, 5, 1, 0])
+        rng = np.random.default_rng(4)
+        values = rng.normal(1.0, 0.5, (counts.sum(), 2))
+        if dtype is np.complex128:
+            values = values + 1j * rng.normal(0.0, 0.5, values.shape)
+        columns = values.T
+        parts, row = [], 0
+        for c in mcoracle._row_chunks(counts):  # as the kernel reduces a block
+            rows = int(c.sum())
+            parts.append(mcoracle._segment_reduce(op, columns[:, row:row + rows], c))
+            row += rows
+        folded = np.concatenate(parts)
+
+        expected = np.empty((counts.size, 2), dtype)
+        ends = np.cumsum(counts)
+        for path, (k, end) in enumerate(zip(counts, ends)):
+            for j, column in enumerate(columns):
+                acc = dtype(op.identity)
+                for v in column[end - k:end]:
+                    acc = python_op(acc, v)
+                expected[path, j] = acc
+        assert folded.dtype == dtype and folded.tobytes() == expected.tobytes()
+        assert len(parts) == (1 if chunk is None else 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("op", [np.add, np.multiply])
+    def test_dense_fold_equals_a_fold_of_each_path_alone(self, op, dtype, monkeypatch):
+        # DENSE rows a path and more, with empty, one-jump and trailing empty
+        # paths; each path alone is folded by reduceat, as np.add.reduce
+        # would sum it in another order
+        counts = np.array([0, 25, 12, 0, 40, 1, 30, 0])
+        assert counts.sum() >= mcoracle.DENSE * counts.size
+        rng = np.random.default_rng(6)
+        columns = rng.normal(1.0, 0.5, (2, counts.sum()))
+        if dtype is np.complex128:
+            columns = columns + 1j * rng.normal(0.0, 0.5, columns.shape)
+        folded = mcoracle._segment_reduce(op, columns, counts)
+        ends = np.cumsum(counts)
+        expected = np.array([[op.reduceat(column[end - k:end], [0])[0] if k else op.identity
+                              for column in columns] for k, end in zip(counts, ends)], dtype)
+        assert folded.dtype == dtype and folded.tobytes() == expected.tobytes()
+        # a product has the bits of the row-order fold, so no exponential
+        # estimate depends on which fold a chunk takes
+        monkeypatch.setattr(mcoracle, "DENSE", np.inf)
+        row_order = mcoracle._segment_reduce(op, columns, counts)
+        assert (row_order.tobytes() == folded.tobytes()) == (op is np.multiply)
 
 
 #: each estimator that takes a horizon, at a model and a horizon T
@@ -430,7 +534,7 @@ class TestReweighted:
         assert walks == [atoms.points.shape[0], *gaussian_rows] and gaussian_rows
         assert _fields(gathered) == _fields(reference)
         if case == "atoms+gaussian":  # the parent walked every jump, 107 905 rows
-            assert (sum(walks), every_jump) == (28_666, 107_905)
+            assert (sum(walks), every_jump) == (28_777, 108_654)
 
     @pytest.mark.parametrize("case", ["discrete", "levy"])
     def test_a_normaliser_that_overflows_is_refused_before_any_path(self, case, monkeypatch):

@@ -14,15 +14,20 @@ model on the bracket (0, 8), the walks alone of those two drifts (one
 ``eval_batch`` of each tree on fixed points as many as a level-0 walk
 holds, so that a drift's time splits into its walks and its glue), the
 builds alone of two trees, the one-value slope tree of the utility
-optimiser's Newton steps and ``rep_exp_affine(0.5)``, and ``parse_model``
-of a fixed 1-d Gaussian + atoms document.  After
+optimiser's Newton steps and ``rep_exp_affine(0.5)``, ``parse_model`` of a
+fixed 1-d Gaussian + atoms document, and one Monte Carlo block of 8 192
+paths of ``rep_exp_affine(0.5)``'s stochastic exponential on the Merton
+model at T = 1 and 1 worker.  After
 one warm-up pass per side, each of N rounds (default 15) times one whole
 pass on each side, then CASE_REPS calls of each fixed case on each side;
 the side that goes first alternates from round to round.
 
 An op's output or a fixed case's result may differ between the two sides
 only in its numbers, each by at most MAX_MOVE (1 + |x|), the move of x as
-``tools/compare_outputs.py`` measures it.  The script exits 1, naming the
+``tools/compare_outputs.py`` measures it; a Monte Carlo estimate may move
+its mean by a z = |mean' - mean| / hypot(se, se') of at most MC_Z_BOUND,
+and its error and kurtosis freely, every other field held equal, as that
+script judges it.  The script exits 1, naming the
 op, on any other difference on any pass.  Otherwise it prints JSON: for the
 pass (in ms), for the pass's p90 op latency (in ms; the nearest-rank 90th
 percentile of its ops' wall times, a failing op counting by its time), for
@@ -30,13 +35,15 @@ the ops of each label summed over a pass (in ms) and for each fixed case
 (in microseconds per call), the best and the median time of each side, the
 median over rounds of the pair ratio parent/change (above 1 when the change
 is faster), and in how many rounds the change was faster; and the moved
-outputs: how many ops moved, the worst move and its op.  It is a
+outputs: how many ops moved, the worst move and its op, and the largest z
+of a moved estimate and its op.  It is a
 development tool, not part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -55,7 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import worker  # noqa: E402  (the benchmark's op runner, imported read-only)
 import workloads  # noqa: E402
-from compare_outputs import move  # noqa: E402
+from compare_outputs import MC_Z_BOUND, mc_z, move  # noqa: E402
 
 SIDES = ("parent", "change")
 MODULES = ("calculus", "cli", "drift", "mcoracle", "modelio", "models", "pricing", "repfn")
@@ -101,7 +108,8 @@ def load(tree: Path, name: str) -> SimpleNamespace:
 def cases(M) -> dict:
     """Label -> zero-argument call of each fixed case, returning its drift
     total, for the optimum the array of (lam*, u(lam*)), for a walk the
-    tree's values, for a build the tree and for a parse the model."""
+    tree's values, for a build the tree, for a parse the model and for a
+    Monte Carlo block the estimate."""
     merton, body = M.modelio.parse_model(MERTON), M.modelio.parse_model(BODY_2D)
     exp_affine = M.calculus.rep_exp_affine(0.5)
     power = M.repfn.from_prefix(worker.power_tree([0.7, -1.2]))
@@ -114,12 +122,14 @@ def cases(M) -> dict:
         "slope_build_us": lambda: M.calculus._rep_exp_utility_slope(1.3),
         "exp_affine_build_us": lambda: M.calculus.rep_exp_affine(0.5),
         "parse_model_us": lambda: M.modelio.parse_model(MIXED_1D),
+        "mc_block_us": lambda: M.mcoracle.mc_stoch_exp(exp_affine, merton, 1.0, M.mcoracle.SimConfig(8192, 7)),
     }
 
 
 def digest(M, out) -> str:
     """A fixed case's result as text: a tree's jet, a model's document with
-    each Gaussian body's covariance factor, or an array's numbers."""
+    each Gaussian body's covariance factor, an estimate's fields or an
+    array's numbers."""
     if isinstance(out, M.repfn.RepFn):
         jet = out.jet_at_zero()
         return repr([jet.value.tolist(), jet.jacobian.tolist(), jet.hessian.tolist()])
@@ -127,6 +137,8 @@ def digest(M, out) -> str:
         parts = getattr(out.jumps, "parts", (out.jumps,))
         factors = [p._factor.tolist() for p in parts if isinstance(p, M.models.GaussianPush)]
         return json.dumps([M.modelio.serialize_model(out), factors], sort_keys=True)
+    if isinstance(out, M.mcoracle.McEstimate):
+        return json.dumps({k: repr(v) for k, v in dataclasses.asdict(out).items()})
     return repr(out.tolist())
 
 
@@ -147,22 +159,28 @@ def p90(times) -> float:
 
 
 class Moves:
-    """The worst move of the outputs seen so far, and the ops that moved."""
+    """The worst move and the largest estimate z of the outputs seen so far,
+    and the ops that moved."""
 
     def __init__(self):
         self.worst, self.where, self.ops = 0.0, None, set()
+        self.z, self.z_where = 0.0, None
 
     def check(self, what, a: str, b: str) -> bool:
         """Record the move from text a to text b; False, naming ``what`` on
-        stderr, if they differ other than in numbers within MAX_MOVE."""
+        stderr, if they differ other than in numbers, or by more than
+        MAX_MOVE, or for an estimate by a z above MC_Z_BOUND or in a field
+        that does not move with its draws."""
         if a == b:
             return True
-        m = move(a, b)
-        if m is None or m > MAX_MOVE:
+        m, z = move(a, b), mc_z(a, b)
+        if m is None or (m > MAX_MOVE if z is None else not z <= MC_Z_BOUND):
             print(f"DIFFERS: {what}: {a} -> {b}", file=sys.stderr)
             return False
         self.ops.add(what)
-        if m >= self.worst:
+        if z is not None and z >= self.z:
+            self.z, self.z_where = z, what
+        elif z is None and m >= self.worst:
             self.worst, self.where = m, what
         return True
 
@@ -243,7 +261,8 @@ def main(argv) -> int:
               "op_p90_ms": summary(p90s, 1e3),
               "label_ms": {label: summary(times, 1e3) for label, times in by_label.items()},
               "moved": {"ops": len(moves.ops), "worst": moves.worst, "worst_op": moves.where,
-                        "bound": MAX_MOVE}}
+                        "bound": MAX_MOVE, "worst_z": moves.z, "worst_z_op": moves.z_where,
+                        "z_bound": MC_Z_BOUND}}
     result.update({label: summary(times, 1e6) for label, times in fixed.items()})
     print(json.dumps(result, indent=1))
     return 0

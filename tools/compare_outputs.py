@@ -21,8 +21,12 @@ T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose blocks
 span several row chunks, and on the pushforward of WIDE through
 e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how
 many ops are identical and how many moved, with the worst move of a number
-x to x' by op label: |x' - x| / spot1 for a price, else |x' - x| / (1 + |x|);
-a ``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
+x to x' by op label: |x' - x| / spot1 for a price, else |x' - x| / (1 + |x|).
+A moved Monte Carlo estimate, an estimate's fields or an ``mc-verify``
+report, is judged instead by z = |mean' - mean| / hypot(se, se'), its two
+means' distance in standard errors, its other fields than mean, error,
+kurtosis and z score held equal, and the label shows its largest z; a
+``grid_1d`` label names the jump kinds of its model, an ``mc_verify``
 label its worker count.  Then it prints, by label, the ``drift.drift``
 calls of each tree per op, counted through every module of the package
 that binds the function, and the ``RepFn`` builds of each tree per op,
@@ -30,7 +34,9 @@ counted through ``RepFn.__post_init__`` as ``perfbench/tracer.py`` counts
 them.  It exits 1 if any exit code or stderr differs, if an output
 differs other than in its numbers, if a node set or a failing drift's
 verdict differs at all, if a grid row's error status differs at all, or
-if a tree's estimate at 2 workers differs from its estimate at 1.  It is
+if a tree's estimate at 2 workers differs from its estimate at 1, or if a
+Monte Carlo estimate moved by a z above the benchmark's MC_Z_BOUND or in
+another field than those.  It is
 a development tool, not part of the package.
 """
 
@@ -56,6 +62,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import worker  # noqa: E402  (the benchmark's op runner, imported read-only)
 import workloads  # noqa: E402
+from check import MC_Z_BOUND  # noqa: E402
+from reference import parse_complex  # noqa: E402
 
 SEEDS = (1, 7, 11)
 MC_WORKERS = (1, 2)
@@ -403,6 +411,35 @@ def move(a: str, b: str, spot1=None) -> float:
     return worst
 
 
+#: the fields of a Monte Carlo output that move with its draws; every other
+#: field, a path count, a seed or an analytic value, must stay the same
+MC_MOVING = frozenset({"mean", "mc_mean", "std_error", "se", "kurtosis", "z_score"})
+
+
+def mc_z(a: str, b: str):
+    """|mean' - mean| / hypot(se, se') between two Monte Carlo outputs, an
+    estimate's fields, an ``mc-verify`` report or a ``perfbench`` estimate,
+    or inf if they differ in a field outside MC_MOVING; None for any other
+    output."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except json.JSONDecodeError:
+        return None
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return None
+    mean = next((k for k in ("mean", "mc_mean") if k in x and k in y), None)
+    se = next((k for k in ("std_error", "se") if k in x and k in y), None)
+    if mean is None or se is None:
+        return None
+    if any(x.get(k) != y.get(k) for k in (x.keys() | y.keys()) - MC_MOVING):
+        return math.inf
+    # a mean as the text "(a+bj)" or "a+bi", or as the pair [a, b]
+    (m1, s1), (m2, s2) = ((complex(*v[mean]) if isinstance(v[mean], list) else parse_complex(v[mean]),
+                           float(v[se])) for v in (x, y))
+    scale, shift = math.hypot(s1, s2), abs(m2 - m1)
+    return shift / scale if scale > 0 else 0.0 if shift == 0 else math.inf
+
+
 def main(argv) -> int:
     if argv == ["--run"]:
         json.dump(run_tree(), sys.stdout)
@@ -414,7 +451,7 @@ def main(argv) -> int:
     if [r["key"] for r in old] != [r["key"] for r in new]:
         print("the two trees ran different ops", file=sys.stderr)
         return 1
-    rows = defaultdict(lambda: [0, 0, 0.0, None])  # identical, moved, worst, worst op
+    rows = defaultdict(lambda: [0, 0, 0.0, None, ""])  # identical, moved, worst, worst op, "z " if z
     failures = []
     for a, b in zip(old, new):
         row = rows[a["label"]]
@@ -427,15 +464,21 @@ def main(argv) -> int:
         if a["key"].startswith("verdicts/"):
             failures.append(f"{a['key']} ({a['label']}): verdict differs: {a['out']} -> {b['out']}")
         row[1] += 1
-        m = move(a["out"], b["out"], a["spot1"])
+        m, z = move(a["out"], b["out"], a["spot1"]), mc_z(a["out"], b["out"])
         if m is None:
             failures.append(f"{a['key']} ({a['label']}): output text differs")
-        elif m >= row[2]:
+            continue
+        if z is not None:
+            m, row[4] = z, "z "
+            if not z <= MC_Z_BOUND:
+                failures.append(f"{a['key']} ({a['label']}): estimate moved by z = {z:.3g} > {MC_Z_BOUND:g}"
+                                " or in a field that does not move with its draws")
+        if m >= row[2]:
             row[2], row[3] = m, a["key"]
-    print(f"{'label':<50} {'identical':>9} {'moved':>6}  worst move (op)")
+    print(f"{'label':<50} {'identical':>9} {'moved':>6}  worst move or z of an estimate (op)")
     for label in sorted(rows):
-        same, moved, worst, key = rows[label]
-        where = f"{worst:.3g} ({key})" if moved else "-"
+        same, moved, worst, key, z = rows[label]
+        where = f"{z}{worst:.3g} ({key})" if moved else "-"
         print(f"{label:<50} {same:>9} {moved:>6}  {where}")
     for tree, records in zip(argv, (old, new)):
         runs = {r["key"]: (r["rc"], r["out"], r["err"]) for r in records}
