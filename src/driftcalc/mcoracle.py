@@ -1,27 +1,26 @@
 """Independent Monte Carlo verification of drifts, expectations, and prices.
 
 Increments are simulated exactly, with no time discretisation: the Gaussian
-part in closed form, jump times ignored (only terminal laws are needed),
-Poisson jump counts and jump sizes from the normalised jump law.  A discrete
-model is the pure-jump triplet of its increment law with floor(T) jumps a
-path and no diffusion.  One pathwise kernel gives per path the represented
-sum (linear + Ito term + summed jump transforms) or its stochastic
-exponential (exp(continuous exponent) times prod (1 + jump transform)) for
-sums, stochastic exponentials, increments, the exchange payoff and
-reweighting, whose payoff and weight are one two-output tree walked once;
-the weight is divided by eta's expectation from drift.py.
+part in closed form, jump times ignored, Poisson jump counts and jump sizes
+from the normalised jump law.  A discrete model is the pure-jump triplet of
+its increment law with floor(T) jumps a path and no diffusion.  One
+pathwise kernel gives per path the represented sum or its stochastic
+exponential for sums, stochastic exponentials, increments, the exchange
+payoff and reweighting, whose payoff and weight are one two-output tree
+walked once; the weight is divided by eta's expectation from drift.py.
 
-A block of n paths draws its diffusion normals, its jump counts, then its
-jumps in chunks of whole paths and at most ROW_CHUNK rows, each folded into
-its paths before the next is drawn.  Below DENSE jumps a path the counts
-are Poissonised (one Poisson(n lambda T) total, each jump on a uniformly
-drawn path) and a chunk is folded in row order by ``ufunc.at``; from DENSE
-on numpy draws each path's count and ``reduceat`` folds each path.  Atoms,
-a discrete model or a part of a sum walk the tree once on their K points
-and gather each jump's values by drawn index; a Gaussian body walks it on
-its jumps.  Path labels, atom indices and Gaussian jumps are one stream of
-draws however chunked; a sum measure splits and shuffles each chunk's draw,
-so its estimates depend on ROW_CHUNK in blocks of more than one chunk.
+A block of n paths draws its diffusion normals, where its jumps fall, then
+its jumps in slices of whole paths and at most ROW_CHUNK rows (or one
+longer path), each folded into its paths before the next is drawn.  Below
+DENSE jumps a path a Levy block draws a Poisson(n lambda T) total, a
+uniform path label a jump in one call, and sorts the labels in place (the
+path ids of n i.i.d. Poisson(lambda T) counts); ``ufunc.at`` folds each
+slice, cut by ``np.searchsorted``, in row order into one array.  From DENSE
+on, and on a discrete model, a block takes per-path counts, and
+``reduceat`` folds a chunk of DENSE rows a path or more.  Atoms walk the
+tree once and gather each jump's values by drawn index.  Atom indices and
+Gaussian jumps are one stream of draws however sliced; a sum measure
+shuffles each slice's draw, so its estimates depend on ROW_CHUNK.
 
 Paths are simulated in real arithmetic from the draws to the estimate: the
 draws are real, a tree with real literals evaluates real draws in float64,
@@ -29,19 +28,20 @@ and only a tree with a non-real literal carries complex values.
 
 Randomness is counter-based: block ``b`` draws from Philox(key=(seed, b)),
 so an estimate is a pure function of (seed, n_paths), bit-identical across
-worker counts, its block results written in block order into one array.
-
-With ``workers`` > 1 the blocks run on a thread pool per worker count, made
-on first use and kept for the process's life (a forked child makes its
-own); ``workers`` == 1 runs them in the calling thread.
+worker counts.  The calling thread and up to ``workers`` - 1 helpers from a
+pool per worker count (made on first use and kept for the process's life;
+a forked child makes its own) claim blocks in order and write each by its
+index into one array, whose moments ``_estimate`` then reduces in place.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -70,6 +70,9 @@ ROW_CHUNK = 1 << 15
 #: dearer than one 32-bit path label a jump) draws a block's counts, and one
 #: ``reduceat`` call per path, not ``ufunc.at`` per jump, folds a chunk
 DENSE = 10
+#: most workers an estimate takes, the calling thread and its pool's helpers
+#: together; a larger count is refused rather than started as threads
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ class SimConfig:
             object.__setattr__(self, name, index)
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"worker count must lie in [1, {MAX_WORKERS}], got {self.workers}")
         # the Philox key holds the seed as one uint64, so no two seeds share a stream
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
@@ -124,8 +127,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's executor of ``workers`` threads, made on first use."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"mcoracle-{workers}w")
+    """The process's executor of the ``workers - 1`` helpers of the caller, made on first use."""
+    return ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix=f"mcoracle-{workers}w")
 
 
 # A forked child has none of its parent's threads, so it makes pools of its own.
@@ -133,48 +136,58 @@ os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _collect(cfg: SimConfig, block_fn) -> np.ndarray:
-    """One value per path, block by block, written in block order into one array."""
-    starts = range(0, cfg.n_paths, BLOCK_SIZE)
+    """One value per path, each block written by its index into one array;
+    after a failure no block is claimed, and once the claimed ones are done
+    the lowest-numbered failing block's error is raised."""
+    n_blocks = -(-cfg.n_paths // BLOCK_SIZE)
+    claims, lock, failed, out = itertools.count(), threading.Lock(), {}, None
 
-    def run(start: int) -> np.ndarray:
-        rng = _block_rng(cfg.seed, start // BLOCK_SIZE)
-        return np.asarray(block_fn(rng, min(BLOCK_SIZE, cfg.n_paths - start)))
+    def run():
+        nonlocal out
+        # next() on a count is one C call, which the GIL keeps whole
+        while not failed and (b := next(claims)) < n_blocks:
+            try:
+                block = np.asarray(block_fn(_block_rng(cfg.seed, b), min(BLOCK_SIZE, cfg.n_paths - b * BLOCK_SIZE)))
+                with lock:
+                    out = np.empty(cfg.n_paths, block.dtype) if out is None else out
+                out[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
+            except Exception as exc:
+                failed[b] = exc
 
-    futures = [] if cfg.workers == 1 else [_pool(cfg.workers).submit(run, s) for s in starts]
-    blocks = (f.result() for f in futures) if futures else map(run, starts)
+    helpers = [_pool(cfg.workers).submit(run) for _ in range(min(cfg.workers, n_blocks) - 1)]
     try:
-        for start, block in zip(starts, blocks):
-            if start == 0:
-                out = np.empty(cfg.n_paths, block.dtype)
-            out[start:start + block.size] = block
-        return out
+        run()
     finally:
-        # a failed block leaves no other block running past the call
-        for f in futures:
+        failed.setdefault(n_blocks, None)  # however the caller left, e.g. interrupted, claim no more
+        for f in helpers:
             f.cancel()
-        wait(futures)
+        wait(helpers)
+    if (first := failed[min(failed)]) is not None:
+        raise first
+    return out
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
-    """Mean and standard error of real or complex per-path values.
-
-    Each moment is one reduction over one contiguous array, so the figures
-    do not depend on how the values were blocked or gathered.
-    """
-    finite = np.isfinite(values)
-    n_bad = values.size - int(np.count_nonzero(finite))
-    if n_bad > 0.001 * values.size:
-        raise EngineError(
-            f"{n_bad} of {values.size} paths produced non-finite values (> 0.1%)"
-        )
-    good = values[finite] if n_bad else values
-    n = good.size
-    mean = good.mean()
-    dev = good - mean
+    """Mean and standard error of real or complex per-path values, computed
+    in place over them, each moment one reduction over one array, so the
+    figures do not depend on how the values were blocked or gathered."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean, n_bad = values.mean(), 0
+    if not np.isfinite(mean):  # a finite mean is a sum of finite values
+        finite = np.isfinite(values)
+        n_bad = values.size - int(np.count_nonzero(finite))
+        if n_bad > 0.001 * values.size:
+            raise EngineError(
+                f"{n_bad} of {values.size} paths produced non-finite values (> 0.1%)"
+            )
+        values = values[finite] if n_bad else values
+        mean = values.mean()
+    n = values.size
+    dev = np.subtract(values, mean, out=values)
     if np.iscomplexobj(dev):
         np.square(dev.real, out=dev.real)
         np.square(dev.imag, out=dev.imag)
-        dev2 = dev.real + dev.imag
+        dev2 = np.add(dev.real, dev.imag, out=dev.real)
     else:
         dev2 = np.multiply(dev, dev, out=dev)
     var = float(dev2.sum() / (n - 1)) if n > 1 else 0.0
@@ -207,14 +220,25 @@ def _row_chunks(counts: np.ndarray) -> list:
     return np.split(counts, bounds[1:-1])
 
 
-def _poisson_counts(rng, n: int, mean: float) -> np.ndarray:
-    """n i.i.d. Poisson(mean) counts, below DENSE as uniform path labels of a Poisson(n mean) total."""
-    if mean >= DENSE:
-        return rng.poisson(mean, size=n)
-    total, counts = int(rng.poisson(n * mean)), np.zeros(n, np.int64)
-    for done in range(0, total, ROW_CHUNK):
-        counts += np.bincount(rng.integers(0, n, min(total - done, ROW_CHUNK)), minlength=n)
-    return counts
+def _path_labels(rng, n: int, mean: float) -> np.ndarray:
+    """Sorted uniform path labels of a Poisson(n mean) total: the jumps of n i.i.d. Poisson(mean) counts."""
+    labels = rng.integers(0, n, int(rng.poisson(n * mean)))
+    labels.sort()  # in place, without the GIL
+    return labels
+
+
+def _fold_labels(op, draw, rng, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Identity-filled ``out`` (m, n) with the jumps of sorted path ``labels``,
+    drawn slice by slice, folded in by ``op`` in row order; returned (n, m)."""
+    lo, end = 0, labels.size
+    while lo < end:
+        # back to the first row of the path at row lo + ROW_CHUNK, or past one longer path
+        hi = end if lo + ROW_CHUNK >= end else int(np.searchsorted(labels, labels[lo + ROW_CHUNK]))
+        hi = hi if hi > lo else int(np.searchsorted(labels, labels[lo], "right"))
+        for row, column in zip(out, draw(rng, hi - lo)):
+            op.at(row, labels[lo:hi], column)
+        lo = hi
+    return out.T
 
 
 def _segment_reduce(op, columns, counts: np.ndarray) -> np.ndarray:
@@ -280,10 +304,13 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
     root = math.sqrt(T)
 
     def paths(rng, n, payoff, antithetic=False):
-        # diffusion normals, then every jump count, then the jumps chunk by chunk
+        # diffusion normals, then every jump count or label, then the jumps chunk by chunk
         Z = rng.standard_normal((n, model.dim))
-        counts = _poisson_counts(rng, n, mass * T)
-        jump = jump_part(rng, counts)
+        if mass * T >= DENSE:
+            jump = jump_part(rng, rng.poisson(mass * T, size=n))
+        else:
+            out = np.full((fn.output_dim, n), op.identity, none.dtype)
+            jump = _fold_labels(op, draw, rng, _path_labels(rng, n, mass * T), out)
 
         def at(sign):
             x = const + (sign * root * Z) @ slope
@@ -380,11 +407,14 @@ def mc_reweighted(
 
 
 def _apply_weights(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(w)
-    if _nonreal(w[finite]):
-        raise EngineError("measure-change weights are not real; eta must be real-valued")
-    if np.any(w.real[finite] < 0):
-        raise EngineError(
-            "negative measure-change weight encountered; eta >= -1 is violated on the support"
-        )
+    # real weights are checked by one comparison: NaN and -inf pass on as
+    # non-finite values, as they do among complex weights
+    if np.iscomplexobj(w) or np.any(w < 0):
+        finite = np.isfinite(w)
+        if _nonreal(w[finite]):
+            raise EngineError("measure-change weights are not real; eta must be real-valued")
+        if np.any(w.real[finite] < 0):
+            raise EngineError(
+                "negative measure-change weight encountered; eta >= -1 is violated on the support"
+            )
     return w.real * v

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "error: workers must be an integer, got 2.5" in captured.err
+
+    def test_a_worker_count_above_the_maximum_is_usage_error(self, model_file, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        code = main(["mc-verify", "--model", model_file(MERTON_MODEL), "--target", "cumulant",
+                     "--n-paths", "100000000", "--threads", "100000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, started) == (2, "", [])
+        assert "error: worker count must lie in [1, 64], got 100000" in captured.err
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
     def test_a_seed_outside_64_bits_is_usage_error(self, model_file, capsys, seed):

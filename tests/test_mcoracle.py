@@ -95,84 +95,118 @@ class TestIncrementSampling:
         assert p_value > 0.001
 
 
+def _unit_atom_counts(mean: float, rng, n: int) -> np.ndarray:
+    """Each path's jump count through the kernel: with a unit atom, no
+    diffusion and the zero truncation an increment is its path's count."""
+    t = dc.LevyTriplet(1, np.zeros(1), np.zeros((1, 1)), dc.FiniteAtoms([[1.0]], [mean / 2]),
+                       dc.TruncationSpec.zero(1))
+    return sample_increment_batch(t, 2.0, rng, n)[:, 0]
+
+
+def _assert_poisson(counts: np.ndarray, mean: float):
+    """Chi-square of counts against the Poisson(mean) pmf, on cells of at
+    least 5 expected paths, the tails pooled."""
+    k = np.arange(counts.max() + 2)
+    pmf = stats.poisson.pmf(k, mean)
+    keep = np.flatnonzero(pmf * counts.size >= 5)
+    lo, hi = keep[0], keep[-1]
+    observed = np.bincount(counts, minlength=k.size)
+    obs = [observed[:lo + 1].sum(), *observed[lo + 1:hi], observed[hi:].sum()]
+    exp = [stats.poisson.cdf(lo, mean), *pmf[lo + 1:hi], stats.poisson.sf(hi - 1, mean)]
+    _, p_value = stats.chisquare(obs, np.asarray(exp) * counts.size)
+    assert p_value > 0.001
+
+
+def _fold_in_python(op, python_op, dtype, columns, labels, n):
+    """(n, m) folds of each path's jump values, row by row in Python."""
+    expected = np.full((n, len(columns)), op.identity, dtype)
+    for row, path in enumerate(labels):
+        for j, column in enumerate(columns):
+            expected[path, j] = python_op(expected[path, j], column[row])
+    return expected
+
+
 class TestPoissonisedKernel:
-    """A block's counts, below DENSE a path one Poisson total spread over
-    uniform path labels, and its per-path fold of the jump values, below
-    DENSE rows a path by ``ufunc.at``, else by ``reduceat``."""
+    """A block's jumps, below DENSE a path one Poisson total on sorted
+    uniform path labels folded by ``ufunc.at`` in slices of whole paths,
+    from DENSE on numpy's per-path counts folded by ``reduceat``."""
 
-    @pytest.mark.parametrize("mean", [0.05, 0.7, 6.0, 40.0])
-    def test_counts_are_iid_poisson(self, mean):
-        # at 6 a block's total exceeds ROW_CHUNK, so its labels come in
-        # chunks; at 40 numpy's per-path poisson draws the counts
-        counts = np.concatenate([mcoracle._poisson_counts(_block_rng(31, b), BLOCK_SIZE, mean)
-                                 for b in range(8)])
-        if mean >= 6.0:
-            assert BLOCK_SIZE * mean > mcoracle.ROW_CHUNK
-        # cells of the pmf holding at least 5 expected paths, the tails pooled
-        k = np.arange(counts.max() + 2)
-        pmf = stats.poisson.pmf(k, mean)
-        keep = np.flatnonzero(pmf * counts.size >= 5)
-        lo, hi = keep[0], keep[-1]
-        observed = np.bincount(counts, minlength=k.size)
-        obs = [observed[:lo + 1].sum(), *observed[lo + 1:hi], observed[hi:].sum()]
-        exp = [stats.poisson.cdf(lo, mean), *pmf[lo + 1:hi], stats.poisson.sf(hi - 1, mean)]
-        _, p_value = stats.chisquare(obs, np.asarray(exp) * counts.size)
-        assert p_value > 0.001
+    @pytest.mark.parametrize("mean", [0.05, 0.7, 6.0])
+    def test_sorted_labels_imply_iid_poisson_counts(self, mean):
+        labels = [mcoracle._path_labels(_block_rng(31, b), BLOCK_SIZE, mean) for b in range(8)]
+        assert all(np.all(np.diff(block) >= 0) for block in labels)
+        if mean >= 6.0:  # more labels than a slice's rows
+            assert min(block.size for block in labels) > mcoracle.ROW_CHUNK
+        _assert_poisson(np.concatenate([np.bincount(block, minlength=BLOCK_SIZE) for block in labels]), mean)
 
-    @pytest.mark.parametrize("mean", [0.7, 6.0])
-    def test_counts_are_one_stream_of_labels_however_chunked(self, mean, monkeypatch):
-        def counts_and_next(chunk):
-            monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
-            rng = _block_rng(5, 2)
-            return mcoracle._poisson_counts(rng, BLOCK_SIZE, mean), rng.random(4)
-
-        counts, after = counts_and_next(mcoracle.ROW_CHUNK)
-        for chunk in (7, 1000):
-            other, other_after = counts_and_next(chunk)
-            assert other.dtype == counts.dtype and other.tobytes() == counts.tobytes()
-            assert other_after.tobytes() == after.tobytes()
+    def test_dense_counts_are_iid_poisson(self):
+        counts = _unit_atom_counts(40.0, _block_rng(31, 0), 8 * BLOCK_SIZE)
+        _assert_poisson(counts.astype(np.int64), 40.0)
 
     def test_counts_from_dense_on_are_numpys_per_path_draw(self):
-        counts = mcoracle._poisson_counts(_block_rng(5, 1), BLOCK_SIZE, mcoracle.DENSE)
-        assert counts.tobytes() == _block_rng(5, 1).poisson(mcoracle.DENSE, BLOCK_SIZE).tobytes()
+        counts = _unit_atom_counts(mcoracle.DENSE, _block_rng(5, 1), BLOCK_SIZE)
+        rng = _block_rng(5, 1)
+        rng.standard_normal((BLOCK_SIZE, 1))  # the diffusion normals come first
+        assert counts.tobytes() == rng.poisson(mcoracle.DENSE, BLOCK_SIZE).astype(np.float64).tobytes()
 
     def test_no_mass_draws_nothing(self):
         rng = _block_rng(5, 0)
-        assert not mcoracle._poisson_counts(rng, 100, 0.0).any()
+        assert mcoracle._path_labels(rng, 100, 0.0).size == 0
         assert rng.random(4).tobytes() == _block_rng(5, 0).random(4).tobytes()
+
+    @pytest.mark.parametrize("mean", [0.7, 6.0])
+    def test_labels_folds_and_next_draw_are_one_stream_however_sliced(self, mean, monkeypatch):
+        def fold(chunk):
+            # two outputs of a Gaussian body's draw, one jump's values after another
+            monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
+            rng, sizes = _block_rng(5, 2), []
+            labels = mcoracle._path_labels(rng, BLOCK_SIZE, mean)
+            out = np.ones((2, BLOCK_SIZE))
+            folded = mcoracle._fold_labels(
+                np.multiply, lambda rng, k: sizes.append(k) or 1.0 + rng.standard_normal((k, 2)).T,
+                rng, labels, out)
+            ends = np.cumsum(sizes)
+            # each slice holds whole paths, at most chunk rows or one longer path
+            assert ends[-1] == labels.size and np.all(labels[ends[:-1] - 1] < labels[ends[:-1]])
+            assert all(k <= chunk or labels[end - k] == labels[end - 1] for k, end in zip(sizes, ends))
+            return labels, folded, rng.random(4)
+
+        labels, folded, after = fold(mcoracle.ROW_CHUNK)
+        # one call draws the labels as calls of at most ROW_CHUNK labels did
+        rng = _block_rng(5, 2)
+        total = int(rng.poisson(BLOCK_SIZE * mean))
+        chunked = [rng.integers(0, BLOCK_SIZE, min(total - done, mcoracle.ROW_CHUNK))
+                   for done in range(0, total, mcoracle.ROW_CHUNK)]
+        assert np.sort(np.concatenate(chunked)).tobytes() == labels.tobytes()
+        for chunk in (7, 1000):
+            other = fold(chunk)
+            assert [a.tobytes() for a in other] == [labels.tobytes(), folded.tobytes(), after.tobytes()]
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("op, python_op", [(np.add, operator.add), (np.multiply, operator.mul)])
-    def test_per_path_fold_equals_a_python_loop(self, op, python_op, dtype, chunk, monkeypatch):
-        # empty paths, one-jump paths, a path longer than a chunk of 7 rows
-        # and a trailing empty path, on two columns laid out as draws are,
-        # fewer than DENSE rows a path in every chunk
+    def test_sorted_label_fold_equals_a_python_loop(self, op, python_op, dtype, chunk, monkeypatch):
+        # empty paths, one-jump paths, a path of 9 jumps, longer than a
+        # slice of 7 rows, and a trailing empty path, on two columns laid
+        # out as draws are
         if chunk is not None:
             monkeypatch.setattr(mcoracle, "ROW_CHUNK", chunk)
         counts = np.array([0, 1, 3, 0, 0, 9, 1, 2, 0, 5, 1, 0])
+        labels = np.repeat(np.arange(counts.size), counts)
         rng = np.random.default_rng(4)
-        values = rng.normal(1.0, 0.5, (counts.sum(), 2))
+        values = rng.normal(1.0, 0.5, (labels.size, 2))
         if dtype is np.complex128:
             values = values + 1j * rng.normal(0.0, 0.5, values.shape)
-        columns = values.T
-        parts, row = [], 0
-        for c in mcoracle._row_chunks(counts):  # as the kernel reduces a block
-            rows = int(c.sum())
-            parts.append(mcoracle._segment_reduce(op, columns[:, row:row + rows], c))
-            row += rows
-        folded = np.concatenate(parts)
+        columns, sizes = values.T, []
 
-        expected = np.empty((counts.size, 2), dtype)
-        ends = np.cumsum(counts)
-        for path, (k, end) in enumerate(zip(counts, ends)):
-            for j, column in enumerate(columns):
-                acc = dtype(op.identity)
-                for v in column[end - k:end]:
-                    acc = python_op(acc, v)
-                expected[path, j] = acc
+        def draw(rng, k):  # the columns, slice after slice
+            sizes.append(k)
+            return columns[:, sum(sizes) - k:sum(sizes)]
+
+        folded = mcoracle._fold_labels(op, draw, None, labels, np.full((2, counts.size), op.identity, dtype))
+        expected = _fold_in_python(op, python_op, dtype, columns, labels, counts.size)
         assert folded.dtype == dtype and folded.tobytes() == expected.tobytes()
-        assert len(parts) == (1 if chunk is None else 4)
+        assert sizes == ([labels.size] if chunk is None else [4, 9, 3, 6])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("op", [np.add, np.multiply])
@@ -382,20 +416,20 @@ class TestReweighted:
 
     def test_one_tree_walk_per_block(self, merton_1d, monkeypatch):
         walks, reductions, blocks = [], [], []
-        run, reduce = dc.RepFn._run, mcoracle._segment_reduce
+        run, fold = dc.RepFn._run, mcoracle._fold_labels
 
         def counted_run(self, rule, x):
             if rule == "ev":
                 walks.append(x.shape[0])
             return run(self, rule, x)
 
-        def counted_reduce(op, columns, counts):
-            blocks.append(int(counts.sum()))
-            reductions.append(len(columns))
-            return reduce(op, columns, counts)
+        def counted_fold(op, draw, rng, labels, out):
+            blocks.append(labels.size)
+            reductions.append(len(out))
+            return fold(op, draw, rng, labels, out)
 
         monkeypatch.setattr(dc.RepFn, "_run", counted_run)
-        monkeypatch.setattr(mcoracle, "_segment_reduce", counted_reduce)
+        monkeypatch.setattr(mcoracle, "_fold_labels", counted_fold)
         cfg = dc.SimConfig(n_paths=3 * BLOCK_SIZE, seed=14)
         dc.mc_reweighted(dc.rep_exp_affine(0.6), dc.rep_exp_utility(0.8), merton_1d, 1.0, cfg)
         # the compensator's quadrature walks its nodes too; a block's walk
@@ -579,6 +613,31 @@ class TestReweighted:
             dc.mc_reweighted(dc.rep_identity(1), eta, trinomial, 1.0,
                              dc.SimConfig(n_paths=10_000, seed=6))
 
+    def test_nan_and_minus_inf_weights_pass_on_as_nonfinite_values(self):
+        w = np.ones(4000)
+        w[[3, 1700]], w[2500] = np.nan, -np.inf
+        weighted = _apply_weights(w, np.full(4000, 2.0))
+        assert np.count_nonzero(~np.isfinite(weighted)) == 3
+        est = _estimate(weighted)
+        assert (est.mean, est.n_effective, est.n_nonfinite) == (2.0, 3997, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_finite_negative_weight_is_refused(self, dtype):
+        w = np.array([1.0, np.nan, -np.inf, 0.5, -1e-300], dtype)
+        with pytest.raises(EngineError, match="^negative measure-change weight encountered; "
+                                              "eta >= -1 is violated on the support$"):
+            _apply_weights(w, np.ones(5))
+
+    @pytest.mark.parametrize("v_dtype", [np.float64, np.complex128])
+    def test_real_and_complex_typed_real_weights_give_the_same_bits(self, v_dtype):
+        rng = np.random.default_rng(8)
+        w = rng.lognormal(0.0, 1.0, 1000)
+        w[[5, 600]], w[70] = np.nan, -np.inf
+        v = rng.normal(1.0, 0.5, 1000).astype(v_dtype)
+        with np.errstate(invalid="ignore"):  # -inf times a complex value
+            real, cplx = _apply_weights(w, v), _apply_weights(w.astype(np.complex128), v)
+        assert real.dtype == cplx.dtype == v_dtype and real.tobytes() == cplx.tobytes()
+
 
 @pytest.mark.parametrize("kind", ["levy", "discrete"])
 def test_a_representation_of_another_dimension_is_a_usage_error(kind, monkeypatch):
@@ -671,7 +730,7 @@ def test_randomised_model_sweep_is_consistent():
 def test_real_and_complex_samples_estimate_alike(kind):
     rng = np.random.default_rng(3)
     vals = rng.lognormal(0.0, 0.4, 65_536) if kind == "lognormal" else rng.normal(0.2, 1.0, 65_536)
-    real, cplx = _estimate(vals), _estimate(vals.astype(complex))
+    real, cplx = _estimate(vals.copy()), _estimate(vals.astype(complex))
     assert real.mean == pytest.approx(cplx.mean, rel=1e-15, abs=0.0)
     assert real.std_error == pytest.approx(cplx.std_error, rel=1e-15, abs=0.0)
     assert (real.n_effective, real.n_nonfinite) == (cplx.n_effective, cplx.n_nonfinite)
@@ -767,6 +826,15 @@ class TestSimConfig:
         # masked into 64 bits, -1 and 2**64 - 1 gave one stream, 2**64 that of 0
         with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {int(seed)}$"):
             dc.SimConfig(n_paths=1_000, seed=seed)
+
+    def test_a_worker_count_above_the_maximum_is_refused(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        assert dc.SimConfig(n_paths=1_000, seed=1, workers=mcoracle.MAX_WORKERS).workers == 64
+        for workers in (0, mcoracle.MAX_WORKERS + 1, 100_000):
+            with pytest.raises(ValueError, match=rf"^worker count must lie in \[1, 64\], got {workers}$"):
+                dc.SimConfig(n_paths=10**8, seed=1, workers=workers)
+        assert started == []
 
     def test_the_ends_of_the_seed_range_give_their_own_streams(self, merton_1d):
         xi, est = dc.rep_exp_affine(0.5), {}
@@ -868,6 +936,36 @@ class TestBlockPool:
             _collect(dc.SimConfig(n_paths=12 * BLOCK_SIZE, seed=1, workers=2), block)
         assert running[0] == 0
         assert len(calls) < 12  # the blocks still queued were cancelled
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lowest_numbered_failing_block_raises(self, workers):
+        # block 5 fails at once, block 3 later, while others still run
+        def block(rng, n):
+            b = int(rng.bit_generator.state["state"]["key"][1])
+            if b == 5:
+                raise EngineError("block 5 failed")
+            time.sleep(0.03 if b == 3 else 0.005)
+            if b == 3:
+                raise EngineError("block 3 failed")
+            return rng.random(n)
+
+        with pytest.raises(EngineError, match="^block 3 failed$"):
+            _collect(dc.SimConfig(n_paths=12 * BLOCK_SIZE, seed=1, workers=workers), block)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_estimate_starts_at_most_one_thread_fewer_than_its_workers(self, merton_1d, workers,
+                                                                           monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        mcoracle._pool.cache_clear()
+        cfg = dc.SimConfig(n_paths=6 * BLOCK_SIZE, seed=5, workers=workers)
+        dc.mc_stoch_exp(dc.rep_exp_affine(0.5), merton_1d, 1.0, cfg)
+        assert len(started) <= workers - 1
 
     def test_concurrent_estimates_share_a_pool(self, merton_1d):
         xi = dc.rep_exp_affine(0.5)

@@ -15,9 +15,10 @@ model on the bracket (0, 8), the walks alone of those two drifts (one
 holds, so that a drift's time splits into its walks and its glue), the
 builds alone of two trees, the one-value slope tree of the utility
 optimiser's Newton steps and ``rep_exp_affine(0.5)``, ``parse_model`` of a
-fixed 1-d Gaussian + atoms document, and one Monte Carlo block of 8 192
+fixed 1-d Gaussian + atoms document, one Monte Carlo block of 8 192
 paths of ``rep_exp_affine(0.5)``'s stochastic exponential on the Merton
-model at T = 1 and 1 worker.  After
+model at T = 1 and 1 worker, and the same estimate of two blocks, 16 384
+paths, at 2 workers.  After
 one warm-up pass per side, each of N rounds (default 15) times one whole
 pass on each side, then CASE_REPS calls of each fixed case on each side;
 the side that goes first alternates from round to round.
@@ -34,7 +35,9 @@ percentile of its ops' wall times, a failing op counting by its time), for
 the ops of each label summed over a pass (in ms) and for each fixed case
 (in microseconds per call), the best and the median time of each side, the
 median over rounds of the pair ratio parent/change (above 1 when the change
-is faster), and in how many rounds the change was faster; and the moved
+is faster), and in how many rounds the change was faster; each side's
+median minor page faults and voluntary context switches per pass, read
+from ``resource.getrusage`` of this process (all its threads); and the moved
 outputs: how many ops moved, the worst move and its op, and the largest z
 of a moved estimate and its op.  It is a
 development tool, not part of the package.
@@ -49,6 +52,7 @@ import importlib
 import importlib.util
 import json
 import math
+import resource
 import statistics
 import sys
 import tempfile
@@ -123,6 +127,8 @@ def cases(M) -> dict:
         "exp_affine_build_us": lambda: M.calculus.rep_exp_affine(0.5),
         "parse_model_us": lambda: M.modelio.parse_model(MIXED_1D),
         "mc_block_us": lambda: M.mcoracle.mc_stoch_exp(exp_affine, merton, 1.0, M.mcoracle.SimConfig(8192, 7)),
+        "mc_2w_us": lambda: M.mcoracle.mc_stoch_exp(exp_affine, merton, 1.0,
+                                                     M.mcoracle.SimConfig(16384, 7, workers=2)),
     }
 
 
@@ -143,14 +149,17 @@ def digest(M, out) -> str:
 
 
 def run_pass(calls) -> tuple:
-    """(seconds, seconds of each op, outputs) of one whole pass."""
+    """(seconds, seconds of each op, outputs, (minor page faults, voluntary
+    context switches)) of one whole pass."""
     outputs, times = [], []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = perf_counter()
     for call in calls:
         t0 = perf_counter()
         outputs.append(worker.run_op(call))
         times.append(perf_counter() - t0)
-    return perf_counter() - start, times, outputs
+    seconds, after = perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+    return seconds, times, outputs, (after.ru_minflt - before.ru_minflt, after.ru_nvcsw - before.ru_nvcsw)
 
 
 def p90(times) -> float:
@@ -228,7 +237,7 @@ def main(argv) -> int:
             M = load(tree.resolve(), f"ab_{name}")
             side[name] = ([worker.make_call(M, plan, spec) for spec in plan["ops"]], cases(M), M)
         labels = sorted({op["label"] for op in plan["ops"]})
-        passes, p90s = ({name: [] for name in SIDES} for _ in range(2))
+        passes, p90s, usage = ({name: [] for name in SIDES} for _ in range(3))
         by_label = {label: {name: [] for name in SIDES} for label in labels}
         fixed = {label: {name: [] for name in SIDES} for label in side["parent"][1]}
         moves = Moves()
@@ -237,9 +246,10 @@ def main(argv) -> int:
             outputs, totals = {}, {}
             for name in order:
                 gc.collect()
-                dt, times, outputs[name] = run_pass(side[name][0])
+                dt, times, outputs[name], used = run_pass(side[name][0])
                 if r:
                     passes[name].append(dt)
+                    usage[name].append(used)
                     p90s[name].append(p90(times))
                     for label in labels:
                         by_label[label][name].append(
@@ -259,6 +269,8 @@ def main(argv) -> int:
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
               "ops_per_pass": len(plan["ops"]), "pass_ms": summary(passes, 1e3),
               "op_p90_ms": summary(p90s, 1e3),
+              "pass_usage": {f"{name}_median_{what}": statistics.median(u[i] for u in usage[name])
+                             for name in SIDES for i, what in enumerate(("minflt", "nvcsw"))},
               "label_ms": {label: summary(times, 1e3) for label, times in by_label.items()},
               "moved": {"ops": len(moves.ops), "worst": moves.worst, "worst_op": moves.where,
                         "bound": MAX_MOVE, "worst_z": moves.z, "worst_z_op": moves.z_where,

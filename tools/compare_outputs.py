@@ -17,8 +17,9 @@ MC_VERIFY_TARGETS, through ``cli.main`` at 1 and at 2 workers, on MERTON
 and on the trinomial law; and every field of ``mc_stoch_exp`` and
 ``mc_reweighted``, at 1 and at 2 workers, on the trinomial law and each
 ``grid_1d`` discrete model at
-T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_LONG_T, whose blocks
-span several row chunks, and on the pushforward of WIDE through
+T = 3 and 250, on ATOMS and on DOCS_MARGINAL at DOCS_SPARSE_T and
+DOCS_LONG_T, whose blocks span several row chunks, below and above
+``mcoracle.DENSE`` jumps a path, and on the pushforward of WIDE through
 e^{0.7x} - 1, whose jump law is a mapped Gaussian body.  It prints how
 many ops are identical and how many moved, with the worst move of a number
 x to x' by op label: |x' - x| / spot1 for a price, else |x' - x| / (1 + |x|).
@@ -106,6 +107,9 @@ ATOMS = {"type": "levy", "dim": 1, "b": [0.01], "c": [[0.01]], "truncation": ["i
 #: the horizon of the long DOCS_MARGINAL estimates: lambda T = 16.25, so a
 #: block of 8192 paths draws about 133 000 jumps, some 4 chunks of 2^15 rows
 DOCS_LONG_T = 25.0
+#: a DOCS_MARGINAL horizon below mcoracle.DENSE: lambda T = 7.8, so a block
+#: of 8192 paths folds about 64 000 sorted-label jumps in two slices
+DOCS_SPARSE_T = 12.0
 #: paths of each estimate beyond the benchmark's: three full blocks and a partial one
 MC_EXTRA_PATHS = 3 * 8192 + 77
 #: (target, flags) of the ``mc-verify`` calls run through ``cli.main`` on
@@ -243,13 +247,13 @@ def _verdict(M, doc, rep):
 
 def _mc_extra_runs(M):
     """(key, label, call, None) of each discrete, ATOMS, pushforward and
-    long docs-marginal estimate."""
+    docs-marginal estimate."""
     parse = M.modelio.parse_model
     pushforward = M.calculus.pushforward_characteristics(
         M.calculus.rep_exp_affine(0.7), parse(WIDE), M.models.TruncationSpec.identity(1))
     models = [("trinomial", parse(TRINOMIAL), "discrete", (3.0, 250.0)), ("atoms", parse(ATOMS), "atoms", (2.0,)),
               ("pushforward", pushforward, "mapped gaussian_push", (1.3,)),
-              ("docs", parse(DOCS_MARGINAL), _model_kind(DOCS_MARGINAL), (DOCS_LONG_T,))]
+              ("docs", parse(DOCS_MARGINAL), _model_kind(DOCS_MARGINAL), (DOCS_SPARSE_T, DOCS_LONG_T))]
     for seed in SEEDS:
         docs = workloads.generate("grid_1d", seed)["models"]
         models += [(f"grid_1d-{seed}-{m}", parse(doc), "discrete", (3.0, 250.0)) for m, doc in docs.items()
