@@ -208,7 +208,8 @@ def _grid_rows(grid, fn):
                 # the status column must stay CSV-safe
                 status[todo[j]] = "error: " + str(fault).replace(",", ";").replace("\n", " ")
             todo = np.delete(todo, list(faults))
-        rows.extend(zip(chunk, values, status))
+        # Python numbers, which format faster than numpy's scalars
+        rows.extend(zip(chunk.tolist(), values.tolist(), status))
     return rows, sum(s != "ok" for *_, s in rows)
 
 

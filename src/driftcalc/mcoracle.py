@@ -52,7 +52,7 @@ import numpy as np
 from .calculus import rep_identity
 from .drift import _check_horizon, _require_dim, discrete_stoch_exp, expectation_stoch_exp
 from .errors import EngineError
-from .models import DiscreteModel, LevyTriplet, psd_factor, truncation_moment
+from .models import DiscreteModel, LevyTriplet, _times, psd_factor, truncation_moment
 from .pricing import MargrabeModel
 from .repfn import RepFn, _nonreal
 
@@ -313,7 +313,7 @@ def _pathwise(fn: RepFn, model: Model, T: float, exponential: bool):
             jump = _fold_labels(op, draw, rng, _path_labels(rng, n, mass * T), out)
 
         def at(sign):
-            x = const + (sign * root * Z) @ slope
+            x = const + _times(sign * root * Z, slope)
             return payoff(np.exp(x) * jump if exponential else x + jump)
 
         return 0.5 * (at(1.0) + at(-1.0)) if antithetic else at(1.0)

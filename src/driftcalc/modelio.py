@@ -37,7 +37,7 @@ from .models import (
     TruncationSpec,
     sum_measure,
 )
-from .pricing import MargrabeModel
+from .pricing import MargrabeModel, _linspace
 
 AnyModel = Union[LevyTriplet, DiscreteModel, MargrabeModel]
 
@@ -299,5 +299,5 @@ def parse_grid(doc: dict) -> np.ndarray:
         raise ModelFormatError(
             f"grid has {re_axis[2]} x {im_axis[2]} points; at most {MAX_GRID_POINTS} are allowed"
         )
-    re, im = np.linspace(*re_axis), np.linspace(*im_axis)
+    re, im = _linspace(*re_axis), _linspace(*im_axis)
     return (re[:, None] + 1j * im[None, :]).ravel()

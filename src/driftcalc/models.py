@@ -407,7 +407,7 @@ class GaussianPush(JumpMeasure):
     def _build_nodes(self, level: int) -> _NodeSet:
         """The standard rule of ``level`` mapped onto this body."""
         U, W = _standard_rule(level, self.dim)
-        P = np.expm1(self.mean[None, :] + np.sqrt(2.0) * U @ self._factor.T)
+        P = np.expm1(self.mean[None, :] + _times(np.sqrt(2.0) * U, self._factor.T))
         P.setflags(write=False)
         return _NodeSet(P, W[:, None])
 
@@ -490,7 +490,7 @@ class GaussianPush(JumpMeasure):
         return out, max(err.tolist(), default=0.0), faults
 
     def _draw(self, f):
-        return lambda rng, n: f(np.expm1(self.mean + rng.standard_normal((n, self.dim)) @ self._factor.T)).T
+        return lambda rng, n: f(np.expm1(self.mean + _times(rng.standard_normal((n, self.dim)), self._factor.T))).T
 
     def _truncation_moment(self, trunc):
         """Closed-form marginal moments of the componentwise lognormal map.
@@ -630,6 +630,12 @@ def psd_factor(S: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(S)
         return V * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; on an inner dimension of 1 the broadcast product, rounded alike."""
+    # about a tenth of matmul's cost on a tall a
+    return a * b if b.shape[0] == 1 else a @ b
 
 
 def empty_measure(dim: int) -> FiniteAtoms:

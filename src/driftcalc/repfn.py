@@ -371,17 +371,24 @@ def _arrays(dim: int) -> _Arith:
 
 def _quot(p, q):
     # p / q rounded as numpy divides complex numbers where |q.real| >=
-    # |q.imag|, as for a real q: by (q.real + q.imag rat)^-1
+    # |q.imag|, as for a real q: by (q.real + q.imag rat)^-1; a p on the
+    # parameter axis is numpy's array, divided as the array pass divides it
+    if type(p) is np.ndarray:
+        return p / q
     rat = q.imag / q.real
     scl = 1.0 / (q.real + q.imag * rat)
     return complex((p.real + p.imag * rat) * scl, (p.imag - p.real * rat) * scl)
 
 
-# The jet pass of a real tree on R^1 without a parameter axis, in Python
-# complex numbers: where every imaginary part is a signed zero, their
-# product rounds as numpy's and _quot as numpy's quotient; exp and log stay
-# numpy's.  A division by zero raises: the tree then takes the array pass.
-_SCALARS = _Arith(1, operator.mul, _quot, _quot, lambda z: complex(np.exp(z)),
+# The jet pass on R^1 of a tree whose literals off the parameter axis are
+# real, in Python complex numbers: where every imaginary part is a signed
+# zero, their product rounds as numpy's and _quot as numpy's quotient; exp
+# and log stay numpy's.  A row on the axis holds numpy arrays of shape
+# (K, 1, 1), and its arithmetic with those numbers is the array pass's own.
+# A division by zero, or a rule that branches on a value on the axis,
+# raises: the tree then takes the array pass.
+_SCALARS = _Arith(1, operator.mul, _quot, _quot,
+                  lambda z: np.exp(z) if type(z) is np.ndarray else complex(np.exp(z)),
                   lambda z: complex(np.log(z)), operator.mul, (0j, 0j), (1 + 0j,))
 
 
@@ -412,6 +419,8 @@ def _columnwise(rule, n, k, *jets):
     """A jet rule that branches on an origin value, applied one column at a
     time where that value spans the parameter axis: each column takes the
     branch and the arithmetic of a tree holding that column's constants."""
+    if k is _SCALARS:
+        raise ArithmeticError("a rule branches on a value on the parameter axis")
     K, dim = next(len(v) for v, _g, _h in jets if type(v) is np.ndarray), k.dim
     v, g, h = zip(*[rule(n, k, *[_column(jet, j) for jet in jets]) for j in range(K)])
     return (
@@ -636,26 +645,34 @@ class RepFn:
         object.__setattr__(self, "_roots", roots)
         # K, or 0 without a parameter axis
         object.__setattr__(self, "_width", widths.pop() if widths else 0)
-        # whether every literal is real: it picks the jet pass and a real batch's dtype
-        object.__setattr__(self, "_real", not any([z.imag for axis, v in literals for z in (v if axis else (v,))]))
+        # whether the literals off the parameter axis are real, which picks the
+        # jet pass, and whether every literal is, which picks a real batch's dtype
+        real_off_axis = not any([v.imag for axis, v in literals if not axis])
+        object.__setattr__(self, "_real", real_off_axis and not any([z.imag for axis, v in literals if axis for z in v]))
         d, K = self.input_dim, self._width or 1
-        jets, n = None, len(roots) * K
-        if d == 1 and not self._width and self._real:
-            # see _SCALARS; a root's jet that is not finite takes the array
-            # pass's bits, and a refused tree the array pass's error
-            try:
-                jets = self._run("jet", _SCALARS)
-            except (ArithmeticError, ValueError):
-                pass
-        if jets is None or not all([cmath.isfinite(z) for s in roots for z in jets[s]]):
-            jets = self._run("jet", _arrays(d))
-        value, jac, hess = blocks = [np.zeros(s, dtype=np.complex128) for s in ((n,), (n, d), (n, d, d))]
+        n = len(roots) * K
+        # value, Jacobian and Hessian, in one buffer
+        buffer = np.empty(n * (1 + d + d * d), dtype=np.complex128)
+        value, jac, hess = blocks = buffer[:n], buffer[n:n + n * d].reshape(n, d), buffer[n + n * d:].reshape(n, d, d)
         if self._width:
             # output k's K columns, in the jet's shapes; a root off the axis
             # broadcasts over them
             blocks = (value.reshape(-1, K, 1, 1), jac.reshape(-1, K, 1, d), hess.reshape(-1, K, d, d))
-        for k, s in enumerate(roots):
-            blocks[0][k], blocks[1][k], blocks[2][k] = jets[s]
+
+        def fill(jets):
+            for k, s in enumerate(roots):
+                blocks[0][k], blocks[1][k], blocks[2][k] = jets[s]
+            return True
+
+        # see _SCALARS; a jet with an entry that is not finite takes the array
+        # pass's bits, and a refused tree the array pass's error.  Counted,
+        # not .all(), which costs twice as much on a buffer this small
+        try:
+            filled = d == 1 and real_off_axis and fill(self._run("jet", _SCALARS))
+        except (ArithmeticError, ValueError):
+            filled = False
+        if not (filled and np.count_nonzero(np.isfinite(buffer)) == buffer.size):
+            fill(self._run("jet", _arrays(d)))
         if np.count_nonzero(value):
             k = np.flatnonzero(value)[0]
             if _isnan(value[k]):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -163,6 +164,24 @@ class TestGrids:
         with pytest.raises(ModelFormatError) as info:
             parse_grid(json.loads(text))
         assert str(info.value).startswith(message)
+
+    def test_axes_are_numpys_linspace_bit_for_bit(self):
+        # count 1 and 2, reversed axes, zero width (also -0.0 to 0.0) and
+        # a width whose step underflows, then random axes
+        rng = np.random.default_rng(40)
+        axes = [(0.3, 0.3, 5), (-0.0, 0.0, 3), (0.0, -0.0, 4), (0.0, 1e-320, 7), (2.0, -1.5, 9),
+                (1.5, 7.0, 1), (-3.0, 1.0, 2), (1e300, -1e300, 11)]
+        for _ in range(500):
+            start, stop = rng.normal(0.0, 10.0 ** rng.integers(-6, 6), 2).tolist()
+            count = int(rng.choice([1, 2, 3, 17, 101, int(rng.integers(1, 1000))]))
+            axes.append((start, start if rng.random() < 0.1 else stop, count))
+        for (start, stop, count), other in zip(axes, itertools.cycle(axes[::-1])):
+            want = np.linspace(start, stop, count)
+            assert pricing._linspace(start, stop, count).tobytes() == want.tobytes()
+            spec = {"start": start, "stop": stop, "count": count}
+            real = np.linspace(*other)  # the grid is the cross product, as numpy makes it
+            grid = parse_grid({"re": dict(zip(("start", "stop", "count"), other)), "im": spec})
+            assert grid.tobytes() == (real[:, None] + 1j * want[None, :]).ravel().tobytes()
 
     def test_largest_grid_is_accepted(self):
         side = math.isqrt(MAX_GRID_POINTS)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from unittest import mock
@@ -14,6 +15,7 @@ import driftcalc as dc
 from driftcalc import pricing
 from driftcalc.calculus import _rep_exp_utility_slope
 from driftcalc.errors import ConvergenceError, EngineError, NonIntegrableError
+from driftcalc.modelio import parse_model
 
 from conftest import (
     CONTOUR_BETA,
@@ -22,6 +24,7 @@ from conftest import (
     CONTOUR_U_MAX,
     body_exponent,
     contour_width,
+    load_perfbench,
     panel_by_panel,
     reference_price,
     split_price,
@@ -415,14 +418,15 @@ class TestOptimizer:
         assert lam_star == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     def test_optimum_costs_few_drifts(self, merton_1d, monkeypatch):
-        # The scan and three Newton drifts, one tree each.  Newton starts at
+        # The scan and two Newton drifts, one tree each.  Newton starts at
         # the root of the cubic Hermite interpolant of u' on the scan cell,
         # 5e-6 from lam* here (the secant root is 5e-4 off): the cubic is off
-        # u' by up to 3.5e-7 on this cell, so a third Newton drift still settles.
+        # u' by up to 3.5e-7 on this cell.  The second Newton step, 2.5e-13
+        # long, is certified, so the drift that would confirm it is not taken.
         calls = count_calls(monkeypatch, pricing, "drift")
         builds = count_calls(monkeypatch, pricing, "_rep_exp_utility_slope")
         lam_star, _ = dc.optimize_exp_utility(merton_1d, (0.0, 8.0))
-        assert len(calls) <= 4
+        assert len(calls) <= 3
         assert len(builds) == len(calls)
         # the first Newton tree's lam leaf, in its weight - 1 = e^{-lam y} - 1
         start = calls[1][0].outputs[2].left.child.child.left
@@ -486,6 +490,99 @@ class TestOptimizer:
         lam_star, value = dc.optimize_discrete_exp_utility(trinomial, (-2.0, 10.0))
         assert abs(lam_star) <= 1e-14 and value == pytest.approx(1.0, abs=1e-15)
         assert len(calls) <= 5
+
+
+def polish_both_ways(fn, bracket):
+    """(the certified polish's point, the uncertified polish's point, the
+    points the uncertified polish called fn at after its scan)."""
+    visited = []
+
+    def spy(x):
+        if not np.ndim(x):
+            visited.append(x)
+        return fn(x)
+
+    plain = pricing.minimize_scalar(spy, bracket, certify=False)
+    return pricing.minimize_scalar(fn, bracket), plain, visited
+
+
+def assert_certified_like_the_polish(fn, bracket):
+    """The certified polish returns the uncertified one's point, or a Newton
+    step the uncertified polish took, within 4e-15 (1 + |x|) of its point."""
+    got, plain, visited = polish_both_ways(fn, bracket)
+    assert got == plain or (got in visited and abs(got - plain) <= 4e-15 * (1.0 + abs(plain)))
+
+
+def one_ulp(x):
+    """-1, 0 or +1 ulp of 1, picked by the bits of x."""
+    return ((np.asarray(x, dtype=float).view(np.int64) % 3) - 1) * np.spacing(1.0)
+
+
+class TestCertifiedStep:
+    """Seeded defects in f' and f'': the certificate of the last Newton step
+    must not return a point the uncertified polish would not reach."""
+
+    def test_a_smooth_objective_saves_the_confirming_call(self):
+        def fn(x):
+            return np.expm1(x - 0.4), np.exp(x - 0.4)
+
+        got, plain, visited = polish_both_ways(fn, (-1.0, 3.0))
+        assert got == plain
+        calls = []
+        pricing.minimize_scalar(lambda x: calls.append(x) or fn(x), (-1.0, 3.0))
+        assert len(calls) == len(visited)  # the scan, and one Newton call fewer
+
+    @pytest.mark.parametrize("curvature", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("bracket", [(-1.0, 2.0), (-0.3, 0.7), (-5.0, 1.0)])
+    def test_a_kink(self, curvature, bracket):
+        assert_certified_like_the_polish(lambda x: (np.sign(x), np.full_like(x, curvature)), bracket)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    @pytest.mark.parametrize("bracket", [(-1.0, 3.0), (0.0, 8.0), (-20.0, 5.0)])
+    def test_a_wrong_second_derivative(self, scale, bracket):
+        assert_certified_like_the_polish(lambda x: (np.expm1(x - 0.4), scale * np.exp(x - 0.4)), bracket)
+
+    @pytest.mark.parametrize("jump", [1e-12, 1e-9, 1e-6, 1e-3, 0.02])
+    def test_a_jump_of_the_slope_inside_the_scan_cell(self, jump):
+        # the cell is [0.3, 0.4]; f' jumps at 0.31, between its nearer end
+        # and the Newton start
+        def fn(x):
+            return x - 0.32 + jump * (np.asarray(x) > 0.31), np.ones_like(x)
+
+        assert_certified_like_the_polish(fn, (0.0, 1.6))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_ulp_of_noise_on_the_slope(self, seed):
+        rng = np.random.default_rng(seed)
+        root, width = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-1.0, 1.5)
+        lo = root - width * rng.uniform(0.05, 0.95)
+
+        def fn(x):
+            return np.expm1(x - root) + one_ulp(x), np.exp(x - root)
+
+        assert_certified_like_the_polish(fn, (lo, lo + width))
+
+    def test_the_benchmark_optima_keep_their_lam_bit_for_bit(self, monkeypatch):
+        # every utility and memm optimum of the grid_1d ops of seed 7
+        plan = load_perfbench("workloads").generate("grid_1d", 7)
+        checks = [op["check"] for op in plan["ops"] if op["check"]["what"] in ("utility", "memm")
+                  and op["check"]["bracket"] is not None and op["check"].get("lambda") is None]
+        original = pricing.minimize_scalar
+        solved = 0
+        for check in checks:
+            t, bracket = parse_model(plan["models"][check["model"]]), tuple(check["bracket"])
+            monkeypatch.setattr(pricing, "minimize_scalar", functools.partial(original, certify=False))
+            plain = outcome(dc.optimize_exp_utility, t, bracket)
+            monkeypatch.setattr(pricing, "minimize_scalar", original)
+            got = outcome(dc.optimize_exp_utility, t, bracket)
+            if not isinstance(plain, tuple):
+                assert got is plain
+                continue
+            (lam, u), (lam_plain, u_plain) = got, plain
+            assert lam.hex() == lam_plain.hex()
+            assert abs(u - u_plain) <= 1e-15 * (1.0 + abs(u_plain))
+            solved += 1
+        assert solved >= 20
 
 
 class TestUtilitySlope:

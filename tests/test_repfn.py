@@ -1,3 +1,4 @@
+import functools
 import pickle
 import re
 
@@ -10,10 +11,11 @@ import driftcalc as dc
 from driftcalc.errors import NanPointError
 from driftcalc import cli, repfn
 from driftcalc.calculus import _rep_exp_utility_slope
-from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, _isnan
+from driftcalc.repfn import _OPS, MAX_PREFIX_NESTING, PRED_OPS, _isnan
 
 from conftest import (
     RAW_CONSTANTS,
+    _indicator,
     finite_difference_jet,
     on_level,
     origin_value,
@@ -21,6 +23,7 @@ from conftest import (
     raw_prefix,
     raw_trees,
 )
+from test_jet_reference import REAL_CONSTANTS, _vanishing, assert_jet_is_the_reference
 
 ONE = dc.Const(1.0)
 
@@ -335,6 +338,41 @@ def test_raw_trees_construct_exactly_when_valid_at_the_origin(data):
     assert np.array_equal(jet.value, np.zeros(len(roots)))
     assert np.array_equal(f.eval_batch(np.zeros((1, dim))), np.zeros((1, len(roots))))
     assert raw_prefix(dim, roots) == dc.to_prefix(f)
+
+
+@functools.lru_cache(maxsize=None)
+def real_trees_with_params(K: int):
+    """Unvalidated scalar trees on R^1 of real constants and parameter leaves
+    of K real or complex values, over every node type."""
+    values = st.one_of(REAL_CONSTANTS, st.complex_numbers(max_magnitude=4.0, allow_nan=False))
+    params = st.lists(values, min_size=K, max_size=K).map(dc.Param)
+    leaves = st.one_of(st.just(dc.Coord(0)), REAL_CONSTANTS.map(dc.Const), params, params)
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(lambda cls, a, b: cls(a, b), st.sampled_from([dc.Add, dc.Sub, dc.Mul, dc.Div]),
+                      kids, kids),
+            st.builds(lambda cls, a: cls(a), st.sampled_from([dc.Neg, dc.Exp, dc.Log]), kids),
+            st.builds(dc.PowConst, REAL_CONSTANTS, kids),
+            st.builds(_indicator, st.sampled_from(PRED_OPS), st.sampled_from([0.5, 1.0, 2.0]),
+                      st.booleans(), kids, st.just(1)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parameter_leaves_inside_real_trees_carry_the_reference_jet(data):
+    # On R^1 the rows off the parameter axis take their jets in Python
+    # numbers and the rows on it in numpy arrays; a rule that branches on a
+    # value on the axis sends the tree to the array pass.
+    trees = real_trees_with_params(data.draw(st.integers(1, 3)))
+    roots = data.draw(st.lists(trees, min_size=1, max_size=3))
+    x = dc.Coord(0)
+    wrap = data.draw(st.lists(st.integers(0, 3), min_size=len(roots), max_size=len(roots)))
+    roots = [(r, x * r, x * (x * r), _vanishing(r, 1))[w] for r, w in zip(roots, wrap)]
+    assert_jet_is_the_reference(1, roots)
 
 
 #: real evaluation points: moderate values, the poles at 0 and -1, and

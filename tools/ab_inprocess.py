@@ -13,8 +13,9 @@ one 2-d power drift, the exponential-utility optimum of the 1-d Merton
 model on the bracket (0, 8), the walks alone of those two drifts (one
 ``eval_batch`` of each tree on fixed points as many as a level-0 walk
 holds, so that a drift's time splits into its walks and its glue), the
-builds alone of two trees, the one-value slope tree of the utility
-optimiser's Newton steps and ``rep_exp_affine(0.5)``, ``parse_model`` of a
+builds alone of three trees, the one-value slope tree of the utility
+optimiser's Newton steps, its 17-point scan tree on (0, 8) and
+``rep_exp_affine(0.5)``, ``parse_model`` of a
 fixed 1-d Gaussian + atoms document, one Monte Carlo block of 8 192
 paths of ``rep_exp_affine(0.5)``'s stochastic exponential on the Merton
 model at T = 1 and 1 worker, and the same estimate of two blocks, 16 384
@@ -35,7 +36,8 @@ percentile of its ops' wall times, a failing op counting by its time), for
 the ops of each label summed over a pass (in ms) and for each fixed case
 (in microseconds per call), the best and the median time of each side, the
 median over rounds of the pair ratio parent/change (above 1 when the change
-is faster), and in how many rounds the change was faster; each side's
+is faster), and in how many rounds the change was faster; for the optimum
+also each side's drifts and slope-tree builds per optimum; each side's
 median minor page faults and voluntary context switches per pass, read
 from ``resource.getrusage`` of this process (all its threads); and the moved
 outputs: how many ops moved, the worst move and its op, and the largest z
@@ -83,6 +85,8 @@ MERTON = {
 #: axes: 7^d nodes, 2d probe points and 15^d nodes
 WALK_POINTS = {d: np.expm1(np.random.default_rng(d).normal(-0.05, 0.2, (7**d + 2 * d + 15**d, d)))
                for d in (1, 2)}
+#: the utility optimiser's scan points on the bracket (0, 8)
+SCAN_LAMS = np.linspace(0.0, 8.0, 17)
 #: a 1-d Gaussian body and two atoms, as most ``grid_1d`` models hold
 MIXED_1D = {
     "type": "levy", "dim": 1, "b": [0.02], "c": [[0.09]], "truncation": ["unit_clip"],
@@ -124,12 +128,35 @@ def cases(M) -> dict:
         "walk_1d_us": lambda: exp_affine.eval_batch(WALK_POINTS[1]),
         "walk_2d_us": lambda: power.eval_batch(WALK_POINTS[2]),
         "slope_build_us": lambda: M.calculus._rep_exp_utility_slope(1.3),
+        "scan_build_us": lambda: M.calculus._rep_exp_utility_slope(SCAN_LAMS),
         "exp_affine_build_us": lambda: M.calculus.rep_exp_affine(0.5),
         "parse_model_us": lambda: M.modelio.parse_model(MIXED_1D),
         "mc_block_us": lambda: M.mcoracle.mc_stoch_exp(exp_affine, merton, 1.0, M.mcoracle.SimConfig(8192, 7)),
         "mc_2w_us": lambda: M.mcoracle.mc_stoch_exp(exp_affine, merton, 1.0,
                                                      M.mcoracle.SimConfig(16384, 7, workers=2)),
     }
+
+
+def optimum_cost(M) -> dict:
+    """The drifts and slope-tree builds of the ``utility_opt_us`` optimum,
+    counted through the names ``pricing`` calls them by."""
+    counts = {"drifts": 0, "builds": 0}
+    originals = {name: getattr(M.pricing, name) for name in ("drift", "_rep_exp_utility_slope")}
+
+    def counted(name, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    M.pricing.drift = counted("drift", "drifts")
+    M.pricing._rep_exp_utility_slope = counted("_rep_exp_utility_slope", "builds")
+    try:
+        M.pricing.optimize_exp_utility(M.modelio.parse_model(MERTON), (0.0, 8.0))
+    finally:
+        for name, fn in originals.items():
+            setattr(M.pricing, name, fn)
+    return counts
 
 
 def digest(M, out) -> str:
@@ -276,6 +303,9 @@ def main(argv) -> int:
                         "bound": MAX_MOVE, "worst_z": moves.z, "worst_z_op": moves.z_where,
                         "z_bound": MC_Z_BOUND}}
     result.update({label: summary(times, 1e6) for label, times in fixed.items()})
+    for name in SIDES:
+        cost = optimum_cost(side[name][2])
+        result["utility_opt_us"].update({f"{name}_{key}": n for key, n in cost.items()})
     print(json.dumps(result, indent=1))
     return 0
 
